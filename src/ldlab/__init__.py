@@ -12,7 +12,6 @@ from .spectral import (
     rel_adjoint,
     rel_compose,
     rel_is_selfadjoint,
-    subspace_algebra,
     subspace_intersect,
     subspace_sum,
     subspaces_equal,
@@ -25,7 +24,6 @@ from .leftdef import (
     ld_inner,
     ld_operator,
     ld_space,
-    pnew_form,
     verify_ld_properties,
 )
 from .hscale import (
@@ -63,6 +61,7 @@ from .extensions import (
     limit_crosscheck,
     minimal_relation,
     perturb,
+    perturbed_spectrum,
     theta_sweep,
     von_neumann_check,
 )
@@ -71,7 +70,6 @@ from .sldiscrete import (
     DiscreteOperator,
     SLCoefficients,
     boundary_functional,
-    build_A0,
     discretize,
     greens_dirichlet_check,
     principal_solution,

@@ -1,8 +1,8 @@
 """Command-line entry point: ldlab run <config-path> [--out DIR] [--format csv|text].
 
-Exit codes: 0 when every check passes, 1 when any check fails, 2 for
-configuration or usage errors. The environment variable LDLAB_SEED overrides
-the config seed.
+Exit codes: 0 when every check passes, 1 when any check fails or no check
+ran, 2 for configuration or usage errors. The environment variable
+LDLAB_SEED overrides the config seed.
 """
 
 from __future__ import annotations

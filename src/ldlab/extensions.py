@@ -263,24 +263,27 @@ def friedrichs_power_oracle(s: LinearRelation, n: int) -> PowerVerdict:
     return PowerVerdict(verdict, n, dom_a.rank, dom_b.rank)
 
 
+def _operator_part(t: LinearRelation):
+    """(D, H) for a self-adjoint relation t: D = dom t = (mul t)^perp, H its operator part.
+
+    With graph basis [F; G], the operator part in the orthonormal basis of D is
+    H = D* G F^+ D, symmetrised; D* removes the multivalued component of G F^+ D.
+    """
+    dom = t.domain()
+    f, g = t._blocks()
+    coeffs, *_ = np.linalg.lstsq(f, dom.basis, rcond=None)
+    if float(np.abs(f @ coeffs - dom.basis).max(initial=0.0)) > 1e-8:
+        raise NotSelfAdjointError("domain basis not reachable from graph (inconsistent relation)")
+    h = dom.basis.conj().T @ (g @ coeffs)
+    return dom, (h + h.conj().T) / 2
+
+
 def relation_spectrum(t: LinearRelation):
     """Operator-part eigenvalues and multivalued dimension of a self-adjoint relation."""
     if not rel_is_selfadjoint(t):
         raise NotSelfAdjointError("spectrum extraction needs a self-adjoint relation")
-    n = t.space_dim
-    mul = t.mul_part()
-    dom = orthocomplement(mul)
-    if dom.rank == 0:
-        return np.zeros(0), mul.rank
-    f, g = t._blocks()
-    coeffs, *_ = np.linalg.lstsq(f, dom.basis, rcond=None)
-    if float(np.max(np.abs(f @ coeffs - dom.basis))) > 1e-8:
-        raise NotSelfAdjointError("domain basis not reachable from graph (inconsistent relation)")
-    values = g @ coeffs
-    op_values = values - mul.projector @ values
-    compressed = dom.basis.conj().T @ op_values
-    compressed = (compressed + compressed.conj().T) / 2
-    return np.linalg.eigvalsh(compressed), mul.rank
+    dom, h = _operator_part(t)
+    return np.linalg.eigvalsh(h), t.space_dim - dom.rank
 
 
 @dataclass(frozen=True)
@@ -316,72 +319,68 @@ class PerturbationSpec:
     def rank(self) -> int:
         return self.b_map.shape[1]
 
-    def split_theta(self):
-        """(operator-part matrix on C^d, multivalued-part subspace of C^d)."""
-        mul = self.theta.mul_part()
-        dom = orthocomplement(mul)
-        d = self.theta.space_dim
-        if dom.rank == 0:
-            return np.zeros((d, d), dtype=complex), mul
-        f, g = self.theta._blocks()
-        coeffs, *_ = np.linalg.lstsq(f, dom.basis, rcond=None)
-        values = g @ coeffs
-        op_values = values - mul.projector @ values
-        theta_op = op_values @ dom.basis.conj().T
-        theta_op = (theta_op + theta_op.conj().T) / 2
-        return theta_op, mul
 
-
-def perturb(a0, spec: PerturbationSpec) -> LinearRelation:
-    """The perturbed object A_Theta = A0 + B Theta B* as a self-adjoint relation.
-
-    With Theta = Theta_op (+) M split into operator and multivalued parts:
-    if M = {0} the result is the graph of the matrix A0 + B Theta_op B*;
-    otherwise the graph is {(f, A0 f + B Theta_op B* f + B m) :
-    P_M B* f = 0, m in M}, which carries multivalued part B M.
-    """
+def _compression(a0, spec: PerturbationSpec):
+    """(Q, A0 + B Theta_op B*, B mul Theta), Q an orthonormal basis of (B mul Theta)^perp."""
     a = _operator_matrix(a0)
     n = a.shape[0]
     if spec.b_map.shape[0] != n:
         raise DimensionMismatchError(
             f"B has {spec.b_map.shape[0]} rows, operator dimension is {n}"
         )
-    b = spec.b_map
-    theta_op, mul = spec.split_theta()
-    perturbed = a + b @ theta_op @ b.conj().T
-    if mul.rank == 0:
-        result = LinearRelation.from_matrix(perturbed)
-    else:
-        constraint = (b @ mul.basis).conj().T          # rows m_j^* B^*
-        dom_basis = _nullspace(constraint)
-        cols_op = np.vstack([dom_basis, perturbed @ dom_basis])
-        cols_mul = np.vstack([np.zeros((n, mul.rank)), b @ mul.basis])
-        result = LinearRelation(Subspace.span(np.hstack([cols_op, cols_mul]), 2 * n))
+    dom, h = _operator_part(spec.theta)
+    b_dom = spec.b_map @ dom.basis
+    b_mul = spec.b_map @ orthocomplement(dom).basis
+    return _nullspace(b_mul.conj().T), a + b_dom @ h @ b_dom.conj().T, b_mul
+
+
+def perturb(a0, spec: PerturbationSpec) -> LinearRelation:
+    """The perturbed object A_Theta = A0 + B Theta B* as a self-adjoint relation.
+
+    With Theta = Theta_op (+) M split into operator and multivalued parts, the
+    graph is {(f, A0 f + B Theta_op B* f + B m) : f perp B M, m in M}, which
+    carries multivalued part B M (for M = {0}: the graph of A0 + B Theta B*).
+    Together with relation_spectrum this is the graph-route oracle for
+    perturbed_spectrum.
+    """
+    q, action, b_mul = _compression(a0, spec)
+    n = action.shape[0]
+    cols = np.hstack([np.vstack([q, action @ q]), np.vstack([np.zeros_like(b_mul), b_mul])])
+    result = LinearRelation(Subspace.span(cols, 2 * n))
     if not rel_is_selfadjoint(result):
         raise NotSelfAdjointError("perturbed relation failed self-adjointness check")
     return result
+
+
+def perturbed_spectrum(a0, spec: PerturbationSpec):
+    """Operator-part eigenvalues and multivalued dimension of A_Theta, by compression.
+
+    The finite spectrum of A0 + B Theta B* is that of A0 + B Theta_op B*
+    compressed to (B mul Theta)^perp (Albeverio-Kurasov); dim(B mul Theta)
+    eigenvalues sit at infinity. One n x n eigensolve, no graph subspaces.
+    """
+    q, action, b_mul = _compression(a0, spec)
+    h = q.conj().T @ action @ q
+    return np.linalg.eigvalsh((h + h.conj().T) / 2), b_mul.shape[1]
 
 
 def limit_crosscheck(a0, spec: PerturbationSpec, t_list):
     """Penalty surrogate for the multivalued part: Theta_op + t P_M with t -> inf.
 
     For each t the finite eigenvalues of A0 + B (Theta_op + t P_M) B* are
-    compared against the operator-part spectrum of perturb(); the dim(M)
+    compared against the operator-part spectrum of A_Theta; the dim(M)
     largest eigenvalues are the divergent branches. Returns a row per t:
     (t, max deviation of finite eigenvalues, smallest divergent eigenvalue).
     """
-    a = _operator_matrix(a0)
-    target, mul_dim = relation_spectrum(perturb(a0, spec))
-    theta_op, mul = spec.split_theta()
-    b = spec.b_map
+    target, mul_dim = perturbed_spectrum(a0, spec)
+    _, action, b_mul = _compression(a0, spec)
     rows = []
     for t in t_list:
-        theta_t = theta_op + float(t) * mul.projector
-        lam = np.linalg.eigvalsh(a + b @ theta_t @ b.conj().T)
-        keep = lam.shape[0] - mul.rank
+        lam = np.linalg.eigvalsh(action + float(t) * b_mul @ b_mul.conj().T)
+        keep = lam.shape[0] - mul_dim
         finite = lam[:keep]
         dev = float(np.max(np.abs(finite - target))) if keep else 0.0
-        lowest_div = float(lam[keep]) if mul.rank else float("nan")
+        lowest_div = float(lam[keep]) if mul_dim else float("nan")
         rows.append((float(t), dev, lowest_div))
     return rows, target, mul_dim
 
@@ -399,7 +398,7 @@ def theta_sweep(a0, b_map, family):
             spec = PerturbationSpec(np.asarray(b_map, dtype=complex), theta)
         else:
             spec = PerturbationSpec.from_matrix(b_map, theta)
-        eigs, mul_dim = relation_spectrum(perturb(a0, spec))
+        eigs, mul_dim = perturbed_spectrum(a0, spec)
         rows.append((label, mul_dim, tuple(float(x) for x in eigs)))
     return rows
 

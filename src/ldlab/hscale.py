@@ -56,9 +56,6 @@ class GrowthModel:
     def eigenvalues(self, n: int) -> np.ndarray:
         return np.arange(1, n + 1, dtype=float) ** self.p
 
-    def truncate(self, n: int) -> ScaleVector:
-        return ScaleVector(np.arange(1, n + 1, dtype=float) ** self.q)
-
     def operator(self, n: int) -> SpectralOperator:
         return SpectralOperator.from_diag(self.eigenvalues(n))
 

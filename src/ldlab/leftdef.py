@@ -188,13 +188,6 @@ class ClosedFormR:
         return self.gamma + (self.operator.lower_bound - self.gamma) ** self.r
 
 
-def pnew_form(operator: SpectralOperator, r: int, f, g, gamma: float | None = None) -> complex:
-    """Evaluate the shifted closed form t_r[f,g] with gamma taken from the operator."""
-    if gamma is None:
-        gamma = operator.shift
-    return ClosedFormR(r, gamma, operator)(f, g)
-
-
 def _tolerance_scale(operator: SpectralOperator, r: float, *vectors) -> float:
     norms = [float(np.linalg.norm(v)) for v in vectors]
     return operator.matrix.norm_max ** r * max(norms) ** 2

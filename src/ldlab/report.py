@@ -78,7 +78,8 @@ class Report:
 
     @property
     def overall(self) -> str:
-        return PASS if all(r.status == PASS for r in self.rows) else FAIL
+        """PASS only when at least one check ran and every check passed."""
+        return PASS if self.rows and all(r.status == PASS for r in self.rows) else FAIL
 
     def to_text(self) -> str:
         lines = [f"# {self.title}"]

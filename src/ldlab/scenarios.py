@@ -54,7 +54,7 @@ def build_operator(spec: dict, rng: np.random.Generator) -> BuiltOperator:
                              f"laguerre(alpha={alpha},k={k},N={n})", laguerre_k=k)
     if kind == "sl":
         coeffs = _sl_coeffs(spec)
-        op = sldiscrete.build_A0(coeffs, int(spec["N"]), spec.get("bc", "dirichlet"))
+        op = sldiscrete.discretize(coeffs, int(spec["N"]), spec.get("bc", "dirichlet"))
         shift = None
         lam_min = float(np.linalg.eigvalsh(op.matrix.entries.real)[0])
         if lam_min <= 0:

@@ -125,10 +125,6 @@ class DiscreteOperator:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix.entries.real)
 
-    def apply_expression(self, f: np.ndarray) -> np.ndarray:
-        """l[f] = W^{-1} T f on interior grid values (ghost nodes read as 0)."""
-        return self._apply_flux(f) / self.weights
-
     def _apply_flux(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
         ext = np.concatenate(([0.0], f, [0.0]))
@@ -172,11 +168,6 @@ def discretize(coeffs: SLCoefficients, n_interior: int, bc: str = "dirichlet") -
         coeffs, n_interior, h, nodes, HermitianMatrix(l_h),
         w_nodes, p_half, q_nodes, bc, truncated,
     )
-
-
-def build_A0(coeffs: SLCoefficients, n_interior: int, bc: str) -> DiscreteOperator:
-    """Base operator for perturbation scenarios: Dirichlet or neumann-type rows."""
-    return discretize(coeffs, n_interior, bc)
 
 
 def _derivative_stencil(values: np.ndarray, h: float, i: int) -> float:

@@ -280,19 +280,6 @@ def orthocomplement(a: Subspace) -> Subspace:
     return Subspace(a.ambient_dim, u[:, rank:])
 
 
-def subspace_algebra(kind: str, a: Subspace, b: Subspace | None = None) -> Subspace:
-    """Dispatcher over {sum | intersect | orthocomplement}."""
-    if kind == "orthocomplement":
-        return orthocomplement(a)
-    if b is None:
-        raise ValueError(f"operation {kind!r} needs a second subspace")
-    if kind == "sum":
-        return subspace_sum(a, b)
-    if kind == "intersect":
-        return subspace_intersect(a, b)
-    raise ValueError(f"unknown subspace operation {kind!r}")
-
-
 def subspaces_equal(a: Subspace, b: Subspace, tol: float = SUBSPACE_TOL) -> bool:
     _check_ambient(a, b)
     if a.rank != b.rank:

@@ -85,8 +85,8 @@ class TestReportEmit:
         report.add_check("beta", "x=2", 1.0, 1e-9)
         assert report.to_text().rstrip().endswith("FAIL")
 
-    def test_overall_empty_is_pass(self):
-        assert Report("empty").overall == "PASS"
+    def test_overall_empty_is_fail(self):
+        assert Report("empty").overall == "FAIL"
 
     def test_csv_roundtrip(self, tmp_path):
         import csv

@@ -14,6 +14,7 @@ from ldlab.extensions import (
     limit_crosscheck,
     minimal_relation,
     perturb,
+    perturbed_spectrum,
     relation_spectrum,
     theta_sweep,
     von_neumann_check,
@@ -26,6 +27,7 @@ from ldlab.spectral import (
     rel_is_selfadjoint,
     subspaces_equal,
 )
+from ldlab.sldiscrete import SLCoefficients, discretize
 
 
 def seeded_restriction(seed, n, codim, complex_=True):
@@ -288,6 +290,68 @@ class TestLimitCrosscheck:
         constrained = np.linalg.eigvalsh(comp.conj().T @ a0 @ comp)
         np.testing.assert_allclose(np.sort(target), np.sort(constrained), atol=1e-9)
         assert rows[0][1] <= 1e-5
+
+
+def _theta(kind):
+    if kind == "matrix":
+        return LinearRelation.from_matrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]]))
+    if kind == "multivalued":
+        return LinearRelation.multivalued(2)
+    # mixed: operator part 0.8 on span{e1 + e2}, multivalued part span{e1 - e2}
+    u = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    return LinearRelation.from_blocks(u @ np.diag([1.0, 0.0]), u @ np.diag([0.8, 1.0]))
+
+
+def _dense_operator(n, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return m @ m.conj().T + np.eye(n)
+
+
+def _flat_sl(n):
+    return np.asarray(discretize(SLCoefficients.flat(), n).matrix.entries)
+
+
+class TestPerturbedSpectrumOracle:
+    """The compression route against the graph route relation_spectrum(perturb(...))."""
+
+    @pytest.mark.parametrize("kind", ["matrix", "multivalued", "mixed"])
+    @pytest.mark.parametrize("operator", ["dense-8", "flat-sl-150"])
+    def test_agrees_with_graph_route(self, kind, operator):
+        a0 = _dense_operator(8, 31) if operator == "dense-8" else _flat_sl(150)
+        rng = np.random.default_rng(32)
+        n = a0.shape[0]
+        b = Subspace.span(rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))).basis
+        spec = PerturbationSpec(b, _theta(kind))
+        eigs, mul_dim = perturbed_spectrum(a0, spec)
+        oracle, oracle_mul = relation_spectrum(perturb(a0, spec))
+        assert mul_dim == oracle_mul == {"matrix": 0, "multivalued": 2, "mixed": 1}[kind]
+        assert eigs.shape == oracle.shape
+        scale = max(1.0, float(np.max(np.abs(oracle))))
+        assert float(np.max(np.abs(eigs - oracle))) <= 1e-10 * scale
+
+    def test_sweep_and_crosscheck_run_no_svd_above_n_rows(self, monkeypatch):
+        import numpy.linalg._linalg as linalg_impl
+
+        n = 40
+        a0 = _flat_sl(n)
+        b = Subspace.span(np.random.default_rng(33).normal(size=(n, 2))).basis
+        real_svd = linalg_impl.svd
+        rows_seen = []
+
+        def counting_svd(a, *args, **kwargs):
+            rows_seen.append(np.shape(a)[-2])
+            return real_svd(a, *args, **kwargs)
+
+        # np.linalg.svd for direct callers, the module global for matrix_rank/pinv
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(linalg_impl, "svd", counting_svd)
+        family = [(t, t * np.eye(2)) for t in np.linspace(0.0, 10.0, 11)]
+        theta_sweep(a0, b, family)
+        for kind in ("multivalued", "mixed"):
+            limit_crosscheck(a0, PerturbationSpec(b, _theta(kind)), [1e8])
+        assert rows_seen, "the sweep made no SVD call at all; the wrapper is not in place"
+        assert max(rows_seen) <= n
 
 
 class TestThetaSweepAndInterlacing:

@@ -1,0 +1,93 @@
+"""Golden reports: each config under tests/golden/ reproduces its stored outputs.
+
+Every tests/golden/<name>/ holds a config.json and the report.csv and
+tables/*.csv it produced when the directory was written. Check rows must agree
+exactly on (check-name, inputs, status); residual digits are not compared.
+Table cells must agree exactly, except that numeric cells agree to
+1e-9 * max(1, max |column|), so a refactor that reorders floating-point work
+passes while a changed verdict or table shape fails.
+
+After a deliberate change of verdicts or tables, rewrite the stored outputs:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import csv
+import io
+import math
+import pathlib
+import shutil
+
+import pytest
+
+from ldlab.config import EXPERIMENTS, parse_config
+from ldlab.scenarios import run_scenario
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+CASES = sorted(p.name for p in GOLDEN.iterdir() if (p / "config.json").is_file())
+NUMERIC_RTOL = 1e-9
+
+
+def _outputs(name: str):
+    report = run_scenario(parse_config((GOLDEN / name / "config.json").read_text()))
+    return report.rows_csv(), {t.name: t.to_csv() for t in report.tables}
+
+
+def _parse(text: str) -> list:
+    return list(csv.reader(io.StringIO(text)))
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _assert_table_close(name: str, got: list, want: list):
+    assert got[0] == want[0], f"{name}: header changed"
+    assert len(got) == len(want), f"{name}: {len(got) - 1} rows, expected {len(want) - 1}"
+    for col in range(len(want[0])):
+        numbers = [_number(row[col]) for row in want[1:]]
+        finite = [abs(x) for x in numbers if x is not None and math.isfinite(x)]
+        tol = NUMERIC_RTOL * max([1.0] + finite)
+        for i, (row_got, row_want) in enumerate(zip(got[1:], want[1:])):
+            a, b = _number(row_got[col]), _number(row_want[col])
+            where = f"{name} row {i} column {want[0][col]}: {row_got[col]} vs {row_want[col]}"
+            if a is None or b is None or not (math.isfinite(a) and math.isfinite(b)):
+                assert row_got[col] == row_want[col], where
+            else:
+                assert abs(a - b) <= tol, where
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_golden(name):
+    rows_csv, tables = _outputs(name)
+    keep = lambda rows: [(r[0], r[1], r[4]) for r in rows]
+    want_rows = _parse((GOLDEN / name / "report.csv").read_text())
+    assert keep(_parse(rows_csv)) == keep(want_rows)
+    stored = sorted((GOLDEN / name / "tables").glob("*.csv"))
+    assert sorted(tables) == [p.stem for p in stored]
+    for path in stored:
+        _assert_table_close(path.stem, _parse(tables[path.stem]), _parse(path.read_text()))
+
+
+def test_golden_covers_every_experiment():
+    seen = {parse_config((GOLDEN / n / "config.json").read_text()).experiment for n in CASES}
+    assert seen == set(EXPERIMENTS)
+
+
+def _regenerate():
+    for name in CASES:
+        rows_csv, tables = _outputs(name)
+        (GOLDEN / name / "report.csv").write_text(rows_csv)
+        tables_dir = GOLDEN / name / "tables"
+        shutil.rmtree(tables_dir, ignore_errors=True)
+        tables_dir.mkdir()
+        for table, text in tables.items():
+            (tables_dir / f"{table}.csv").write_text(text)
+        print(f"wrote {GOLDEN / name}")
+
+
+if __name__ == "__main__":
+    _regenerate()

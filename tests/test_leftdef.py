@@ -9,7 +9,6 @@ from ldlab.leftdef import (
     ld_operator,
     ld_space,
     multiplicity_list,
-    pnew_form,
     verify_ld_properties,
 )
 from ldlab.spectral import DimensionMismatchError
@@ -112,24 +111,24 @@ class TestClosedForm:
     def test_scalar_example(self):
         # A = diag(2), gamma = 1, r = 2, f = (1): (2-1)^2 + 1 = 2
         op = SpectralOperator.from_diag([2.0], shift=1.0)
-        assert pnew_form(op, 2, [1.0], [1.0]) == pytest.approx(2.0, abs=1e-14)
+        assert ClosedFormR(2, op.shift, op)([1.0], [1.0]) == pytest.approx(2.0, abs=1e-14)
 
     def test_r1_telescopes_to_plain_form(self):
         op = seeded_positive_operator(4, n=7)
         rng = np.random.default_rng(5)
         f = rng.normal(size=7) + 1j * rng.normal(size=7)
         expected = complex(f.conj() @ op.matrix.entries @ f)
-        assert pnew_form(op, 1, f, f) == pytest.approx(expected, rel=1e-12)
+        assert ClosedFormR(1, op.shift, op)(f, f) == pytest.approx(expected, rel=1e-12)
 
     def test_diag_2_5_gamma0(self):
         op = SpectralOperator.from_diag([2.0, 5.0], shift=0.0)
-        assert pnew_form(op, 2, np.ones(2), np.ones(2)) == pytest.approx(29.0, abs=1e-12)
+        assert ClosedFormR(2, op.shift, op)(np.ones(2), np.ones(2)) == pytest.approx(29.0, abs=1e-12)
 
     def test_value_real_on_diagonal(self):
         op = seeded_positive_operator(6, n=5)
         rng = np.random.default_rng(7)
         f = rng.normal(size=5) + 1j * rng.normal(size=5)
-        assert abs(pnew_form(op, 3, f, f).imag) <= 1e-10 * abs(pnew_form(op, 3, f, f))
+        assert abs(ClosedFormR(3, op.shift, op)(f, f).imag) <= 1e-10 * abs(ClosedFormR(3, op.shift, op)(f, f))
 
     def test_rejects_gamma_at_bound(self):
         op = SpectralOperator.from_diag([2.0, 5.0])

@@ -7,7 +7,6 @@ from ldlab.sldiscrete import (
     SLCoefficients,
     SupportError,
     boundary_functional,
-    build_A0,
     discretize,
     greens_dirichlet_check,
     principal_solution,
@@ -84,25 +83,20 @@ class TestDiscretize:
 
 
 class TestBuildA0:
-    def test_dirichlet_matches_discretize(self):
-        a = build_A0(flat(), 50, "dirichlet")
-        b = discretize(flat(), 50)
-        np.testing.assert_array_equal(a.matrix.entries, b.matrix.entries)
-
     def test_dirichlet_eigenvalues_near_squares(self):
-        lam = build_A0(flat(), 199, "dirichlet").eigenvalues()
+        lam = discretize(flat(), 199, "dirichlet").eigenvalues()
         assert lam[0] == pytest.approx(1.0, abs=1e-3)
         assert lam[1] == pytest.approx(4.0, abs=5e-3)
 
     def test_neumann_smallest_to_zero(self):
-        lam = build_A0(flat(), 199, "neumann-type").eigenvalues()
+        lam = discretize(flat(), 199, "neumann-type").eigenvalues()
         assert abs(lam[0]) <= 1e-10
         assert lam[1] == pytest.approx(1.0, abs=2e-2)   # {0, 1, 4, ...} trend
         assert lam[2] == pytest.approx(4.0, abs=5e-2)
 
     def test_rejects_unknown_bc(self):
         with pytest.raises(ValueError, match="boundary"):
-            build_A0(flat(), 10, "robin")
+            discretize(flat(), 10, "robin")
 
 
 class TestWronskian:

@@ -17,7 +17,6 @@ from ldlab.spectral import (
     rel_compose,
     rel_is_selfadjoint,
     save_matrix_csv,
-    subspace_algebra,
     subspace_intersect,
     subspace_sum,
     subspaces_equal,
@@ -152,16 +151,6 @@ class TestSubspaces:
         a = Subspace.span(e(2, 0))
         b = Subspace.span(np.array([1.0, 1.0]) / np.sqrt(2))
         assert subspace_sum(a, b).rank == 2
-
-    def test_dispatcher(self):
-        a = Subspace.span(e(2, 0))
-        assert subspace_algebra("orthocomplement", a).rank == 1
-        assert subspace_algebra("sum", a, a).rank == 1
-        assert subspace_algebra("intersect", a, a).rank == 1
-        with pytest.raises(ValueError, match="unknown"):
-            subspace_algebra("nope", a, a)
-        with pytest.raises(ValueError, match="second"):
-            subspace_algebra("sum", a)
 
     def test_ambient_mismatch(self):
         from ldlab.spectral import DimensionMismatchError
