@@ -176,6 +176,9 @@ def _validate_params(experiment: str, params, errors: list):
             continue
         if not pred(value):
             errors.append(f"params: {key}={value} violates {message}")
+    lo, hi = params.get("dimMin"), params.get("dimMax")
+    if experiment == "extensions" and _is_number(lo) and _is_number(hi) and lo > hi:
+        errors.append(f"params: dimMin={lo} exceeds dimMax={hi}")
 
 
 def parse_config(text: str) -> ScenarioConfig:

@@ -25,6 +25,7 @@ from .spectral import (
     Subspace,
     _nullspace,
     _onb,
+    _rank,
     eigh,
     orthocomplement,
     rel_adjoint,
@@ -82,18 +83,26 @@ class ExtensionProblem:
         return cls(operator, constraints, minimal_relation(operator, constraints))
 
 
-def is_symmetric_relation(s: LinearRelation, tol: float = SYMMETRY_TOL) -> bool:
-    """S subset of S*, checked by projecting the graph basis onto the adjoint graph."""
+def _adjoint_and_residual(s: LinearRelation):
+    """(S*, max |graph basis of S minus its projection onto graph S*|)."""
     adj = rel_adjoint(s)
     if s.dim == 0:
-        return True
+        return adj, 0.0
     resid = s.graph.basis - adj.graph.projector @ s.graph.basis
-    return float(np.max(np.abs(resid))) <= tol
+    return adj, float(np.max(np.abs(resid)))
 
 
-def _require_symmetric(s: LinearRelation):
-    if not is_symmetric_relation(s):
+def is_symmetric_relation(s: LinearRelation, tol: float = SYMMETRY_TOL) -> bool:
+    """S subset of S*, checked by projecting the graph basis onto the adjoint graph."""
+    return _adjoint_and_residual(s)[1] <= tol
+
+
+def _require_symmetric(s: LinearRelation) -> LinearRelation:
+    """S* of a symmetric S; raises NotSymmetricError otherwise."""
+    adj, resid = _adjoint_and_residual(s)
+    if resid > SYMMETRY_TOL:
         raise NotSymmetricError("relation is not symmetric (S is not contained in S*)")
+    return adj
 
 
 @dataclass(frozen=True)
@@ -102,23 +111,22 @@ class DeficiencyReport:
     m_minus: int
     defect_plus: Subspace
     defect_minus: Subspace
+    adjoint: LinearRelation
 
 
 def _defect_space(adjoint: LinearRelation, sign: float) -> Subspace:
-    """{f : (f, sign*i*f) in S*}, returned as a subspace of the base space."""
+    """ker(S* - sign*i) = {f : (f, sign*i*f) in S*} = F ker(G - sign*i*F)."""
+    f, g = adjoint._blocks()
     n = adjoint.space_dim
-    eig_graph = LinearRelation.from_matrix(sign * 1j * np.eye(n))
-    inter = subspace_intersect(adjoint.graph, eig_graph.graph)
-    return Subspace(n, _onb(inter.basis[:n], n))
+    return Subspace(n, _onb(f @ _nullspace(g - sign * 1j * f), n))
 
 
 def deficiency_indices(s: LinearRelation) -> DeficiencyReport:
-    """Deficiency indices (m+, m-) = dims of ker(S* -/+ i) with defect bases."""
-    _require_symmetric(s)
-    adj = rel_adjoint(s)
+    """Deficiency indices (m+, m-) = dims of ker(S* -/+ i) with defect bases and S*."""
+    adj = _require_symmetric(s)
     d_plus = _defect_space(adj, +1.0)
     d_minus = _defect_space(adj, -1.0)
-    return DeficiencyReport(d_plus.rank, d_minus.rank, d_plus, d_minus)
+    return DeficiencyReport(d_plus.rank, d_minus.rank, d_plus, d_minus, adj)
 
 
 def von_neumann_check(s: LinearRelation) -> Report:
@@ -127,29 +135,18 @@ def von_neumann_check(s: LinearRelation) -> Report:
     Checks the dimension identity dim S* = dim S + m+ + m-, pairwise trivial
     intersections of the three summands, and that their span recovers S*.
     """
-    _require_symmetric(s)
-    adj = rel_adjoint(s)
     rep = deficiency_indices(s)
+    adj = rep.adjoint
     n = s.space_dim
-
-    def graph_of_defect(d: Subspace, sign: float) -> Subspace:
-        return Subspace.span(np.vstack([d.basis, sign * 1j * d.basis]), 2 * n)
-
-    gp = graph_of_defect(rep.defect_plus, +1.0)
-    gm = graph_of_defect(rep.defect_minus, -1.0)
+    # graph of D+/-: [d; +/-i d] / sqrt 2 is orthonormal for an orthonormal basis d
+    gp, gm = (Subspace(2 * n, np.vstack([d.basis, sign * 1j * d.basis]) / np.sqrt(2.0))
+              for d, sign in ((rep.defect_plus, 1.0), (rep.defect_minus, -1.0)))
 
     report = Report("von Neumann decomposition", meta={"dim": n})
-    dim_ok = adj.dim == s.dim + rep.m_plus + rep.m_minus
-    report.add_flag(
-        "dimension-identity",
-        f"dim S*={adj.dim}, dim S={s.dim}, m+={rep.m_plus}, m-={rep.m_minus}",
-        dim_ok,
-    )
-    for name, a, b in (
-        ("S^D+", s.graph, gp),
-        ("S^D-", s.graph, gm),
-        ("D+^D-", gp, gm),
-    ):
+    report.add_flag("dimension-identity",
+                    f"dim S*={adj.dim}, dim S={s.dim}, m+={rep.m_plus}, m-={rep.m_minus}",
+                    adj.dim == s.dim + rep.m_plus + rep.m_minus)
+    for name, a, b in (("S^D+", s.graph, gp), ("S^D-", s.graph, gm), ("D+^D-", gp, gm)):
         inter = subspace_intersect(a, b)
         report.add_flag(f"trivial-intersection {name}", f"dim={inter.rank}", inter.rank == 0)
     stacked = np.hstack([s.graph.basis, gp.basis, gm.basis])
@@ -171,9 +168,9 @@ def form_lower_bound(s: LinearRelation) -> float:
 def friedrichs_relation(s: LinearRelation) -> LinearRelation:
     """Friedrichs extension of a nonnegative symmetric relation.
 
-    Construction: graph(S) (+) {0} x (dom S)^perp. The result is self-adjoint,
-    extends S, has dom = dom S, and its form restricted to dom S equals
-    <Sf, g>; all four properties are enforced here rather than assumed.
+    Construction: graph(S) (+) {0} x (dom S)^perp. The result extends S and has
+    dom = dom S by construction. Checked here: S is symmetric and nonnegative,
+    and the result is self-adjoint. The form identity on dom S is not checked.
     """
     _require_symmetric(s)
     scale = max(float(np.max(np.abs(s.graph.basis))) if s.dim else 0.0, 1.0)
@@ -298,7 +295,7 @@ class PerturbationSpec:
         if b.ndim != 2:
             raise DimensionMismatchError("B must be an n x d matrix")
         d = b.shape[1]
-        if d == 0 or np.linalg.matrix_rank(b) < d:
+        if d == 0 or _rank(np.linalg.svd(b, compute_uv=False)) < d:
             raise ValueError("columns of B must be linearly independent")
         if self.theta.space_dim != d:
             raise DimensionMismatchError(

@@ -16,6 +16,7 @@ import numpy as np
 
 from .report import Report, Table
 from .spectral import (
+    CLUSTER_RTOL,
     DimensionMismatchError,
     HermitianMatrix,
     SpectralDecomposition,
@@ -48,11 +49,12 @@ class SpectralOperator:
 
     @classmethod
     def from_matrix(cls, matrix, shift: float | None = None) -> "SpectralOperator":
+        """Default shift: 0 when k is positive beyond eigh's cluster cutoff, else k - 1."""
         h = as_hermitian(matrix)
         decomp = eigh(h)
         k = float(decomp.eigenvalues[0])
         if shift is None:
-            shift = 0.0 if k > 0 else k - 1.0
+            shift = 0.0 if k > CLUSTER_RTOL * max(h.norm_max, 1e-300) else k - 1.0
         return cls(h, decomp, k, float(shift))
 
     @classmethod

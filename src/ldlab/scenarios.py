@@ -55,11 +55,7 @@ def build_operator(spec: dict, rng: np.random.Generator) -> BuiltOperator:
     if kind == "sl":
         coeffs = _sl_coeffs(spec)
         op = sldiscrete.discretize(coeffs, int(spec["N"]), spec.get("bc", "dirichlet"))
-        shift = None
-        lam_min = float(np.linalg.eigvalsh(op.matrix.entries.real)[0])
-        if lam_min <= 0:
-            shift = lam_min - 1.0
-        return BuiltOperator(leftdef.SpectralOperator.from_matrix(op.matrix, shift),
+        return BuiltOperator(leftdef.SpectralOperator.from_matrix(op.matrix),
                              f"sl({coeffs.name},N={spec['N']},bc={op.bc})", discrete=op)
     raise ValueError(f"unknown operator kind {kind!r}")
 
@@ -220,7 +216,7 @@ def _run_extensions(report: Report, built: BuiltOperator, config: ScenarioConfig
         all_ok["friedrichs-sa"] &= ok_sa
         all_ok["friedrichs-dom"] &= ok_dom
         rows.append((trial, n, codim, rep.m_plus, rep.m_minus, s.dim,
-                     extensions.rel_adjoint(s).dim,
+                     rep.adjoint.dim,
                      "PASS" if (ok_def and ok_vn and ok_sa and ok_dom) else "FAIL"))
     report.add_table(Table.build(
         "extension_trials",

@@ -3,8 +3,10 @@
 Everything downstream (left-definite spaces, extension theory, perturbations)
 is built on the primitives in this module: validated Hermitian matrices,
 spectral decompositions, matrix powers through the eigenbasis, orthonormal
-subspaces with rank decisions by singular-value cutoff, and linear relations
-represented as subspaces of the doubled space H (+) H.
+subspaces, and linear relations represented as subspaces of the doubled space
+H (+) H. Every rank decision is the one cutoff in `_rank`. For a relation with
+orthonormal graph basis [F; G], adjoint, multivalued part and complements are
+each a basis times one nullspace: S* = ker[G*, -F*], mul = G ker F, a^perp = ker(A*).
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent read-only use is safe.
@@ -176,26 +178,29 @@ def mat_power(matrix, r: float) -> HermitianMatrix:
     return HermitianMatrix((powered + powered.conj().T) / 2)
 
 
+def _rank(s: np.ndarray) -> int:
+    """Rank from descending singular values s: the package's one cutoff, RANK_RTOL * s[0]."""
+    return int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
+
+
 def _onb(columns: np.ndarray, ambient: int) -> np.ndarray:
-    """Orthonormal basis of the column space, rank by singular-value cutoff."""
+    """Orthonormal basis of the column space."""
     cols = np.asarray(columns, dtype=complex).reshape(ambient, -1)
     if cols.shape[1] == 0:
         return np.zeros((ambient, 0), dtype=complex)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
-    return u[:, :rank]
+    return u[:, :_rank(s)]
 
 
 def _nullspace(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(m), singular values below cutoff count as zero."""
+    """Orthonormal basis of ker(m)."""
     m = np.asarray(m, dtype=complex)
     if m.shape[1] == 0:
         return np.zeros((0, 0), dtype=complex)
     if m.shape[0] == 0:
         return np.eye(m.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
-    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
-    return vh[rank:, :].conj().T
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    return vh[_rank(s):, :].conj().T
 
 
 @dataclass(frozen=True)
@@ -273,11 +278,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def orthocomplement(a: Subspace) -> Subspace:
-    if a.rank == 0:
-        return Subspace.full(a.ambient_dim)
-    u, s, _ = np.linalg.svd(a.basis, full_matrices=True)
-    rank = int(np.sum(s > RANK_RTOL * s[0]))
-    return Subspace(a.ambient_dim, u[:, rank:])
+    """The complement as a kernel: a^perp = ker(A*) for the basis A of a."""
+    return Subspace(a.ambient_dim, _nullspace(a.basis.conj().T))
 
 
 def subspaces_equal(a: Subspace, b: Subspace, tol: float = SUBSPACE_TOL) -> bool:
@@ -330,25 +332,23 @@ class LinearRelation:
     @classmethod
     def multivalued(cls, n: int) -> "LinearRelation":
         """The purely multivalued relation {0} x C^n."""
-        return cls(Subspace.span(np.vstack([np.zeros((n, n)), np.eye(n)]), 2 * n))
+        return cls(Subspace(2 * n, np.vstack([np.zeros((n, n)), np.eye(n)])))
 
     def domain(self) -> Subspace:
         f, _ = self._blocks()
         return Subspace(self.space_dim, _onb(f, self.space_dim))
 
     def mul_part(self) -> Subspace:
-        """The multivalued part {g : (0, g) in the relation}."""
-        n = self.space_dim
-        bottom = Subspace.span(np.vstack([np.zeros((n, n)), np.eye(n)]), 2 * n)
-        inter = subspace_intersect(self.graph, bottom)
-        return Subspace(n, _onb(inter.basis[n:], n))
+        """The multivalued part {g : (0, g) in the relation} = G ker F."""
+        f, g = self._blocks()
+        return Subspace(self.space_dim, _onb(g @ _nullspace(f), self.space_dim))
 
 
 def rel_adjoint(t: LinearRelation) -> LinearRelation:
-    """Adjoint relation: the orthogonal complement of the flipped graph J(f,g) = (g,-f)."""
+    """Adjoint {(h, k) : <k, f> = <h, g> on t} = ker[G*, -F*], one kernel for graph [F; G]."""
     f, g = t._blocks()
-    flipped = Subspace.span(np.vstack([g, -f]), 2 * t.space_dim)
-    return LinearRelation(orthocomplement(flipped))
+    kernel = _nullspace(np.hstack([g.conj().T, -f.conj().T]))
+    return LinearRelation(Subspace(2 * t.space_dim, kernel))
 
 
 def rel_compose(t: LinearRelation, s: LinearRelation) -> LinearRelation:

@@ -53,6 +53,18 @@ class TestParseConfig:
             parse_config(json.dumps(bad))
         assert len(err.value.errors) >= 4
 
+    def test_dim_min_above_dim_max_is_config_error(self):
+        bad = make_config(
+            operatorSpec={"kind": "diag-growth", "p": 1.0, "q": 0.0, "N": 6},
+            experiment="extensions",
+            params={"trials": 2, "dimMin": 9, "dimMax": 5, "codim": 1},
+            seed="zero",
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(bad))
+        assert "params: dimMin=9 exceeds dimMax=5" in err.value.errors
+        assert len(err.value.errors) == 2   # reported together with the bad seed
+
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{nope")
@@ -239,6 +251,15 @@ class TestCli:
         path = self.write_config(tmp_path, make_config(experiment="nope"))
         assert main(["run", path]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_dim_min_above_dim_max_exit_two(self, tmp_path, capsys):
+        raw = make_config(
+            operatorSpec={"kind": "diag-growth", "p": 1.0, "q": 0.0, "N": 6},
+            experiment="extensions",
+            params={"trials": 2, "dimMin": 9, "dimMax": 5, "codim": 1},
+        )
+        assert main(["run", self.write_config(tmp_path, raw)]) == 2
+        assert "dimMin=9 exceeds dimMax=5" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

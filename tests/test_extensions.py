@@ -19,12 +19,15 @@ from ldlab.extensions import (
     theta_sweep,
     von_neumann_check,
 )
+from ldlab import extensions, spectral
 from ldlab.spectral import (
     LinearRelation,
     SpectrumError,
     Subspace,
+    orthocomplement,
     rel_adjoint,
     rel_is_selfadjoint,
+    subspace_intersect,
     subspaces_equal,
 )
 from ldlab.sldiscrete import SLCoefficients, discretize
@@ -396,3 +399,150 @@ class TestThetaSweepAndInterlacing:
     def test_interlacing_requires_positive_t(self):
         with pytest.raises(ValueError):
             interlacing_check(np.eye(2), np.array([1.0, 0.0]), 0.0)
+
+
+# Oracles for the one-kernel forms of rel_adjoint, mul_part, the defect spaces
+# and orthocomplement: the span / intersection / full-SVD complement routes.
+
+def _complement_oracle(a: Subspace) -> Subspace:
+    """Trailing left singular vectors of the full SVD of the basis."""
+    if a.rank == 0:
+        return Subspace.full(a.ambient_dim)
+    u, s, _ = np.linalg.svd(a.basis, full_matrices=True)
+    return Subspace(a.ambient_dim, u[:, int(np.sum(s > spectral.RANK_RTOL * s[0])):])
+
+
+def _adjoint_oracle(t: LinearRelation) -> LinearRelation:
+    """Complement of the flipped graph J(f, g) = (g, -f)."""
+    n = t.space_dim
+    f, g = t.graph.basis[:n], t.graph.basis[n:]
+    return LinearRelation(_complement_oracle(Subspace.span(np.vstack([g, -f]), 2 * n)))
+
+
+def _mul_oracle(t: LinearRelation) -> Subspace:
+    """g-block of graph(t) intersected with {0} x C^n."""
+    n = t.space_dim
+    bottom = Subspace.span(np.vstack([np.zeros((n, n)), np.eye(n)]), 2 * n)
+    return Subspace.span(subspace_intersect(t.graph, bottom).basis[n:], n)
+
+
+def _defect_oracle(adjoint: LinearRelation, sign: float) -> Subspace:
+    """f-block of graph(S*) intersected with graph(sign * i * I)."""
+    n = adjoint.space_dim
+    eig_graph = LinearRelation.from_matrix(sign * 1j * np.eye(n))
+    return Subspace.span(subspace_intersect(adjoint.graph, eig_graph.graph).basis[:n], n)
+
+
+def _hermitian_graph(seed, n):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return LinearRelation.from_matrix(m + m.conj().T)
+
+
+def _random_relation(seed, n, d):
+    rng = np.random.default_rng(seed)
+    return LinearRelation(Subspace.span(rng.normal(size=(2 * n, d)) + 1j * rng.normal(size=(2 * n, d))))
+
+
+# label -> (builder, (m+, m-) for symmetric relations or None, dim mul)
+RELATIONS = {
+    "hermitian-graph-3": (lambda: _hermitian_graph(41, 3), (0, 0), 0),
+    "hermitian-graph-7": (lambda: _hermitian_graph(42, 7), (0, 0), 0),
+    "random-d4-in-C3": (lambda: _random_relation(43, 3, 4), None, None),
+    "zero": (lambda: LinearRelation(Subspace.zero(10)), (5, 5), 0),
+    "full": (lambda: LinearRelation(Subspace.full(10)), None, 5),
+}
+for _c in (1, 2, 3):
+    RELATIONS[f"minimal-codim{_c}"] = (
+        lambda c=_c: minimal_relation(*seeded_restriction(50 + c, 7, c)), (_c, _c), 0)
+    RELATIONS[f"friedrichs-codim{_c}"] = (
+        lambda c=_c: friedrichs_relation(minimal_relation(*seeded_restriction(50 + c, 7, c))),
+        (0, 0), _c)
+
+
+class TestKernelOracles:
+    """Each one-kernel form against the route it replaced, on seeded relations."""
+
+    @pytest.mark.parametrize("label", sorted(RELATIONS))
+    def test_adjoint_is_annihilator(self, label):
+        t = RELATIONS[label][0]()
+        adj = rel_adjoint(t)
+        n = t.space_dim
+        assert t.dim + adj.dim == 2 * n
+        if t.dim and adj.dim:
+            f, g = t.graph.basis[:n], t.graph.basis[n:]
+            h, k = adj.graph.basis[:n], adj.graph.basis[n:]
+            # <k, f> = <h, g> for every (f, g) in t and (h, k) in t*
+            assert float(np.max(np.abs(f.conj().T @ k - g.conj().T @ h))) <= 1e-12
+        assert subspaces_equal(adj.graph, _adjoint_oracle(t).graph)
+
+    @pytest.mark.parametrize("label", sorted(RELATIONS))
+    def test_mul_part_matches_intersection(self, label):
+        t = RELATIONS[label][0]()
+        mul = t.mul_part()
+        assert subspaces_equal(mul, _mul_oracle(t))
+        if RELATIONS[label][2] is not None:
+            assert mul.rank == RELATIONS[label][2]
+
+    @pytest.mark.parametrize("label", sorted(k for k, v in RELATIONS.items() if v[1]))
+    def test_defect_spaces_match_intersection(self, label):
+        s = RELATIONS[label][0]()
+        rep = deficiency_indices(s)
+        assert (rep.m_plus, rep.m_minus) == RELATIONS[label][1]
+        assert subspaces_equal(rep.adjoint.graph, rel_adjoint(s).graph)
+        assert subspaces_equal(rep.defect_plus, _defect_oracle(rep.adjoint, +1.0))
+        assert subspaces_equal(rep.defect_minus, _defect_oracle(rep.adjoint, -1.0))
+
+    @pytest.mark.parametrize("label", sorted(RELATIONS))
+    def test_orthocomplement_matches_full_svd(self, label):
+        t = RELATIONS[label][0]()
+        for a in (t.graph, t.domain(), t.mul_part()):
+            comp = orthocomplement(a)
+            assert comp.rank + a.rank == a.ambient_dim
+            assert subspaces_equal(comp, _complement_oracle(a))
+
+
+class TestSingleRankDecision:
+    """S* is built once per deficiency analysis, and every rank goes through RANK_RTOL."""
+
+    def test_von_neumann_builds_adjoint_once(self, monkeypatch):
+        s = minimal_relation(*seeded_restriction(60, 8, 2))
+        real = extensions.rel_adjoint
+        calls = []
+
+        def counting_adjoint(t):
+            calls.append(t.dim)
+            return real(t)
+
+        monkeypatch.setattr(extensions, "rel_adjoint", counting_adjoint)
+        assert von_neumann_check(s).overall == "PASS"
+        assert calls == [s.dim]
+
+    def test_extension_trial_svd_budget(self, monkeypatch):
+        import numpy.linalg._linalg as linalg_impl
+
+        s = minimal_relation(*seeded_restriction(61, 8, 1))
+        real_svd = linalg_impl.svd
+        calls = []
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(linalg_impl, "svd", counting_svd)
+        rep = deficiency_indices(s)
+        vn = von_neumann_check(s)
+        sf = friedrichs_relation(s)
+        assert (rep.m_plus, rep.m_minus) == (1, 1) and vn.overall == "PASS"
+        assert rel_is_selfadjoint(sf)
+        assert 0 < len(calls) <= 24
+
+    def test_spec_independence_uses_rank_rtol(self, monkeypatch):
+        b = np.zeros((4, 2))
+        b[0, :] = 1.0
+        b[1, 1] = 1e-6     # sigma_min / sigma_max ~ 5e-7
+        assert PerturbationSpec.from_matrix(b, np.eye(2)).rank == 2
+        monkeypatch.setattr(spectral, "RANK_RTOL", 1e-4)
+        with pytest.raises(ValueError, match="linearly independent"):
+            PerturbationSpec.from_matrix(b, np.eye(2))

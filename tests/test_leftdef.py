@@ -11,6 +11,7 @@ from ldlab.leftdef import (
     multiplicity_list,
     verify_ld_properties,
 )
+from ldlab.scenarios import build_operator
 from ldlab.spectral import DimensionMismatchError
 
 
@@ -196,3 +197,20 @@ class TestVerifyProperties:
         op = seeded_positive_operator(12, n=10)
         report = verify_ld_properties(op, 0.5, 25, seed=13)
         assert report.overall == "PASS"
+
+
+class TestDefaultShift:
+    """Positivity of the lower bound is decided relative to the matrix scale."""
+
+    @pytest.mark.parametrize("n", [10, 12, 16, 50, 400])
+    def test_zero_lower_bound_gets_unit_shift(self, n):
+        # Jacobi(1,1) neumann-type has lambda_0 = 0; rounding gives it either sign
+        spec = {"kind": "sl", "coeffs": {"name": "jacobi", "alpha": 1.0, "beta": 1.0},
+                "N": n, "bc": "neumann-type"}
+        op = build_operator(spec, np.random.default_rng(0)).operator
+        assert op.shift == op.lower_bound - 1.0
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_cutoff_scales_with_matrix(self, scale):
+        assert SpectralOperator.from_diag([1e-13 * scale, scale]).shift < 0.0
+        assert SpectralOperator.from_diag([1e-6 * scale, scale]).shift == 0.0
