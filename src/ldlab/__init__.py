@@ -52,7 +52,6 @@ from .classical import (
 )
 from .extensions import (
     DeficiencyReport,
-    ExtensionProblem,
     PerturbationSpec,
     deficiency_indices,
     friedrichs_power_experiment,

@@ -156,6 +156,10 @@ _PARAM_SCHEMAS = {
 
 _LIST_PARAMS = {"s", "t"}   # numeric lists allowed for these keys
 
+# Trial-dimension range of the extensions experiment when params omit it;
+# validation and the experiment runner read the same values.
+EXTENSION_DIMS = {"dimMin": 5, "dimMax": 10}
+
 
 def _validate_params(experiment: str, params, errors: list):
     if not isinstance(params, dict):
@@ -176,7 +180,8 @@ def _validate_params(experiment: str, params, errors: list):
             continue
         if not pred(value):
             errors.append(f"params: {key}={value} violates {message}")
-    lo, hi = params.get("dimMin"), params.get("dimMax")
+    lo = params.get("dimMin", EXTENSION_DIMS["dimMin"])
+    hi = params.get("dimMax", EXTENSION_DIMS["dimMax"])
     if experiment == "extensions" and _is_number(lo) and _is_number(hi) and lo > hi:
         errors.append(f"params: dimMin={lo} exceeds dimMax={hi}")
 

@@ -70,19 +70,6 @@ def minimal_relation(operator, constraints: Subspace) -> LinearRelation:
     return LinearRelation.from_blocks(dom.basis, a @ dom.basis)
 
 
-@dataclass(frozen=True)
-class ExtensionProblem:
-    """A Hermitian ambient action with a constraint subspace and its minimal relation."""
-
-    operator: SpectralOperator
-    constraints: Subspace
-    relation: LinearRelation
-
-    @classmethod
-    def build(cls, operator: SpectralOperator, constraints: Subspace) -> "ExtensionProblem":
-        return cls(operator, constraints, minimal_relation(operator, constraints))
-
-
 def _adjoint_and_residual(s: LinearRelation):
     """(S*, max |graph basis of S minus its projection onto graph S*|)."""
     adj = rel_adjoint(s)

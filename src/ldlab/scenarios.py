@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, extensions, hscale, leftdef, sldiscrete
-from .config import ScenarioConfig
+from .config import EXTENSION_DIMS, ScenarioConfig
 from .report import Report, Table
 from .spectral import LinearRelation, Subspace, load_matrix_csv
 
@@ -193,8 +193,8 @@ def _run_scale(report: Report, built: BuiltOperator, config: ScenarioConfig, rng
 
 def _run_extensions(report: Report, built: BuiltOperator, config: ScenarioConfig, rng):
     trials = int(config.params.get("trials", 25))
-    dim_min = int(config.params.get("dimMin", 5))
-    dim_max = int(config.params.get("dimMax", 10))
+    dim_min = int(config.params.get("dimMin", EXTENSION_DIMS["dimMin"]))
+    dim_max = int(config.params.get("dimMax", EXTENSION_DIMS["dimMax"]))
     codim = int(config.params.get("codim", 1))
     rows = []
     all_ok = {"deficiency": True, "von-neumann": True, "friedrichs-sa": True, "friedrichs-dom": True}
@@ -298,7 +298,10 @@ def _run_perturb_sweep(report: Report, built: BuiltOperator, config: ScenarioCon
     monotone = bool(np.all(np.diff(spectra, axis=0) >= -1e-10 * max(1.0, t_max)))
     report.add_flag("eigenvalue-monotone-in-t", f"rank {rank}, {t_steps} steps", monotone)
 
-    base = np.linalg.eigvalsh(np.asarray(op.matrix.entries))
+    # the operator's own eigendecomposition, not a repeat of the sweep's eigvalsh
+    # (not the SL tridiagonal solver either: loading scipy.linalg for this one
+    # comparison adds about 5 MB to the experiment's peak memory)
+    base = op.eigenvalues
     report.add_check("t0-matches-base", "t=0",
                      float(np.max(np.abs(spectra[0] - base))), 1e-10 * max(1.0, float(base[-1])))
 

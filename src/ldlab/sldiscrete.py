@@ -1,9 +1,12 @@
 """Finite-difference Sturm-Liouville discretization and discrete boundary objects.
 
 The differential expression is l[f] = -(1/w) [ (p f')' + q f ] on (a, b). The
-flux-form stencil with half-node coefficient samples gives a symmetric matrix
-T; the operator handed downstream is the similarity-symmetrized
-L_h = W^{-1/2} T W^{-1/2}, so every consumer sees a Hermitian matrix.
+flux-form stencil with half-node coefficient samples gives a symmetric
+tridiagonal matrix T; the operator handed downstream is the
+similarity-symmetrized L_h = W^{-1/2} T W^{-1/2}. `discretize` stores only
+its two bands: eigenvalues come from a tridiagonal eigensolver, and the dense
+Hermitian matrix is built (and validated) on first access to
+`DiscreteOperator.matrix`, for consumers that need the full matrix.
 
 Endpoint classification (regular / limit-circle / limit-point) is caller
 metadata. Non-regular endpoints are handled by truncating the interval by a
@@ -14,6 +17,8 @@ approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -115,15 +120,30 @@ class DiscreteOperator:
     n_interior: int
     h: float
     nodes: np.ndarray
-    matrix: HermitianMatrix
+    diagonal: np.ndarray    # main band of L_h
+    offdiagonal: np.ndarray  # first super- (and sub-) diagonal of L_h
     weights: np.ndarray     # w at interior nodes
     p_half: np.ndarray      # p at half nodes, flux coefficients actually used
     q_nodes: np.ndarray
     bc: str
     truncated: bool
 
+    @cached_property
+    def matrix(self) -> HermitianMatrix:
+        """Dense L_h assembled from the bands, validated as a HermitianMatrix."""
+        n = self.n_interior
+        dense = np.zeros((n, n))
+        np.fill_diagonal(dense, self.diagonal)
+        i = np.arange(n - 1)
+        dense[i, i + 1] = self.offdiagonal
+        dense[i + 1, i] = self.offdiagonal
+        return HermitianMatrix(dense)
+
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix.entries.real)
+        """All N eigenvalues of L_h, ascending, by a symmetric tridiagonal solver."""
+        # imported here: scipy.linalg is not loaded by `import ldlab`
+        from scipy.linalg import eigvalsh_tridiagonal
+        return eigvalsh_tridiagonal(self.diagonal, self.offdiagonal)
 
     def _apply_flux(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
@@ -155,17 +175,16 @@ def discretize(coeffs: SLCoefficients, n_interior: int, bc: str = "dirichlet") -
     if bc == "neumann-type":
         p_half[0] = 0.0
         p_half[-1] = 0.0
-    t = np.zeros((n_interior, n_interior))
-    diag = (p_half[:-1] + p_half[1:]) / h ** 2 - q_nodes
-    np.fill_diagonal(t, diag)
-    off = -p_half[1:-1] / h ** 2
-    t[np.arange(n_interior - 1), np.arange(1, n_interior)] = off
-    t[np.arange(1, n_interior), np.arange(n_interior - 1)] = off
+    t_diag = (p_half[:-1] + p_half[1:]) / h ** 2 - q_nodes
+    t_off = -p_half[1:-1] / h ** 2
     root_w = np.sqrt(w_nodes)
-    l_h = t / root_w[:, None] / root_w[None, :]
-    l_h = (l_h + l_h.T) / 2          # bitwise symmetry despite division order
+    diag = t_diag / root_w / root_w
+    # mean of both division orders: the symmetrized dense matrix, entry for entry
+    off = (t_off / root_w[:-1] / root_w[1:] + t_off / root_w[1:] / root_w[:-1]) / 2
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise CoefficientError("coefficient samples give a non-finite matrix entry")
     return DiscreteOperator(
-        coeffs, n_interior, h, nodes, HermitianMatrix(l_h),
+        coeffs, n_interior, h, nodes, diag, off,
         w_nodes, p_half, q_nodes, bc, truncated,
     )
 
@@ -241,30 +260,36 @@ def principal_solution(coeffs: SLCoefficients, lam: float, endpoint: str, n_inte
             f"principal solutions are only constructed at regular endpoints "
             f"(endpoint {endpoint} is declared {declared})"
         )
-    nodes, h, a_eff, b_eff, _ = _grid(coeffs, n_interior)
-
-    def rhs(x, state):
-        u, v = state
-        return np.array([v / float(coeffs.p(x)), -(float(coeffs.q(x)) + lam * float(coeffs.w(x))) * u])
-
+    _, h, a_eff, b_eff, _ = _grid(coeffs, n_interior)
     if endpoint == "a":
-        x, step = a_eff, h
-        state = np.array([0.0, 1.0])
+        x0, step, v = a_eff, h, 1.0
         order = range(n_interior)
     else:
-        x, step = b_eff, -h
-        state = np.array([0.0, -1.0])
+        x0, step, v = b_eff, -h, -1.0
         order = range(n_interior - 1, -1, -1)
+    # the step points x0 + step + step + ... (accumulated, so the same floats an
+    # `x += step` loop visits) and their midpoints, sampled once as arrays
+    xs = np.array(list(accumulate([x0] + [step] * n_interior)))
+    pts = np.concatenate((xs, xs[:-1] + step / 2))
+    p_at = np.asarray(coeffs.p(pts), dtype=float)
+    c_at = -(np.asarray(coeffs.q(pts), dtype=float) + lam * np.asarray(coeffs.w(pts), dtype=float))
+    m = n_interior + 1          # step points first, then midpoints
+    p_node, p_mid = p_at[:m].tolist(), p_at[m:].tolist()
+    c_node, c_mid = c_at[:m].tolist(), c_at[m:].tolist()
 
+    # RK4 for u' = v/p, v' = c u with c = -(q + lam w), in scalar floats
+    half, sixth = step / 2, step / 6
+    u = 0.0
     out = np.zeros(n_interior)
-    for idx in order:
-        k1 = rhs(x, state)
-        k2 = rhs(x + step / 2, state + step / 2 * k1)
-        k3 = rhs(x + step / 2, state + step / 2 * k2)
-        k4 = rhs(x + step, state + step * k3)
-        state = state + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        x += step
-        out[idx] = state[0]
+    for k, idx in enumerate(order):
+        pm, cm = p_mid[k], c_mid[k]
+        k1u, k1v = v / p_node[k], c_node[k] * u
+        k2u, k2v = (v + half * k1v) / pm, cm * (u + half * k1u)
+        k3u, k3v = (v + half * k2v) / pm, cm * (u + half * k2u)
+        k4u, k4v = (v + step * k3v) / p_node[k + 1], c_node[k + 1] * (u + step * k3u)
+        u = u + sixth * (k1u + 2 * k2u + 2 * k3u + k4u)
+        v = v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
+        out[idx] = u
     return out
 
 

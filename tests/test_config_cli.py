@@ -5,6 +5,7 @@ import pytest
 
 from ldlab.cli import main
 from ldlab.config import ConfigError, parse_config
+from ldlab.leftdef import SpectralOperator
 from ldlab.report import Report, Table, emit
 from ldlab.scenarios import run_scenario
 
@@ -64,6 +65,21 @@ class TestParseConfig:
             parse_config(json.dumps(bad))
         assert "params: dimMin=9 exceeds dimMax=5" in err.value.errors
         assert len(err.value.errors) == 2   # reported together with the bad seed
+
+    @pytest.mark.parametrize("params, message", [
+        ({"dimMin": 12}, "params: dimMin=12 exceeds dimMax=10"),
+        ({"dimMax": 3}, "params: dimMin=5 exceeds dimMax=3"),
+    ])
+    def test_dim_bound_against_default_is_config_error(self, params, message):
+        # the omitted bound takes the default the extensions runner uses
+        bad = make_config(
+            operatorSpec={"kind": "diag-growth", "p": 1.0, "q": 0.0, "N": 6},
+            experiment="extensions",
+            params={"trials": 2, **params},
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(bad))
+        assert err.value.errors == [message]
 
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
@@ -170,6 +186,20 @@ class TestRunScenario:
         assert any(r.name == "rank-one-interlacing" for r in report.rows)
         assert any(t.name == "principal_solution_a" for t in report.tables)
 
+    def test_t0_base_is_operator_decomposition(self, monkeypatch):
+        # t=0 is compared with the operator's eigendecomposition, not with a repeat
+        # of the sweep's own solve: an error in that route must fail the check
+        shifted = property(lambda op: op.decomp.eigenvalues + 1e-6 * op.matrix.norm_max)
+        monkeypatch.setattr(SpectralOperator, "eigenvalues", shifted)
+        raw = make_config(
+            operatorSpec={"kind": "sl", "coeffs": "flat", "N": 30, "bc": "dirichlet"},
+            experiment="perturb-sweep",
+            params={"rank": 2, "tMax": 4.0, "tSteps": 3},
+        )
+        report = run_scenario(parse_config(json.dumps(raw)))
+        row = next(r for r in report.rows if r.name == "t0-matches-base")
+        assert row.status == "FAIL"
+
     def test_perturb_sweep_on_limit_circle_sl_falls_back(self):
         # no boundary functional at limit-circle endpoints: seeded columns instead
         raw = make_config(
@@ -260,6 +290,15 @@ class TestCli:
         )
         assert main(["run", self.write_config(tmp_path, raw)]) == 2
         assert "dimMin=9 exceeds dimMax=5" in capsys.readouterr().err
+
+    def test_dim_min_above_default_dim_max_exit_two(self, tmp_path, capsys):
+        raw = make_config(
+            operatorSpec={"kind": "diag-growth", "p": 1.0, "q": 0.0, "N": 6},
+            experiment="extensions",
+            params={"trials": 2, "dimMin": 12},
+        )
+        assert main(["run", self.write_config(tmp_path, raw)]) == 2
+        assert "dimMin=12 exceeds dimMax=10" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

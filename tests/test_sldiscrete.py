@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ldlab
 from ldlab.sldiscrete import (
     CoefficientError,
     EndpointError,
@@ -17,6 +22,56 @@ from ldlab.sldiscrete import (
 
 def flat():
     return SLCoefficients.flat()
+
+
+def tabulated():
+    xs = np.linspace(0.0, 2.0, 9)
+    return SLCoefficients.from_tables(xs, 1.0 + xs ** 2, np.sin(xs), 2.0 + np.cos(xs))
+
+
+def dense_reference(coeffs, n, bc):
+    """L_h by the dense formula: full T, both-sided W^{-1/2} scaling, symmetrization."""
+    a_eff, b_eff, _ = coeffs.effective_interval()
+    h = (b_eff - a_eff) / (n + 1)
+    nodes = a_eff + h * np.arange(1, n + 1)
+    p_half = np.asarray(coeffs.p(a_eff + h * (np.arange(n + 1) + 0.5)), dtype=float).copy()
+    w_nodes = np.asarray(coeffs.w(nodes), dtype=float)
+    q_nodes = np.asarray(coeffs.q(nodes), dtype=float)
+    if bc == "neumann-type":
+        p_half[0] = p_half[-1] = 0.0
+    t = np.zeros((n, n))
+    np.fill_diagonal(t, (p_half[:-1] + p_half[1:]) / h ** 2 - q_nodes)
+    off = -p_half[1:-1] / h ** 2
+    t[np.arange(n - 1), np.arange(1, n)] = off
+    t[np.arange(1, n), np.arange(n - 1)] = off
+    root_w = np.sqrt(w_nodes)
+    l_h = t / root_w[:, None] / root_w[None, :]
+    return (l_h + l_h.T) / 2
+
+
+def rk4_reference(coeffs, lam, endpoint, n):
+    """Principal solution by the per-stage scalar RK4 loop, coefficients called pointwise."""
+    a_eff, b_eff, _ = coeffs.effective_interval()
+    h = (b_eff - a_eff) / (n + 1)
+
+    def rhs(x, state):
+        u, v = state
+        return np.array([v / float(coeffs.p(x)), -(float(coeffs.q(x)) + lam * float(coeffs.w(x))) * u])
+
+    if endpoint == "a":
+        x, step, state, order = a_eff, h, np.array([0.0, 1.0]), range(n)
+    else:
+        x, step, state, order = b_eff, -h, np.array([0.0, -1.0]), range(n - 1, -1, -1)
+    out = np.zeros(n)
+    for idx in order:
+        k1 = rhs(x, state)
+        k2 = rhs(x + step / 2, state + step / 2 * k1)
+        k3 = rhs(x + step / 2, state + step / 2 * k2)
+        k4 = rhs(x + step, state + step * k3)
+        state = state + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        x += step
+        out[idx] = state[0]
+    return out
 
 
 class TestDiscretize:
@@ -57,6 +112,14 @@ class TestDiscretize:
         with pytest.raises(CoefficientError, match="p must be positive"):
             discretize(bad, 10)
 
+    def test_rejects_nan_coefficient_sample(self):
+        xs = np.linspace(0.0, 1.0, 6)
+        ps = np.ones(6)
+        ps[3] = np.nan          # p_half <= 0 is False for NaN: the band check catches it
+        bad = SLCoefficients.from_tables(xs, ps, np.zeros(6), np.ones(6))
+        with pytest.raises(CoefficientError, match="non-finite"):
+            discretize(bad, 20)
+
     def test_requires_minimum_nodes(self):
         with pytest.raises(ValueError):
             discretize(flat(), 2)
@@ -80,6 +143,44 @@ class TestDiscretize:
     def test_laguerre_truncated_flag(self):
         op = discretize(SLCoefficients.laguerre(0.5), 30)
         assert op.truncated
+
+
+class TestTridiagonal:
+    @pytest.mark.parametrize("n", [50, 400, 1600])
+    def test_flat_dirichlet_exact_discrete_eigenvalues(self, n):
+        # on (0, pi) with h = pi/(N+1) the discrete spectrum is (4/h^2) sin^2(j h/2)
+        lam = discretize(flat(), n).eigenvalues()
+        h = np.pi / (n + 1)
+        exact = 4.0 / h ** 2 * np.sin(np.arange(1, n + 1) * h / 2) ** 2
+        assert lam.shape == (n,)
+        assert np.max(np.abs(lam - exact)) <= 1e-12 * exact[-1]
+
+    @pytest.mark.parametrize("coeffs", [flat, tabulated, lambda: SLCoefficients.jacobi(1.0, 1.0),
+                                        lambda: SLCoefficients.laguerre(0.5)],
+                             ids=["flat", "tabulated", "jacobi", "laguerre"])
+    @pytest.mark.parametrize("n", [10, 57, 400])
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann-type"])
+    def test_dense_matrix_matches_dense_formula(self, coeffs, n, bc):
+        op = discretize(coeffs(), n, bc)
+        assert np.array_equal(op.matrix.entries, dense_reference(coeffs(), n, bc))
+
+    def test_eigenvalues_match_dense_solver(self):
+        op = discretize(SLCoefficients.jacobi(1.0, 1.0), 120, "neumann-type")
+        dense = np.linalg.eigvalsh(op.matrix.entries.real)
+        np.testing.assert_allclose(op.eigenvalues(), dense, rtol=0, atol=1e-12 * dense[-1])
+
+    def test_eigenvalues_leave_dense_matrix_unbuilt(self):
+        op = discretize(flat(), 30)
+        op.eigenvalues()
+        assert "matrix" not in vars(op)
+        assert op.matrix is op.matrix           # built once, then cached
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        code = "import sys, ldlab, ldlab.cli; print('scipy.linalg' in sys.modules)"
+        src = str(Path(ldlab.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, cwd=src)
+        assert out.stdout.strip() == "False"
 
 
 class TestBuildA0:
@@ -229,6 +330,14 @@ class TestPrincipalSolution:
         v = vecs[:, 0]
         cos = abs(np.dot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
         assert cos == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("coeffs", [flat, tabulated], ids=["flat", "tabulated"])
+    @pytest.mark.parametrize("lam", [0.0, 2.5])
+    @pytest.mark.parametrize("endpoint", ["a", "b"])
+    def test_matches_scalar_rk4_reference(self, coeffs, lam, endpoint):
+        for n in (7, 120):
+            u = principal_solution(coeffs(), lam, endpoint, n)
+            assert np.array_equal(u, rk4_reference(coeffs(), lam, endpoint, n))
 
     def test_rejects_nonregular_endpoint(self):
         coeffs = SLCoefficients.jacobi(1.0, 1.0)
