@@ -235,6 +235,15 @@ def dirichlet_inner(spec: DirichletFormSpec, basis: LaguerreBasis, p, q) -> floa
 
     Node count floor((deg p + deg q)/2) + 1 makes every integral exact.
     """
+    return _dirichlet_inner(spec, basis, p, q, {})
+
+
+def _dirichlet_inner(spec: DirichletFormSpec, basis: LaguerreBasis, p, q, rules: dict) -> float:
+    """`dirichlet_inner` with `rules` memoizing, per (alpha + j, node count), the Gauss
+    rule and L^{alpha+j}_0..L^{alpha+j}_{max_degree-j} at its nodes; one dict serves
+    one basis. Leading recurrence rows do not depend on the top degree, so the
+    values are bitwise those of a basis built to the pair's own degree.
+    """
     cp = _poly_coeffs(p)
     cq = _poly_coeffs(q)
     deg_p, deg_q = cp.shape[0] - 1, cq.shape[0] - 1
@@ -249,9 +258,12 @@ def dirichlet_inner(spec: DirichletFormSpec, basis: LaguerreBasis, p, q) -> floa
         dq = derivative_coeffs(cq, j)
         if not (np.any(dp) and np.any(dq)):
             continue
-        rule = gauss_quadrature(basis.alpha + j, m)
-        shifted = LaguerreBasis.build(basis.alpha + j, max(dp.shape[0], dq.shape[0]) - 1)
-        values = shifted.eval_all(rule.nodes)
+        key = (basis.alpha + j, m)
+        if key not in rules:
+            rule = gauss_quadrature(*key)
+            shifted = LaguerreBasis.build(key[0], basis.max_degree - j)
+            rules[key] = (rule, shifted.eval_all(rule.nodes))
+        rule, values = rules[key]
         p_vals = dp @ values[: dp.shape[0]]
         q_vals = dq @ values[: dq.shape[0]]
         total += spec.b[j] * rule.integrate_values(p_vals * q_vals)
@@ -271,15 +283,20 @@ def spectral_inner(basis: LaguerreBasis, k: float, n: int, p, q) -> float:
 
 
 def laguerre_identity_table(alpha: float, k: float, n: int, max_deg: int) -> list:
-    """Rows (alpha, k, n, degP, degQ, dirichlet, spectral, residual) over basis pairs."""
+    """Rows (alpha, k, n, degP, degQ, dirichlet, spectral, residual) over basis pairs.
+
+    Each Gauss rule (and the shifted basis at its nodes) is built once per call and
+    shared by every pair that needs it; nothing is kept between calls.
+    """
     basis = LaguerreBasis.build(alpha, max_deg)
     spec = DirichletFormSpec.build(n, k)
+    rules = {}
     rows = []
     for i in range(max_deg + 1):
         for j in range(i, max_deg + 1):
             p = basis_poly(i)
             q = basis_poly(j)
-            d = dirichlet_inner(spec, basis, p, q)
+            d = _dirichlet_inner(spec, basis, p, q, rules)
             s = spectral_inner(basis, k, n, p, q)
             rows.append((alpha, k, n, i, j, d, s, abs(d - s) / (1.0 + abs(s))))
     return rows

@@ -135,8 +135,8 @@ def partial_sum_divergent(model: GrowthModel, s: float, terms: int = PARTIAL_SUM
     classifier is unreliable; keep test grids away from s*.
     """
     e = model.p * s + 2 * model.q
-    n = np.arange(1, 2 * terms + 1, dtype=float)
-    powers = n ** e
+    powers = np.arange(1, 2 * terms + 1, dtype=float)
+    np.power(powers, e, out=powers)
     s_n = float(np.sum(powers[:terms]))
     s_2n = s_n + float(np.sum(powers[terms:]))
     return s_2n / s_n > 1.0 + 1.0 / (4.0 * math.log10(terms))

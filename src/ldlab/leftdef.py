@@ -5,6 +5,10 @@ eigendecomposition, its lower bound k, and a shift gamma < k. From it we build
 the r-th left-definite space (Gram matrix A^r), the r-th left-definite
 operator, the shifted closed forms, and a verification report for the
 defining properties and the spectral-stability statements.
+
+`SpectralOperator.from_matrix` decomposes with LAPACK; `from_diag` (the
+diag-growth and Laguerre operators) uses the exact decomposition of a diagonal
+matrix, sorted values and a permuted identity, with no LAPACK call.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .spectral import (
     HermitianMatrix,
     SpectralDecomposition,
     as_hermitian,
+    diagonal_eigh,
     eigh,
     inner,
 )
@@ -48,18 +53,25 @@ class SpectralOperator:
             )
 
     @classmethod
-    def from_matrix(cls, matrix, shift: float | None = None) -> "SpectralOperator":
+    def _with_default_shift(cls, h: HermitianMatrix, decomp: SpectralDecomposition,
+                            shift: float | None) -> "SpectralOperator":
         """Default shift: 0 when k is positive beyond eigh's cluster cutoff, else k - 1."""
-        h = as_hermitian(matrix)
-        decomp = eigh(h)
         k = float(decomp.eigenvalues[0])
         if shift is None:
             shift = 0.0 if k > CLUSTER_RTOL * max(h.norm_max, 1e-300) else k - 1.0
         return cls(h, decomp, k, float(shift))
 
     @classmethod
+    def from_matrix(cls, matrix, shift: float | None = None) -> "SpectralOperator":
+        """A Hermitian matrix decomposed by LAPACK (`eigh`)."""
+        h = as_hermitian(matrix)
+        return cls._with_default_shift(h, eigh(h), shift)
+
+    @classmethod
     def from_diag(cls, values, shift: float | None = None) -> "SpectralOperator":
-        return cls.from_matrix(HermitianMatrix.diag(values), shift)
+        """diag(values) with its exact decomposition (`diagonal_eigh`), no LAPACK call."""
+        h = HermitianMatrix.diag(values)
+        return cls._with_default_shift(h, diagonal_eigh(h), shift)
 
     @property
     def dim(self) -> int:
@@ -87,9 +99,8 @@ class SpectralOperator:
 
     def apply_power(self, r: float, x) -> np.ndarray:
         """A^r x through the eigenbasis without forming the matrix."""
-        u = self.decomp.eigenvectors
-        coeff = u.conj().T @ np.asarray(x, dtype=complex)
-        return u @ (np.power(self.decomp.eigenvalues, float(r)) * coeff)
+        coeff = self.decomp.eigenvectors_adjoint @ np.asarray(x, dtype=complex)
+        return self.decomp.eigenvectors @ (np.power(self.decomp.eigenvalues, float(r)) * coeff)
 
 
 @dataclass(frozen=True)
@@ -179,10 +190,10 @@ class ClosedFormR:
     def __call__(self, f, g) -> complex:
         f = np.asarray(f, dtype=complex)
         g = np.asarray(g, dtype=complex)
-        u = self.operator.decomp.eigenvectors
+        u_adj = self.operator.decomp.eigenvectors_adjoint
         lam = self.operator.decomp.eigenvalues
-        cf = u.conj().T @ f
-        cg = u.conj().T @ g
+        cf = u_adj @ f
+        cg = u_adj @ g
         half = np.power(lam - self.gamma, self.r / 2)
         return inner(half * cf, half * cg) + self.gamma * inner(f, g)
 
@@ -217,7 +228,11 @@ def verify_ld_properties(
     <x,x>_r >= k^r <x,x>; the duality identity <x,y>_r = <A^r x, y>; that the
     eigenvectors stay orthogonal in H_r with Gram entries lambda_n^r; and that
     the eigenvalue multiplicity lists of A and of the r-th left-definite
-    operator coincide.
+    operator coincide. That last flag compares the operator's stored eigenvalues
+    with a fresh LAPACK `eigh` of the left-definite action: for `from_diag`
+    operators the stored values are exact and the route is independent, so the
+    flag can fail; for `from_matrix` operators both sides are `eigh` of the same
+    matrix and it cannot.
     """
     operator.require_positive()
     space = ld_space(operator, r)
@@ -248,7 +263,7 @@ def verify_ld_properties(
     # eigen-Gram: <phi_n, phi_m>_r = delta_nm * lambda_n^r
     u = operator.eigenvectors
     lam = operator.eigenvalues
-    gram = u.conj().T @ space.gram.entries @ u
+    gram = operator.decomp.eigenvectors_adjoint @ space.gram.entries @ u
     off = gram - np.diag(np.diag(gram))
     lam_max_r = float(np.max(lam)) ** r
     report.add_check(

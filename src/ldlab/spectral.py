@@ -2,11 +2,12 @@
 
 Everything downstream (left-definite spaces, extension theory, perturbations)
 is built on the primitives in this module: validated Hermitian matrices,
-spectral decompositions, matrix powers through the eigenbasis, orthonormal
-subspaces, and linear relations represented as subspaces of the doubled space
-H (+) H. Every rank decision is the one cutoff in `_rank`. For a relation with
-orthonormal graph basis [F; G], adjoint, multivalued part and complements are
-each a basis times one nullspace: S* = ker[G*, -F*], mul = G ker F, a^perp = ker(A*).
+spectral decompositions (LAPACK's, or the exact one of a diagonal matrix),
+matrix powers through the eigenbasis, orthonormal subspaces, and linear
+relations represented as subspaces of the doubled space H (+) H. Every rank
+decision is the one cutoff in `_rank`. For a relation with orthonormal graph
+basis [F; G], adjoint, multivalued part and complements are each a basis
+times one nullspace: S* = ker[G*, -F*], mul = G ker F, a^perp = ker(A*).
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent read-only use is safe.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,7 +74,7 @@ class HermitianMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
+    @cached_property
     def norm_max(self) -> float:
         return float(np.max(np.abs(self.entries)))
 
@@ -95,6 +97,21 @@ def as_hermitian(matrix) -> HermitianMatrix:
     return HermitianMatrix(np.asarray(matrix))
 
 
+def _unit_permutation(u: np.ndarray) -> np.ndarray | None:
+    """Row of each column's single entry if u has exactly one entry per column, every one
+    equal to 1 and in distinct rows, else None; then u*u = I exactly. O(n) extra memory."""
+    cols = u.shape[1]
+    if np.count_nonzero(u) != cols:
+        return None
+    rows, where = np.nonzero(u)
+    if not (np.all(u[rows, where] == 1) and np.all(np.diff(rows) > 0)
+            and np.unique(where).size == cols):
+        return None
+    row_of = np.empty(cols, dtype=np.intp)
+    row_of[where] = rows
+    return row_of
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
@@ -107,22 +124,45 @@ class SpectralDecomposition:
         u = np.asarray(self.eigenvectors, dtype=complex)
         if np.any(np.diff(lam) < 0):
             raise SpectrumError("eigenvalues must be nondecreasing")
-        ortho = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))))
-        if ortho > ORTHO_TOL:
-            raise SpectrumError(f"eigenvector columns not orthonormal: {ortho:.3e}")
+        if _unit_permutation(u) is None:
+            ortho = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))))
+            if ortho > ORTHO_TOL:
+                raise SpectrumError(f"eigenvector columns not orthonormal: {ortho:.3e}")
         lam.setflags(write=False)
         u.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", u)
 
+    @cached_property
+    def eigenvectors_adjoint(self) -> np.ndarray:
+        """U* = eigenvectors.conj().T, computed once."""
+        u_adj = self.eigenvectors.conj().T
+        u_adj.setflags(write=False)
+        return u_adj
+
     def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
+        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors_adjoint
 
     def apply_function(self, func) -> np.ndarray:
         """U diag(func(lambda)) U* as a plain ndarray."""
-        u = self.eigenvectors
-        return (u * func(self.eigenvalues)) @ u.conj().T
+        return (self.eigenvectors * func(self.eigenvalues)) @ self.eigenvectors_adjoint
+
+
+def _check_residual(h: HermitianMatrix, decomp: SpectralDecomposition):
+    """Raise unless max|HU - U Lambda| <= ORTHO_TOL * ||H||_max.
+
+    For diagonal H and a unit-permutation U the residual is exactly
+    max|H[row_j, row_j] - lambda_j|, found without the dense product.
+    """
+    lam, u = decomp.eigenvalues, decomp.eigenvectors
+    rows = _unit_permutation(u)
+    diagonal = np.diagonal(h.entries)
+    if rows is not None and np.count_nonzero(h.entries) == np.count_nonzero(diagonal):
+        resid = float(np.max(np.abs(diagonal[rows] - lam)))
+    else:
+        resid = float(np.max(np.abs(h.entries @ u - u * lam)))
+    if resid > ORTHO_TOL * max(h.norm_max, 1e-300):
+        raise SpectrumError(f"eigendecomposition residual too large: {resid:.3e}")
 
 
 def eigh(matrix) -> SpectralDecomposition:
@@ -146,9 +186,26 @@ def eigh(matrix) -> SpectralDecomposition:
                 u[:, start:i] = q
             start = i
     decomp = SpectralDecomposition(lam, u)
-    resid = float(np.max(np.abs(h.entries @ u - u * lam)))
-    if resid > ORTHO_TOL * max(h.norm_max, 1e-300):
-        raise SpectrumError(f"eigendecomposition residual too large: {resid:.3e}")
+    _check_residual(h, decomp)
+    return decomp
+
+
+def diagonal_eigh(matrix) -> SpectralDecomposition:
+    """Exact eigendecomposition of a diagonal Hermitian matrix, built without LAPACK.
+
+    The eigenvalues are the diagonal sorted by order = argsort(diagonal, kind="stable"),
+    the eigenvectors the permuted identity eye(n)[:, order]; for a sorted distinct
+    diagonal both are bitwise what `eigh` returns. The orthonormality and residual
+    checks of `eigh` still run, each proved exactly in O(n^2) time; a matrix with
+    off-diagonal entries fails the residual check with a SpectrumError.
+    """
+    h = as_hermitian(matrix)
+    diagonal = np.diagonal(h.entries).real
+    order = np.argsort(diagonal, kind="stable")
+    u = np.zeros((h.dim, h.dim), dtype=complex)
+    u[order, np.arange(h.dim)] = 1.0
+    decomp = SpectralDecomposition(diagonal[order], u)
+    _check_residual(h, decomp)
     return decomp
 
 

@@ -237,6 +237,75 @@ class TestIdentity:
             laguerre_identity_check(1.0, 1.0, 7, 4)
 
 
+def reference_table(alpha, k, n, max_deg):
+    """The identity table with a fresh Gauss rule and shifted basis for every pair."""
+    basis = LaguerreBasis.build(alpha, max_deg)
+    spec = DirichletFormSpec.build(n, k)
+    rows = []
+    for i in range(max_deg + 1):
+        for j in range(i, max_deg + 1):
+            cp, cq = basis_poly(i).coeffs, basis_poly(j).coeffs
+            m = (i + j) // 2 + 1
+            d = 0.0
+            for order in range(n + 1):
+                dp = derivative_coeffs(cp, order)
+                dq = derivative_coeffs(cq, order)
+                if not (np.any(dp) and np.any(dq)):
+                    continue
+                rule = gauss_quadrature(alpha + order, m)
+                shifted = LaguerreBasis.build(alpha + order, max(dp.shape[0], dq.shape[0]) - 1)
+                values = shifted.eval_all(rule.nodes)
+                p_vals = dp @ values[: dp.shape[0]]
+                q_vals = dq @ values[: dq.shape[0]]
+                d += spec.b[order] * rule.integrate_values(p_vals * q_vals)
+            s = spectral_inner(basis, k, n, basis_poly(i), basis_poly(j))
+            rows.append((alpha, k, n, i, j, d, s, abs(d - s) / (1.0 + abs(s))))
+    return rows
+
+
+class TestRuleReuse:
+    """Each Gauss rule is built once per table call; no state survives the call."""
+
+    @pytest.mark.parametrize("args", [(1.0, 1.0, 3, 20), (0.5, 2.0, 2, 30)])
+    def test_bitwise_equal_to_per_pair_rules(self, args):
+        assert laguerre_identity_table(*args) == reference_table(*args)
+
+    @pytest.mark.parametrize("args", [(1.0, 1.0, 3, 20), (0.5, 2.0, 2, 30)])
+    def test_rules_built_once_per_call(self, args, monkeypatch):
+        import ldlab.classical as classical
+
+        real = classical.roots_genlaguerre
+        calls = []
+
+        def counting(m, alpha):
+            calls.append((alpha, m))
+            return real(m, alpha)
+
+        monkeypatch.setattr(classical, "roots_genlaguerre", counting)
+        _, _, n, deg = args
+        laguerre_identity_table(*args)
+        first = list(calls)
+        assert 0 < len(first) <= (n + 1) * (deg + 1)
+        assert len(set(first)) == len(first)
+        laguerre_identity_table(*args)
+        assert calls[len(first):] == first
+
+    def test_single_inner_product_unchanged(self):
+        basis = LaguerreBasis.build(0.5, 12)
+        spec = DirichletFormSpec.build(3, 2.0)
+        rng = np.random.default_rng(3)
+        p = PolyInLaguerre(rng.normal(size=6))
+        q = PolyInLaguerre(rng.normal(size=9))
+        expected = 0.0
+        for order in range(4):
+            dp, dq = derivative_coeffs(p.coeffs, order), derivative_coeffs(q.coeffs, order)
+            rule = gauss_quadrature(0.5 + order, (5 + 8) // 2 + 1)
+            values = LaguerreBasis.build(0.5 + order, dq.shape[0] - 1).eval_all(rule.nodes)
+            expected += spec.b[order] * rule.integrate_values(
+                (dp @ values[: dp.shape[0]]) * (dq @ values[: dq.shape[0]]))
+        assert dirichlet_inner(spec, basis, p, q) == expected
+
+
 class TestJacobiSpectrum:
     def test_alpha_beta_one(self):
         np.testing.assert_allclose(jacobi_spectrum(1.0, 1.0, 3), [0.0, 4.0, 10.0, 18.0])

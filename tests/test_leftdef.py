@@ -12,7 +12,13 @@ from ldlab.leftdef import (
     verify_ld_properties,
 )
 from ldlab.scenarios import build_operator
-from ldlab.spectral import DimensionMismatchError
+from ldlab.spectral import (
+    DimensionMismatchError,
+    HermitianMatrix,
+    SpectralDecomposition,
+    _check_residual,
+    inner,
+)
 
 
 def seeded_positive_operator(seed, n=20):
@@ -39,6 +45,66 @@ class TestSpectralOperator:
         op = seeded_positive_operator(0, n=8)
         lam = op.eigenvalues
         assert np.all(lam >= op.lower_bound - 1e-12 * np.max(np.abs(lam)))
+
+
+class TestFromDiag:
+    """from_diag builds the exact decomposition; from_matrix is the LAPACK route."""
+
+    @pytest.mark.parametrize("n", [10, 401, 1000])
+    def test_bitwise_equal_to_lapack_route(self, n):
+        for values in (np.arange(n, dtype=float) + 1.0, np.arange(1, n + 1, dtype=float) ** 2):
+            exact = SpectralOperator.from_diag(values)
+            dense = SpectralOperator.from_matrix(HermitianMatrix.diag(values))
+            np.testing.assert_array_equal(exact.eigenvalues, dense.eigenvalues)
+            np.testing.assert_array_equal(exact.eigenvectors, dense.eigenvectors)
+            assert (exact.lower_bound, exact.shift) == (dense.lower_bound, dense.shift)
+
+    @pytest.mark.parametrize("values", [[3.0, 1.0, 2.0, 2.0, 5.0], [2.0, 2.0, 5.0]])
+    def test_unsorted_or_degenerate_values(self, values):
+        op = SpectralOperator.from_diag(values)
+        np.testing.assert_array_equal(op.eigenvalues, np.sort(values))
+        assert op.lower_bound == min(values)
+        np.testing.assert_array_equal(op.decomp.reconstruct(), op.matrix.entries)
+
+    def test_calls_no_lapack(self, monkeypatch):
+        calls = []
+
+        def wrap(name):
+            real = getattr(np.linalg, name)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return counting
+
+        monkeypatch.setattr(np.linalg, "eigh", wrap("eigh"))
+        monkeypatch.setattr(np.linalg, "qr", wrap("qr"))
+        SpectralOperator.from_diag([3.0, 1.0, 2.0, 2.0, 5.0])
+        SpectralOperator.from_diag(np.arange(401, dtype=float) + 1.0)
+        assert calls == []
+        SpectralOperator.from_matrix(np.diag([2.0, 2.0, 5.0]))   # the wrappers are in place
+        assert calls == ["eigh", "qr"]
+
+
+class TestCachedAdjoint:
+    """The cached U* gives bitwise the values of the u.conj().T expression."""
+
+    @pytest.mark.parametrize("make", [lambda: seeded_positive_operator(20, n=9),
+                                      lambda: SpectralOperator.from_diag([4.0, 1.0, 3.0, 2.0])])
+    def test_apply_power_and_closed_form(self, make):
+        op = make()
+        rng = np.random.default_rng(21)
+        n = op.dim
+        u, lam = op.eigenvectors, op.eigenvalues
+        for _ in range(5):
+            x = rng.normal(size=n) + 1j * rng.normal(size=n)
+            y = rng.normal(size=n) + 1j * rng.normal(size=n)
+            expected = u @ (np.power(lam, 1.5) * (u.conj().T @ x))
+            np.testing.assert_array_equal(op.apply_power(1.5, x), expected)
+            half = np.power(lam - op.shift, 1.0)
+            form = inner(half * (u.conj().T @ x), half * (u.conj().T @ y)) + op.shift * inner(x, y)
+            assert ClosedFormR(2, op.shift, op)(x, y) == form
+        assert op.decomp.eigenvectors_adjoint is op.decomp.eigenvectors_adjoint
 
 
 class TestLdSpace:
@@ -197,6 +263,22 @@ class TestVerifyProperties:
         op = seeded_positive_operator(12, n=10)
         report = verify_ld_properties(op, 0.5, 25, seed=13)
         assert report.overall == "PASS"
+
+    def test_multiplicity_invariance_can_fail(self):
+        # the stored decomposition is off by a few ulps in one eigenvalue: it passes
+        # construction and the residual check, but not the comparison with LAPACK
+        values = np.arange(1.0, 9.0)
+        h = HermitianMatrix.diag(values)
+        exact = SpectralOperator.from_diag(values)
+        lam = values.copy()
+        lam[3] = np.nextafter(np.nextafter(lam[3], np.inf), np.inf)
+        decomp = SpectralDecomposition(lam, exact.eigenvectors)
+        _check_residual(h, decomp)
+        op = SpectralOperator(h, decomp, exact.lower_bound, exact.shift)
+        flags = {row.name: row.status for row in verify_ld_properties(op, 2.0, 5, seed=1).rows}
+        assert flags["multiplicity-invariance"] == "FAIL"
+        flags = {row.name: row.status for row in verify_ld_properties(exact, 2.0, 5, seed=1).rows}
+        assert flags["multiplicity-invariance"] == "PASS"
 
 
 class TestDefaultShift:

@@ -7,8 +7,11 @@ from ldlab.spectral import (
     HermitianMatrix,
     LinearRelation,
     NotHermitianError,
+    SpectralDecomposition,
     SpectrumError,
     Subspace,
+    _check_residual,
+    diagonal_eigh,
     eigh,
     load_matrix_csv,
     mat_power,
@@ -48,6 +51,21 @@ class TestHermitianMatrix:
         with pytest.raises(ValueError):
             h.entries[0, 0] = 5.0
 
+    def test_norm_max_computed_once(self, monkeypatch):
+        h = HermitianMatrix(np.array([[1.0, -3.0], [-3.0, 2.0]]))
+        real_max = np.max
+        calls = []
+
+        def counting_max(*args, **kwargs):
+            calls.append(1)
+            return real_max(*args, **kwargs)
+
+        monkeypatch.setattr(np, "max", counting_max)
+        assert h.norm_max == 3.0
+        assert h.norm_max == 3.0
+        assert len(calls) == 1
+        assert "norm_max" in vars(h)
+
 
 class TestEigh:
     def test_diagonal_input(self):
@@ -85,6 +103,81 @@ class TestEigh:
         decomp = eigh(h)
         u = decomp.eigenvectors
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) <= 1e-12
+
+
+def _permutation(order):
+    u = np.zeros((len(order), len(order)), dtype=complex)
+    u[order, np.arange(len(order))] = 1.0
+    return u
+
+
+class TestDiagonalEigh:
+    @pytest.mark.parametrize("n", [10, 401])
+    def test_bitwise_equal_to_eigh_for_sorted_distinct(self, n):
+        h = HermitianMatrix.diag(np.sort(np.random.default_rng(n).normal(size=n)))
+        exact = diagonal_eigh(h)
+        dense = eigh(h)
+        np.testing.assert_array_equal(exact.eigenvalues, dense.eigenvalues)
+        np.testing.assert_array_equal(exact.eigenvectors, dense.eigenvectors)
+
+    @pytest.mark.parametrize("values", [[3.0, 1.0, 2.0, 2.0, 5.0], [2.0, 2.0, 5.0],
+                                        [-1.0, 4.0, -1.0]])
+    def test_unsorted_or_degenerate_input(self, values):
+        h = HermitianMatrix.diag(values)
+        decomp = diagonal_eigh(h)
+        np.testing.assert_array_equal(decomp.eigenvalues, np.sort(values))
+        np.testing.assert_allclose(decomp.eigenvalues, eigh(h).eigenvalues, rtol=1e-14)
+        u = decomp.eigenvectors
+        np.testing.assert_array_equal(u.conj().T @ u, np.eye(len(values)))
+        np.testing.assert_array_equal(decomp.reconstruct(), h.entries)
+
+    def test_rejects_non_diagonal_matrix(self):
+        with pytest.raises(SpectrumError, match="residual"):
+            diagonal_eigh(HermitianMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
+
+
+class TestExactChecks:
+    """The O(n^2) proofs for unit-permutation eigenvectors decide as the dense checks do."""
+
+    def test_permutation_passes_without_gram_product(self):
+        u = _permutation([2, 0, 1])
+        decomp = SpectralDecomposition([1.0, 2.0, 3.0], u)
+        np.testing.assert_array_equal(decomp.eigenvectors, u)
+
+    @pytest.mark.parametrize("rows", [[0, 0, 2], [1, 1, 1]])
+    def test_repeated_row_rejected(self, rows):
+        u = np.zeros((3, 3))
+        u[rows, [0, 1, 2]] = 1.0
+        with pytest.raises(SpectrumError, match="not orthonormal"):
+            SpectralDecomposition([1.0, 2.0, 3.0], u)
+
+    def test_repeated_column_rejected(self):
+        u = np.zeros((3, 3))
+        u[[0, 1, 2], [0, 0, 2]] = 1.0
+        with pytest.raises(SpectrumError, match="not orthonormal"):
+            SpectralDecomposition([1.0, 2.0, 3.0], u)
+
+    def test_perturbed_permutation_goes_through_gram_check(self):
+        u = _permutation([1, 2, 0])
+        u[1, 0] = 1.0 + 1e-6
+        with pytest.raises(SpectrumError, match="not orthonormal: 2.000e-06"):
+            SpectralDecomposition([1.0, 2.0, 3.0], u)
+
+    def test_residual_check_can_fail_on_diagonal(self):
+        h = HermitianMatrix.diag([1.0, 3.0, 2.0])
+        u = _permutation([0, 2, 1])
+        _check_residual(h, SpectralDecomposition([1.0, 2.0, 3.0], u))
+        with pytest.raises(SpectrumError, match="residual"):
+            _check_residual(h, SpectralDecomposition([1.0, 2.0 + 1e-9, 3.0], u))
+        with pytest.raises(SpectrumError, match="residual"):
+            _check_residual(h, SpectralDecomposition([1.0, 2.0, 3.0], _permutation([0, 1, 2])))
+
+    def test_off_diagonal_entry_uses_dense_residual(self):
+        entries = np.diag([1.0, 2.0, 3.0])
+        entries[0, 2] = entries[2, 0] = 1e-3
+        with pytest.raises(SpectrumError, match="residual too large: 1.000e-03"):
+            _check_residual(HermitianMatrix(entries),
+                            SpectralDecomposition([1.0, 2.0, 3.0], np.eye(3)))
 
 
 class TestMatPower:
