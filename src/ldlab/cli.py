@@ -1,8 +1,10 @@
 """Command-line entry point: ldlab run <config-path> [--out DIR] [--format csv|text].
 
 Exit codes: 0 when every check passes, 1 when any check fails or no check
-ran, 2 for configuration or usage errors. The environment variable
-LDLAB_SEED overrides the config seed.
+ran, 2 for configuration or usage errors, 3 for an internal error (an exception
+other than ValueError or OSError escaped the scenario; its traceback goes to
+stderr and no report is written). The environment variable LDLAB_SEED
+overrides the config seed.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from dataclasses import replace
 
 from .config import ConfigError, parse_config
@@ -49,7 +52,11 @@ def main(argv=None) -> int:
         except ValueError:
             print(f"error: LDLAB_SEED={env_seed!r} is not an integer", file=sys.stderr)
             return 2
-    report = run_scenario(config)
+    try:
+        report = run_scenario(config)
+    except Exception:  # a programming error, never a failed check
+        traceback.print_exc()
+        return 3
     try:
         written = emit(report, args.format, args.out)
     except OSError as exc:

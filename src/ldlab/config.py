@@ -103,6 +103,9 @@ def _validate_operator(spec, errors: list):
             elif cname == "laguerre":
                 _check_keys(coeffs, {"name", "alpha", "cutoff"}, "operatorSpec.coeffs", errors)
                 _require_number(coeffs, "alpha", "coeffs[laguerre]", errors, lambda v: v > -1, "alpha > -1")
+                if "cutoff" in coeffs:
+                    _require_number(coeffs, "cutoff", "coeffs[laguerre]", errors,
+                                    lambda v: v > 0, "cutoff > 0")
             elif cname == "csv":
                 _check_keys(coeffs, {"name", "path"}, "operatorSpec.coeffs", errors)
                 if not isinstance(coeffs.get("path"), str):

@@ -24,11 +24,9 @@ from .spectral import (
     SpectrumError,
     Subspace,
     _nullspace,
-    _onb,
     _rank,
     eigh,
     orthocomplement,
-    rel_adjoint,
     rel_is_selfadjoint,
     rel_power,
     subspace_intersect,
@@ -67,12 +65,14 @@ def minimal_relation(operator, constraints: Subspace) -> LinearRelation:
     dom = orthocomplement(constraints)
     if dom.rank == 0:
         return LinearRelation(Subspace.zero(2 * n))
-    return LinearRelation.from_blocks(dom.basis, a @ dom.basis)
+    # [D; AD] has full column rank for orthonormal D: QR, no rank decision
+    q, _ = np.linalg.qr(np.vstack([dom.basis, a @ dom.basis]))
+    return LinearRelation(Subspace(2 * n, q))
 
 
 def _adjoint_and_residual(s: LinearRelation):
-    """(S*, max |graph basis of S minus its projection onto graph S*|)."""
-    adj = rel_adjoint(s)
+    """(S*, max |graph basis of S minus its projection onto graph S*|); S* is cached on S."""
+    adj = s.adjoint
     if s.dim == 0:
         return adj, 0.0
     resid = s.graph.basis - adj.graph.projector @ s.graph.basis
@@ -101,18 +101,14 @@ class DeficiencyReport:
     adjoint: LinearRelation
 
 
-def _defect_space(adjoint: LinearRelation, sign: float) -> Subspace:
-    """ker(S* - sign*i) = {f : (f, sign*i*f) in S*} = F ker(G - sign*i*F)."""
-    f, g = adjoint._blocks()
-    n = adjoint.space_dim
-    return Subspace(n, _onb(f @ _nullspace(g - sign * 1j * f), n))
-
-
 def deficiency_indices(s: LinearRelation) -> DeficiencyReport:
-    """Deficiency indices (m+, m-) = dims of ker(S* -/+ i) with defect bases and S*."""
+    """Deficiency indices (m+, m-) = dims of ker(S* -/+ i) with defect bases and S*.
+
+    S* and its two defect kernels are cached on their relations, so a second
+    analysis of the same S repeats only the symmetry residual.
+    """
     adj = _require_symmetric(s)
-    d_plus = _defect_space(adj, +1.0)
-    d_minus = _defect_space(adj, -1.0)
+    d_plus, d_minus = adj.defect_kernels
     return DeficiencyReport(d_plus.rank, d_minus.rank, d_plus, d_minus, adj)
 
 
@@ -155,9 +151,10 @@ def form_lower_bound(s: LinearRelation) -> float:
 def friedrichs_relation(s: LinearRelation) -> LinearRelation:
     """Friedrichs extension of a nonnegative symmetric relation.
 
-    Construction: graph(S) (+) {0} x (dom S)^perp. The result extends S and has
-    dom = dom S by construction. Checked here: S is symmetric and nonnegative,
-    and the result is self-adjoint. The form identity on dom S is not checked.
+    Construction: graph(S) (+) {0} x (dom S)^perp (`LinearRelation.mul_extension`,
+    built once per S). The result extends S and has dom = dom S by construction.
+    Checked on every call: S is symmetric and nonnegative, and the result is
+    self-adjoint. The form identity on dom S is not checked.
     """
     _require_symmetric(s)
     scale = max(float(np.max(np.abs(s.graph.basis))) if s.dim else 0.0, 1.0)
@@ -165,12 +162,7 @@ def friedrichs_relation(s: LinearRelation) -> LinearRelation:
         raise SpectrumError(
             f"relation is not nonnegative (form lower bound {form_lower_bound(s):.3e})"
         )
-    n = s.space_dim
-    extra = orthocomplement(s.domain())
-    cols = np.hstack(
-        [s.graph.basis, np.vstack([np.zeros((n, extra.rank)), extra.basis])]
-    )
-    result = LinearRelation(Subspace.span(cols, 2 * n))
+    result = s.mul_extension
     if not rel_is_selfadjoint(result):
         raise NotSelfAdjointError("Friedrichs construction failed self-adjointness check")
     return result
@@ -215,9 +207,8 @@ def _compose_triple_space(t: LinearRelation, s: LinearRelation) -> LinearRelatio
     w2 = np.zeros((3 * n, dt + n), dtype=complex)
     w2[:n, dt:] = np.eye(n)
     w2[n:, :dt] = t.graph.basis
-    a = Subspace.span(w1, 3 * n)
-    b = Subspace.span(w2, 3 * n)
-    inter = subspace_intersect(a, b)
+    # each block of columns is orthonormal and the blocks have disjoint row supports
+    inter = subspace_intersect(Subspace(3 * n, w1), Subspace(3 * n, w2))
     dropped = np.vstack([inter.basis[:n], inter.basis[2 * n:]])
     return LinearRelation(Subspace.span(dropped, 2 * n))
 

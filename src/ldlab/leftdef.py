@@ -98,9 +98,20 @@ class SpectralOperator:
         return HermitianMatrix((powered + powered.conj().T) / 2)
 
     def apply_power(self, r: float, x) -> np.ndarray:
-        """A^r x through the eigenbasis without forming the matrix."""
-        coeff = self.decomp.eigenvectors_adjoint @ np.asarray(x, dtype=complex)
-        return self.decomp.eigenvectors @ (np.power(self.decomp.eigenvalues, float(r)) * coeff)
+        """A^r x through the eigenbasis without forming the matrix.
+
+        When the eigenvectors are a permuted identity (`from_diag`), U* x and
+        U y are the gathers x[rows] and the scatter out[rows] = y, bitwise the
+        products with the 0/1 matrix.
+        """
+        x = np.asarray(x, dtype=complex)
+        powers = np.power(self.decomp.eigenvalues, float(r))
+        rows = self.decomp.unit_rows
+        if rows is None:
+            return self.decomp.eigenvectors @ (powers * (self.decomp.eigenvectors_adjoint @ x))
+        out = np.empty_like(x)
+        out[rows] = powers * x[rows]
+        return out
 
 
 @dataclass(frozen=True)

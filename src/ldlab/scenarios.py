@@ -2,8 +2,10 @@
 
 All randomness flows from one numpy Generator seeded with the config seed
 (PCG64, numpy's default bit generator), so identical (config, seed) pairs
-reproduce identical reports byte for byte. Module errors inside an experiment
-become FAIL rows with the diagnostic text, never crashes.
+reproduce identical reports byte for byte. A ValueError (LinAlgError and every
+ldlab error class included) or OSError inside an experiment becomes a
+`scenario-error` FAIL row with the diagnostic text. Any other exception is a
+programming error, not a failed check, and propagates to the caller.
 """
 
 from __future__ import annotations
@@ -75,7 +77,10 @@ def _sl_coeffs(spec: dict) -> sldiscrete.SLCoefficients:
             built.p, built.q, built.w, built.a, built.b,
             built.endpoint_a, built.endpoint_b, delta, built.name)
     if name == "csv":
-        table = np.loadtxt(coeffs["path"], delimiter=",")
+        table = np.loadtxt(coeffs["path"], delimiter=",", ndmin=2)
+        if table.shape[1] != 4:
+            raise ValueError(f"{coeffs['path']}: expected (x, p, q, w) rows, "
+                             f"got {table.shape[1]} columns")
         return sldiscrete.SLCoefficients.from_tables(table[:, 0], table[:, 1],
                                                      table[:, 2], table[:, 3])
     raise ValueError(f"unknown coefficient family {name!r}")
@@ -96,7 +101,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
         report.meta["operator"] = built.label
         runner = _RUNNERS[config.experiment]
         runner(report, built, config, rng)
-    except Exception as exc:  # module errors become FAIL rows, never crashes
+    except (ValueError, OSError) as exc:  # module and I/O errors become FAIL rows
         report.add_failure("scenario-error", f"{type(exc).__name__}: {exc}")
     return report
 

@@ -9,6 +9,16 @@ decision is the one cutoff in `_rank`. For a relation with orthonormal graph
 basis [F; G], adjoint, multivalued part and complements are each a basis
 times one nullspace: S* = ker[G*, -F*], mul = G ker F, a^perp = ker(A*).
 
+A relation's derived spaces are computed once per relation object and cached
+on it: `adjoint`, `domain()`, `mul_part()`, `defect_kernels` (ker(T -/+ i))
+and `mul_extension` (T (+) {0} x (dom T)^perp, the Friedrichs construction).
+Where the construction fixes the rank, the basis is used as built, with no
+SVD of its own: G ker F, sqrt2 F ker(G -/+ iF) and the sqrt2 A u of
+`subspace_intersect` are orthonormal by construction, and `mul_extension` uses
+QR when mul T = 0. A rank decision stays where the rank is not known: `domain`,
+`rel_compose`, `Subspace.span` of arbitrary columns and every nullspace. Every
+`Subspace` still checks the orthonormality of its basis.
+
 All values are immutable after construction and every operation is a pure
 function, so concurrent read-only use is safe.
 """
@@ -16,7 +26,7 @@ function, so concurrent read-only use is safe.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -48,9 +58,10 @@ def inner(x, y) -> complex:
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """A validated n x n complex Hermitian matrix."""
+    """A validated n x n complex Hermitian matrix; norm_max = max|entries|, from validation."""
 
     entries: np.ndarray
+    norm_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)
@@ -69,14 +80,11 @@ class HermitianMatrix:
             )
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "norm_max", scale)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @cached_property
-    def norm_max(self) -> float:
-        return float(np.max(np.abs(self.entries)))
 
     @classmethod
     def diag(cls, values) -> "HermitianMatrix":
@@ -95,6 +103,13 @@ def as_hermitian(matrix) -> HermitianMatrix:
     if isinstance(matrix, HermitianMatrix):
         return matrix
     return HermitianMatrix(np.asarray(matrix))
+
+
+def _ortho_defect(b: np.ndarray) -> float:
+    """max|B*B - I|, the identity subtracted from the diagonal of B*B in place."""
+    gram = b.conj().T @ b   # a new C-contiguous array, so reshape(-1) is a view of it
+    gram.reshape(-1)[:: gram.shape[0] + 1] -= 1.0
+    return float(np.abs(gram).max())
 
 
 def _unit_permutation(u: np.ndarray) -> np.ndarray | None:
@@ -118,20 +133,24 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    # row of each column's single 1 when the eigenvectors are a permuted identity, else None
+    unit_rows: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
         u = np.asarray(self.eigenvectors, dtype=complex)
         if np.any(np.diff(lam) < 0):
             raise SpectrumError("eigenvalues must be nondecreasing")
-        if _unit_permutation(u) is None:
-            ortho = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))))
+        rows = _unit_permutation(u)
+        if rows is None:
+            ortho = _ortho_defect(u)
             if ortho > ORTHO_TOL:
                 raise SpectrumError(f"eigenvector columns not orthonormal: {ortho:.3e}")
         lam.setflags(write=False)
         u.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", u)
+        object.__setattr__(self, "unit_rows", rows)
 
     @cached_property
     def eigenvectors_adjoint(self) -> np.ndarray:
@@ -154,8 +173,7 @@ def _check_residual(h: HermitianMatrix, decomp: SpectralDecomposition):
     For diagonal H and a unit-permutation U the residual is exactly
     max|H[row_j, row_j] - lambda_j|, found without the dense product.
     """
-    lam, u = decomp.eigenvalues, decomp.eigenvectors
-    rows = _unit_permutation(u)
+    lam, u, rows = decomp.eigenvalues, decomp.eigenvectors, decomp.unit_rows
     diagonal = np.diagonal(h.entries)
     if rows is not None and np.count_nonzero(h.entries) == np.count_nonzero(diagonal):
         resid = float(np.max(np.abs(diagonal[rows] - lam)))
@@ -237,7 +255,7 @@ def mat_power(matrix, r: float) -> HermitianMatrix:
 
 def _rank(s: np.ndarray) -> int:
     """Rank from descending singular values s: the package's one cutoff, RANK_RTOL * s[0]."""
-    return int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
+    return int(np.count_nonzero(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
 
 
 def _onb(columns: np.ndarray, ambient: int) -> np.ndarray:
@@ -274,7 +292,7 @@ class Subspace:
                 f"rank {basis.shape[1]} exceeds ambient dimension {self.ambient_dim}"
             )
         if basis.shape[1] > 0:
-            ortho = float(np.max(np.abs(basis.conj().T @ basis - np.eye(basis.shape[1]))))
+            ortho = _ortho_defect(basis)
             if ortho > ORTHO_TOL:
                 raise SpectrumError(f"basis columns not orthonormal: {ortho:.3e}")
         basis.setflags(write=False)
@@ -326,12 +344,16 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the nullspace of [A, -B]: x = A u = B v."""
+    """Intersection via the nullspace of [A, -B]: x = A u = B v.
+
+    For orthonormal kernel columns (u, v), |Au| = |u| and |Bv| = |v| make
+    <u, u'> = <v, v'> = <(u, v), (u', v')>/2, so sqrt2 A u is orthonormal as built.
+    """
     _check_ambient(a, b)
     if a.rank == 0 or b.rank == 0:
         return Subspace.zero(a.ambient_dim)
     null = _nullspace(np.hstack([a.basis, -b.basis]))
-    return Subspace(a.ambient_dim, _onb(a.basis @ null[: a.rank], a.ambient_dim))
+    return Subspace(a.ambient_dim, np.sqrt(2.0) * (a.basis @ null[: a.rank]))
 
 
 def orthocomplement(a: Subspace) -> Subspace:
@@ -392,20 +414,65 @@ class LinearRelation:
         return cls(Subspace(2 * n, np.vstack([np.zeros((n, n)), np.eye(n)])))
 
     def domain(self) -> Subspace:
+        """dom t = span of the f block (a rank decision); computed once per relation."""
+        return self._domain
+
+    def mul_part(self) -> Subspace:
+        """mul t = {g : (0, g) in t} = G ker F; computed once per relation."""
+        return self._mul_part
+
+    @cached_property
+    def _domain(self) -> Subspace:
         f, _ = self._blocks()
         return Subspace(self.space_dim, _onb(f, self.space_dim))
 
-    def mul_part(self) -> Subspace:
-        """The multivalued part {g : (0, g) in the relation} = G ker F."""
+    @cached_property
+    def _mul_part(self) -> Subspace:
+        # orthonormal as built: G*G = I - F*F is the identity on ker F
         f, g = self._blocks()
-        return Subspace(self.space_dim, _onb(g @ _nullspace(f), self.space_dim))
+        return Subspace(self.space_dim, g @ _nullspace(f))
+
+    @cached_property
+    def adjoint(self) -> "LinearRelation":
+        """{(h, k) : <k, f> = <h, g> on t} = ker[G*, -F*], one kernel for graph [F; G]."""
+        f, g = self._blocks()
+        kernel = _nullspace(np.hstack([g.conj().T, -f.conj().T]))
+        return LinearRelation(Subspace(2 * self.space_dim, kernel))
+
+    @cached_property
+    def defect_kernels(self) -> tuple[Subspace, Subspace]:
+        """(ker(t - i), ker(t + i)), ker(t - si) = {f : (f, si f) in t} = F ker(G - siF).
+
+        For orthonormal x in ker(G - siF), |Gx| = |Fx| and |Fx|^2 + |Gx|^2 = |x|^2
+        (inner products likewise), so sqrt2 F x is orthonormal as built.
+        """
+        f, g = self._blocks()
+        return tuple(Subspace(self.space_dim, np.sqrt(2.0) * (f @ _nullspace(g - sign * 1j * f)))
+                     for sign in (1.0, -1.0))
+
+    @cached_property
+    def mul_extension(self) -> "LinearRelation":
+        """t (+) ({0} x (dom t)^perp): t with a multivalued part on the complement of its domain.
+
+        For nonnegative symmetric t this is the Friedrichs extension, which
+        `extensions.friedrichs_relation` checks. When dim dom t = dim t (mul t = 0)
+        the f block has full column rank, so the columns are independent and QR
+        gives the basis without a rank decision; otherwise the span decides the rank.
+        """
+        n = self.space_dim
+        dom = self.domain()
+        extra = orthocomplement(dom)
+        mul = np.vstack([np.zeros((n, extra.rank)), extra.basis])
+        cols = np.hstack([self.graph.basis, mul])
+        if dom.rank == self.dim:
+            q, _ = np.linalg.qr(cols)
+            return LinearRelation(Subspace(2 * n, q))
+        return LinearRelation(Subspace.span(cols, 2 * n))
 
 
 def rel_adjoint(t: LinearRelation) -> LinearRelation:
-    """Adjoint {(h, k) : <k, f> = <h, g> on t} = ker[G*, -F*], one kernel for graph [F; G]."""
-    f, g = t._blocks()
-    kernel = _nullspace(np.hstack([g.conj().T, -f.conj().T]))
-    return LinearRelation(Subspace(2 * t.space_dim, kernel))
+    """The adjoint relation t*, computed once per relation (`LinearRelation.adjoint`)."""
+    return t.adjoint
 
 
 def rel_compose(t: LinearRelation, s: LinearRelation) -> LinearRelation:
@@ -434,7 +501,7 @@ def rel_power(t: LinearRelation, n: int) -> LinearRelation:
 
 
 def rel_is_selfadjoint(t: LinearRelation, tol: float = SUBSPACE_TOL) -> bool:
-    return subspaces_equal(t.graph, rel_adjoint(t).graph, tol)
+    return subspaces_equal(t.graph, t.adjoint.graph, tol)
 
 
 def save_matrix_csv(matrix, path):

@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from ldlab import extensions, scenarios
 from ldlab.cli import main
 from ldlab.config import ConfigError, parse_config
 from ldlab.leftdef import SpectralOperator
 from ldlab.report import Report, Table, emit
 from ldlab.scenarios import run_scenario
+from ldlab.spectral import LinearRelation, Subspace
 
 
 def make_config(**overrides):
@@ -97,6 +99,13 @@ class TestParseConfig:
         )
         config = parse_config(json.dumps(raw))
         assert config.operator_spec["kind"] == "sl"
+
+    def test_sl_laguerre_cutoff_must_be_a_positive_number(self):
+        for cutoff in ([40], "40", 0.0):
+            spec = {"kind": "sl", "N": 20,
+                    "coeffs": {"name": "laguerre", "alpha": 1.0, "cutoff": cutoff}}
+            with pytest.raises(ConfigError, match="cutoff"):
+                parse_config(json.dumps(make_config(operatorSpec=spec)))
 
     def test_sl_rejects_bad_bc(self):
         raw = make_config(operatorSpec={"kind": "sl", "coeffs": "flat", "N": 30, "bc": "robin"})
@@ -242,6 +251,57 @@ class TestRunScenario:
         report = run_scenario(parse_config(json.dumps(raw)))
         assert report.overall == "PASS"
 
+    def test_friedrichs_domain_fails_on_wrong_domain(self, monkeypatch):
+        # S_F^{-1}, the flipped graph, is self-adjoint too, but its domain ran S_F
+        # is the whole space: only friedrichs-domain can see the difference
+        real = extensions.friedrichs_relation
+
+        def inverse_friedrichs(s):
+            n = s.space_dim
+            basis = real(s).graph.basis
+            return LinearRelation(Subspace(2 * n, np.vstack([basis[n:], basis[:n]])))
+
+        monkeypatch.setattr(extensions, "friedrichs_relation", inverse_friedrichs)
+        raw = make_config(
+            operatorSpec={"kind": "diag-growth", "p": 1.0, "q": 0.0, "N": 6},
+            experiment="extensions",
+            params={"trials": 3, "dimMin": 5, "dimMax": 8, "codim": 2},
+        )
+        report = run_scenario(parse_config(json.dumps(raw)))
+        status = {r.name: r.status for r in report.rows}
+        assert status["friedrichs-domain"] == "FAIL"
+        assert status["friedrichs-selfadjoint"] == "PASS"
+        assert status["deficiency-indices"] == "PASS"
+
+    def test_value_error_from_runner_is_fail_row(self, monkeypatch):
+        def failing(report, built, config, rng):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setitem(scenarios._RUNNERS, "laguerre-identity", failing)
+        report = run_scenario(parse_config(json.dumps(make_config())))
+        assert [(r.name, r.status) for r in report.rows] == [("scenario-error", "FAIL")]
+        assert "LinAlgError: SVD did not converge" in report.rows[0].inputs
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(report, built, config, rng):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setitem(scenarios._RUNNERS, "laguerre-identity", broken)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run_scenario(parse_config(json.dumps(make_config())))
+
+    def test_malformed_coefficient_table_is_fail_row(self, tmp_path):
+        np.savetxt(tmp_path / "coeffs.csv", np.ones((5, 3)), delimiter=",")
+        raw = make_config(
+            operatorSpec={"kind": "sl", "N": 20,
+                          "coeffs": {"name": "csv", "path": str(tmp_path / "coeffs.csv")}},
+            experiment="leftdef-verify",
+            params={"r": 2.0, "samples": 5},
+        )
+        report = run_scenario(parse_config(json.dumps(raw)))
+        assert report.rows[0].name == "scenario-error"
+        assert "expected (x, p, q, w) rows, got 3 columns" in report.rows[0].inputs
+
     def test_determinism_identical_bytes(self, tmp_path):
         raw = make_config(
             operatorSpec={"kind": "diag-growth", "p": 1.0, "q": 0.0, "N": 6},
@@ -302,6 +362,17 @@ class TestCli:
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
+
+    def test_programming_error_exit_three_with_traceback(self, tmp_path, monkeypatch, capsys):
+        def broken(report, built, config, rng):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setitem(scenarios._RUNNERS, "laguerre-identity", broken)
+        path = self.write_config(tmp_path, make_config())
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "TypeError: unsupported operand" in err
+        assert not (tmp_path / "out").exists()
 
     def test_failing_check_exit_one(self, tmp_path):
         raw = make_config(tolerances={"identity": 1e-30})

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldlab.extensions import (
     NotSelfAdjointError,
@@ -19,7 +23,7 @@ from ldlab.extensions import (
     theta_sweep,
     von_neumann_check,
 )
-from ldlab import extensions, spectral
+from ldlab import spectral
 from ldlab.spectral import (
     LinearRelation,
     SpectrumError,
@@ -502,41 +506,64 @@ class TestKernelOracles:
             assert subspaces_equal(comp, _complement_oracle(a))
 
 
+def _count_svds(monkeypatch) -> list:
+    """Shapes of every numpy SVD call made after this point in the test."""
+    import numpy.linalg._linalg as linalg_impl
+
+    real_svd = linalg_impl.svd
+    calls = []
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(linalg_impl, "svd", counting_svd)
+    return calls
+
+
 class TestSingleRankDecision:
-    """S* is built once per deficiency analysis, and every rank goes through RANK_RTOL."""
+    """S* is built once per relation, and every rank goes through RANK_RTOL."""
 
     def test_von_neumann_builds_adjoint_once(self, monkeypatch):
         s = minimal_relation(*seeded_restriction(60, 8, 2))
-        real = extensions.rel_adjoint
+        real = LinearRelation.adjoint.func
         calls = []
 
         def counting_adjoint(t):
             calls.append(t.dim)
             return real(t)
 
-        monkeypatch.setattr(extensions, "rel_adjoint", counting_adjoint)
+        prop = functools.cached_property(counting_adjoint)
+        prop.__set_name__(LinearRelation, "adjoint")
+        monkeypatch.setattr(LinearRelation, "adjoint", prop)
+        assert deficiency_indices(s).m_plus == 2
         assert von_neumann_check(s).overall == "PASS"
         assert calls == [s.dim]
+        sf = friedrichs_relation(s)
+        assert rel_is_selfadjoint(sf) and rel_is_selfadjoint(friedrichs_relation(s))
+        assert calls == [s.dim, sf.dim]
 
     def test_extension_trial_svd_budget(self, monkeypatch):
-        import numpy.linalg._linalg as linalg_impl
-
         s = minimal_relation(*seeded_restriction(61, 8, 1))
-        real_svd = linalg_impl.svd
-        calls = []
-
-        def counting_svd(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return real_svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(linalg_impl, "svd", counting_svd)
+        calls = _count_svds(monkeypatch)
+        # one trial of the extensions scenario
         rep = deficiency_indices(s)
         vn = von_neumann_check(s)
         sf = friedrichs_relation(s)
         assert (rep.m_plus, rep.m_minus) == (1, 1) and vn.overall == "PASS"
         assert rel_is_selfadjoint(sf)
-        assert 0 < len(calls) <= 24
+        assert subspaces_equal(sf.domain(), s.domain())
+        assert 0 < len(calls) <= 12, len(calls)
+
+    def test_friedrichs_trial_svd_budget(self, monkeypatch):
+        s = minimal_relation(*seeded_restriction(62, 10, 2))
+        calls = _count_svds(monkeypatch)
+        # one trial of the friedrichs-conjecture scenario at n = 4
+        main = friedrichs_power_experiment(s, 4)
+        oracle = friedrichs_power_oracle(s, 4)
+        assert main == oracle
+        assert 0 < len(calls) <= 42, len(calls)
 
     def test_spec_independence_uses_rank_rtol(self, monkeypatch):
         b = np.zeros((4, 2))
@@ -546,3 +573,85 @@ class TestSingleRankDecision:
         monkeypatch.setattr(spectral, "RANK_RTOL", 1e-4)
         with pytest.raises(ValueError, match="linearly independent"):
             PerturbationSpec.from_matrix(b, np.eye(2))
+
+
+def _derived_spaces(t: LinearRelation) -> dict:
+    """Basis of every derived space cached on t, by name."""
+    d_plus, d_minus = t.defect_kernels
+    return {"adjoint": t.adjoint.graph.basis, "domain": t.domain().basis,
+            "mul_part": t.mul_part().basis, "defect+": d_plus.basis, "defect-": d_minus.basis,
+            "mul_extension": t.mul_extension.graph.basis}
+
+
+class TestCachedDerivedSpaces:
+    """Each derived space is computed once per relation object and is what a fresh
+    computation on an equal but distinct object gives."""
+
+    @pytest.mark.parametrize("label", sorted(RELATIONS))
+    def test_cached_equals_fresh(self, label):
+        t = RELATIONS[label][0]()
+        cached = _derived_spaces(t)
+        again = _derived_spaces(t)
+        twin = LinearRelation(Subspace(t.graph.ambient_dim, t.graph.basis.copy()))
+        fresh = _derived_spaces(twin)
+        for name, basis in cached.items():
+            assert again[name] is basis, name
+            assert fresh[name] is not basis, name
+            np.testing.assert_array_equal(fresh[name], basis, err_msg=name)
+        assert t.adjoint is t.adjoint and twin.adjoint is not t.adjoint
+
+    def test_friedrichs_of_relation_with_mul_part_is_fixed_point(self):
+        # dim dom = dim S - dim mul: the span, not QR, decides the rank
+        sf = friedrichs_relation(minimal_relation(*seeded_restriction(63, 7, 2)))
+        assert sf.domain().rank < sf.dim
+        again = friedrichs_relation(sf)
+        assert again.dim == sf.dim
+        assert subspaces_equal(again.graph, sf.graph)
+
+
+def _ortho_defect(basis) -> float:
+    if basis.shape[1] == 0:
+        return 0.0
+    return float(np.max(np.abs(basis.conj().T @ basis - np.eye(basis.shape[1]))))
+
+
+class TestScaleProperties:
+    """Deficiency, von Neumann and Friedrichs verdicts at operator scales 1e-8 ... 1e12, and
+    the bases built without a rank decision are orthonormal there."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 9), codim=st.integers(1, 3),
+           exponent=st.floats(-8.0, 12.0))
+    def test_verdicts_and_bases(self, seed, n, codim, exponent):
+        codim = min(codim, n - 1)
+        h, c = seeded_restriction(seed, n, codim)
+        s = minimal_relation(10.0 ** exponent * h, c)
+        rep = deficiency_indices(s)
+        assert (rep.m_plus, rep.m_minus) == (codim, codim)
+        assert rep.adjoint.dim == s.dim + 2 * codim
+        assert von_neumann_check(s).overall == "PASS"
+        sf = friedrichs_relation(s)
+        assert rel_is_selfadjoint(sf)
+        assert sf.dim == n
+        # QR graph of S and of S_F, the sqrt2 F ker(G -/+ iF) defect bases
+        for basis in (s.graph.basis, sf.graph.basis, rep.defect_plus.basis,
+                      rep.defect_minus.basis):
+            assert _ortho_defect(basis) <= 1e-13
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "graph bases are not scale-invariant: rounding in the f block of the Friedrichs "
+        "graph exceeds RANK_RTOL * sigma_max(F) once ||A|| is about 1e6, so dom S_F "
+        "gains spurious dimensions"))
+    def test_friedrichs_domain_at_large_scale(self):
+        h, c = seeded_restriction(64, 6, 2)
+        s = minimal_relation(1e8 * h, c)
+        sf = friedrichs_relation(s)
+        assert subspaces_equal(sf.domain(), s.domain())
+        assert sf.mul_part().rank == 2
+
+    def test_multivalued_bases_orthonormal_by_construction(self):
+        sf = friedrichs_relation(minimal_relation(*seeded_restriction(65, 8, 3)))
+        mul = sf.mul_part()
+        assert mul.rank == 3 and _ortho_defect(mul.basis) <= 1e-13
+        inter = subspace_intersect(sf.graph, rel_adjoint(sf).graph)
+        assert inter.rank == sf.dim and _ortho_defect(inter.basis) <= 1e-13
