@@ -9,7 +9,6 @@ from .spectral import (
     eigh,
     mat_power,
     orthocomplement,
-    rel_adjoint,
     rel_compose,
     rel_is_selfadjoint,
     subspace_intersect,

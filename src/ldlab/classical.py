@@ -25,9 +25,6 @@ from math import exp as _exp
 import numpy as np
 from scipy.special import roots_genlaguerre
 
-QUADRATURE_RTOL = 1e-10
-IDENTITY_RTOL = 1e-8
-
 
 def gamma_ratio(a: float, b: float) -> float:
     """Gamma(a)/Gamma(b) in ratio form, safe against overflow for a, b <= ~170."""

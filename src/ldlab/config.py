@@ -3,21 +3,22 @@
 One config file describes one scenario. Validation collects *all* problems
 (unknown keys, type errors, precondition violations) before rejecting, so a
 bad config is fixed in one round trip.
+
+A parsed config is complete: `params` holds every param of its experiment and
+`tolerances` every key of `TOLERANCES`, each omitted one filled with its
+default from the tables below and each value stored as its declared kind. The
+experiment runners read both as given. The operatorSpec is kept as written; its
+optional keys (`bc`, `cutoff`, `delta`) take their defaults where they are used.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
-EXPERIMENTS = (
-    "leftdef-verify",
-    "laguerre-identity",
-    "scale",
-    "extensions",
-    "friedrichs-conjecture",
-    "perturb-sweep",
-)
+from . import hscale, leftdef
+from .sldiscrete import BOUNDARY_TREATMENTS
 
 OPERATOR_KINDS = ("diag-growth", "matrix-file", "sl", "laguerre")
 
@@ -38,11 +39,19 @@ class ScenarioConfig:
     experiment: str
     params: dict
     seed: int
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict
 
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    return _is_number(x) and abs(x) <= sys.float_info.max   # exact for ints of any size
+
+
+def _is_integral(x) -> bool:
+    return isinstance(x, int) or x.is_integer()
 
 
 def _check_keys(obj: dict, allowed: set, context: str, errors: list):
@@ -56,8 +65,8 @@ def _require_number(obj: dict, key: str, context: str, errors: list, pred=None, 
         errors.append(f"{context}: missing required key {key!r}")
         return None
     value = obj[key]
-    if not _is_number(value):
-        errors.append(f"{context}: {key!r} must be a number, got {type(value).__name__}")
+    if not _is_finite(value):
+        errors.append(f"{context}: {key!r} must be a finite number, got {value!r}")
         return None
     if pred is not None and not pred(value):
         errors.append(f"{context}: {key}={value} violates {message}")
@@ -77,19 +86,20 @@ def _validate_operator(spec, errors: list):
         _check_keys(spec, {"kind", "p", "q", "N"}, "operatorSpec[diag-growth]", errors)
         _require_number(spec, "p", "operatorSpec", errors, lambda v: v > 0, "p > 0")
         _require_number(spec, "q", "operatorSpec", errors)
-        _require_number(spec, "N", "operatorSpec", errors, lambda v: v >= 1, "N >= 1")
+        _require_number(spec, "N", "operatorSpec", errors,
+                        lambda v: v >= 1 and _is_integral(v), "integral N >= 1")
     elif kind == "matrix-file":
         _check_keys(spec, {"kind", "path"}, "operatorSpec[matrix-file]", errors)
         if not isinstance(spec.get("path"), str):
             errors.append("operatorSpec: matrix-file needs a string 'path'")
     elif kind == "sl":
         _check_keys(spec, {"kind", "coeffs", "N", "bc", "delta"}, "operatorSpec[sl]", errors)
-        _require_number(spec, "N", "operatorSpec", errors, lambda v: v >= 3, "N >= 3")
-        if "delta" in spec and not (_is_number(spec["delta"]) and spec["delta"] >= 0):
-            errors.append(f"operatorSpec: delta={spec['delta']!r} must be a nonnegative number")
-        bc = spec.get("bc", "dirichlet")
-        if bc not in ("dirichlet", "neumann-type"):
-            errors.append(f"operatorSpec: bc={bc!r} not one of ('dirichlet', 'neumann-type')")
+        _require_number(spec, "N", "operatorSpec", errors,
+                        lambda v: v >= 3 and _is_integral(v), "integral N >= 3")
+        if "delta" in spec and not (_is_finite(spec["delta"]) and spec["delta"] >= 0):
+            errors.append(f"operatorSpec: delta={spec['delta']!r} must be a finite number >= 0")
+        if "bc" in spec and spec["bc"] not in BOUNDARY_TREATMENTS:
+            errors.append(f"operatorSpec: bc={spec['bc']!r} not one of {BOUNDARY_TREATMENTS}")
         coeffs = spec.get("coeffs")
         if isinstance(coeffs, str):
             if coeffs != "flat":
@@ -118,75 +128,118 @@ def _validate_operator(spec, errors: list):
         _check_keys(spec, {"kind", "alpha", "k", "N"}, "operatorSpec[laguerre]", errors)
         _require_number(spec, "alpha", "operatorSpec", errors, lambda v: v > -1, "alpha > -1")
         _require_number(spec, "k", "operatorSpec", errors, lambda v: v > 0, "k > 0")
-        _require_number(spec, "N", "operatorSpec", errors, lambda v: v >= 1, "N >= 1")
+        _require_number(spec, "N", "operatorSpec", errors,
+                        lambda v: v >= 1 and _is_integral(v), "integral N >= 1")
 
 
-_PARAM_SCHEMAS = {
+FLOATS = "floats"   # a number or a nonempty list of numbers, stored as a list of floats
+
+# Every experiment's params, declared once: name -> (kind, default, predicate,
+# rule). parse_config fills each omitted param with its default and stores each
+# value as its kind (int, float or FLOATS), so the runners read them as given.
+PARAMS = {
     "leftdef-verify": {
-        "r": (lambda v: v > 0, "r > 0"),
-        "samples": (lambda v: v >= 1, "samples >= 1"),
+        "r": (float, 2.0, lambda v: v > 0, "r > 0"),
+        "samples": (int, 50, lambda v: v >= 1, "samples >= 1"),
     },
-    "laguerre-identity": {
-        "alpha": (lambda v: v > -1, "alpha > -1"),
-        "k": (lambda v: v > 0, "k > 0"),
-        "n": (lambda v: 1 <= v <= 6, "1 <= n <= 6"),
-        "deg": (lambda v: 0 <= v <= 30, "0 <= deg <= 30"),
+    "laguerre-identity": {   # alpha and k default to the operatorSpec's when it has them
+        "alpha": (float, 1.0, lambda v: v > -1, "alpha > -1"),
+        "k": (float, 1.0, lambda v: v > 0, "k > 0"),
+        "n": (int, 1, lambda v: 1 <= v <= 6, "1 <= n <= 6"),
+        "deg": (int, 6, lambda v: 0 <= v <= 30, "0 <= deg <= 30"),
     },
     "scale": {
-        "s": (lambda v: True, ""),
-        "t": (lambda v: True, ""),
-        "samples": (lambda v: v >= 1, "samples >= 1"),
-        "classifierTerms": (lambda v: v >= 100, "classifierTerms >= 100"),
+        "s": (FLOATS, [-2.0, -1.0, 0.0, 1.0, 2.0], lambda v: True, ""),
+        "t": (FLOATS, [0.0, 0.5, 1.0, 2.0], lambda v: True, ""),
+        "samples": (int, 25, lambda v: v >= 1, "samples >= 1"),
+        "classifierTerms": (int, hscale.PARTIAL_SUM_TERMS, lambda v: v >= 100,
+                            "classifierTerms >= 100"),
     },
     "extensions": {
-        "trials": (lambda v: v >= 1, "trials >= 1"),
-        "dimMin": (lambda v: v >= 2, "dimMin >= 2"),
-        "dimMax": (lambda v: v >= 2, "dimMax >= 2"),
-        "codim": (lambda v: v >= 1, "codim >= 1"),
+        "trials": (int, 25, lambda v: v >= 1, "trials >= 1"),
+        "dimMin": (int, 5, lambda v: v >= 2, "dimMin >= 2"),
+        "dimMax": (int, 10, lambda v: v >= 2, "dimMax >= 2"),
+        "codim": (int, 1, lambda v: v >= 1, "codim >= 1"),
     },
     "friedrichs-conjecture": {
-        "dim": (lambda v: v >= 2, "dim >= 2"),
-        "codim": (lambda v: v >= 0, "codim >= 0"),
-        "n": (lambda v: 1 <= v <= 4, "1 <= n <= 4"),
-        "trials": (lambda v: v >= 1, "trials >= 1"),
+        "dim": (int, 6, lambda v: v >= 2, "dim >= 2"),
+        "codim": (int, 1, lambda v: v >= 0, "codim >= 0"),
+        "n": (int, 2, lambda v: 1 <= v <= 4, "1 <= n <= 4"),
+        "trials": (int, 20, lambda v: v >= 1, "trials >= 1"),
     },
     "perturb-sweep": {
-        "rank": (lambda v: v >= 1, "rank >= 1"),
-        "tMax": (lambda v: v > 0, "tMax > 0"),
-        "tSteps": (lambda v: v >= 2, "tSteps >= 2"),
+        "rank": (int, 1, lambda v: v >= 1, "rank >= 1"),
+        "tMax": (float, 10.0, lambda v: v > 0, "tMax > 0"),
+        "tSteps": (int, 11, lambda v: v >= 2, "tSteps >= 2"),
     },
 }
 
-_LIST_PARAMS = {"s", "t"}   # numeric lists allowed for these keys
+EXPERIMENTS = tuple(PARAMS)
 
-# Trial-dimension range of the extensions experiment when params omit it;
-# validation and the experiment runner read the same values.
-EXTENSION_DIMS = {"dimMin": 5, "dimMax": 10}
+# Cross-field constraints on the filled params: (lower, upper) means lower <= upper.
+_ORDERED = {
+    "extensions": (("dimMin", "dimMax"), ("codim", "dimMin")),
+    "friedrichs-conjecture": (("codim", "dim"),),
+}
+
+# The thresholds a config may override, with the rows each one governs.
+TOLERANCES = {
+    "identity": 1e-8,                   # laguerre-identity
+    "property": leftdef.PROPERTY_TOL,   # every residual row of leftdef-verify
+    "isometry": 1e-10,                  # scale: isometry
+    "duality": 1e-12,                   # scale: duality-reduction
+    "limit": 1e-6,                      # perturb-sweep: limit-crosscheck
+}
 
 
-def _validate_params(experiment: str, params, errors: list):
+def _typed(key: str, kind, value, errors: list):
+    """`value` stored as `kind`, or None after recording why it cannot be."""
+    if kind is FLOATS:
+        values = value if isinstance(value, list) else [value]
+        if values and all(_is_finite(v) for v in values):
+            return [float(v) for v in values]
+        errors.append(f"params: {key!r} must be a finite number or a nonempty list of them")
+    elif not _is_finite(value):
+        errors.append(f"params: {key!r} must be a finite number, got {value!r}")
+    elif kind is int and not _is_integral(value):
+        errors.append(f"params: {key!r} must be an integer, got {value!r}")
+    else:
+        return kind(value)
+    return None
+
+
+def _fill_params(experiment: str, params, spec, errors: list) -> dict:
     if not isinstance(params, dict):
         errors.append("params: must be an object")
-        return
-    schema = _PARAM_SCHEMAS.get(experiment, {})
+        return {}
+    schema = PARAMS[experiment]
     _check_keys(params, set(schema), f"params[{experiment}]", errors)
-    for key, value in params.items():
-        if key not in schema:
-            continue
-        pred, message = schema[key]
-        if key in _LIST_PARAMS and isinstance(value, list):
-            if not all(_is_number(v) for v in value):
-                errors.append(f"params: {key!r} list must contain only numbers")
-            continue
-        if not _is_number(value):
-            errors.append(f"params: {key!r} must be a number, got {type(value).__name__}")
-            continue
-        if not pred(value):
-            errors.append(f"params: {key}={value} violates {message}")
-    lo = params.get("dimMin", EXTENSION_DIMS["dimMin"])
-    hi = params.get("dimMax", EXTENSION_DIMS["dimMax"])
-    if experiment == "extensions" and _is_number(lo) and _is_number(hi) and lo > hi:
-        errors.append(f"params: dimMin={lo} exceeds dimMax={hi}")
+    if experiment == "laguerre-identity" and isinstance(spec, dict):
+        params = {**{key: spec[key] for key in ("alpha", "k") if key in spec}, **params}
+    filled = {}
+    for key, (kind, default, pred, rule) in schema.items():
+        value = _typed(key, kind, params.get(key, default), errors)
+        if value is not None and not pred(value):
+            errors.append(f"params: {key}={params[key]} violates {rule}")
+        filled[key] = value
+    for lo, hi in _ORDERED.get(experiment, ()):
+        if None not in (filled[lo], filled[hi]) and filled[lo] > filled[hi]:
+            errors.append(f"params: {lo}={filled[lo]} exceeds {hi}={filled[hi]}")
+    return filled
+
+
+def _fill_tolerances(tolerances, errors: list) -> dict:
+    if not isinstance(tolerances, dict):
+        errors.append("tolerances: must be an object")
+        return {}
+    _check_keys(tolerances, set(TOLERANCES), "tolerances", errors)
+    filled = dict(TOLERANCES)
+    for key, value in tolerances.items():
+        if key in TOLERANCES and _is_finite(value) and value > 0:
+            filled[key] = float(value)
+        elif key in TOLERANCES:
+            errors.append(f"tolerances: {key}={value!r} must be a finite number > 0")
+    return filled
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -210,25 +263,22 @@ def parse_config(text: str) -> ScenarioConfig:
     else:
         _validate_operator(raw["operatorSpec"], errors)
 
+    params = {}
     if experiment in EXPERIMENTS:
-        _validate_params(experiment, raw.get("params", {}), errors)
+        params = _fill_params(experiment, raw.get("params", {}), raw.get("operatorSpec"), errors)
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         errors.append(f"seed must be an integer, got {seed!r}")
 
-    tolerances = raw.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        errors.append("tolerances: must be an object")
-    elif not all(_is_number(v) for v in tolerances.values()):
-        errors.append("tolerances: all override values must be numbers")
+    tolerances = _fill_tolerances(raw.get("tolerances", {}), errors)
 
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(
         operator_spec=dict(raw["operatorSpec"]),
         experiment=experiment,
-        params=dict(raw.get("params", {})),
+        params=params,
         seed=seed,
-        tolerances=dict(tolerances),
+        tolerances=tolerances,
     )

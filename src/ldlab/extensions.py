@@ -25,6 +25,7 @@ from .spectral import (
     Subspace,
     _nullspace,
     _rank,
+    as_hermitian,
     eigh,
     orthocomplement,
     rel_is_selfadjoint,
@@ -47,11 +48,7 @@ class NotSelfAdjointError(ValueError):
 
 
 def _operator_matrix(a) -> np.ndarray:
-    if isinstance(a, SpectralOperator):
-        return np.asarray(a.matrix.entries)
-    if isinstance(a, HermitianMatrix):
-        return np.asarray(a.entries)
-    return np.asarray(HermitianMatrix(np.asarray(a)).entries)
+    return np.asarray(as_hermitian(a.matrix if isinstance(a, SpectralOperator) else a).entries)
 
 
 def minimal_relation(operator, constraints: Subspace) -> LinearRelation:
@@ -77,11 +74,6 @@ def _adjoint_and_residual(s: LinearRelation):
         return adj, 0.0
     resid = s.graph.basis - adj.graph.projector @ s.graph.basis
     return adj, float(np.max(np.abs(resid)))
-
-
-def is_symmetric_relation(s: LinearRelation, tol: float = SYMMETRY_TOL) -> bool:
-    """S subset of S*, checked by projecting the graph basis onto the adjoint graph."""
-    return _adjoint_and_residual(s)[1] <= tol
 
 
 def _require_symmetric(s: LinearRelation) -> LinearRelation:

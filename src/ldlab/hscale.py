@@ -17,8 +17,6 @@ import numpy as np
 from .leftdef import ShiftError, SpectralOperator
 from .spectral import DimensionMismatchError, inner
 
-DUALITY_TOL = 1e-12
-ISOMETRY_TOL = 1e-10
 PARTIAL_SUM_TERMS = 10 ** 6
 
 

@@ -10,23 +10,14 @@ programming error, not a failed check, and propagates to the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import classical, extensions, hscale, leftdef, sldiscrete
-from .config import EXTENSION_DIMS, ScenarioConfig
+from .config import ScenarioConfig
 from .report import Report, Table
 from .spectral import LinearRelation, Subspace, load_matrix_csv
-
-DEFAULT_TOLERANCES = {
-    "identity": 1e-8,
-    "property": 1e-9,
-    "isometry": 1e-10,
-    "duality": 1e-12,
-    "limit": 1e-6,
-    "matrix-theta": 1e-10,
-}
 
 
 @dataclass(frozen=True)
@@ -35,10 +26,14 @@ class BuiltOperator:
     label: str
     growth: hscale.GrowthModel | None = None
     discrete: "sldiscrete.DiscreteOperator | None" = None
-    laguerre_k: float | None = None
 
 
-def build_operator(spec: dict, rng: np.random.Generator) -> BuiltOperator:
+def _given(spec: dict, key: str) -> dict:
+    """{key: spec[key]} when the spec sets it, else {}: the callee's default applies."""
+    return {key: spec[key]} if key in spec else {}
+
+
+def build_operator(spec: dict) -> BuiltOperator:
     kind = spec["kind"]
     if kind == "diag-growth":
         model = hscale.GrowthModel(float(spec["p"]), float(spec["q"]))
@@ -53,29 +48,27 @@ def build_operator(spec: dict, rng: np.random.Generator) -> BuiltOperator:
         alpha, k, n = float(spec["alpha"]), float(spec["k"]), int(spec["N"])
         eigs = np.arange(n + 1, dtype=float) + k
         return BuiltOperator(leftdef.SpectralOperator.from_diag(eigs),
-                             f"laguerre(alpha={alpha},k={k},N={n})", laguerre_k=k)
+                             f"laguerre(alpha={alpha},k={k},N={n})")
     if kind == "sl":
-        coeffs = _sl_coeffs(spec)
-        op = sldiscrete.discretize(coeffs, int(spec["N"]), spec.get("bc", "dirichlet"))
+        coeffs = _sl_coeffs(spec["coeffs"])
+        if "delta" in spec:
+            coeffs = replace(coeffs, delta=float(spec["delta"]))
+        op = sldiscrete.discretize(coeffs, int(spec["N"]), **_given(spec, "bc"))
         return BuiltOperator(leftdef.SpectralOperator.from_matrix(op.matrix),
                              f"sl({coeffs.name},N={spec['N']},bc={op.bc})", discrete=op)
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
-def _sl_coeffs(spec: dict) -> sldiscrete.SLCoefficients:
-    coeffs = spec["coeffs"]
-    delta = float(spec.get("delta", 0.0))
+def _sl_coeffs(coeffs) -> sldiscrete.SLCoefficients:
+    """The named coefficient family, with its own default truncation delta."""
     if coeffs == "flat":
         return sldiscrete.SLCoefficients.flat()
     name = coeffs["name"]
     if name == "jacobi":
         return sldiscrete.SLCoefficients.jacobi(float(coeffs["alpha"]), float(coeffs["beta"]))
     if name == "laguerre":
-        built = sldiscrete.SLCoefficients.laguerre(float(coeffs["alpha"]),
-                                                   float(coeffs.get("cutoff", 40.0)))
-        return built if delta == 0.0 else sldiscrete.SLCoefficients(
-            built.p, built.q, built.w, built.a, built.b,
-            built.endpoint_a, built.endpoint_b, delta, built.name)
+        alpha = float(coeffs["alpha"])
+        return sldiscrete.SLCoefficients.laguerre(alpha, **_given(coeffs, "cutoff"))
     if name == "csv":
         table = np.loadtxt(coeffs["path"], delimiter=",", ndmin=2)
         if table.shape[1] != 4:
@@ -86,10 +79,6 @@ def _sl_coeffs(spec: dict) -> sldiscrete.SLCoefficients:
     raise ValueError(f"unknown coefficient family {name!r}")
 
 
-def _tol(config: ScenarioConfig, name: str) -> float:
-    return float(config.tolerances.get(name, DEFAULT_TOLERANCES[name]))
-
-
 def run_scenario(config: ScenarioConfig) -> Report:
     rng = np.random.default_rng(config.seed)
     report = Report(
@@ -97,7 +86,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
         meta={"experiment": config.experiment, "seed": config.seed},
     )
     try:
-        built = build_operator(config.operator_spec, rng)
+        built = build_operator(config.operator_spec)
         report.meta["operator"] = built.label
         runner = _RUNNERS[config.experiment]
         runner(report, built, config, rng)
@@ -107,11 +96,11 @@ def run_scenario(config: ScenarioConfig) -> Report:
 
 
 def _run_leftdef_verify(report: Report, built: BuiltOperator, config: ScenarioConfig, rng):
-    r = float(config.params.get("r", 2.0))
-    samples = int(config.params.get("samples", 50))
-    sub = leftdef.verify_ld_properties(built.operator, r, samples, config.seed)
-    report.extend(sub)
-    if float(r).is_integer():
+    r, samples = config.params["r"], config.params["samples"]
+    property_tol = config.tolerances["property"]
+    report.extend(leftdef.verify_ld_properties(built.operator, r, samples, config.seed,
+                                               tol=property_tol))
+    if r.is_integer():
         form = leftdef.ClosedFormR(int(r), built.operator.shift, built.operator)
         bound = form.lower_bound()
         worst = 0.0
@@ -121,7 +110,7 @@ def _run_leftdef_verify(report: Report, built: BuiltOperator, config: ScenarioCo
             value = form(f, f).real
             worst = max(worst, (bound * float(np.vdot(f, f).real) - value) / scale)
         report.add_check("closed-form-lower-bound", f"r={int(r)}, gamma={built.operator.shift:g}",
-                         worst, _tol(config, "property"))
+                         worst, property_tol)
         # informational only: whether the shifted forms stay ordered between
         # consecutive integer indices on unit samples (open question; no assertion)
         next_form = leftdef.ClosedFormR(int(r) + 1, built.operator.shift, built.operator)
@@ -138,10 +127,7 @@ def _run_leftdef_verify(report: Report, built: BuiltOperator, config: ScenarioCo
 
 
 def _run_laguerre_identity(report: Report, built: BuiltOperator, config: ScenarioConfig, rng):
-    alpha = float(config.params.get("alpha", config.operator_spec.get("alpha", 1.0)))
-    k = float(config.params.get("k", config.operator_spec.get("k", 1.0)))
-    n = int(config.params.get("n", 1))
-    deg = int(config.params.get("deg", 6))
+    alpha, k, n, deg = (config.params[key] for key in ("alpha", "k", "n", "deg"))
     rows = classical.laguerre_identity_table(alpha, k, n, deg)
     report.add_table(Table.build(
         "laguerre_identity",
@@ -149,14 +135,12 @@ def _run_laguerre_identity(report: Report, built: BuiltOperator, config: Scenari
         rows,
     ))
     report.add_check("laguerre-identity", f"alpha={alpha:g}, k={k:g}, n={n}, deg<={deg}",
-                     max(row[7] for row in rows), _tol(config, "identity"))
+                     max(row[7] for row in rows), config.tolerances["identity"])
 
 
 def _run_scale(report: Report, built: BuiltOperator, config: ScenarioConfig, rng):
     op = built.operator
-    s_values = [float(s) for s in _as_list(config.params.get("s", [-2.0, -1.0, 0.0, 1.0, 2.0]))]
-    t_values = [float(t) for t in _as_list(config.params.get("t", [0.0, 0.5, 1.0, 2.0]))]
-    samples = int(config.params.get("samples", 25))
+    s_values, t_values, samples = (config.params[key] for key in ("s", "t", "samples"))
     vectors = [rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim) for _ in range(samples)]
 
     worst_iso = max(
@@ -164,7 +148,7 @@ def _run_scale(report: Report, built: BuiltOperator, config: ScenarioConfig, rng
         for s in s_values for t in t_values for v in vectors
     )
     report.add_check("isometry", f"{len(s_values)}x{len(t_values)} grid", worst_iso,
-                     _tol(config, "isometry"))
+                     config.tolerances["isometry"])
 
     worst_dual = 0.0
     for s in s_values:
@@ -174,7 +158,7 @@ def _run_scale(report: Report, built: BuiltOperator, config: ScenarioConfig, rng
             scale = max(abs(plain), 1.0)
             worst_dual = max(worst_dual, abs(pair - plain) / scale)
     report.add_check("duality-reduction", f"{len(s_values)} s-values", worst_dual,
-                     _tol(config, "duality"))
+                     config.tolerances["duality"])
 
     stats = hscale.equivalence_check(op, 2.0, vectors)
     in_bounds = stats["bound_lo"] - 1e-12 <= stats["min_ratio"] and \
@@ -187,8 +171,8 @@ def _run_scale(report: Report, built: BuiltOperator, config: ScenarioConfig, rng
         model = built.growth
         s_star = hscale.critical_index(model)
         offsets = (-1.5, -0.5, -0.15, -0.06, 0.06, 0.15, 0.5, 1.5)
-        terms = int(config.params.get("classifierTerms", hscale.PARTIAL_SUM_TERMS))
-        rows = hscale.membership_table(model, [s_star + d for d in offsets], terms)
+        rows = hscale.membership_table(model, [s_star + d for d in offsets],
+                                       config.params["classifierTerms"])
         report.add_table(Table.build(
             "membership", ("p", "q", "s", "s_star", "verdict", "partial_sum_verdict"), rows))
         report.add_flag("membership-classifier-agreement",
@@ -196,19 +180,23 @@ def _run_scale(report: Report, built: BuiltOperator, config: ScenarioConfig, rng
                         all(r[4] == r[5] for r in rows))
 
 
+def _random_minimal_relation(rng: np.random.Generator, n: int, codim: int):
+    """A random positive definite matrix on C^n restricted to the complement of a
+    random codim-dimensional subspace (codim 0 draws nothing for it)."""
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = m @ m.conj().T + 0.5 * np.eye(n)
+    c = Subspace.span(rng.normal(size=(n, codim)) + 1j * rng.normal(size=(n, codim)))
+    return extensions.minimal_relation(h, c)
+
+
 def _run_extensions(report: Report, built: BuiltOperator, config: ScenarioConfig, rng):
-    trials = int(config.params.get("trials", 25))
-    dim_min = int(config.params.get("dimMin", EXTENSION_DIMS["dimMin"]))
-    dim_max = int(config.params.get("dimMax", EXTENSION_DIMS["dimMax"]))
-    codim = int(config.params.get("codim", 1))
+    trials, dim_min, dim_max, codim = (
+        config.params[key] for key in ("trials", "dimMin", "dimMax", "codim"))
     rows = []
     all_ok = {"deficiency": True, "von-neumann": True, "friedrichs-sa": True, "friedrichs-dom": True}
     for trial in range(trials):
         n = int(rng.integers(dim_min, dim_max + 1))
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        h = m @ m.conj().T + 0.5 * np.eye(n)
-        c = Subspace.span(rng.normal(size=(n, codim)) + 1j * rng.normal(size=(n, codim)))
-        s = extensions.minimal_relation(h, c)
+        s = _random_minimal_relation(rng, n, codim)
         rep = extensions.deficiency_indices(s)
         ok_def = (rep.m_plus, rep.m_minus) == (codim, codim)
         vn = extensions.von_neumann_check(s)
@@ -234,21 +222,12 @@ def _run_extensions(report: Report, built: BuiltOperator, config: ScenarioConfig
 
 
 def _run_friedrichs_conjecture(report: Report, built: BuiltOperator, config: ScenarioConfig, rng):
-    dim = int(config.params.get("dim", 6))
-    codim = int(config.params.get("codim", 1))
-    n_pow = int(config.params.get("n", 2))
-    trials = int(config.params.get("trials", 20))
+    dim, codim, n_pow, trials = (config.params[key] for key in ("dim", "codim", "n", "trials"))
     rows = []
     agree = True
     equal_when_trivial = True
     for trial in range(trials):
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = m @ m.conj().T + 0.5 * np.eye(dim)
-        if codim == 0:
-            c = Subspace.zero(dim)
-        else:
-            c = Subspace.span(rng.normal(size=(dim, codim)) + 1j * rng.normal(size=(dim, codim)))
-        s = extensions.minimal_relation(h, c)
+        s = _random_minimal_relation(rng, dim, codim)
         main = extensions.friedrichs_power_experiment(s, n_pow)
         oracle = extensions.friedrichs_power_oracle(s, n_pow)
         agree &= main.verdict == oracle.verdict
@@ -268,9 +247,7 @@ def _run_friedrichs_conjecture(report: Report, built: BuiltOperator, config: Sce
 def _run_perturb_sweep(report: Report, built: BuiltOperator, config: ScenarioConfig, rng):
     op = built.operator
     n = op.dim
-    rank = int(config.params.get("rank", 1))
-    t_max = float(config.params.get("tMax", 10.0))
-    t_steps = int(config.params.get("tSteps", 11))
+    rank, t_max, t_steps = (config.params[key] for key in ("rank", "tMax", "tSteps"))
     cols = []
     if built.discrete is not None:
         # boundary-functional columns exist only at regular endpoints;
@@ -319,11 +296,7 @@ def _run_perturb_sweep(report: Report, built: BuiltOperator, config: ScenarioCon
     crossrows, target, mul_dim = extensions.limit_crosscheck(op.matrix, spec_mul, [1e8])
     scale = max(1.0, float(np.max(np.abs(op.matrix.entries))))
     report.add_check("limit-crosscheck", f"t=1e8, mul_dim={mul_dim}",
-                     crossrows[0][1] / scale, _tol(config, "limit"))
-
-
-def _as_list(value):
-    return value if isinstance(value, list) else [value]
+                     crossrows[0][1] / scale, config.tolerances["limit"])
 
 
 _RUNNERS = {

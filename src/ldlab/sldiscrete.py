@@ -26,6 +26,7 @@ import numpy as np
 from .spectral import HermitianMatrix
 
 ENDPOINT_KINDS = ("regular", "limit-circle", "limit-point")
+BOUNDARY_TREATMENTS = ("dirichlet", "neumann-type")
 
 
 class CoefficientError(ValueError):
@@ -161,7 +162,7 @@ def discretize(coeffs: SLCoefficients, n_interior: int, bc: str = "dirichlet") -
     """
     if n_interior < 3:
         raise ValueError("need at least 3 interior nodes")
-    if bc not in ("dirichlet", "neumann-type"):
+    if bc not in BOUNDARY_TREATMENTS:
         raise ValueError(f"unknown boundary treatment {bc!r}")
     nodes, h, a_eff, b_eff, truncated = _grid(coeffs, n_interior)
     half = a_eff + h * (np.arange(n_interior + 1) + 0.5)
@@ -307,18 +308,6 @@ class BoundaryFunctional:
         """Grid duality pairing h * sum w_i f_i r_i ~ [f, u](endpoint)."""
         f = np.asarray(f, dtype=float)
         return self.h * float(np.dot(self.weights * f, self.representer))
-
-
-def save_grid_csv(path, xs, values):
-    """Export a grid function as CSV rows (x, value) with a header."""
-    xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if xs.shape != values.shape:
-        raise ValueError("x grid and values must have equal length")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,value\n")
-        for x, v in zip(xs, values):
-            fh.write(f"{x:.12g},{v:.12g}\n")
 
 
 def boundary_functional(coeffs: SLCoefficients, u, endpoint: str) -> BoundaryFunctional:

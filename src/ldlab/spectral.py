@@ -159,9 +159,6 @@ class SpectralDecomposition:
         u_adj.setflags(write=False)
         return u_adj
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors_adjoint
-
     def apply_function(self, func) -> np.ndarray:
         """U diag(func(lambda)) U* as a plain ndarray."""
         return (self.eigenvectors * func(self.eigenvalues)) @ self.eigenvectors_adjoint
@@ -468,11 +465,6 @@ class LinearRelation:
             q, _ = np.linalg.qr(cols)
             return LinearRelation(Subspace(2 * n, q))
         return LinearRelation(Subspace.span(cols, 2 * n))
-
-
-def rel_adjoint(t: LinearRelation) -> LinearRelation:
-    """The adjoint relation t*, computed once per relation (`LinearRelation.adjoint`)."""
-    return t.adjoint
 
 
 def rel_compose(t: LinearRelation, s: LinearRelation) -> LinearRelation:

@@ -5,10 +5,10 @@ import pytest
 
 from ldlab import extensions, scenarios
 from ldlab.cli import main
-from ldlab.config import ConfigError, parse_config
+from ldlab.config import EXPERIMENTS, ConfigError, parse_config
 from ldlab.leftdef import SpectralOperator
 from ldlab.report import Report, Table, emit
-from ldlab.scenarios import run_scenario
+from ldlab.scenarios import build_operator, run_scenario
 from ldlab.spectral import LinearRelation, Subspace
 
 
@@ -111,6 +111,100 @@ class TestParseConfig:
         raw = make_config(operatorSpec={"kind": "sl", "coeffs": "flat", "N": 30, "bc": "robin"})
         with pytest.raises(ConfigError, match="bc"):
             parse_config(json.dumps(raw))
+
+
+DIAG = {"kind": "diag-growth", "p": 1.0, "q": 0.0, "N": 6}
+
+# The defaults each experiment ran with before they were declared in one table.
+FILLED_DEFAULTS = [
+    ("leftdef-verify", DIAG, {"r": 2.0, "samples": 50}),
+    ("laguerre-identity", DIAG, {"alpha": 1.0, "k": 1.0, "n": 1, "deg": 6}),
+    ("laguerre-identity", {"kind": "laguerre", "alpha": 0.5, "k": 2.0, "N": 4},
+     {"alpha": 0.5, "k": 2.0, "n": 1, "deg": 6}),
+    ("scale", DIAG, {"s": [-2.0, -1.0, 0.0, 1.0, 2.0], "t": [0.0, 0.5, 1.0, 2.0],
+                     "samples": 25, "classifierTerms": 1000000}),
+    ("extensions", DIAG, {"trials": 25, "dimMin": 5, "dimMax": 10, "codim": 1}),
+    ("friedrichs-conjecture", DIAG, {"dim": 6, "codim": 1, "n": 2, "trials": 20}),
+    ("perturb-sweep", DIAG, {"rank": 1, "tMax": 10.0, "tSteps": 11}),
+]
+
+
+class TestFilledConfig:
+    @pytest.mark.parametrize("experiment, spec, expected", FILLED_DEFAULTS)
+    def test_empty_params_fill_the_defaults(self, experiment, spec, expected):
+        raw = make_config(operatorSpec=spec, experiment=experiment, params={})
+        params = parse_config(json.dumps(raw)).params
+        assert params == expected
+        assert [type(v) for v in params.values()] == [type(v) for v in expected.values()]
+
+    def test_every_experiment_has_a_defaults_row(self):
+        assert {row[0] for row in FILLED_DEFAULTS} == set(EXPERIMENTS)
+
+    def test_omitted_tolerances_fill_the_defaults(self):
+        config = parse_config(json.dumps(make_config()))
+        assert config.tolerances == {"identity": 1e-8, "property": 1e-9, "isometry": 1e-10,
+                                     "duality": 1e-12, "limit": 1e-6}
+
+    def test_values_are_stored_as_their_kind(self):
+        raw = make_config(operatorSpec=DIAG, experiment="scale",
+                          params={"s": 1, "t": [0, 2], "samples": 3.0},
+                          tolerances={"isometry": 1})
+        config = parse_config(json.dumps(raw))
+        assert config.params["s"] == [1.0] and type(config.params["s"][0]) is float
+        assert config.params["t"] == [0.0, 2.0] and type(config.params["t"][1]) is float
+        assert type(config.params["samples"]) is int
+        assert type(config.tolerances["isometry"]) is float
+
+    def test_codim_equal_to_the_dimension_is_valid(self):
+        for experiment, params in (
+            ("extensions", {"trials": 2, "dimMin": 3, "dimMax": 3, "codim": 3}),
+            ("friedrichs-conjecture", {"trials": 2, "dim": 3, "codim": 3, "n": 2}),
+        ):
+            raw = make_config(operatorSpec=DIAG, experiment=experiment, params=params)
+            assert run_scenario(parse_config(json.dumps(raw))).overall == "PASS"
+
+    def test_property_tolerance_sets_every_property_threshold(self):
+        raw = make_config(operatorSpec=DIAG, experiment="leftdef-verify",
+                          params={"r": 2, "samples": 3}, tolerances={"property": 1e-30})
+        rows = run_scenario(parse_config(json.dumps(raw))).rows
+        governed = {r.name for r in rows if r.threshold == 1e-30}
+        assert governed == {"lower-bound(4)", "duality(5)", "eigen-gram-offdiag",
+                            "eigen-gram-diag", "closed-form-lower-bound"}
+        assert {r.name for r in rows} - governed == {"multiplicity-invariance"}   # a flag
+
+
+class TestDelta:
+    JACOBI = {"name": "jacobi", "alpha": 1.0, "beta": 1.0}
+    LAGUERRE = {"name": "laguerre", "alpha": 1.0}
+
+    @pytest.mark.parametrize("coeffs, delta, interval", [
+        (JACOBI, None, (-1.0, 1.0, False)),
+        (JACOBI, 0.05, (-0.95, 0.95, True)),
+        (LAGUERRE, None, (1e-3, 40.0 - 1e-3, True)),
+        (LAGUERRE, 0, (0.0, 40.0, False)),
+        (LAGUERRE, 0.5, (0.5, 39.5, True)),
+        ("flat", 0.05, (0.0, np.pi, False)),   # regular endpoints are never truncated
+    ])
+    def test_delta_truncates_non_regular_endpoints(self, coeffs, delta, interval):
+        spec = {"kind": "sl", "coeffs": coeffs, "N": 10}
+        if delta is not None:
+            spec["delta"] = delta
+        disc = build_operator(parse_config(json.dumps(make_config(operatorSpec=spec)))
+                              .operator_spec).discrete
+        a, b, truncated = disc.coeffs.effective_interval()
+        assert (a, b, truncated) == pytest.approx(interval, abs=1e-15)
+        assert disc.truncated == truncated
+        assert disc.nodes[0] > a and disc.nodes[-1] < b
+
+    def test_jacobi_tables_change_with_delta(self):
+        def sweep(delta):
+            spec = {"kind": "sl", "coeffs": self.JACOBI, "N": 12, "delta": delta}
+            raw = make_config(operatorSpec=spec, experiment="perturb-sweep",
+                              params={"tSteps": 3})
+            report = run_scenario(parse_config(json.dumps(raw)))
+            return next(t for t in report.tables if t.name == "theta_sweep").to_csv()
+
+        assert sweep(0.0) != sweep(0.05)
 
 
 class TestReportEmit:
@@ -359,6 +453,41 @@ class TestCli:
         )
         assert main(["run", self.write_config(tmp_path, raw)]) == 2
         assert "dimMin=12 exceeds dimMax=10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, params, tolerances, message", [
+        ("extensions", {"dimMin": 5, "dimMax": 5, "codim": 6}, {},
+         "params: codim=6 exceeds dimMin=5"),
+        ("friedrichs-conjecture", {"dim": 3, "codim": 4}, {}, "params: codim=4 exceeds dim=3"),
+        ("extensions", {"trials": 2.7}, {}, "params: 'trials' must be an integer, got 2.7"),
+        ("perturb-sweep", {"tMax": float("inf")}, {}, "params: 'tMax' must be a finite number"),
+        ("leftdef-verify", {"r": 10 ** 400}, {}, "params: 'r' must be a finite number"),
+        ("scale", {"s": []}, {}, "params: 's' must be a finite number or a nonempty list"),
+        ("laguerre-identity", {}, {"identity": float("inf")},
+         "tolerances: identity=inf must be a finite number > 0"),
+        ("laguerre-identity", {}, {"property": 0}, "tolerances: property=0 must be"),
+        ("laguerre-identity", {}, {"limt": 1e-3}, "tolerances: unknown key 'limt'"),
+        ("laguerre-identity", {}, {"matrix-theta": -5}, "tolerances: unknown key 'matrix-theta'"),
+    ])
+    def test_config_mistake_exit_two(self, tmp_path, capsys, experiment, params, tolerances,
+                                     message):
+        raw = make_config(operatorSpec=DIAG, experiment=experiment, params=params,
+                          tolerances=tolerances)
+        assert main(["run", self.write_config(tmp_path, raw), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "laguerre", "alpha": 1.0, "k": 1.0, "N": 8.5}, "N=8.5 violates integral N >= 1"),
+        ({"kind": "diag-growth", "p": float("inf"), "q": 0.0, "N": 4},
+         "operatorSpec: 'p' must be a finite number"),
+        ({"kind": "sl", "coeffs": "flat", "N": 8, "delta": float("nan")},
+         "operatorSpec: delta=nan must be a finite number >= 0"),
+    ])
+    def test_operator_spec_mistake_exit_two(self, tmp_path, capsys, spec, message):
+        raw = make_config(operatorSpec=spec)
+        assert main(["run", self.write_config(tmp_path, raw), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

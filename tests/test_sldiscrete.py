@@ -15,7 +15,6 @@ from ldlab.sldiscrete import (
     discretize,
     greens_dirichlet_check,
     principal_solution,
-    save_grid_csv,
     wronskian_form,
 )
 
@@ -390,20 +389,3 @@ class TestBoundaryFunctional:
         f = np.cos(xs) + 0.5 * xs ** 2
         max_fprime = float(np.max(np.abs(-np.sin(xs) + xs)))
         assert abs(func.pair(f) - (-1.0)) <= 10 * h * max(max_fprime, 1.0)
-
-
-class TestGridCsv:
-    def test_header_and_roundtrip(self, tmp_path):
-        path = tmp_path / "u.csv"
-        xs = np.linspace(0.1, 0.9, 5)
-        vals = np.sin(xs)
-        save_grid_csv(path, xs, vals)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,value"
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_allclose(data[:, 0], xs, rtol=1e-11)   # %.12g format
-        np.testing.assert_allclose(data[:, 1], vals, rtol=1e-11)
-
-    def test_length_mismatch(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_grid_csv(tmp_path / "bad.csv", [0.0, 1.0], [1.0])
