@@ -23,7 +23,7 @@ from .spectral import (
     LinearRelation,
     SpectrumError,
     Subspace,
-    _nullspace,
+    _lapack_operand,
     _rank,
     as_hermitian,
     eigh,
@@ -288,7 +288,7 @@ class PerturbationSpec:
 
 
 def _compression(a0, spec: PerturbationSpec):
-    """(Q, A0 + B Theta_op B*, B mul Theta), Q an orthonormal basis of (B mul Theta)^perp."""
+    """(A0 + B Theta_op B*, B mul Theta) for the split Theta = Theta_op (+) mul Theta."""
     a = _operator_matrix(a0)
     n = a.shape[0]
     if spec.b_map.shape[0] != n:
@@ -298,7 +298,28 @@ def _compression(a0, spec: PerturbationSpec):
     dom, h = _operator_part(spec.theta)
     b_dom = spec.b_map @ dom.basis
     b_mul = spec.b_map @ orthocomplement(dom).basis
-    return _nullspace(b_mul.conj().T), a + b_dom @ h @ b_dom.conj().T, b_mul
+    return a + b_dom @ h @ b_dom.conj().T, b_mul
+
+
+def _complement(b_mul: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of (B mul Theta)^perp: the trailing columns of a complete QR.
+
+    B has independent columns (checked by PerturbationSpec) and mul Theta an
+    orthonormal basis, so B mul Theta has full column rank and needs no rank decision.
+    """
+    q, _ = np.linalg.qr(b_mul, mode="complete")
+    return q[:, b_mul.shape[1]:]
+
+
+def _finite_spectrum(action: np.ndarray, b_mul: np.ndarray) -> np.ndarray:
+    """Eigenvalues of `action` compressed to (B mul Theta)^perp; with mul Theta = {0},
+    of `action` as it stands. Real-valued data is solved in float64."""
+    m = _lapack_operand(action)
+    if b_mul.shape[1]:
+        q = _lapack_operand(_complement(b_mul))
+        h = q.conj().T @ m @ q
+        m = (h + h.conj().T) / 2
+    return np.linalg.eigvalsh(m)
 
 
 def perturb(a0, spec: PerturbationSpec) -> LinearRelation:
@@ -310,7 +331,8 @@ def perturb(a0, spec: PerturbationSpec) -> LinearRelation:
     Together with relation_spectrum this is the graph-route oracle for
     perturbed_spectrum.
     """
-    q, action, b_mul = _compression(a0, spec)
+    action, b_mul = _compression(a0, spec)
+    q = _complement(b_mul)
     n = action.shape[0]
     cols = np.hstack([np.vstack([q, action @ q]), np.vstack([np.zeros_like(b_mul), b_mul])])
     result = LinearRelation(Subspace.span(cols, 2 * n))
@@ -324,11 +346,11 @@ def perturbed_spectrum(a0, spec: PerturbationSpec):
 
     The finite spectrum of A0 + B Theta B* is that of A0 + B Theta_op B*
     compressed to (B mul Theta)^perp (Albeverio-Kurasov); dim(B mul Theta)
-    eigenvalues sit at infinity. One n x n eigensolve, no graph subspaces.
+    eigenvalues sit at infinity. One n x n eigensolve, no graph subspaces; for
+    mul Theta = {0} no compression basis either.
     """
-    q, action, b_mul = _compression(a0, spec)
-    h = q.conj().T @ action @ q
-    return np.linalg.eigvalsh((h + h.conj().T) / 2), b_mul.shape[1]
+    action, b_mul = _compression(a0, spec)
+    return _finite_spectrum(action, b_mul), b_mul.shape[1]
 
 
 def limit_crosscheck(a0, spec: PerturbationSpec, t_list):
@@ -339,11 +361,11 @@ def limit_crosscheck(a0, spec: PerturbationSpec, t_list):
     largest eigenvalues are the divergent branches. Returns a row per t:
     (t, max deviation of finite eigenvalues, smallest divergent eigenvalue).
     """
-    target, mul_dim = perturbed_spectrum(a0, spec)
-    _, action, b_mul = _compression(a0, spec)
+    action, b_mul = _compression(a0, spec)
+    target, mul_dim = _finite_spectrum(action, b_mul), b_mul.shape[1]
     rows = []
     for t in t_list:
-        lam = np.linalg.eigvalsh(action + float(t) * b_mul @ b_mul.conj().T)
+        lam = np.linalg.eigvalsh(_lapack_operand(action + float(t) * b_mul @ b_mul.conj().T))
         keep = lam.shape[0] - mul_dim
         finite = lam[:keep]
         dev = float(np.max(np.abs(finite - target))) if keep else 0.0
@@ -371,14 +393,18 @@ def theta_sweep(a0, b_map, family):
 
 
 def interlacing_check(a0, phi, t: float) -> bool:
-    """Rank-one interlacing: lambda_i(A) <= lambda_i(A + t phi phi*) <= lambda_{i+1}(A)."""
+    """Rank-one interlacing: lambda_i(A) <= lambda_i(A + t phi phi*) <= lambda_{i+1}(A).
+
+    For a SpectralOperator, lambda(A) is its stored, validated decomposition's.
+    """
     if not t > 0:
         raise ValueError("interlacing check needs t > 0")
     phi = np.asarray(phi, dtype=complex)
     if abs(np.linalg.norm(phi) - 1.0) > 1e-8:
         raise ValueError("phi must be normalized")
     a = _operator_matrix(a0)
-    lam = eigh(HermitianMatrix(a)).eigenvalues
+    lam = (a0.eigenvalues if isinstance(a0, SpectralOperator)
+           else eigh(HermitianMatrix(a)).eigenvalues)
     mu = eigh(HermitianMatrix(a + t * np.outer(phi, phi.conj()))).eigenvalues
     scale = max(float(np.max(np.abs(lam))), float(t), 1.0)
     slack = INTERLACE_SLACK * scale

@@ -288,13 +288,13 @@ def _run_perturb_sweep(report: Report, built: BuiltOperator, config: ScenarioCon
                      float(np.max(np.abs(spectra[0] - base))), 1e-10 * max(1.0, float(base[-1])))
 
     if rank == 1:
-        ok = extensions.interlacing_check(op.matrix, b[:, 0], max(t_max, 1.0))
+        ok = extensions.interlacing_check(op, b[:, 0], max(t_max, 1.0))
         report.add_flag("rank-one-interlacing", f"t={max(t_max, 1.0):g}", ok)
 
     theta_mul = LinearRelation.multivalued(rank)
     spec_mul = extensions.PerturbationSpec(b, theta_mul)
     crossrows, target, mul_dim = extensions.limit_crosscheck(op.matrix, spec_mul, [1e8])
-    scale = max(1.0, float(np.max(np.abs(op.matrix.entries))))
+    scale = max(1.0, op.matrix.norm_max)
     report.add_check("limit-crosscheck", f"t=1e8, mul_dim={mul_dim}",
                      crossrows[0][1] / scale, config.tolerances["limit"])
 

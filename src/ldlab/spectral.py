@@ -19,6 +19,14 @@ QR when mul T = 0. A rank decision stays where the rank is not known: `domain`,
 `rel_compose`, `Subspace.span` of arbitrary columns and every nullspace. Every
 `Subspace` still checks the orthonormality of its basis.
 
+A Hermitian matrix whose imaginary part is exactly zero is real symmetric.
+`eigh` then hands LAPACK the float64 real part (its real symmetric solver,
+about a third of the complex cost) and runs the orthonormality and residual
+checks in float64 too; the stored eigenvectors are complex either way.
+`_lapack_operand` is the one place that decides this, from the data alone, and
+`extensions` uses it for its eigenvalue-only solves. Genuinely complex data
+keeps the complex route.
+
 All values are immutable after construction and every operation is a pure
 function, so concurrent read-only use is safe.
 """
@@ -105,6 +113,12 @@ def as_hermitian(matrix) -> HermitianMatrix:
     return HermitianMatrix(np.asarray(matrix))
 
 
+def _lapack_operand(m: np.ndarray) -> np.ndarray:
+    """m's real part as a contiguous float64 array when m's imaginary part is exactly
+    zero, else m: a real symmetric problem goes to LAPACK's real routines."""
+    return np.ascontiguousarray(m.real) if not np.any(m.imag) else m
+
+
 def _ortho_defect(b: np.ndarray) -> float:
     """max|B*B - I|, the identity subtracted from the diagonal of B*B in place."""
     gram = b.conj().T @ b   # a new C-contiguous array, so reshape(-1) is a view of it
@@ -143,7 +157,7 @@ class SpectralDecomposition:
             raise SpectrumError("eigenvalues must be nondecreasing")
         rows = _unit_permutation(u)
         if rows is None:
-            ortho = _ortho_defect(u)
+            ortho = _ortho_defect(_lapack_operand(u))
             if ortho > ORTHO_TOL:
                 raise SpectrumError(f"eigenvector columns not orthonormal: {ortho:.3e}")
         lam.setflags(write=False)
@@ -168,14 +182,16 @@ def _check_residual(h: HermitianMatrix, decomp: SpectralDecomposition):
     """Raise unless max|HU - U Lambda| <= ORTHO_TOL * ||H||_max.
 
     For diagonal H and a unit-permutation U the residual is exactly
-    max|H[row_j, row_j] - lambda_j|, found without the dense product.
+    max|H[row_j, row_j] - lambda_j|, found without the dense product; otherwise
+    the product is formed in float64 when H and U are both real-valued.
     """
     lam, u, rows = decomp.eigenvalues, decomp.eigenvectors, decomp.unit_rows
     diagonal = np.diagonal(h.entries)
     if rows is not None and np.count_nonzero(h.entries) == np.count_nonzero(diagonal):
         resid = float(np.max(np.abs(diagonal[rows] - lam)))
     else:
-        resid = float(np.max(np.abs(h.entries @ u - u * lam)))
+        h_op, u_op = _lapack_operand(h.entries), _lapack_operand(u)
+        resid = float(np.max(np.abs(h_op @ u_op - u_op * lam)))
     if resid > ORTHO_TOL * max(h.norm_max, 1e-300):
         raise SpectrumError(f"eigendecomposition residual too large: {resid:.3e}")
 
@@ -185,13 +201,15 @@ def eigh(matrix) -> SpectralDecomposition:
 
     Eigenvalues within CLUSTER_RTOL * ||H||_max of each other are treated as
     one cluster and their eigenvectors re-orthonormalized by QR, so degenerate
-    spectra always yield cleanly orthonormal columns.
+    spectra always yield cleanly orthonormal columns. A real-valued matrix is
+    solved in float64 (`_lapack_operand`); the orthonormality and residual
+    checks run on every result, on either route.
 
     Raises NotHermitianError for non-Hermitian input (with the max asymmetry
     reported) and propagates LinAlgError on non-convergence.
     """
     h = as_hermitian(matrix)
-    lam, u = np.linalg.eigh(h.entries)
+    lam, u = np.linalg.eigh(_lapack_operand(h.entries))
     gap_tol = CLUSTER_RTOL * max(h.norm_max, 1e-300)
     start = 0
     for i in range(1, len(lam) + 1):

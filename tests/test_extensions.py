@@ -23,7 +23,8 @@ from ldlab.extensions import (
     von_neumann_check,
 )
 from ldlab.extensions import SYMMETRY_TOL, _adjoint_and_residual
-from ldlab import spectral
+from ldlab import extensions, spectral
+from ldlab.leftdef import SpectralOperator
 from ldlab.spectral import (
     LinearRelation,
     SpectrumError,
@@ -360,6 +361,86 @@ class TestPerturbedSpectrumOracle:
         assert max(rows_seen) <= n
 
 
+class _MatmulSpy(np.ndarray):
+    """An array that records the operand shapes of every matmul it takes part in."""
+
+    shapes: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _MatmulSpy.shapes.append(tuple(np.shape(x) for x in inputs))
+        plain = [x.view(np.ndarray) if isinstance(x, _MatmulSpy) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def _record_calls(monkeypatch, module, name: str, log: list):
+    """module.<name> wrapped to append (name, args) to `log` on every call."""
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        log.append((name, args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+
+
+class TestPerturbationBudget:
+    """LAPACK calls and dense products of the perturbation routes."""
+
+    def test_perturb_sweep_lapack_budget(self, monkeypatch):
+        from ldlab.config import parse_config
+        from ldlab.scenarios import run_scenario
+
+        t_steps = 7
+        config = parse_config('{"operatorSpec": {"kind": "sl", "coeffs": "flat", "N": 40, '
+                              '"bc": "dirichlet"}, "experiment": "perturb-sweep", '
+                              f'"params": {{"rank": 1, "tSteps": {t_steps}}}, "seed": 5}}')
+        log = []
+        for name in ("eigh", "eigvalsh"):
+            _record_calls(monkeypatch, np.linalg, name, log)
+        report = run_scenario(config)
+        assert report.overall == "PASS"
+        assert [args[0].dtype for _, args in log] == [np.float64] * len(log)
+        names = [name for name, _ in log]
+        # eigh: the operator's decomposition and the rank-one update of the interlacing check;
+        # eigvalsh: one per sweep step, the crosscheck's target and its penalty solve
+        assert names.count("eigh") == 2
+        assert names.count("eigvalsh") == t_steps + 2
+
+    def test_limit_crosscheck_compresses_once_without_full_svd(self, monkeypatch):
+        n = 30
+        b = Subspace.span(np.random.default_rng(34).normal(size=(n, 2))).basis
+        spec = PerturbationSpec(b, _theta("mixed"))
+        compressions, svds = [], _count_svds(monkeypatch)
+        _record_calls(monkeypatch, extensions, "_compression", compressions)
+        rows, target, mul_dim = limit_crosscheck(_flat_sl(n), spec, [1e6, 1e8])
+        assert len(compressions) == 1
+        assert svds and max(shape[-1] for shape in svds) <= spec.rank
+        assert mul_dim == 1 and len(rows) == 2
+
+    @pytest.mark.parametrize("kind", ["matrix", "multivalued"])
+    def test_matrix_theta_takes_no_square_product(self, monkeypatch, kind):
+        n = 12
+        a0 = _dense_operator(n, 35)
+        b = Subspace.span(np.random.default_rng(36).normal(size=(n, 2))).basis
+        spec = PerturbationSpec(b, _theta(kind))
+        real = extensions._compression
+
+        def spying(*args):
+            action, b_mul = real(*args)
+            return action.view(_MatmulSpy), b_mul
+
+        monkeypatch.setattr(extensions, "_compression", spying)
+        monkeypatch.setattr(_MatmulSpy, "shapes", [])
+        eigs, mul_dim = perturbed_spectrum(a0, spec)
+        square = [shapes for shapes in _MatmulSpy.shapes if (n, n) in shapes]
+        if kind == "matrix":
+            assert square == [] and mul_dim == 0
+            np.testing.assert_array_equal(eigs, np.linalg.eigvalsh(real(a0, spec)[0]))
+        else:
+            assert square, "the spy saw no product; the compression of a multivalued part is one"
+
+
 class TestThetaSweepAndInterlacing:
     def test_sweep_monotone_and_endpoints(self):
         a0 = np.diag([1.0, 3.0])
@@ -398,6 +479,17 @@ class TestThetaSweepAndInterlacing:
             phi = rng.normal(size=8) + 1j * rng.normal(size=8)
             phi = phi / np.linalg.norm(phi)
             assert interlacing_check(a0, phi, float(rng.uniform(0.1, 5.0)))
+
+    def test_interlacing_reads_operator_decomposition(self, monkeypatch):
+        op = SpectralOperator.from_matrix(_flat_sl(20))
+        phi = np.random.default_rng(37).normal(size=20)
+        phi = phi / np.linalg.norm(phi)
+        calls = []
+        _record_calls(monkeypatch, np.linalg, "eigh", calls)
+        assert interlacing_check(op, phi, 3.0)
+        assert len(calls) == 1
+        assert interlacing_check(op.matrix, phi, 3.0)
+        assert len(calls) == 3
 
     def test_interlacing_requires_positive_t(self):
         with pytest.raises(ValueError):

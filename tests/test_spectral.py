@@ -105,6 +105,72 @@ class TestEigh:
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) <= 1e-12
 
 
+def _recording(monkeypatch, name: str, corrupt=None) -> list:
+    """np.linalg.<name> wrapped to record the dtype it is handed; `corrupt` edits its result."""
+    real = getattr(np.linalg, name)
+    dtypes = []
+
+    def recording(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        out = real(a, *args, **kwargs)
+        return corrupt(*out) if corrupt else out
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    return dtypes
+
+
+def _real_valued(seed, n=30) -> HermitianMatrix:
+    """A real symmetric matrix stored, as every HermitianMatrix is, as complex128."""
+    h = random_hermitian(np.random.default_rng(seed), n, complex_=False)
+    assert h.entries.dtype == np.complex128
+    return h
+
+
+class TestRealRoute:
+    """A Hermitian matrix whose imaginary part is exactly zero is solved in float64."""
+
+    def test_real_valued_input_reaches_lapack_as_float64(self, monkeypatch):
+        h = _real_valued(40)
+        complex_lam = np.linalg.eigvalsh(h.entries)
+        dtypes = _recording(monkeypatch, "eigh")
+        decomp = eigh(h)
+        assert dtypes == [np.float64]
+        assert decomp.eigenvectors.dtype == np.complex128
+        tol = 1e-12 * h.norm_max
+        assert np.max(np.abs(decomp.eigenvalues - complex_lam)) <= tol
+        assert np.max(np.abs(decomp.apply_function(lambda x: x) - h.entries)) <= tol
+
+    def test_one_imaginary_pair_keeps_complex_route(self, monkeypatch):
+        entries = _real_valued(41).entries.copy()
+        entries[3, 7] += 1e-3j
+        entries[7, 3] -= 1e-3j
+        h = HermitianMatrix(entries)
+        real_lam = np.linalg.eigvalsh(entries.real)
+        complex_lam = np.linalg.eigh(entries)[0]
+        dtypes = _recording(monkeypatch, "eigh")
+        decomp = eigh(h)
+        assert dtypes == [np.complex128]
+        np.testing.assert_array_equal(decomp.eigenvalues, complex_lam)
+        assert np.max(np.abs(decomp.eigenvalues - real_lam)) > 1e-9
+
+    @pytest.mark.parametrize("fault, message", [("vector", "not orthonormal"),
+                                                ("value", "residual too large")])
+    def test_corrupted_float64_result_is_rejected(self, monkeypatch, fault, message):
+        h = _real_valued(42)
+
+        def corrupt(lam, u):
+            if fault == "vector":
+                u[:, 0] *= 1.0 + 1e-6
+            else:
+                lam[-1] += 1e-6 * h.norm_max
+            return lam, u
+
+        dtypes = _recording(monkeypatch, "eigh", corrupt)
+        with pytest.raises(SpectrumError, match=message):
+            eigh(h)
+        assert dtypes == [np.float64]
+
+
 def _permutation(order):
     u = np.zeros((len(order), len(order)), dtype=complex)
     u[order, np.arange(len(order))] = 1.0
