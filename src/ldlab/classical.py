@@ -8,7 +8,8 @@ explicit derivative-weighted inner product
 
 with Gauss-Laguerre quadrature that is exact on the polynomial test grid, and
 the spectral inner product sum_m (m+k)^n c_m d_m ||L_m||^2, whose agreement is
-the flagship identity check of the package.
+the flagship identity check of the package. The identity table builds its Gauss
+rules and the spectral factors (m+k)^n and ||L_m||^2 once per call.
 
 Polynomials are represented by their coefficient vectors in L_n^alpha.
 Derivatives use the basis identity (L_n^alpha)' = -L_{n-1}^{alpha+1}
@@ -274,27 +275,34 @@ def spectral_inner(basis: LaguerreBasis, k: float, n: int, p, q) -> float:
     m = max(cp.shape[0], cq.shape[0])
     cp = np.pad(cp, (0, m - cp.shape[0]))
     cq = np.pad(cq, (0, m - cq.shape[0]))
+    weights, norms = _spectral_factors(basis, k, n, m)
+    return float(np.sum(weights * cp * cq * norms))
+
+
+def _spectral_factors(basis: LaguerreBasis, k: float, n: int, m: int):
+    """((j + k)^n, ||L_j||^2) for j = 0..m-1, the factors of `spectral_inner`."""
     ms = np.arange(m, dtype=float)
-    norms = np.array([basis.norm_sq(i) for i in range(m)])
-    return float(np.sum((ms + k) ** n * cp * cq * norms))
+    return (ms + k) ** n, np.array([basis.norm_sq(i) for i in range(m)])
 
 
 def laguerre_identity_table(alpha: float, k: float, n: int, max_deg: int) -> list:
     """Rows (alpha, k, n, degP, degQ, dirichlet, spectral, residual) over basis pairs.
 
     Each Gauss rule (and the shifted basis at its nodes) is built once per call and
-    shared by every pair that needs it; nothing is kept between calls.
+    shared by every pair that needs it, and so are the spectral factors (m + k)^n and
+    ||L_m||^2; nothing is kept between calls. For the basis pair (L_i, L_j) the
+    spectral sum has the one term (i + k)^n ||L_i||^2 when i == j and none
+    otherwise, bitwise what `spectral_inner` sums.
     """
     basis = LaguerreBasis.build(alpha, max_deg)
     spec = DirichletFormSpec.build(n, k)
+    weights, norms = _spectral_factors(basis, k, n, max_deg + 1)
     rules = {}
     rows = []
     for i in range(max_deg + 1):
         for j in range(i, max_deg + 1):
-            p = basis_poly(i)
-            q = basis_poly(j)
-            d = _dirichlet_inner(spec, basis, p, q, rules)
-            s = spectral_inner(basis, k, n, p, q)
+            d = _dirichlet_inner(spec, basis, basis_poly(i), basis_poly(j), rules)
+            s = float(weights[i] * norms[i]) if i == j else 0.0
             rows.append((alpha, k, n, i, j, d, s, abs(d - s) / (1.0 + abs(s))))
     return rows
 

@@ -6,14 +6,18 @@ the r-th left-definite space (Gram matrix A^r), the r-th left-definite
 operator, the shifted closed forms, and a verification report for the
 defining properties and the spectral-stability statements.
 
-`SpectralOperator.from_matrix` decomposes with LAPACK; `from_diag` (the
-diag-growth and Laguerre operators) uses the exact decomposition of a diagonal
-matrix, sorted values and a permuted identity, with no LAPACK call.
+`SpectralOperator.from_matrix` decomposes with LAPACK. `from_diag` (the
+diag-growth and Laguerre operators) keeps the exact decomposition of a
+diagonal matrix, its sorted values and their permutation, with no LAPACK call
+and nothing of n x n size; the dense matrix is built, once, when a consumer
+first reads `matrix`. Left-definite constructions need k > 0 beyond the
+cutoff CLUSTER_RTOL * ||A||_max, the same one that sets the default shift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -37,29 +41,51 @@ class ShiftError(ValueError):
     """Raised when an operator is not positive (or a shift is not below its bound)."""
 
 
+def _norm_max(dense: HermitianMatrix | None, decomp: SpectralDecomposition) -> float:
+    """max|entries| of an operator: the dense matrix's own, else (a diagonal operator) the
+    larger magnitude at the two ends of its sorted diagonal."""
+    if dense is not None:
+        return dense.norm_max
+    lam = decomp.eigenvalues
+    return max(abs(float(lam[0])), abs(float(lam[-1])))
+
+
+def _zero_cutoff(norm_max: float) -> float:
+    """Lower bounds at or below CLUSTER_RTOL * ||A||_max, eigh's cluster cutoff, count as zero."""
+    return CLUSTER_RTOL * max(norm_max, 1e-300)
+
+
 @dataclass(frozen=True)
 class SpectralOperator:
-    """Hermitian matrix + spectral data + lower bound k + shift gamma < k."""
+    """Hermitian matrix + spectral data + lower bound k + shift gamma < k.
 
-    matrix: HermitianMatrix
+    `dense` is the matrix as given, or None for an operator diagonal in the
+    permutation eigenbasis of `decomp` (`from_diag`). Such an operator holds
+    O(n) data; `matrix` builds its dense HermitianMatrix, validated like any
+    other, when a consumer first reads it.
+    """
+
+    dense: HermitianMatrix | None
     decomp: SpectralDecomposition
     lower_bound: float
     shift: float
 
     def __post_init__(self):
+        if self.dense is None and self.decomp.unit_rows is None:
+            raise ValueError("an operator given without its matrix needs a permutation eigenbasis")
         if not self.shift < self.lower_bound:
             raise ShiftError(
                 f"shift {self.shift} must lie strictly below the lower bound {self.lower_bound}"
             )
 
     @classmethod
-    def _with_default_shift(cls, h: HermitianMatrix, decomp: SpectralDecomposition,
+    def _with_default_shift(cls, dense: HermitianMatrix | None, decomp: SpectralDecomposition,
                             shift: float | None) -> "SpectralOperator":
-        """Default shift: 0 when k is positive beyond eigh's cluster cutoff, else k - 1."""
+        """Default shift: 0 when k is positive beyond `_zero_cutoff`, else k - 1."""
         k = float(decomp.eigenvalues[0])
         if shift is None:
-            shift = 0.0 if k > CLUSTER_RTOL * max(h.norm_max, 1e-300) else k - 1.0
-        return cls(h, decomp, k, float(shift))
+            shift = 0.0 if k > _zero_cutoff(_norm_max(dense, decomp)) else k - 1.0
+        return cls(dense, decomp, k, float(shift))
 
     @classmethod
     def from_matrix(cls, matrix, shift: float | None = None) -> "SpectralOperator":
@@ -69,13 +95,25 @@ class SpectralOperator:
 
     @classmethod
     def from_diag(cls, values, shift: float | None = None) -> "SpectralOperator":
-        """diag(values) with its exact decomposition (`diagonal_eigh`), no LAPACK call."""
-        h = HermitianMatrix.diag(values)
-        return cls._with_default_shift(h, diagonal_eigh(h), shift)
+        """diag(values) as its exact decomposition (`diagonal_eigh` of the values): sorted
+        values and their permutation, O(n) data and checks, no LAPACK call."""
+        return cls._with_default_shift(None, diagonal_eigh(values), shift)
+
+    @cached_property
+    def matrix(self) -> HermitianMatrix:
+        """The dense matrix; for a diagonal operator the scatter U diag(lambda) U*, built once."""
+        if self.dense is not None:
+            return self.dense
+        return HermitianMatrix(self.decomp.apply_function(lambda lam: lam))
+
+    @property
+    def norm_max(self) -> float:
+        """max|entries| of the matrix, known without building it."""
+        return _norm_max(self.dense, self.decomp)
 
     @property
     def dim(self) -> int:
-        return self.matrix.dim
+        return self.decomp.eigenvalues.shape[0]
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -86,9 +124,12 @@ class SpectralOperator:
         return self.decomp.eigenvectors
 
     def require_positive(self):
-        if self.lower_bound <= 0:
+        """Raise ShiftError unless k > CLUSTER_RTOL * ||A||_max, the default shift's cutoff."""
+        cutoff = _zero_cutoff(self.norm_max)
+        if not self.lower_bound > cutoff:
             raise ShiftError(
-                f"operator lower bound {self.lower_bound} <= 0: apply a shift first "
+                f"operator lower bound k = {self.lower_bound} is not positive (cutoff "
+                f"{cutoff:.3e} = {CLUSTER_RTOL:.0e} * ||A||_max): apply a shift first "
                 "(left-definite constructions need k > 0)"
             )
 
@@ -98,20 +139,11 @@ class SpectralOperator:
         return HermitianMatrix((powered + powered.conj().T) / 2)
 
     def apply_power(self, r: float, x) -> np.ndarray:
-        """A^r x through the eigenbasis without forming the matrix.
-
-        When the eigenvectors are a permuted identity (`from_diag`), U* x and
-        U y are the gathers x[rows] and the scatter out[rows] = y, bitwise the
-        products with the 0/1 matrix.
-        """
+        """A^r x through the eigenbasis without forming the matrix: U (lambda^r * U* x),
+        gathers for a permutation basis (`SpectralDecomposition.to_eigenbasis`)."""
         x = np.asarray(x, dtype=complex)
         powers = np.power(self.decomp.eigenvalues, float(r))
-        rows = self.decomp.unit_rows
-        if rows is None:
-            return self.decomp.eigenvectors @ (powers * (self.decomp.eigenvectors_adjoint @ x))
-        out = np.empty_like(x)
-        out[rows] = powers * x[rows]
-        return out
+        return self.decomp.from_eigenbasis(powers * self.decomp.to_eigenbasis(x))
 
 
 @dataclass(frozen=True)
@@ -201,10 +233,10 @@ class ClosedFormR:
     def __call__(self, f, g) -> complex:
         f = np.asarray(f, dtype=complex)
         g = np.asarray(g, dtype=complex)
-        u_adj = self.operator.decomp.eigenvectors_adjoint
-        lam = self.operator.decomp.eigenvalues
-        cf = u_adj @ f
-        cg = u_adj @ g
+        decomp = self.operator.decomp
+        lam = decomp.eigenvalues
+        cf = decomp.to_eigenbasis(f)
+        cg = decomp.to_eigenbasis(g)
         half = np.power(lam - self.gamma, self.r / 2)
         return inner(half * cf, half * cg) + self.gamma * inner(f, g)
 
@@ -214,7 +246,7 @@ class ClosedFormR:
 
 def _tolerance_scale(operator: SpectralOperator, r: float, *vectors) -> float:
     norms = [float(np.linalg.norm(v)) for v in vectors]
-    return operator.matrix.norm_max ** r * max(norms) ** 2
+    return operator.norm_max ** r * max(norms) ** 2
 
 
 def multiplicity_list(eigenvalues, rtol: float = 1e-8) -> list:
@@ -273,9 +305,8 @@ def verify_ld_properties(
     report.add_check("duality(5)", f"r={r:g}, {sample_count} samples", worst_dual, tol)
 
     # eigen-Gram: <phi_n, phi_m>_r = delta_nm * lambda_n^r
-    u = operator.eigenvectors
     lam = operator.eigenvalues
-    gram = operator.decomp.eigenvectors_adjoint @ space.gram.entries @ u
+    gram = operator.decomp.compress(space.gram.entries)
     off = gram - np.diag(np.diag(gram))
     lam_max_r = float(np.max(lam)) ** r
     report.add_check(

@@ -106,7 +106,7 @@ def _run_leftdef_verify(report: Report, built: BuiltOperator, config: ScenarioCo
         worst = 0.0
         for _ in range(samples):
             f = rng.normal(size=built.operator.dim) + 1j * rng.normal(size=built.operator.dim)
-            scale = built.operator.matrix.norm_max ** r * float(np.vdot(f, f).real)
+            scale = built.operator.norm_max ** r * float(np.vdot(f, f).real)
             value = form(f, f).real
             worst = max(worst, (bound * float(np.vdot(f, f).real) - value) / scale)
         report.add_check("closed-form-lower-bound", f"r={int(r)}, gamma={built.operator.shift:g}",

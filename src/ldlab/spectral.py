@@ -25,7 +25,14 @@ about a third of the complex cost) and runs the orthonormality and residual
 checks in float64 too; the stored eigenvectors are complex either way.
 `_lapack_operand` is the one place that decides this, from the data alone, and
 `extensions` uses it for its eigenvalue-only solves. Genuinely complex data
-keeps the complex route.
+keeps the complex route. Products with the eigenvectors follow the same rule:
+a real-valued U is multiplied as its float64 copy, complex vectors as one real
+product of their (re, im) columns.
+
+The exact decomposition of a diagonal matrix (`diagonal_eigh`) is its sorted
+diagonal and a permutation, `unit_rows`; given the diagonal alone it takes
+O(n) time and memory, checks included. Every product with such an eigenbasis
+is a gather or scatter, and its dense eigenvectors are built only when read.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent read-only use is safe.
@@ -141,30 +148,81 @@ def _unit_permutation(u: np.ndarray) -> np.ndarray | None:
     return row_of
 
 
+def _is_permutation(rows: np.ndarray, n: int) -> bool:
+    """True iff rows holds each of 0..n-1 exactly once, so that the unit columns e_rows
+    are orthonormal (u*u = I exactly). O(n)."""
+    return (rows.shape == (n,) and rows.dtype.kind in "iu"
+            and (n == 0 or (rows.min() >= 0 and rows.max() < n))
+            and bool(np.all(np.bincount(rows, minlength=n) == 1)))
+
+
+def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x. A float64 m times a complex x is one real product with the (re, im) columns
+    of x, so m is never upcast to complex."""
+    if m.dtype != np.float64 or not np.iscomplexobj(x):
+        return m @ x
+    x = np.ascontiguousarray(x, dtype=complex)
+    out = m @ x.view(np.float64).reshape(x.shape[0], -1)
+    return out.view(complex).reshape((m.shape[0],) + x.shape[1:])
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
+
+    The columns are given densely (`columns`) or, when they form a permuted
+    identity, by `unit_rows` alone: the row of each column's single 1, proved a
+    permutation in O(n). Dense columns of that form get their `unit_rows` too.
+    `eigenvectors` is the dense array, built on first read from `unit_rows`.
+
+    Products with U and U* go through `to_eigenbasis`, `from_eigenbasis`,
+    `apply_function` and `compress`. For a permutation basis each is a gather or
+    scatter, bitwise the product with the 0/1 matrix. Otherwise each multiplies
+    `_lapack_operand(U)`: a float64 copy when U is real-valued, with complex
+    vectors as one real product of their (re, im) columns (`_product`).
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    # row of each column's single 1 when the eigenvectors are a permuted identity, else None
-    unit_rows: np.ndarray | None = field(init=False, repr=False, compare=False)
+    columns: np.ndarray | None = None
+    unit_rows: np.ndarray | None = None
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
-        u = np.asarray(self.eigenvectors, dtype=complex)
         if np.any(np.diff(lam) < 0):
             raise SpectrumError("eigenvalues must be nondecreasing")
-        rows = _unit_permutation(u)
-        if rows is None:
-            ortho = _ortho_defect(_lapack_operand(u))
-            if ortho > ORTHO_TOL:
-                raise SpectrumError(f"eigenvector columns not orthonormal: {ortho:.3e}")
+        if self.columns is None:
+            u = None
+            rows = np.asarray(self.unit_rows)
+            if not _is_permutation(rows, lam.shape[0]):
+                raise SpectrumError("eigenvector columns not orthonormal: unit_rows is not "
+                                    f"a permutation of 0..{lam.shape[0] - 1}")
+        else:
+            if self.unit_rows is not None:
+                raise ValueError("give the eigenvector columns or their unit_rows, not both")
+            u = np.asarray(self.columns, dtype=complex)
+            rows = _unit_permutation(u)
+            if rows is None:
+                ortho = _ortho_defect(_lapack_operand(u))
+                if ortho > ORTHO_TOL:
+                    raise SpectrumError(f"eigenvector columns not orthonormal: {ortho:.3e}")
+            u.setflags(write=False)
         lam.setflags(write=False)
-        u.setflags(write=False)
+        if rows is not None:
+            rows.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "eigenvectors", u)
+        object.__setattr__(self, "columns", u)
         object.__setattr__(self, "unit_rows", rows)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """The eigenvector columns as a dense array; a permuted identity is built here, once."""
+        if self.columns is not None:
+            return self.columns
+        n = self.unit_rows.shape[0]
+        u = np.zeros((n, n), dtype=complex)
+        u[self.unit_rows, np.arange(n)] = 1.0
+        u.setflags(write=False)
+        return u
 
     @cached_property
     def eigenvectors_adjoint(self) -> np.ndarray:
@@ -173,26 +231,73 @@ class SpectralDecomposition:
         u_adj.setflags(write=False)
         return u_adj
 
+    @cached_property
+    def _operands(self) -> tuple:
+        """(U, U*) as multiplied: the float64 `_lapack_operand(U)` and its transpose when U
+        is real-valued, else U and `eigenvectors_adjoint`."""
+        u = _lapack_operand(self.eigenvectors)
+        return (u, self.eigenvectors_adjoint) if u is self.eigenvectors else (u, u.T)
+
+    def to_eigenbasis(self, x) -> np.ndarray:
+        """U* x, for a vector or the columns of a matrix x."""
+        x = np.asarray(x)
+        if self.unit_rows is not None:
+            return x[self.unit_rows]
+        return _product(self._operands[1], x)
+
+    def from_eigenbasis(self, c) -> np.ndarray:
+        """U c, for a vector or the columns of a matrix c."""
+        c = np.asarray(c)
+        if self.unit_rows is not None:
+            out = np.empty_like(c)
+            out[self.unit_rows] = c
+            return out
+        return _product(self._operands[0], c)
+
     def apply_function(self, func) -> np.ndarray:
-        """U diag(func(lambda)) U* as a plain ndarray."""
-        return (self.eigenvectors * func(self.eigenvalues)) @ self.eigenvectors_adjoint
+        """U diag(func(lambda)) U* as a plain ndarray (complex for a permutation basis)."""
+        values = func(self.eigenvalues)
+        if self.unit_rows is not None:
+            n = values.shape[0]
+            out = np.zeros((n, n), dtype=complex)
+            out[self.unit_rows, self.unit_rows] = values
+            return out
+        u, u_adj = self._operands
+        return (u * values) @ u_adj
+
+    def compress(self, m) -> np.ndarray:
+        """U* m U, the n x n matrix m in the eigenbasis; in float64 when U and m are both
+        real-valued."""
+        m = np.asarray(m)
+        if self.unit_rows is not None:
+            return m[np.ix_(self.unit_rows, self.unit_rows)]
+        u, u_adj = self._operands
+        return u_adj @ _lapack_operand(m) @ u
 
 
-def _check_residual(h: HermitianMatrix, decomp: SpectralDecomposition):
+def _check_residual(h, decomp: SpectralDecomposition):
     """Raise unless max|HU - U Lambda| <= ORTHO_TOL * ||H||_max.
 
-    For diagonal H and a unit-permutation U the residual is exactly
-    max|H[row_j, row_j] - lambda_j|, found without the dense product; otherwise
-    the product is formed in float64 when H and U are both real-valued.
+    `h` is a HermitianMatrix or, with a unit-permutation U, the 1-D diagonal of
+    a diagonal matrix. For diagonal H and a unit-permutation U the residual is
+    exactly max|H[row_j, row_j] - lambda_j|, found in O(n) without a dense
+    product; otherwise HU - U Lambda is formed, in float64 when H and U are
+    both real-valued.
     """
-    lam, u, rows = decomp.eigenvalues, decomp.eigenvectors, decomp.unit_rows
-    diagonal = np.diagonal(h.entries)
-    if rows is not None and np.count_nonzero(h.entries) == np.count_nonzero(diagonal):
+    lam, rows = decomp.eigenvalues, decomp.unit_rows
+    if isinstance(h, HermitianMatrix):
+        diagonal, scale = np.diagonal(h.entries), h.norm_max
+        if np.count_nonzero(h.entries) != np.count_nonzero(diagonal):
+            diagonal = None
+    else:
+        diagonal = np.asarray(h, dtype=float)
+        scale = float(np.max(np.abs(diagonal)))
+    if rows is not None and diagonal is not None:
         resid = float(np.max(np.abs(diagonal[rows] - lam)))
     else:
-        h_op, u_op = _lapack_operand(h.entries), _lapack_operand(u)
+        h_op, u_op = _lapack_operand(h.entries), _lapack_operand(decomp.eigenvectors)
         resid = float(np.max(np.abs(h_op @ u_op - u_op * lam)))
-    if resid > ORTHO_TOL * max(h.norm_max, 1e-300):
+    if resid > ORTHO_TOL * max(scale, 1e-300):
         raise SpectrumError(f"eigendecomposition residual too large: {resid:.3e}")
 
 
@@ -226,19 +331,28 @@ def eigh(matrix) -> SpectralDecomposition:
 def diagonal_eigh(matrix) -> SpectralDecomposition:
     """Exact eigendecomposition of a diagonal Hermitian matrix, built without LAPACK.
 
-    The eigenvalues are the diagonal sorted by order = argsort(diagonal, kind="stable"),
-    the eigenvectors the permuted identity eye(n)[:, order]; for a sorted distinct
-    diagonal both are bitwise what `eigh` returns. The orthonormality and residual
-    checks of `eigh` still run, each proved exactly in O(n^2) time; a matrix with
-    off-diagonal entries fails the residual check with a SpectrumError.
+    `matrix` is the diagonal itself (1-D) or a matrix. The eigenvalues are the
+    diagonal sorted by order = argsort(diagonal, kind="stable") and the
+    eigenvectors the unit columns e_order, kept as `unit_rows`; for a sorted
+    distinct diagonal both are bitwise what `eigh` returns. From a 1-D diagonal
+    nothing of n x n size is formed, and the checks of `eigh` run in O(n):
+    finite values, nondecreasing eigenvalues, a valid permutation (u*u = I) and
+    the exact residual. A matrix with off-diagonal entries fails the dense
+    residual check with a SpectrumError.
     """
-    h = as_hermitian(matrix)
-    diagonal = np.diagonal(h.entries).real
+    if np.ndim(matrix) == 2:
+        h = as_hermitian(matrix)
+        decomp = diagonal_eigh(np.diagonal(h.entries).real)
+        _check_residual(h, decomp)
+        return decomp
+    diagonal = np.asarray(matrix, dtype=float)
+    if diagonal.ndim != 1 or diagonal.shape[0] == 0:
+        raise NotHermitianError(f"expected a nonempty diagonal, got shape {diagonal.shape}")
+    if not np.all(np.isfinite(diagonal)):
+        raise NotHermitianError("matrix contains non-finite entries")
     order = np.argsort(diagonal, kind="stable")
-    u = np.zeros((h.dim, h.dim), dtype=complex)
-    u[order, np.arange(h.dim)] = 1.0
-    decomp = SpectralDecomposition(diagonal[order], u)
-    _check_residual(h, decomp)
+    decomp = SpectralDecomposition(diagonal[order], unit_rows=order)
+    _check_residual(diagonal, decomp)
     return decomp
 
 

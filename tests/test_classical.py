@@ -266,9 +266,26 @@ def reference_table(alpha, k, n, max_deg):
 class TestRuleReuse:
     """Each Gauss rule is built once per table call; no state survives the call."""
 
-    @pytest.mark.parametrize("args", [(1.0, 1.0, 3, 20), (0.5, 2.0, 2, 30)])
+    @pytest.mark.parametrize("args", [(1.0, 1.0, 3, 20), (0.5, 2.0, 2, 30), (2.0, 0.7, 4, 12),
+                                      (0.0, 3.0, 1, 25), (-0.5, 1.5, 6, 8)])
     def test_bitwise_equal_to_per_pair_rules(self, args):
+        # the spectral column is spectral_inner of each pair, bitwise
         assert laguerre_identity_table(*args) == reference_table(*args)
+
+    @pytest.mark.parametrize("args", [(1.0, 1.0, 3, 20), (0.5, 2.0, 2, 30)])
+    def test_spectral_factors_built_once_per_call(self, args, monkeypatch):
+        import ldlab.classical as classical
+
+        real = classical.laguerre_norm_sq
+        calls = []
+
+        def counting(n, alpha):
+            calls.append(n)
+            return real(n, alpha)
+
+        monkeypatch.setattr(classical, "laguerre_norm_sq", counting)
+        laguerre_identity_table(*args)
+        assert calls == list(range(args[3] + 1))
 
     @pytest.mark.parametrize("args", [(1.0, 1.0, 3, 20), (0.5, 2.0, 2, 30)])
     def test_rules_built_once_per_call(self, args, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from ldlab.hscale import (
     GrowthModel,
     ScaleVector,
+    _partial_sums,
     critical_index,
     duality_pair,
     equivalence_check,
@@ -132,6 +135,61 @@ class TestPartialSumClassifier:
         rows = membership_table(model, [0.0, 2.0])
         assert rows[0][:4] == (1.0, -1.0, 0.0, 1.0)
         assert rows[0][4] == "member" and rows[1][4] == "excluded"
+
+
+def reference_partial_sums(model, s, terms):
+    """S_N and S_2N of sum n^{ps+2q} from one array of all 2N powers."""
+    powers = np.arange(1, 2 * terms + 1, dtype=float) ** (model.p * s + 2 * model.q)
+    return float(np.sum(powers[:terms])), float(np.sum(powers))
+
+
+class TestBlockedPartialSums:
+    """Every grid point shares one blocked pass over n; the verdicts are the one-point ones."""
+
+    GRID = [(p, q) for p in (0.5, 1.0, 2.0, 3.0) for q in (-1.5, -1.0, 0.0, 0.5)]
+    OFFSETS = (-1.5, -0.5, -0.15, -0.06, 0.06, 0.15, 0.5, 1.5)
+
+    @pytest.mark.parametrize("terms", [1000, 100_003])
+    def test_sums_match_one_array_reference(self, terms):
+        for p, q in self.GRID[::3]:
+            model = GrowthModel(p, q)
+            s_values = [critical_index(model) + d for d in self.OFFSETS]
+            s_n, s_2n = _partial_sums(model, s_values, terms)
+            for i, s in enumerate(s_values):
+                want_n, want_2n = reference_partial_sums(model, s, terms)
+                assert s_n[i] == pytest.approx(want_n, rel=1e-12)
+                assert s_2n[i] == pytest.approx(want_2n, rel=1e-12)
+
+    def test_table_verdicts_equal_one_point_classifier(self):
+        terms = 100_003
+        for p, q in self.GRID:
+            model = GrowthModel(p, q)
+            s_values = [critical_index(model) + d for d in self.OFFSETS]
+            rows = membership_table(model, s_values, terms)
+            one_point = ["excluded" if partial_sum_divergent(model, s, terms) else "member"
+                         for s in s_values]
+            assert [row[5] for row in rows] == one_point
+
+    def test_scale_run_allocates_nothing_of_n_by_n_size(self):
+        # the smallest n x n array, float64, would take 8 n^2 bytes; allow an eighth of it
+        n = 2000
+        rng = np.random.default_rng(7)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        model = GrowthModel(2, 0.5)
+        s_values = [critical_index(model) + d for d in self.OFFSETS]
+        tracemalloc.start()
+        try:
+            op = model.operator(n)
+            hs_norm(op, 1.0, v)
+            isometry_check(op, 1.0, 0.5, v)
+            duality_pair(op, 1.0, v, w)
+            equivalence_check(op, 2.0, [v, w])
+            membership_table(model, s_values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n
 
 
 class TestEquivalence:

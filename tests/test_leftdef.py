@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from ldlab.config import parse_config
 from ldlab.leftdef import (
     ClosedFormR,
     ShiftError,
@@ -11,11 +14,12 @@ from ldlab.leftdef import (
     multiplicity_list,
     verify_ld_properties,
 )
-from ldlab.scenarios import build_operator
+from ldlab.scenarios import build_operator, run_scenario
 from ldlab.spectral import (
     DimensionMismatchError,
     HermitianMatrix,
     SpectralDecomposition,
+    SpectrumError,
     _check_residual,
     inner,
 )
@@ -84,6 +88,55 @@ class TestFromDiag:
         assert calls == []
         SpectralOperator.from_matrix(np.diag([2.0, 2.0, 5.0]))   # the wrappers are in place
         assert calls == ["eigh", "qr"]
+
+
+class TestLazyDenseMatrix:
+    """A from_diag operator holds O(n) data until a consumer reads its dense matrix."""
+
+    VALUES = [3.0, 1.0, 2.0, 2.0, 6.0, 0.5]
+
+    def test_holds_no_dense_array(self):
+        op = SpectralOperator.from_diag(self.VALUES)
+        assert op.dense is None and op.dim == len(self.VALUES)
+        assert op.norm_max == 6.0 == HermitianMatrix.diag(self.VALUES).norm_max
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+        op.apply_power(2.0, x)
+        ClosedFormR(1, op.shift, op)(x, x)
+        assert "matrix" not in vars(op) and "eigenvectors" not in vars(op.decomp)
+
+    def test_built_and_validated_when_ld_operator_reads_it(self, monkeypatch):
+        import ldlab.spectral as spectral
+        validated = []
+        check = spectral.HermitianMatrix.__post_init__
+
+        def counting(self):
+            check(self)
+            validated.append(self.entries.shape)
+        monkeypatch.setattr(spectral.HermitianMatrix, "__post_init__", counting)
+        op = SpectralOperator.from_diag(self.VALUES)
+        assert validated == []
+        action = ld_operator(op, 2.0).action
+        assert validated == [(6, 6)]
+        assert action is op.matrix and op.matrix is op.matrix      # built once, then cached
+        np.testing.assert_array_equal(action.entries, np.diag(self.VALUES))
+        assert action.entries.dtype == np.complex128 and action.norm_max == op.norm_max
+
+    @pytest.mark.parametrize("fault", ["permutation", "values", "shift"])
+    def test_each_linear_time_check_raises(self, monkeypatch, fault):
+        import ldlab.spectral as spectral
+        values = np.array(self.VALUES)
+        if fault == "permutation":
+            monkeypatch.setattr(spectral.np, "argsort", lambda a, kind: np.zeros(len(a), int))
+            with pytest.raises(SpectrumError, match="not orthonormal"):
+                SpectralOperator.from_diag(values)
+        elif fault == "values":
+            monkeypatch.setattr(spectral.np, "argsort", lambda a, kind: np.arange(len(a)))
+            with pytest.raises(SpectrumError, match="nondecreasing"):
+                SpectralOperator.from_diag(values)
+        else:
+            with pytest.raises(ShiftError):
+                SpectralOperator.from_diag(values, shift=0.5)
 
 
 class TestCachedAdjoint:
@@ -296,3 +349,22 @@ class TestDefaultShift:
     def test_cutoff_scales_with_matrix(self, scale):
         assert SpectralOperator.from_diag([1e-13 * scale, scale]).shift < 0.0
         assert SpectralOperator.from_diag([1e-6 * scale, scale]).shift == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_positivity_uses_the_same_cutoff(self, scale):
+        with pytest.raises(ShiftError, match="not positive"):
+            SpectralOperator.from_diag([1e-13 * scale, scale], shift=-1.0).require_positive()
+        SpectralOperator.from_diag([1e-6 * scale, scale]).require_positive()
+
+    def test_rounding_level_bound_is_a_scenario_error(self):
+        # Jacobi(1, 2) neumann-type has lambda_0 = 0; rounding leaves k = O(1e-14) > 0,
+        # which the eigen-Gram check would divide by
+        spec = {"kind": "sl", "coeffs": {"name": "jacobi", "alpha": 1.0, "beta": 2},
+                "N": 20, "bc": "neumann-type"}
+        k = build_operator(spec).operator.lower_bound
+        assert 0.0 < k < 1e-12
+        raw = {"operatorSpec": spec, "experiment": "leftdef-verify",
+               "params": {"samples": 5}, "seed": 5}
+        report = run_scenario(parse_config(json.dumps(raw)))
+        assert [(r.name, r.status) for r in report.rows] == [("scenario-error", "FAIL")]
+        assert report.rows[0].inputs.startswith(f"ShiftError: operator lower bound k = {k} ")

@@ -246,6 +246,92 @@ class TestExactChecks:
                             SpectralDecomposition([1.0, 2.0, 3.0], np.eye(3)))
 
 
+class TestPermutationBasis:
+    """A diagonal matrix's decomposition is sorted values plus unit_rows, nothing n x n."""
+
+    VALUES = [[3.0, 1.0, 2.0, 2.0, 5.0], [2.0, 2.0, 5.0], [-1.0, 4.0, -1.0, 0.5, 4.0, -3.0]]
+
+    @pytest.mark.parametrize("values", VALUES)
+    def test_products_are_bitwise_the_dense_ones(self, values):
+        decomp = diagonal_eigh(values)
+        assert "eigenvectors" not in vars(decomp)   # nothing dense built by the products
+        rng = np.random.default_rng(len(values))
+        n = len(values)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        block = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        gathered = [decomp.to_eigenbasis(x), decomp.to_eigenbasis(block), decomp.from_eigenbasis(x),
+                    decomp.from_eigenbasis(block), decomp.compress(m),
+                    decomp.apply_function(lambda lam: lam ** 3 - 2.0)]
+        assert "eigenvectors" not in vars(decomp)
+        u = decomp.eigenvectors
+        dense = [u.conj().T @ x, u.conj().T @ block, u @ x, u @ block, u.conj().T @ m @ u,
+                 (u * (decomp.eigenvalues ** 3 - 2.0)) @ u.conj().T]
+        for got, want in zip(gathered, dense):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("rows", [[0, 0, 2], [0, 1, 3], [-1, 0, 1], [0, 1], [0.0, 1.0, 2.0]])
+    def test_invalid_permutation_rejected(self, rows):
+        with pytest.raises(SpectrumError, match="not orthonormal"):
+            SpectralDecomposition([1.0, 2.0, 3.0], unit_rows=rows)
+
+    def test_decreasing_values_rejected(self):
+        with pytest.raises(SpectrumError, match="nondecreasing"):
+            SpectralDecomposition([2.0, 1.0, 3.0], unit_rows=[1, 0, 2])
+
+    @pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf, 2.0], [], [[1.0, 2.0]]])
+    def test_nonfinite_or_malformed_diagonal_rejected(self, values):
+        with pytest.raises(NotHermitianError):
+            diagonal_eigh(values)
+
+    def test_residual_of_a_diagonal_in_linear_time(self):
+        values = np.array([1.0, 3.0, 2.0])
+        order = [0, 2, 1]
+        decomp = SpectralDecomposition([1.0, 2.0, 3.0], unit_rows=order)
+        _check_residual(values, decomp)
+        with pytest.raises(SpectrumError, match="residual too large"):
+            _check_residual(values, SpectralDecomposition([1.0, 2.0 + 1e-9, 3.0], unit_rows=order))
+        with pytest.raises(SpectrumError, match="residual too large"):
+            _check_residual(values, SpectralDecomposition([1.0, 2.0, 3.0], unit_rows=[0, 1, 2]))
+        assert "eigenvectors" not in vars(decomp)
+
+    def test_columns_and_rows_are_exclusive(self):
+        with pytest.raises(ValueError, match="not both"):
+            SpectralDecomposition([1.0, 2.0], np.eye(2), unit_rows=[0, 1])
+
+
+class TestRealProducts:
+    """Real-valued eigenvectors are multiplied as float64, complex vectors as (re, im) pairs."""
+
+    def test_real_operands_match_complex_products(self):
+        h = _real_valued(43)
+        decomp = eigh(h)
+        u = decomp.eigenvectors
+        assert u.dtype == np.complex128 and decomp._operands[0].dtype == np.float64
+        rng = np.random.default_rng(44)
+        x = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
+        block = rng.normal(size=(h.dim, 2)) + 1j * rng.normal(size=(h.dim, 2))
+        tol = 1e-12 * np.linalg.norm(x)
+        assert np.max(np.abs(decomp.to_eigenbasis(x) - u.conj().T @ x)) <= tol
+        assert np.max(np.abs(decomp.from_eigenbasis(x) - u @ x)) <= tol
+        assert np.max(np.abs(decomp.to_eigenbasis(block) - u.conj().T @ block)) \
+            <= 1e-12 * np.linalg.norm(block)
+        powered = decomp.apply_function(lambda lam: lam ** 2)
+        gram = decomp.compress(powered)
+        assert powered.dtype == gram.dtype == np.float64
+        scale = h.norm_max ** 2
+        assert np.max(np.abs(powered - (u * decomp.eigenvalues ** 2) @ u.conj().T)) <= 1e-12 * scale
+        assert np.max(np.abs(gram - np.diag(decomp.eigenvalues ** 2))) <= 1e-11 * scale
+
+    def test_complex_eigenvectors_keep_complex_products(self):
+        decomp = eigh(random_hermitian(np.random.default_rng(45), 12))
+        u, u_adj = decomp._operands
+        assert u is decomp.eigenvectors and u_adj is decomp.eigenvectors_adjoint
+        x = np.random.default_rng(46).normal(size=12) + 0j
+        np.testing.assert_array_equal(decomp.to_eigenbasis(x), decomp.eigenvectors_adjoint @ x)
+
+
 class TestMatPower:
     def test_diagonal_sqrt(self):
         out = mat_power(HermitianMatrix.diag([1.0, 4.0]), 0.5)
