@@ -4,7 +4,8 @@ Exit codes: 0 when every check passes, 1 when any check fails or no check
 ran, 2 for configuration or usage errors, 3 for an internal error (an exception
 other than ValueError or OSError escaped the scenario; its traceback goes to
 stderr and no report is written). The environment variable LDLAB_SEED
-overrides the config seed.
+overrides the config seed; either must be a nonnegative integer (numpy's
+seed domain), else the exit code is 2.
 """
 
 from __future__ import annotations
@@ -48,10 +49,13 @@ def main(argv=None) -> int:
     env_seed = os.environ.get("LDLAB_SEED")
     if env_seed is not None:
         try:
-            config = replace(config, seed=int(env_seed))
+            seed = int(env_seed)
+            if seed < 0:
+                raise ValueError(env_seed)
         except ValueError:
-            print(f"error: LDLAB_SEED={env_seed!r} is not an integer", file=sys.stderr)
+            print(f"error: LDLAB_SEED={env_seed!r} is not a nonnegative integer", file=sys.stderr)
             return 2
+        config = replace(config, seed=seed)
     try:
         report = run_scenario(config)
     except Exception:  # a programming error, never a failed check

@@ -268,8 +268,8 @@ def parse_config(text: str) -> ScenarioConfig:
         params = _fill_params(experiment, raw.get("params", {}), raw.get("operatorSpec"), errors)
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        errors.append(f"seed must be an integer, got {seed!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        errors.append(f"seed must be a nonnegative integer, got {seed!r}")
 
     tolerances = _fill_tolerances(raw.get("tolerances", {}), errors)
 

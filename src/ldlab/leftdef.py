@@ -6,12 +6,12 @@ the r-th left-definite space (Gram matrix A^r), the r-th left-definite
 operator, the shifted closed forms, and a verification report for the
 defining properties and the spectral-stability statements.
 
-`SpectralOperator.from_matrix` decomposes with LAPACK. `from_diag` (the
-diag-growth and Laguerre operators) keeps the exact decomposition of a
-diagonal matrix, its sorted values and their permutation, with no LAPACK call
-and nothing of n x n size; the dense matrix is built, once, when a consumer
-first reads `matrix`. Left-definite constructions need k > 0 beyond the
-cutoff CLUSTER_RTOL * ||A||_max, the same one that sets the default shift.
+`SpectralOperator.from_matrix` decomposes with LAPACK (real symmetric: in
+float64). `from_diag` (the diag-growth and Laguerre operators) keeps the exact
+decomposition of a diagonal matrix, its sorted values and their permutation,
+with no LAPACK call and nothing of n x n size; the dense matrix is built, once,
+when a consumer first reads `matrix`. Left-definite constructions need k > 0
+beyond the cutoff CLUSTER_RTOL * ||A||_max, the same one that sets the default shift.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .spectral import (
 )
 
 PROPERTY_TOL = 1e-9
+MULTIPLICITY_RTOL = 1e-8   # sorted eigenvalues this close (relative) count as one
 
 
 class ShiftError(ValueError):
@@ -119,10 +120,6 @@ class SpectralOperator:
     def eigenvalues(self) -> np.ndarray:
         return self.decomp.eigenvalues
 
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self.decomp.eigenvectors
-
     def require_positive(self):
         """Raise ShiftError unless k > CLUSTER_RTOL * ||A||_max, the default shift's cutoff."""
         cutoff = _zero_cutoff(self.norm_max)
@@ -135,8 +132,7 @@ class SpectralOperator:
 
     def power(self, r: float) -> HermitianMatrix:
         """A^r through the stored decomposition (positive spectrum assumed for fractional r)."""
-        powered = self.decomp.apply_function(lambda x: np.power(x, float(r)))
-        return HermitianMatrix((powered + powered.conj().T) / 2)
+        return self.decomp.power(r)
 
     def apply_power(self, r: float, x) -> np.ndarray:
         """A^r x through the eigenbasis without forming the matrix: U (lambda^r * U* x),
@@ -249,13 +245,13 @@ def _tolerance_scale(operator: SpectralOperator, r: float, *vectors) -> float:
     return operator.norm_max ** r * max(norms) ** 2
 
 
-def multiplicity_list(eigenvalues, rtol: float = 1e-8) -> list:
+def multiplicity_list(eigenvalues) -> list:
     """Cluster sorted eigenvalues into (value, multiplicity) pairs."""
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
     scale = max(abs(lam[0]), abs(lam[-1]), 1e-300)
     out = []
     for v in lam:
-        if out and abs(v - out[-1][0]) <= rtol * scale:
+        if out and abs(v - out[-1][0]) <= MULTIPLICITY_RTOL * scale:
             out[-1][1] += 1
         else:
             out.append([float(v), 1])

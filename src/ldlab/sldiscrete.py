@@ -5,8 +5,9 @@ flux-form stencil with half-node coefficient samples gives a symmetric
 tridiagonal matrix T; the operator handed downstream is the
 similarity-symmetrized L_h = W^{-1/2} T W^{-1/2}. `discretize` stores only
 its two bands: eigenvalues come from a tridiagonal eigensolver, and the dense
-Hermitian matrix is built (and validated) on first access to
-`DiscreteOperator.matrix`, for consumers that need the full matrix.
+real symmetric matrix (a HermitianMatrix with float64 entries) is built and
+validated on first access to `DiscreteOperator.matrix`, for consumers that need
+the full matrix.
 
 Endpoint classification (regular / limit-circle / limit-point) is caller
 metadata. Non-regular endpoints are handled by truncating the interval by a
@@ -131,7 +132,7 @@ class DiscreteOperator:
 
     @cached_property
     def matrix(self) -> HermitianMatrix:
-        """Dense L_h assembled from the bands, validated as a HermitianMatrix."""
+        """Dense L_h assembled from the bands, validated as a float64 HermitianMatrix."""
         n = self.n_interior
         dense = np.zeros((n, n))
         np.fill_diagonal(dense, self.diagonal)

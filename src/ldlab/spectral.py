@@ -19,20 +19,19 @@ QR when mul T = 0. A rank decision stays where the rank is not known: `domain`,
 `rel_compose`, `Subspace.span` of arbitrary columns and every nullspace. Every
 `Subspace` still checks the orthonormality of its basis.
 
-A Hermitian matrix whose imaginary part is exactly zero is real symmetric.
-`eigh` then hands LAPACK the float64 real part (its real symmetric solver,
-about a third of the complex cost) and runs the orthonormality and residual
-checks in float64 too; the stored eigenvectors are complex either way.
-`_lapack_operand` is the one place that decides this, from the data alone, and
-`extensions` uses it for its eigenvalue-only solves. Genuinely complex data
-keeps the complex route. Products with the eigenvectors follow the same rule:
-a real-valued U is multiplied as its float64 copy, complex vectors as one real
-product of their (re, im) columns.
+A `HermitianMatrix` or `SpectralDecomposition` decides its dtype once, when
+built (`_stored`): float64 for real-valued data (a real dtype, or complex with
+imaginary part exactly zero), else complex128. A real symmetric matrix thus
+goes to LAPACK's real symmetric solver (a third of the complex cost), its
+float64 eigenvectors are kept as returned, and every check and product uses
+the stored arrays as they are: U* of a float64 U is the view U.T, and complex
+vectors meet it as one real product of their (re, im) columns (`_product`).
+`extensions` solves its real-valued perturbation matrices by the same rule.
 
 The exact decomposition of a diagonal matrix (`diagonal_eigh`) is its sorted
 diagonal and a permutation, `unit_rows`; given the diagonal alone it takes
-O(n) time and memory, checks included. Every product with such an eigenbasis
-is a gather or scatter, and its dense eigenvectors are built only when read.
+O(n) time and memory, checks included; LAPACK's unit-permutation eigenvectors
+are kept the same way. Every product with such a basis is a gather or scatter.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent read-only use is safe.
@@ -73,13 +72,13 @@ def inner(x, y) -> complex:
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """A validated n x n complex Hermitian matrix; norm_max = max|entries|, from validation."""
+    """A validated n x n Hermitian matrix, a read-only `_stored` copy; norm_max = max|entries|."""
 
     entries: np.ndarray
     norm_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = _stored(self.entries, copy=True)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise NotHermitianError(f"expected a square matrix, got shape {entries.shape}")
         if entries.shape[0] == 0:
@@ -126,6 +125,16 @@ def _lapack_operand(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(m.real) if not np.any(m.imag) else m
 
 
+def _stored(a, copy: bool) -> np.ndarray:
+    """a as float64 when real-valued (`_lapack_operand`'s rule; a real dtype never passes
+    through complex), else as complex128; with copy=False a stored dtype is kept as is."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a) and not np.any(a.imag):
+        a, copy = a.real, True   # a strided view of the input: copied out either way
+    dtype = np.float64 if a.dtype.kind in "biuf" else np.complex128
+    return np.array(a, dtype=dtype) if copy else np.asarray(a, dtype=dtype)
+
+
 def _ortho_defect(b: np.ndarray) -> float:
     """max|B*B - I|, the identity subtracted from the diagonal of B*B in place."""
     gram = b.conj().T @ b   # a new C-contiguous array, so reshape(-1) is a view of it
@@ -170,16 +179,15 @@ def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
 
-    The columns are given densely (`columns`) or, when they form a permuted
-    identity, by `unit_rows` alone: the row of each column's single 1, proved a
-    permutation in O(n). Dense columns of that form get their `unit_rows` too.
-    `eigenvectors` is the dense array, built on first read from `unit_rows`.
+    It holds exactly one of `columns`, stored by `_stored` (LAPACK's float64 U as
+    it is), and `unit_rows`: the row of each column's single 1, proved a
+    permutation in O(n), also for dense columns of that form. `eigenvectors` is
+    the dense array, for `unit_rows` a float64 permuted identity built on read.
 
     Products with U and U* go through `to_eigenbasis`, `from_eigenbasis`,
-    `apply_function` and `compress`. For a permutation basis each is a gather or
-    scatter, bitwise the product with the 0/1 matrix. Otherwise each multiplies
-    `_lapack_operand(U)`: a float64 copy when U is real-valued, with complex
-    vectors as one real product of their (re, im) columns (`_product`).
+    `apply_function`, `power` and `compress`: for a permutation basis a gather
+    or scatter, bitwise the product with the 0/1 matrix, else products with the
+    stored U (`_product`) and U.conj().T, a view for float64 U.
     """
 
     eigenvalues: np.ndarray
@@ -199,10 +207,13 @@ class SpectralDecomposition:
         else:
             if self.unit_rows is not None:
                 raise ValueError("give the eigenvector columns or their unit_rows, not both")
-            u = np.asarray(self.columns, dtype=complex)
+            u = _stored(self.columns, copy=False)
+            if u.shape != (lam.shape[0],) * 2:
+                raise SpectrumError(f"eigenvector columns must form a {lam.shape[0]} x "
+                                    f"{lam.shape[0]} array, got shape {u.shape}")
             rows = _unit_permutation(u)
             if rows is None:
-                ortho = _ortho_defect(_lapack_operand(u))
+                ortho = _ortho_defect(u)
                 if ortho > ORTHO_TOL:
                     raise SpectrumError(f"eigenvector columns not orthonormal: {ortho:.3e}")
             u.setflags(write=False)
@@ -210,7 +221,7 @@ class SpectralDecomposition:
         if rows is not None:
             rows.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "columns", u)
+        object.__setattr__(self, "columns", u if rows is None else None)
         object.__setattr__(self, "unit_rows", rows)
 
     @cached_property
@@ -218,32 +229,16 @@ class SpectralDecomposition:
         """The eigenvector columns as a dense array; a permuted identity is built here, once."""
         if self.columns is not None:
             return self.columns
-        n = self.unit_rows.shape[0]
-        u = np.zeros((n, n), dtype=complex)
-        u[self.unit_rows, np.arange(n)] = 1.0
+        u = np.eye(self.unit_rows.shape[0])[:, self.unit_rows]
         u.setflags(write=False)
         return u
-
-    @cached_property
-    def eigenvectors_adjoint(self) -> np.ndarray:
-        """U* = eigenvectors.conj().T, computed once."""
-        u_adj = self.eigenvectors.conj().T
-        u_adj.setflags(write=False)
-        return u_adj
-
-    @cached_property
-    def _operands(self) -> tuple:
-        """(U, U*) as multiplied: the float64 `_lapack_operand(U)` and its transpose when U
-        is real-valued, else U and `eigenvectors_adjoint`."""
-        u = _lapack_operand(self.eigenvectors)
-        return (u, self.eigenvectors_adjoint) if u is self.eigenvectors else (u, u.T)
 
     def to_eigenbasis(self, x) -> np.ndarray:
         """U* x, for a vector or the columns of a matrix x."""
         x = np.asarray(x)
         if self.unit_rows is not None:
             return x[self.unit_rows]
-        return _product(self._operands[1], x)
+        return _product(self.columns.conj().T, x)
 
     def from_eigenbasis(self, c) -> np.ndarray:
         """U c, for a vector or the columns of a matrix c."""
@@ -252,27 +247,28 @@ class SpectralDecomposition:
             out = np.empty_like(c)
             out[self.unit_rows] = c
             return out
-        return _product(self._operands[0], c)
+        return _product(self.columns, c)
 
     def apply_function(self, func) -> np.ndarray:
-        """U diag(func(lambda)) U* as a plain ndarray (complex for a permutation basis)."""
+        """U diag(func(lambda)) U* as a plain ndarray."""
         values = func(self.eigenvalues)
         if self.unit_rows is not None:
-            n = values.shape[0]
-            out = np.zeros((n, n), dtype=complex)
-            out[self.unit_rows, self.unit_rows] = values
-            return out
-        u, u_adj = self._operands
-        return (u * values) @ u_adj
+            return np.diag(self.from_eigenbasis(values))
+        u = self.columns
+        return (u * values) @ u.conj().T
+
+    def power(self, r: float) -> HermitianMatrix:
+        """U diag(lambda^r) U* symmetrized as (P + P*)/2; the caller checks the spectrum."""
+        powered = self.apply_function(lambda x: np.power(x, float(r)))
+        return HermitianMatrix((powered + powered.conj().T) / 2)
 
     def compress(self, m) -> np.ndarray:
-        """U* m U, the n x n matrix m in the eigenbasis; in float64 when U and m are both
-        real-valued."""
+        """U* m U, the n x n matrix m in the eigenbasis."""
         m = np.asarray(m)
         if self.unit_rows is not None:
             return m[np.ix_(self.unit_rows, self.unit_rows)]
-        u, u_adj = self._operands
-        return u_adj @ _lapack_operand(m) @ u
+        u = self.columns
+        return u.conj().T @ m @ u
 
 
 def _check_residual(h, decomp: SpectralDecomposition):
@@ -281,8 +277,7 @@ def _check_residual(h, decomp: SpectralDecomposition):
     `h` is a HermitianMatrix or, with a unit-permutation U, the 1-D diagonal of
     a diagonal matrix. For diagonal H and a unit-permutation U the residual is
     exactly max|H[row_j, row_j] - lambda_j|, found in O(n) without a dense
-    product; otherwise HU - U Lambda is formed, in float64 when H and U are
-    both real-valued.
+    product; otherwise HU - U Lambda is formed from the stored arrays.
     """
     lam, rows = decomp.eigenvalues, decomp.unit_rows
     if isinstance(h, HermitianMatrix):
@@ -295,8 +290,8 @@ def _check_residual(h, decomp: SpectralDecomposition):
     if rows is not None and diagonal is not None:
         resid = float(np.max(np.abs(diagonal[rows] - lam)))
     else:
-        h_op, u_op = _lapack_operand(h.entries), _lapack_operand(decomp.eigenvectors)
-        resid = float(np.max(np.abs(h_op @ u_op - u_op * lam)))
+        u = decomp.eigenvectors
+        resid = float(np.max(np.abs(h.entries @ u - u * lam)))
     if resid > ORTHO_TOL * max(scale, 1e-300):
         raise SpectrumError(f"eigendecomposition residual too large: {resid:.3e}")
 
@@ -307,14 +302,14 @@ def eigh(matrix) -> SpectralDecomposition:
     Eigenvalues within CLUSTER_RTOL * ||H||_max of each other are treated as
     one cluster and their eigenvectors re-orthonormalized by QR, so degenerate
     spectra always yield cleanly orthonormal columns. A real-valued matrix is
-    solved in float64 (`_lapack_operand`); the orthonormality and residual
-    checks run on every result, on either route.
+    stored, hence solved, in float64; the orthonormality and residual checks
+    run on every result, on either route.
 
     Raises NotHermitianError for non-Hermitian input (with the max asymmetry
     reported) and propagates LinAlgError on non-convergence.
     """
     h = as_hermitian(matrix)
-    lam, u = np.linalg.eigh(_lapack_operand(h.entries))
+    lam, u = np.linalg.eigh(h.entries)
     gap_tol = CLUSTER_RTOL * max(h.norm_max, 1e-300)
     start = 0
     for i in range(1, len(lam) + 1):
@@ -328,24 +323,17 @@ def eigh(matrix) -> SpectralDecomposition:
     return decomp
 
 
-def diagonal_eigh(matrix) -> SpectralDecomposition:
-    """Exact eigendecomposition of a diagonal Hermitian matrix, built without LAPACK.
+def diagonal_eigh(diagonal) -> SpectralDecomposition:
+    """Exact eigendecomposition of diag(diagonal), from the 1-D diagonal, without LAPACK.
 
-    `matrix` is the diagonal itself (1-D) or a matrix. The eigenvalues are the
-    diagonal sorted by order = argsort(diagonal, kind="stable") and the
-    eigenvectors the unit columns e_order, kept as `unit_rows`; for a sorted
-    distinct diagonal both are bitwise what `eigh` returns. From a 1-D diagonal
-    nothing of n x n size is formed, and the checks of `eigh` run in O(n):
-    finite values, nondecreasing eigenvalues, a valid permutation (u*u = I) and
-    the exact residual. A matrix with off-diagonal entries fails the dense
-    residual check with a SpectrumError.
+    The eigenvalues are the diagonal sorted by order = argsort(diagonal,
+    kind="stable") and the eigenvectors the unit columns e_order, kept as
+    `unit_rows`; for a sorted distinct diagonal both are bitwise what `eigh`
+    returns. Nothing of n x n size is formed, and the checks of `eigh` run in
+    O(n): finite values, nondecreasing eigenvalues, a valid permutation
+    (u*u = I) and the exact residual.
     """
-    if np.ndim(matrix) == 2:
-        h = as_hermitian(matrix)
-        decomp = diagonal_eigh(np.diagonal(h.entries).real)
-        _check_residual(h, decomp)
-        return decomp
-    diagonal = np.asarray(matrix, dtype=float)
+    diagonal = np.asarray(diagonal, dtype=float)
     if diagonal.ndim != 1 or diagonal.shape[0] == 0:
         raise NotHermitianError(f"expected a nonempty diagonal, got shape {diagonal.shape}")
     if not np.all(np.isfinite(diagonal)):
@@ -378,8 +366,7 @@ def mat_power(matrix, r: float) -> HermitianMatrix:
             f"matrix is not strictly positive: eigenvalue {lam[0]:.6e} <= "
             f"{POSITIVE_FLOOR:.1e} forbids power {r}"
         )
-    powered = decomp.apply_function(lambda x: np.power(x, float(r)))
-    return HermitianMatrix((powered + powered.conj().T) / 2)
+    return decomp.power(r)
 
 
 def _rank(s: np.ndarray) -> int:
@@ -451,13 +438,13 @@ class Subspace:
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, np.eye(ambient_dim, dtype=complex))
 
-    def contains(self, vector, tol: float = SUBSPACE_TOL) -> bool:
+    def contains(self, vector) -> bool:
         v = np.asarray(vector, dtype=complex)
         scale = float(np.linalg.norm(v))
         if scale == 0.0:
             return True
         resid = v - self.basis @ (self.basis.conj().T @ v)
-        return float(np.linalg.norm(resid)) <= tol * scale
+        return float(np.linalg.norm(resid)) <= SUBSPACE_TOL * scale
 
 
 def _check_ambient(a: Subspace, b: Subspace):
@@ -490,11 +477,11 @@ def orthocomplement(a: Subspace) -> Subspace:
     return Subspace(a.ambient_dim, _nullspace(a.basis.conj().T))
 
 
-def subspaces_equal(a: Subspace, b: Subspace, tol: float = SUBSPACE_TOL) -> bool:
+def subspaces_equal(a: Subspace, b: Subspace) -> bool:
     _check_ambient(a, b)
     if a.rank != b.rank:
         return False
-    return float(np.max(np.abs(a.projector - b.projector))) <= tol if a.rank else True
+    return float(np.max(np.abs(a.projector - b.projector))) <= SUBSPACE_TOL if a.rank else True
 
 
 @dataclass(frozen=True)
@@ -624,8 +611,8 @@ def rel_power(t: LinearRelation, n: int) -> LinearRelation:
     return out
 
 
-def rel_is_selfadjoint(t: LinearRelation, tol: float = SUBSPACE_TOL) -> bool:
-    return subspaces_equal(t.graph, t.adjoint.graph, tol)
+def rel_is_selfadjoint(t: LinearRelation) -> bool:
+    return subspaces_equal(t.graph, t.adjoint.graph)
 
 
 def save_matrix_csv(matrix, path):

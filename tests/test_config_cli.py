@@ -42,6 +42,10 @@ class TestParseConfig:
         report = run_scenario(config)
         assert report.meta["seed"] == 0
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer, got -1"):
+            parse_config(json.dumps(make_config(seed=-1)))
+
     def test_unknown_top_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(json.dumps(make_config(bogus=1)))
@@ -524,3 +528,20 @@ class TestCli:
         path = self.write_config(tmp_path, make_config())
         monkeypatch.setenv("LDLAB_SEED", "not-a-number")
         assert main(["run", path]) == 2
+
+    @pytest.mark.parametrize("seed", [-3, -1])
+    def test_negative_config_seed_exit_two(self, tmp_path, capsys, seed):
+        path = self.write_config(tmp_path, make_config(seed=seed))
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert f"seed must be a nonnegative integer, got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-4", "-1"])
+    def test_negative_seed_env_exit_two(self, tmp_path, monkeypatch, capsys, value):
+        path = self.write_config(tmp_path, make_config())
+        out = tmp_path / "out"
+        monkeypatch.setenv("LDLAB_SEED", value)
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert f"LDLAB_SEED='{value}' is not a nonnegative integer" in capsys.readouterr().err
+        assert not out.exists()

@@ -105,25 +105,67 @@ class TestEigh:
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) <= 1e-12
 
 
-def _recording(monkeypatch, name: str, corrupt=None) -> list:
-    """np.linalg.<name> wrapped to record the dtype it is handed; `corrupt` edits its result."""
+def _recording(monkeypatch, name: str, corrupt=None, results=None) -> list:
+    """np.linalg.<name> wrapped to record the dtype it is handed; `corrupt` edits its result
+    and `results`, if given, collects what it returns."""
     real = getattr(np.linalg, name)
     dtypes = []
 
     def recording(a, *args, **kwargs):
         dtypes.append(a.dtype)
         out = real(a, *args, **kwargs)
-        return corrupt(*out) if corrupt else out
+        out = corrupt(*out) if corrupt else out
+        if results is not None:
+            results.append(out)
+        return out
 
     monkeypatch.setattr(np.linalg, name, recording)
     return dtypes
 
 
 def _real_valued(seed, n=30) -> HermitianMatrix:
-    """A real symmetric matrix stored, as every HermitianMatrix is, as complex128."""
+    """A real symmetric matrix given as complex128 with zero imaginary part, stored as float64."""
     h = random_hermitian(np.random.default_rng(seed), n, complex_=False)
-    assert h.entries.dtype == np.complex128
+    h = HermitianMatrix(h.entries.astype(complex))
+    assert h.entries.dtype == np.float64
     return h
+
+
+class TestStorage:
+    """Real-valued data is stored once as float64, anything else as complex128."""
+
+    def test_float_and_zero_imaginary_inputs_store_the_same_float64(self):
+        m = random_hermitian(np.random.default_rng(47), 9, complex_=False).entries
+        from_float = HermitianMatrix(m.copy())
+        from_complex = HermitianMatrix(m.astype(complex))
+        assert from_float.entries.dtype == from_complex.entries.dtype == np.float64
+        assert from_float.entries.tobytes() == from_complex.entries.tobytes()
+        assert from_float.norm_max == from_complex.norm_max
+        assert HermitianMatrix(np.eye(3, dtype=int)).entries.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_callers_array_stays_writable(self, dtype):
+        m = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=dtype)
+        h = HermitianMatrix(m)
+        assert m.flags.writeable and not h.entries.flags.writeable
+        m[0, 0] = 7.0
+        assert h.entries[0, 0] == 2.0
+
+    def test_one_imaginary_pair_keeps_complex128(self):
+        entries = _real_valued(48, n=6).entries.astype(complex)
+        entries[1, 4] += 1e-300j
+        entries[4, 1] -= 1e-300j
+        h = HermitianMatrix(entries)
+        assert h.entries.dtype == np.complex128
+        np.testing.assert_array_equal(h.entries, entries)
+
+    def test_lapack_basis_of_a_diagonal_matrix_is_kept_as_unit_rows(self):
+        decomp = eigh(HermitianMatrix.diag([3.0, 1.0, 2.0, 5.0]))
+        assert decomp.columns is None
+        np.testing.assert_array_equal(decomp.unit_rows, [1, 2, 0, 3])
+        u = decomp.eigenvectors
+        assert u.dtype == np.float64 and not u.flags.writeable
+        np.testing.assert_array_equal(u, np.eye(4)[:, [1, 2, 0, 3]])
 
 
 class TestRealRoute:
@@ -131,17 +173,19 @@ class TestRealRoute:
 
     def test_real_valued_input_reaches_lapack_as_float64(self, monkeypatch):
         h = _real_valued(40)
-        complex_lam = np.linalg.eigvalsh(h.entries)
-        dtypes = _recording(monkeypatch, "eigh")
+        complex_lam = np.linalg.eigvalsh(h.entries.astype(complex))
+        results = []
+        dtypes = _recording(monkeypatch, "eigh", results=results)
         decomp = eigh(h)
         assert dtypes == [np.float64]
-        assert decomp.eigenvectors.dtype == np.complex128
+        assert decomp.columns is results[0][1]      # LAPACK's float64 result, not a copy
+        assert decomp.columns.dtype == np.float64 and decomp.eigenvectors is decomp.columns
         tol = 1e-12 * h.norm_max
         assert np.max(np.abs(decomp.eigenvalues - complex_lam)) <= tol
         assert np.max(np.abs(decomp.apply_function(lambda x: x) - h.entries)) <= tol
 
     def test_one_imaginary_pair_keeps_complex_route(self, monkeypatch):
-        entries = _real_valued(41).entries.copy()
+        entries = _real_valued(41).entries.astype(complex)
         entries[3, 7] += 1e-3j
         entries[7, 3] -= 1e-3j
         h = HermitianMatrix(entries)
@@ -150,6 +194,7 @@ class TestRealRoute:
         dtypes = _recording(monkeypatch, "eigh")
         decomp = eigh(h)
         assert dtypes == [np.complex128]
+        assert decomp.columns.dtype == np.complex128
         np.testing.assert_array_equal(decomp.eigenvalues, complex_lam)
         assert np.max(np.abs(decomp.eigenvalues - real_lam)) > 1e-9
 
@@ -180,9 +225,9 @@ def _permutation(order):
 class TestDiagonalEigh:
     @pytest.mark.parametrize("n", [10, 401])
     def test_bitwise_equal_to_eigh_for_sorted_distinct(self, n):
-        h = HermitianMatrix.diag(np.sort(np.random.default_rng(n).normal(size=n)))
-        exact = diagonal_eigh(h)
-        dense = eigh(h)
+        values = np.sort(np.random.default_rng(n).normal(size=n))
+        exact = diagonal_eigh(values)
+        dense = eigh(HermitianMatrix.diag(values))
         np.testing.assert_array_equal(exact.eigenvalues, dense.eigenvalues)
         np.testing.assert_array_equal(exact.eigenvectors, dense.eigenvectors)
 
@@ -190,16 +235,12 @@ class TestDiagonalEigh:
                                         [-1.0, 4.0, -1.0]])
     def test_unsorted_or_degenerate_input(self, values):
         h = HermitianMatrix.diag(values)
-        decomp = diagonal_eigh(h)
+        decomp = diagonal_eigh(values)
         np.testing.assert_array_equal(decomp.eigenvalues, np.sort(values))
         np.testing.assert_allclose(decomp.eigenvalues, eigh(h).eigenvalues, rtol=1e-14)
         u = decomp.eigenvectors
         np.testing.assert_array_equal(u.conj().T @ u, np.eye(len(values)))
         np.testing.assert_array_equal(decomp.apply_function(lambda x: x), h.entries)
-
-    def test_rejects_non_diagonal_matrix(self):
-        with pytest.raises(SpectrumError, match="residual"):
-            diagonal_eigh(HermitianMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
 
 
 class TestExactChecks:
@@ -208,6 +249,8 @@ class TestExactChecks:
     def test_permutation_passes_without_gram_product(self):
         u = _permutation([2, 0, 1])
         decomp = SpectralDecomposition([1.0, 2.0, 3.0], u)
+        assert decomp.columns is None       # kept as its unit_rows only
+        np.testing.assert_array_equal(decomp.unit_rows, [2, 0, 1])
         np.testing.assert_array_equal(decomp.eigenvectors, u)
 
     @pytest.mark.parametrize("rows", [[0, 0, 2], [1, 1, 1]])
@@ -222,6 +265,11 @@ class TestExactChecks:
         u[[0, 1, 2], [0, 0, 2]] = 1.0
         with pytest.raises(SpectrumError, match="not orthonormal"):
             SpectralDecomposition([1.0, 2.0, 3.0], u)
+
+    @pytest.mark.parametrize("columns", [np.eye(3), np.eye(3)[:, :2], np.eye(2)[:, :1]])
+    def test_columns_must_match_the_eigenvalues(self, columns):
+        with pytest.raises(SpectrumError, match="must form a 2 x 2 array"):
+            SpectralDecomposition([1.0, 2.0], columns)
 
     def test_perturbed_permutation_goes_through_gram_check(self):
         u = _permutation([1, 2, 0])
@@ -280,7 +328,8 @@ class TestPermutationBasis:
         with pytest.raises(SpectrumError, match="nondecreasing"):
             SpectralDecomposition([2.0, 1.0, 3.0], unit_rows=[1, 0, 2])
 
-    @pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf, 2.0], [], [[1.0, 2.0]]])
+    @pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf, 2.0], [], [[1.0, 2.0]],
+                                        np.eye(2)])
     def test_nonfinite_or_malformed_diagonal_rejected(self, values):
         with pytest.raises(NotHermitianError):
             diagonal_eigh(values)
@@ -302,34 +351,42 @@ class TestPermutationBasis:
 
 
 class TestRealProducts:
-    """Real-valued eigenvectors are multiplied as float64, complex vectors as (re, im) pairs."""
+    """A float64 eigenbasis is never upcast: complex vectors go as (re, im) pairs."""
 
     def test_real_operands_match_complex_products(self):
         h = _real_valued(43)
         decomp = eigh(h)
-        u = decomp.eigenvectors
-        assert u.dtype == np.complex128 and decomp._operands[0].dtype == np.float64
+        u = decomp.columns
+        assert u.dtype == np.float64
+        uc = u.astype(complex)
         rng = np.random.default_rng(44)
         x = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
         block = rng.normal(size=(h.dim, 2)) + 1j * rng.normal(size=(h.dim, 2))
         tol = 1e-12 * np.linalg.norm(x)
-        assert np.max(np.abs(decomp.to_eigenbasis(x) - u.conj().T @ x)) <= tol
-        assert np.max(np.abs(decomp.from_eigenbasis(x) - u @ x)) <= tol
-        assert np.max(np.abs(decomp.to_eigenbasis(block) - u.conj().T @ block)) \
+        assert np.max(np.abs(decomp.to_eigenbasis(x) - uc.conj().T @ x)) <= tol
+        assert np.max(np.abs(decomp.from_eigenbasis(x) - uc @ x)) <= tol
+        assert np.max(np.abs(decomp.to_eigenbasis(block) - uc.conj().T @ block)) \
+            <= 1e-12 * np.linalg.norm(block)
+        assert np.max(np.abs(decomp.from_eigenbasis(block) - uc @ block)) \
             <= 1e-12 * np.linalg.norm(block)
         powered = decomp.apply_function(lambda lam: lam ** 2)
         gram = decomp.compress(powered)
         assert powered.dtype == gram.dtype == np.float64
         scale = h.norm_max ** 2
-        assert np.max(np.abs(powered - (u * decomp.eigenvalues ** 2) @ u.conj().T)) <= 1e-12 * scale
+        assert np.max(np.abs(powered - (uc * decomp.eigenvalues ** 2) @ uc.conj().T)) \
+            <= 1e-12 * scale
         assert np.max(np.abs(gram - np.diag(decomp.eigenvalues ** 2))) <= 1e-11 * scale
+        m = rng.normal(size=(h.dim, h.dim)) + 1j * rng.normal(size=(h.dim, h.dim))
+        assert np.max(np.abs(decomp.compress(m) - uc.conj().T @ m @ uc)) \
+            <= 1e-12 * np.abs(m).sum()
 
     def test_complex_eigenvectors_keep_complex_products(self):
         decomp = eigh(random_hermitian(np.random.default_rng(45), 12))
-        u, u_adj = decomp._operands
-        assert u is decomp.eigenvectors and u_adj is decomp.eigenvectors_adjoint
+        u = decomp.columns
+        assert u.dtype == np.complex128 and decomp.eigenvectors is u
         x = np.random.default_rng(46).normal(size=12) + 0j
-        np.testing.assert_array_equal(decomp.to_eigenbasis(x), decomp.eigenvectors_adjoint @ x)
+        np.testing.assert_array_equal(decomp.to_eigenbasis(x), u.conj().T @ x)
+        np.testing.assert_array_equal(decomp.from_eigenbasis(x), u @ x)
 
 
 class TestMatPower:
