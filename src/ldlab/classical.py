@@ -24,7 +24,6 @@ from math import comb, factorial, lgamma
 from math import exp as _exp
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 
 def gamma_ratio(a: float, b: float) -> float:
@@ -194,12 +193,15 @@ class QuadratureRule:
 def gauss_quadrature(weight_exponent: float, m: int) -> QuadratureRule:
     """Gauss-Laguerre rule with m nodes for weight t^{weight_exponent} e^{-t}.
 
-    Exact for polynomials up to degree 2m - 1 (Golub-Welsch nodes via scipy).
+    Exact for polynomials up to degree 2m - 1. The nodes are scipy's Golub-Welsch
+    ones (`scipy.special.roots_genlaguerre`), imported on first call, so that
+    `import ldlab` loads no scipy module.
     """
     if not weight_exponent > -1:
         raise ValueError(f"weight exponent must exceed -1, got {weight_exponent}")
     if m < 1:
         raise ValueError("node count must be at least 1")
+    from scipy.special import roots_genlaguerre
     nodes, weights = roots_genlaguerre(m, weight_exponent)
     if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
         raise ArithmeticError(f"node solve failed for alpha'={weight_exponent}, m={m}")

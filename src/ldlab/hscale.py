@@ -2,9 +2,11 @@
 
 Vectors are carried by their coefficients in the eigenbasis of the operator,
 so all scale norms, duality pairings, and isometries are diagonal
-computations. Membership of an *infinite* power-law model vector in a given
-space of the scale is decided analytically from the growth exponents, never
-from truncated norms (truncations are always finite). The partial-sum
+computations with the weights (|lambda_n| + 1)^e, which the operator computes
+once per exponent e (`SpectralOperator.scale_weights`). Membership of an
+*infinite* power-law model vector in a given space of the scale is decided
+analytically from the growth exponents, never from truncated norms
+(truncations are always finite). The partial-sum
 classifier that cross-checks it sums every grid point in one blocked pass
 over n.
 """
@@ -74,16 +76,11 @@ def _check_dim(operator: SpectralOperator, c: np.ndarray):
         )
 
 
-def _weights(operator: SpectralOperator, exponent: float) -> np.ndarray:
-    """(|lambda_n| + 1)^exponent, the diagonal of (|A| + I)^exponent."""
-    return np.power(np.abs(operator.eigenvalues) + 1.0, exponent)
-
-
 def hs_norm(operator: SpectralOperator, s: float, phi) -> float:
     """Scale norm ||phi||_s = ||(|A| + I)^{s/2} phi||, diagonal in the eigenbasis."""
     c = _coeffs(phi)
     _check_dim(operator, c)
-    return float(np.linalg.norm(_weights(operator, s / 2) * c))
+    return float(np.linalg.norm(operator.scale_weights(s / 2) * c))
 
 
 def duality_pair(operator: SpectralOperator, s: float, phi, psi) -> complex:
@@ -97,7 +94,7 @@ def duality_pair(operator: SpectralOperator, s: float, phi, psi) -> complex:
     cq = _coeffs(psi)
     _check_dim(operator, cp)
     _check_dim(operator, cq)
-    return inner(_weights(operator, -s / 2) * cp, _weights(operator, s / 2) * cq)
+    return inner(operator.scale_weights(-s / 2) * cp, operator.scale_weights(s / 2) * cq)
 
 
 def isometry_check(operator: SpectralOperator, s: float, t: float, phi) -> float:
@@ -107,7 +104,7 @@ def isometry_check(operator: SpectralOperator, s: float, t: float, phi) -> float
     """
     c = _coeffs(phi)
     _check_dim(operator, c)
-    mapped = _weights(operator, t / 2) * c
+    mapped = operator.scale_weights(t / 2) * c
     norm_s = hs_norm(operator, s, c)
     if norm_s == 0.0:
         return 0.0
@@ -198,7 +195,7 @@ def equivalence_check(operator: SpectralOperator, s: float, samples, gamma: floa
         )
     lam = operator.eigenvalues
     shifted = np.power(lam - gamma, s / 2)
-    plain = _weights(operator, s / 2)
+    plain = operator.scale_weights(s / 2)
     ratios = []
     for phi in samples:
         c = _coeffs(phi)

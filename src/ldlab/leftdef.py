@@ -102,10 +102,11 @@ class SpectralOperator:
 
     @cached_property
     def matrix(self) -> HermitianMatrix:
-        """The dense matrix; for a diagonal operator the scatter U diag(lambda) U*, built once."""
+        """The dense matrix; for a diagonal operator the scatter U diag(lambda) U*, built once
+        and handed over uncopied."""
         if self.dense is not None:
             return self.dense
-        return HermitianMatrix(self.decomp.apply_function(lambda lam: lam))
+        return HermitianMatrix._adopt(self.decomp.apply_function(lambda lam: lam))
 
     @property
     def norm_max(self) -> float:
@@ -119,6 +120,21 @@ class SpectralOperator:
     @property
     def eigenvalues(self) -> np.ndarray:
         return self.decomp.eigenvalues
+
+    def scale_weights(self, exponent: float) -> np.ndarray:
+        """(|lambda_n| + 1)^exponent, the diagonal of (|A| + I)^exponent in the eigenbasis that
+        sets the norms of the Hilbert scale (`hscale`); computed once per exponent and kept,
+        read-only, on the operator."""
+        weights = self._scale_weights.get(exponent)
+        if weights is None:
+            weights = np.power(np.abs(self.eigenvalues) + 1.0, exponent)
+            weights.setflags(write=False)
+            self._scale_weights[exponent] = weights
+        return weights
+
+    @cached_property
+    def _scale_weights(self) -> dict:
+        return {}
 
     def require_positive(self):
         """Raise ShiftError unless k > CLUSTER_RTOL * ||A||_max, the default shift's cutoff."""

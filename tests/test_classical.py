@@ -289,16 +289,16 @@ class TestRuleReuse:
 
     @pytest.mark.parametrize("args", [(1.0, 1.0, 3, 20), (0.5, 2.0, 2, 30)])
     def test_rules_built_once_per_call(self, args, monkeypatch):
-        import ldlab.classical as classical
+        import scipy.special   # gauss_quadrature imports roots_genlaguerre from it per call
 
-        real = classical.roots_genlaguerre
+        real = scipy.special.roots_genlaguerre
         calls = []
 
         def counting(m, alpha):
             calls.append((alpha, m))
             return real(m, alpha)
 
-        monkeypatch.setattr(classical, "roots_genlaguerre", counting)
+        monkeypatch.setattr(scipy.special, "roots_genlaguerre", counting)
         _, _, n, deg = args
         laguerre_identity_table(*args)
         first = list(calls)

@@ -26,6 +26,7 @@ from ldlab.extensions import SYMMETRY_TOL, _adjoint_and_residual
 from ldlab import extensions, spectral
 from ldlab.leftdef import SpectralOperator
 from ldlab.spectral import (
+    DimensionMismatchError,
     LinearRelation,
     SpectrumError,
     Subspace,
@@ -464,6 +465,44 @@ class TestThetaSweepAndInterlacing:
         crossrows, target, _ = limit_crosscheck(a0, spec, [1e8])
         np.testing.assert_allclose(target, eigs_mul, atol=1e-12)
         assert crossrows[0][1] <= 1e-6
+
+    def _sweep_case(self):
+        n = 12
+        a0 = _dense_operator(n, 63)
+        b = Subspace.span(np.random.default_rng(64).normal(size=(n, 2))).basis
+        family = [(t, t * np.array([[1.0, 0.3], [0.3, -0.5]])) for t in (0.0, 0.5, 2.0)]
+        family += [(kind, _theta(kind)) for kind in ("matrix", "multivalued", "mixed")]
+        return a0, b, family
+
+    def test_sweep_checks_b_once_and_matches_per_theta_specs(self, monkeypatch):
+        a0, b, family = self._sweep_case()
+        expected = []
+        for label, theta in family:
+            spec = (PerturbationSpec(b, theta) if isinstance(theta, LinearRelation)
+                    else PerturbationSpec.from_matrix(b, theta))
+            eigs, mul_dim = perturbed_spectrum(a0, spec)
+            expected.append((label, mul_dim, tuple(float(x) for x in eigs)))
+        svds = _count_svds(monkeypatch)
+        rows = theta_sweep(a0, b, family)
+        assert rows == expected
+        assert svds.count(b.shape) == 1      # B's independence test; no other SVD is n x d
+
+    def test_sweep_rejects_a_bad_theta_mid_family(self):
+        a0, b, family = self._sweep_case()
+        not_selfadjoint = LinearRelation.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NotSelfAdjointError):
+            theta_sweep(a0, b, family[:2] + [("bad", not_selfadjoint)] + family[2:])
+        with pytest.raises(DimensionMismatchError):
+            theta_sweep(a0, b, family[:2] + [("bad", LinearRelation.multivalued(3))])
+
+    def test_sweep_rejects_a_dependent_b_before_any_eigensolve(self, monkeypatch):
+        a0, b, family = self._sweep_case()
+        log = []
+        for name in ("eigh", "eigvalsh"):
+            _record_calls(monkeypatch, np.linalg, name, log)
+        with pytest.raises(ValueError, match="linearly independent"):
+            theta_sweep(a0, np.column_stack([b[:, 0], 2 * b[:, 0]]), family)
+        assert log == []
 
     def test_interlacing_two_by_two(self):
         # eigenvalues (5 +/- sqrt 5)/2 = 1.38..., 3.61... interlace 1, 3

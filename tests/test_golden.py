@@ -10,22 +10,31 @@ passes while a changed verdict or table shape fails.
 After a deliberate change of verdicts or tables, rewrite the stored outputs:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Only the laguerre-identity experiment needs scipy (its Gauss rules): `ldlab run`
+on any other golden config, in a fresh interpreter, loads no scipy module.
 """
 
 import csv
 import io
 import math
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import ldlab
 from ldlab.config import EXPERIMENTS, parse_config
 from ldlab.scenarios import run_scenario
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if (p / "config.json").is_file())
 NUMERIC_RTOL = 1e-9
+SCIPY_FREE = [n for n in CASES if parse_config((GOLDEN / n / "config.json").read_text())
+              .experiment != "laguerre-identity"]
 
 
 def _outputs(name: str):
@@ -75,6 +84,23 @@ def test_golden(name):
 def test_golden_covers_every_experiment():
     seen = {parse_config((GOLDEN / n / "config.json").read_text()).experiment for n in CASES}
     assert seen == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name", SCIPY_FREE)
+def test_run_loads_no_scipy(name, tmp_path):
+    code = ("import sys\n"
+            "from ldlab.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+            "sys.exit(status)\n")
+    src = str(pathlib.Path(ldlab.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, "run", str(GOLDEN / name / "config.json"),
+         "--out", str(tmp_path), "--format", "csv"],
+        capture_output=True, text=True, cwd=src, timeout=120,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def _regenerate():

@@ -217,3 +217,36 @@ class TestEquivalence:
         op = SpectralOperator.from_diag([1.0, 5.0])
         with pytest.raises(ShiftError):
             equivalence_check(op, 1.0, [np.ones(2)], gamma=1.0)
+
+
+class TestWeightsOnce:
+    """The weights (|lambda_n| + 1)^e are computed once per (operator, exponent)."""
+
+    CONFIG = ('{"operatorSpec": {"kind": "diag-growth", "p": 2.0, "q": 0.5, "N": 200}, '
+              '"experiment": "scale", "params": {"samples": 8}, "seed": 3}')
+
+    def test_one_power_per_distinct_exponent_in_a_scale_scenario(self, monkeypatch):
+        from ldlab.config import parse_config
+        from ldlab.scenarios import build_operator, run_scenario
+
+        config = parse_config(self.CONFIG)
+        base = np.abs(build_operator(config.operator_spec).operator.eigenvalues) + 1.0
+        real_power = np.power
+        exponents = []
+
+        def counting(x, exponent, *args, **kwargs):
+            if np.shape(x) == base.shape and np.array_equal(x, base):
+                exponents.append(float(exponent))
+            return real_power(x, exponent, *args, **kwargs)
+
+        monkeypatch.setattr(np, "power", counting)
+        report = run_scenario(config)
+        assert report.overall == "PASS"
+        assert exponents and len(exponents) == len(set(exponents))
+
+    def test_weights_are_kept_read_only_per_exponent(self):
+        op = SpectralOperator.from_diag([3.0, 1.0, 2.0])
+        w = op.scale_weights(0.5)
+        assert op.scale_weights(0.5) is w and not w.flags.writeable
+        np.testing.assert_array_equal(w, np.power(np.abs(op.eigenvalues) + 1.0, 0.5))
+        assert op.scale_weights(-0.5) is not w
