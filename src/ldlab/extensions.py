@@ -253,23 +253,6 @@ def relation_spectrum(t: LinearRelation):
     return np.linalg.eigvalsh(h), t.space_dim - dom.rank
 
 
-def _independent_columns(b_map) -> np.ndarray:
-    """B as a read-only complex array, checked to be n x d with d >= 1 independent columns."""
-    b = np.asarray(b_map, dtype=complex)
-    if b.ndim != 2:
-        raise DimensionMismatchError("B must be an n x d matrix")
-    d = b.shape[1]
-    if d == 0 or _rank(np.linalg.svd(b, compute_uv=False)) < d:
-        raise ValueError("columns of B must be linearly independent")
-    b.setflags(write=False)
-    return b
-
-
-def _matrix_theta(theta_matrix) -> LinearRelation:
-    """The graph of a Hermitian d x d matrix Theta."""
-    return LinearRelation.from_matrix(HermitianMatrix(np.asarray(theta_matrix)).entries)
-
-
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Coordinate map B (independent columns) and a self-adjoint relation Theta on C^d."""
@@ -278,33 +261,26 @@ class PerturbationSpec:
     theta: LinearRelation
 
     def __post_init__(self):
-        object.__setattr__(self, "b_map", _independent_columns(self.b_map))
-        self._check_theta()
-
-    def _check_theta(self):
-        """Raise unless Theta is a self-adjoint relation on C^d, d the column count of B."""
-        d = self.b_map.shape[1]
+        b = np.asarray(self.b_map, dtype=complex)
+        if b.ndim != 2:
+            raise DimensionMismatchError("B must be an n x d matrix")
+        d = b.shape[1]
+        if d == 0 or _rank(np.linalg.svd(b, compute_uv=False)) < d:
+            raise ValueError("columns of B must be linearly independent")
         if self.theta.space_dim != d:
             raise DimensionMismatchError(
                 f"Theta lives on C^{self.theta.space_dim}, B has {d} columns"
             )
         if not rel_is_selfadjoint(self.theta):
             raise NotSelfAdjointError("Theta must be a self-adjoint relation")
-
-    @classmethod
-    def _on_checked_b(cls, b: np.ndarray, theta: LinearRelation) -> "PerturbationSpec":
-        """A spec on a B that `_independent_columns` returned: only Theta is checked, so a
-        family of Theta on one B checks B once (`theta_sweep`)."""
-        spec = object.__new__(cls)
-        object.__setattr__(spec, "b_map", b)
-        object.__setattr__(spec, "theta", theta)
-        spec._check_theta()
-        return spec
+        b.setflags(write=False)
+        object.__setattr__(self, "b_map", b)
 
     @classmethod
     def from_matrix(cls, b_map, theta_matrix) -> "PerturbationSpec":
         """Accept a Hermitian d x d matrix as parameterization sugar."""
-        return cls(np.asarray(b_map, dtype=complex), _matrix_theta(theta_matrix))
+        theta = LinearRelation.from_matrix(HermitianMatrix(np.asarray(theta_matrix)).entries)
+        return cls(np.asarray(b_map, dtype=complex), theta)
 
     @property
     def rank(self) -> int:
@@ -403,16 +379,14 @@ def theta_sweep(a0, b_map, family):
 
     `family` yields (label, theta) pairs where theta is a Hermitian matrix or
     a self-adjoint LinearRelation. Returns rows
-    (label, mul_dim, sorted operator-part eigenvalues...). B is checked once,
-    before the first eigensolve; each Theta is checked as PerturbationSpec
-    checks it (its space dimension and self-adjointness).
+    (label, mul_dim, sorted operator-part eigenvalues...).
     """
-    b = _independent_columns(b_map)
     rows = []
     for label, theta in family:
-        if not isinstance(theta, LinearRelation):
-            theta = _matrix_theta(theta)
-        spec = PerturbationSpec._on_checked_b(b, theta)
+        if isinstance(theta, LinearRelation):
+            spec = PerturbationSpec(np.asarray(b_map, dtype=complex), theta)
+        else:
+            spec = PerturbationSpec.from_matrix(b_map, theta)
         eigs, mul_dim = perturbed_spectrum(a0, spec)
         rows.append((label, mul_dim, tuple(float(x) for x in eigs)))
     return rows

@@ -102,11 +102,10 @@ class SpectralOperator:
 
     @cached_property
     def matrix(self) -> HermitianMatrix:
-        """The dense matrix; for a diagonal operator the scatter U diag(lambda) U*, built once
-        and handed over uncopied."""
+        """The dense matrix; for a diagonal operator the scatter U diag(lambda) U*, built once."""
         if self.dense is not None:
             return self.dense
-        return HermitianMatrix._adopt(self.decomp.apply_function(lambda lam: lam))
+        return HermitianMatrix(self.decomp.apply_function(lambda lam: lam))
 
     @property
     def norm_max(self) -> float:

@@ -132,15 +132,14 @@ class DiscreteOperator:
 
     @cached_property
     def matrix(self) -> HermitianMatrix:
-        """Dense L_h assembled from the bands, handed over uncopied and validated as a float64
-        HermitianMatrix."""
+        """Dense L_h assembled from the bands, validated as a float64 HermitianMatrix."""
         n = self.n_interior
         dense = np.zeros((n, n))
         np.fill_diagonal(dense, self.diagonal)
         i = np.arange(n - 1)
         dense[i, i + 1] = self.offdiagonal
         dense[i + 1, i] = self.offdiagonal
-        return HermitianMatrix._adopt(dense)
+        return HermitianMatrix(dense)
 
     def eigenvalues(self) -> np.ndarray:
         """All N eigenvalues of L_h, ascending, by a symmetric tridiagonal solver."""

@@ -28,12 +28,6 @@ the stored arrays as they are: U* of a float64 U is the view U.T, and complex
 vectors meet it as one real product of their (re, im) columns (`_product`).
 `extensions` solves its real-valued perturbation matrices by the same rule.
 
-A `HermitianMatrix` copies a caller's array. An array the package built
-itself (a dense SL matrix, the matrix of a diagonal operator, a matrix power)
-is handed over uncopied (`HermitianMatrix._adopt`). Either way the finiteness
-and asymmetry checks run in row panels, with no n x n temporary, and the
-stored array is read-only.
-
 The exact decomposition of a diagonal matrix (`diagonal_eigh`) is its sorted
 diagonal and a permutation, `unit_rows`; given the diagonal alone it takes
 O(n) time and memory, checks included; LAPACK's unit-permutation eigenvectors
@@ -57,7 +51,6 @@ RANK_RTOL = 1e-10        # singular values below RANK_RTOL * sigma_max are zero
 SUBSPACE_TOL = 1e-10     # projector max-norm tolerance for subspace equality
 CLUSTER_RTOL = 1e-10     # eigenvalues closer than this (relative) form a cluster
 POSITIVE_FLOOR = 1e-8    # smallest eigenvalue admitted for fractional powers
-_PANEL_BYTES = 1 << 20   # row panel size of the Hermitian checks: 1 MB temporaries
 
 
 class NotHermitianError(ValueError):
@@ -78,35 +71,22 @@ def inner(x, y) -> complex:
 
 
 @dataclass(frozen=True)
-class _Owned:
-    """An array built inside the package and referenced nowhere else (`HermitianMatrix._adopt`)."""
-
-    array: np.ndarray
-
-
-@dataclass(frozen=True)
 class HermitianMatrix:
-    """A validated n x n Hermitian matrix, stored read-only by `_stored`; norm_max = max|entries|.
-
-    A caller's array is copied. An array the package built itself is handed
-    over without a copy (`_adopt`). Either way the same checks run on the
-    stored array, in row panels (`_hermitian_defects`), and it is made read-only.
-    """
+    """A validated n x n Hermitian matrix, a read-only `_stored` copy; norm_max = max|entries|."""
 
     entries: np.ndarray
     norm_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        owned = isinstance(self.entries, _Owned)
-        entries = _stored(self.entries.array if owned else self.entries, copy=not owned)
+        entries = _stored(self.entries, copy=True)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise NotHermitianError(f"expected a square matrix, got shape {entries.shape}")
         if entries.shape[0] == 0:
             raise NotHermitianError("empty matrix")
-        defects = _hermitian_defects(entries)
-        if defects is None:
+        if not np.all(np.isfinite(entries.view(float))):
             raise NotHermitianError("matrix contains non-finite entries")
-        scale, asym = defects
+        asym = float(np.max(np.abs(entries - entries.conj().T)))
+        scale = float(np.max(np.abs(entries)))
         if asym > HERMITIAN_RTOL * max(scale, 1e-300):
             raise NotHermitianError(
                 f"matrix is not Hermitian: max asymmetry {asym:.3e} "
@@ -116,24 +96,17 @@ class HermitianMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "norm_max", scale)
 
-    @classmethod
-    def _adopt(cls, entries: np.ndarray) -> "HermitianMatrix":
-        """A HermitianMatrix of `entries`, an array built inside the package and referenced
-        nowhere else: stored with no copy of a float64 or complex128 array (`_stored`),
-        validated like a caller's array, then read-only."""
-        return cls(_Owned(entries))
-
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
     @classmethod
     def diag(cls, values) -> "HermitianMatrix":
-        return cls._adopt(np.diag(np.asarray(values, dtype=float)))
+        return cls(np.diag(np.asarray(values, dtype=float)))
 
     @classmethod
     def identity(cls, n: int) -> "HermitianMatrix":
-        return cls._adopt(np.eye(n))
+        return cls(np.eye(n))
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.entries, dtype=dtype)
@@ -160,25 +133,6 @@ def _stored(a, copy: bool) -> np.ndarray:
         a, copy = a.real, True   # a strided view of the input: copied out either way
     dtype = np.float64 if a.dtype.kind in "biuf" else np.complex128
     return np.array(a, dtype=dtype) if copy else np.asarray(a, dtype=dtype)
-
-
-def _hermitian_defects(a: np.ndarray) -> tuple[float, float] | None:
-    """(max|a|, max|a - a*|) of a square array, or None if an entry is not finite.
-
-    Works in panels of about _PANEL_BYTES of rows, each tested finite before its
-    difference with the matching columns of a* is formed, so no n x n temporary
-    exists; the maxima are exact, hence those of the whole array.
-    """
-    n = a.shape[0]
-    rows = max(1, _PANEL_BYTES // (a.itemsize * n))
-    scale = asym = 0.0
-    for lo in range(0, n, rows):
-        panel = a[lo:lo + rows]
-        if not np.isfinite(panel).all():
-            return None
-        scale = max(scale, float(np.max(np.abs(panel))))
-        asym = max(asym, float(np.max(np.abs(panel - a[:, lo:lo + rows].conj().T))))
-    return scale, asym
 
 
 def _ortho_defect(b: np.ndarray) -> float:
@@ -306,9 +260,7 @@ class SpectralDecomposition:
     def power(self, r: float) -> HermitianMatrix:
         """U diag(lambda^r) U* symmetrized as (P + P*)/2; the caller checks the spectrum."""
         powered = self.apply_function(lambda x: np.power(x, float(r)))
-        sym = powered + powered.conj().T
-        sym /= 2        # in place: (P + P*)/2 bitwise, with one n x n temporary fewer
-        return HermitianMatrix._adopt(sym)
+        return HermitianMatrix((powered + powered.conj().T) / 2)
 
     def compress(self, m) -> np.ndarray:
         """U* m U, the n x n matrix m in the eigenbasis."""

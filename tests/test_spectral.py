@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,6 @@ from ldlab.spectral import (
     SpectrumError,
     Subspace,
     _check_residual,
-    _hermitian_defects,
     diagonal_eigh,
     eigh,
     load_matrix_csv,
@@ -68,63 +65,6 @@ class TestHermitianMatrix:
         assert h.norm_max == 3.0
         assert len(calls) == 2      # norm_max is the validator's scale, not a third pass
         assert "norm_max" in vars(h)
-
-
-class TestHandOver:
-    """Arrays the package builds are stored uncopied (a caller's array is still copied:
-    TestStorage.test_callers_array_stays_writable), validated the same way."""
-
-    N = 1000
-    RESULT = N * N * 8      # one float64 N x N matrix
-
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_adopted_array_is_kept_read_only_and_validated_the_same(self, dtype):
-        m = random_hermitian(np.random.default_rng(61), 7, complex_=dtype is complex).entries
-        built = np.array(m, dtype=dtype)
-        adopted = HermitianMatrix._adopt(built)
-        assert adopted.entries is built and not built.flags.writeable
-        copied = HermitianMatrix(m)
-        assert adopted.entries.tobytes() == copied.entries.tobytes()
-        assert adopted.norm_max == copied.norm_max
-
-    @pytest.mark.parametrize("fault, match", [("asymmetric", "asymmetry"),
-                                              ("nan", "finite"), ("inf", "finite")])
-    def test_adopted_faulty_array_raises(self, fault, match):
-        m = np.eye(300, dtype=complex)       # 300 complex rows span more than one panel
-        value = {"asymmetric": 1e-6, "nan": np.nan, "inf": np.inf}[fault]
-        m[299, 2] = value
-        with pytest.raises(NotHermitianError, match=match):
-            HermitianMatrix._adopt(m)
-
-    @pytest.mark.parametrize("complex_", [False, True])
-    def test_panel_maxima_equal_whole_array_maxima(self, complex_):
-        rng = np.random.default_rng(62)
-        m = rng.normal(size=(600, 600)) + (1j * rng.normal(size=(600, 600)) if complex_ else 0)
-        scale, asym = _hermitian_defects(m)
-        assert scale == np.max(np.abs(m))
-        assert asym == np.max(np.abs(m - m.conj().T))
-
-    @staticmethod
-    def _peak(build) -> int:
-        tracemalloc.start()
-        try:
-            build()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    def test_peak_memory_of_the_three_builders(self):
-        from ldlab.leftdef import SpectralOperator
-        from ldlab.sldiscrete import SLCoefficients, discretize
-
-        sl = discretize(SLCoefficients.flat(), self.N)
-        diag = SpectralOperator.from_diag(np.arange(1, self.N + 1, dtype=float))
-        dense = SpectralOperator.from_matrix(
-            discretize(SLCoefficients.flat(), self.N).matrix)
-        assert self._peak(lambda: sl.matrix) <= 2 * self.RESULT
-        assert self._peak(lambda: diag.matrix) <= 2 * self.RESULT
-        assert self._peak(lambda: diag.power(2)) <= 3 * self.RESULT
-        assert self._peak(lambda: dense.power(2)) <= 3 * self.RESULT
 
 
 class TestEigh:
@@ -208,7 +148,7 @@ class TestStorage:
         m = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=dtype)
         h = HermitianMatrix(m)
         assert m.flags.writeable and not h.entries.flags.writeable
-        assert not np.shares_memory(h.entries, m)       # copied, unlike an adopted array
+        assert not np.shares_memory(h.entries, m)       # a copy, not a view
         m[0, 0] = 7.0
         assert h.entries[0, 0] == 2.0
 
