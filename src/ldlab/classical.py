@@ -8,8 +8,9 @@ explicit derivative-weighted inner product
 
 with Gauss-Laguerre quadrature that is exact on the polynomial test grid, and
 the spectral inner product sum_m (m+k)^n c_m d_m ||L_m||^2, whose agreement is
-the flagship identity check of the package. The identity table builds its Gauss
-rules and the spectral factors (m+k)^n and ||L_m||^2 once per call.
+the flagship identity check of the package. The Gauss rules are Golub-Welsch
+ones computed with numpy alone (`_genlaguerre_rule`). The identity table builds
+its Gauss rules and the spectral factors (m+k)^n and ||L_m||^2 once per call.
 
 Polynomials are represented by their coefficient vectors in L_n^alpha.
 Derivatives use the basis identity (L_n^alpha)' = -L_{n-1}^{alpha+1}
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lgamma
+from math import comb, factorial, gamma, lgamma
 from math import exp as _exp
 
 import numpy as np
@@ -190,19 +191,45 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
+def _genlaguerre_rule(m: int, alpha: float):
+    """Nodes and weights of the m-point Gauss rule for t^alpha e^{-t} (Golub-Welsch).
+
+    The nodes are the eigenvalues of the m x m Jacobi matrix (diagonal 2i + alpha + 1,
+    off-diagonal sqrt(i (i + alpha))), refined by one Newton step. With
+    L_k^alpha = binom(k + alpha, k) p_k, the three-term recurrence runs on p_k and
+    d_k = p_k - p_{k-1}, so L_m' = m binom(m + alpha, m) d_m / x is formed without
+    cancellation. One pass at the eigenvalue nodes gives the Newton step and the
+    weights 1/(L_{m-1} L_m'), up to a constant: x / (p_{m-1} d_m), each factor scaled
+    by the middle of its log-magnitude range so the product cannot overflow, then
+    normalized to the zeroth moment Gamma(alpha + 1). Eigenvector weights are not
+    used: they lose all relative accuracy at the large nodes, where weights are tiny.
+    """
+    i = np.arange(1, m)
+    jacobi = np.diag(2.0 * np.arange(m) + alpha + 1.0) + np.diag(np.sqrt(i * (i + alpha)), -1)
+    x = np.linalg.eigvalsh(jacobi)
+    d = -x / (alpha + 1.0)
+    p = d + 1.0
+    for k in range(1, m):
+        d = (k * d - x * p) / (k + alpha + 1.0)
+        p = p + d
+    weights = 1.0
+    for factor in (p - d, d / x):
+        logs = np.log(np.abs(factor))
+        weights = weights / (factor / np.exp((logs.max() + logs.min()) / 2))
+    return x - p * x / (m * d), weights * (gamma(alpha + 1.0) / weights.sum())
+
+
 def gauss_quadrature(weight_exponent: float, m: int) -> QuadratureRule:
     """Gauss-Laguerre rule with m nodes for weight t^{weight_exponent} e^{-t}.
 
-    Exact for polynomials up to degree 2m - 1. The nodes are scipy's Golub-Welsch
-    ones (`scipy.special.roots_genlaguerre`), imported on first call, so that
-    `import ldlab` loads no scipy module.
+    Exact for polynomials up to degree 2m - 1. Nodes and weights come from
+    `_genlaguerre_rule`, in numpy alone.
     """
     if not weight_exponent > -1:
         raise ValueError(f"weight exponent must exceed -1, got {weight_exponent}")
-    if m < 1:
-        raise ValueError("node count must be at least 1")
-    from scipy.special import roots_genlaguerre
-    nodes, weights = roots_genlaguerre(m, weight_exponent)
+    if m < 1 or m != int(m):
+        raise ValueError(f"node count must be a positive integer, got {m}")
+    nodes, weights = _genlaguerre_rule(int(m), float(weight_exponent))
     if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
         raise ArithmeticError(f"node solve failed for alpha'={weight_exponent}, m={m}")
     return QuadratureRule(float(weight_exponent), nodes, weights, 2 * m - 1)
@@ -235,15 +262,6 @@ def dirichlet_inner(spec: DirichletFormSpec, basis: LaguerreBasis, p, q) -> floa
 
     Node count floor((deg p + deg q)/2) + 1 makes every integral exact.
     """
-    return _dirichlet_inner(spec, basis, p, q, {})
-
-
-def _dirichlet_inner(spec: DirichletFormSpec, basis: LaguerreBasis, p, q, rules: dict) -> float:
-    """`dirichlet_inner` with `rules` memoizing, per (alpha + j, node count), the Gauss
-    rule and L^{alpha+j}_0..L^{alpha+j}_{max_degree-j} at its nodes; one dict serves
-    one basis. Leading recurrence rows do not depend on the top degree, so the
-    values are bitwise those of a basis built to the pair's own degree.
-    """
     cp = _poly_coeffs(p)
     cq = _poly_coeffs(q)
     deg_p, deg_q = cp.shape[0] - 1, cq.shape[0] - 1
@@ -258,16 +276,26 @@ def _dirichlet_inner(spec: DirichletFormSpec, basis: LaguerreBasis, p, q, rules:
         dq = derivative_coeffs(cq, j)
         if not (np.any(dp) and np.any(dq)):
             continue
-        key = (basis.alpha + j, m)
-        if key not in rules:
-            rule = gauss_quadrature(*key)
-            shifted = LaguerreBasis.build(key[0], basis.max_degree - j)
-            rules[key] = (rule, shifted.eval_all(rule.nodes))
-        rule, values = rules[key]
+        rule, values = _rule_values(basis, j, m, {})
         p_vals = dp @ values[: dp.shape[0]]
         q_vals = dq @ values[: dq.shape[0]]
         total += spec.b[j] * rule.integrate_values(p_vals * q_vals)
     return total
+
+
+def _rule_values(basis: LaguerreBasis, order: int, m: int, rules: dict):
+    """The m-node Gauss rule for t^(alpha + order) e^{-t} and V, V[d] = L^{alpha+order}_d
+    at its nodes for d = 0..max_degree - order, memoized in `rules` under
+    (alpha + order, m); one dict serves one basis. Leading recurrence rows do not
+    depend on the top degree, so V's rows are bitwise those of a basis built to any
+    lower degree.
+    """
+    key = (basis.alpha + order, m)
+    if key not in rules:
+        rule = gauss_quadrature(*key)
+        shifted = LaguerreBasis.build(key[0], basis.max_degree - order)
+        rules[key] = (rule, shifted.eval_all(rule.nodes))
+    return rules[key]
 
 
 def spectral_inner(basis: LaguerreBasis, k: float, n: int, p, q) -> float:
@@ -292,9 +320,13 @@ def laguerre_identity_table(alpha: float, k: float, n: int, max_deg: int) -> lis
 
     Each Gauss rule (and the shifted basis at its nodes) is built once per call and
     shared by every pair that needs it, and so are the spectral factors (m + k)^n and
-    ||L_m||^2; nothing is kept between calls. For the basis pair (L_i, L_j) the
-    spectral sum has the one term (i + k)^n ||L_i||^2 when i == j and none
-    otherwise, bitwise what `spectral_inner` sums.
+    ||L_m||^2; nothing is kept between calls. For the basis pair (L_i, L_j), i <= j,
+    the o-th derivatives are (-1)^o L^{alpha+o}_{i-o} and (-1)^o L^{alpha+o}_{j-o} for
+    o <= i and zero beyond, so each term of `dirichlet_inner` is the rule applied to
+    the product of two rows of its value table: bitwise the same sum, since a product
+    with a single +-1 coefficient is exact. The spectral sum has the
+    one term (i + k)^n ||L_i||^2 when i == j and none otherwise, bitwise what
+    `spectral_inner` sums.
     """
     basis = LaguerreBasis.build(alpha, max_deg)
     spec = DirichletFormSpec.build(n, k)
@@ -303,7 +335,11 @@ def laguerre_identity_table(alpha: float, k: float, n: int, max_deg: int) -> lis
     rows = []
     for i in range(max_deg + 1):
         for j in range(i, max_deg + 1):
-            d = _dirichlet_inner(spec, basis, basis_poly(i), basis_poly(j), rules)
+            m = (i + j) // 2 + 1
+            d = 0.0
+            for order in range(min(i, n) + 1):
+                rule, values = _rule_values(basis, order, m, rules)
+                d += spec.b[order] * rule.integrate_values(values[i - order] * values[j - order])
             s = float(weights[i] * norms[i]) if i == j else 0.0
             rows.append((alpha, k, n, i, j, d, s, abs(d - s) / (1.0 + abs(s))))
     return rows

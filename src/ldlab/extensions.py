@@ -47,13 +47,14 @@ class NotSelfAdjointError(ValueError):
     """Raised when a parameter or result fails the self-adjointness test."""
 
 
-def _operator_matrix(a) -> np.ndarray:
-    return np.asarray(as_hermitian(a.matrix if isinstance(a, SpectralOperator) else a).entries)
+def _operator_hermitian(a) -> HermitianMatrix:
+    """The validated matrix of an operator: a SpectralOperator's, or `as_hermitian(a)`."""
+    return as_hermitian(a.matrix if isinstance(a, SpectralOperator) else a)
 
 
 def minimal_relation(operator, constraints: Subspace) -> LinearRelation:
     """The symmetric restriction {(f, Af) : f perp C} as a linear relation."""
-    a = _operator_matrix(operator)
+    a = _operator_hermitian(operator).entries
     n = a.shape[0]
     if constraints.ambient_dim != n:
         raise DimensionMismatchError(
@@ -261,7 +262,7 @@ class PerturbationSpec:
     theta: LinearRelation
 
     def __post_init__(self):
-        b = np.asarray(self.b_map, dtype=complex)
+        b = np.array(self.b_map, dtype=complex)   # a copy: the caller's array stays as given
         if b.ndim != 2:
             raise DimensionMismatchError("B must be an n x d matrix")
         d = b.shape[1]
@@ -280,7 +281,7 @@ class PerturbationSpec:
     def from_matrix(cls, b_map, theta_matrix) -> "PerturbationSpec":
         """Accept a Hermitian d x d matrix as parameterization sugar."""
         theta = LinearRelation.from_matrix(HermitianMatrix(np.asarray(theta_matrix)).entries)
-        return cls(np.asarray(b_map, dtype=complex), theta)
+        return cls(b_map, theta)
 
     @property
     def rank(self) -> int:
@@ -289,7 +290,7 @@ class PerturbationSpec:
 
 def _compression(a0, spec: PerturbationSpec):
     """(A0 + B Theta_op B*, B mul Theta) for the split Theta = Theta_op (+) mul Theta."""
-    a = _operator_matrix(a0)
+    a = _operator_hermitian(a0).entries
     n = a.shape[0]
     if spec.b_map.shape[0] != n:
         raise DimensionMismatchError(
@@ -379,12 +380,14 @@ def theta_sweep(a0, b_map, family):
 
     `family` yields (label, theta) pairs where theta is a Hermitian matrix or
     a self-adjoint LinearRelation. Returns rows
-    (label, mul_dim, sorted operator-part eigenvalues...).
+    (label, mul_dim, sorted operator-part eigenvalues...). A0 is validated once,
+    before the first Theta.
     """
+    a0 = _operator_hermitian(a0)
     rows = []
     for label, theta in family:
         if isinstance(theta, LinearRelation):
-            spec = PerturbationSpec(np.asarray(b_map, dtype=complex), theta)
+            spec = PerturbationSpec(b_map, theta)
         else:
             spec = PerturbationSpec.from_matrix(b_map, theta)
         eigs, mul_dim = perturbed_spectrum(a0, spec)
@@ -402,7 +405,7 @@ def interlacing_check(a0, phi, t: float) -> bool:
     phi = np.asarray(phi, dtype=complex)
     if abs(np.linalg.norm(phi) - 1.0) > 1e-8:
         raise ValueError("phi must be normalized")
-    a = _operator_matrix(a0)
+    a = _operator_hermitian(a0).entries
     lam = (a0.eigenvalues if isinstance(a0, SpectralOperator)
            else eigh(HermitianMatrix(a)).eigenvalues)
     mu = eigh(HermitianMatrix(a + t * np.outer(phi, phi.conj()))).eigenvalues

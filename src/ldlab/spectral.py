@@ -85,7 +85,8 @@ class HermitianMatrix:
             raise NotHermitianError("empty matrix")
         if not np.all(np.isfinite(entries.view(float))):
             raise NotHermitianError("matrix contains non-finite entries")
-        asym = float(np.max(np.abs(entries - entries.conj().T)))
+        asym = entries - entries.conj().T
+        asym = float(np.max(np.abs(asym, out=asym).real))   # |.| in place: one temporary
         scale = float(np.max(np.abs(entries)))
         if asym > HERMITIAN_RTOL * max(scale, 1e-300):
             raise NotHermitianError(
@@ -260,7 +261,9 @@ class SpectralDecomposition:
     def power(self, r: float) -> HermitianMatrix:
         """U diag(lambda^r) U* symmetrized as (P + P*)/2; the caller checks the spectrum."""
         powered = self.apply_function(lambda x: np.power(x, float(r)))
-        return HermitianMatrix((powered + powered.conj().T) / 2)
+        powered = powered + powered.conj().T
+        powered /= 2
+        return HermitianMatrix(powered)
 
     def compress(self, m) -> np.ndarray:
         """U* m U, the n x n matrix m in the eigenbasis."""

@@ -7,6 +7,7 @@ from ldlab.classical import (
     DirichletFormSpec,
     LaguerreBasis,
     PolyInLaguerre,
+    _genlaguerre_rule,
     basis_poly,
     bj_coeff,
     derivative_coeffs,
@@ -140,10 +141,11 @@ class TestQuadrature:
         rule = gauss_quadrature(1.0, 2)
         assert rule.integrate_values(rule.nodes) == pytest.approx(2.0, rel=1e-13)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.5])
-    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 2.0, 2.5, 3.5, 7.0])
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 21, 31, 40])
     def test_gamma_moment_exactness(self, alpha, m):
         rule = gauss_quadrature(alpha, m)
+        assert rule.exactness_degree == 2 * m - 1
         for d in range(2 * m):
             moment = rule.integrate_values(rule.nodes ** d)
             exact = math.gamma(d + alpha + 1)
@@ -154,6 +156,21 @@ class TestQuadrature:
             gauss_quadrature(-1.0, 3)
         with pytest.raises(ValueError):
             gauss_quadrature(0.0, 0)
+        with pytest.raises(ValueError, match="positive integer"):
+            gauss_quadrature(0.0, 2.5)
+
+
+class TestGenLaguerreRule:
+    """The numpy Golub-Welsch rule against scipy's as an independent oracle."""
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 2.0, 3.5, 7.0])
+    def test_matches_scipy(self, alpha):
+        special = pytest.importorskip("scipy.special")
+        for m in range(1, 41):
+            nodes, weights = _genlaguerre_rule(m, alpha)
+            ref_nodes, ref_weights = special.roots_genlaguerre(m, alpha)
+            np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(weights, ref_weights, rtol=1e-11, atol=0)
 
 
 class TestDirichletFormSpec:
@@ -289,16 +306,16 @@ class TestRuleReuse:
 
     @pytest.mark.parametrize("args", [(1.0, 1.0, 3, 20), (0.5, 2.0, 2, 30)])
     def test_rules_built_once_per_call(self, args, monkeypatch):
-        import scipy.special   # gauss_quadrature imports roots_genlaguerre from it per call
+        import ldlab.classical as classical
 
-        real = scipy.special.roots_genlaguerre
+        real = classical._genlaguerre_rule
         calls = []
 
         def counting(m, alpha):
             calls.append((alpha, m))
             return real(m, alpha)
 
-        monkeypatch.setattr(scipy.special, "roots_genlaguerre", counting)
+        monkeypatch.setattr(classical, "_genlaguerre_rule", counting)
         _, _, n, deg = args
         laguerre_identity_table(*args)
         first = list(calls)

@@ -267,6 +267,16 @@ class TestPerturb:
         with pytest.raises(NotSelfAdjointError):
             PerturbationSpec(b, theta)
 
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_callers_b_stays_writable_and_detached(self, dtype):
+        b = np.zeros((4, 1), dtype=dtype)
+        b[0, 0] = 1
+        spec = PerturbationSpec(b, LinearRelation.from_matrix(np.array([[1.0]])))
+        assert b.flags.writeable
+        assert not spec.b_map.flags.writeable
+        b[1, 0] = 5
+        np.testing.assert_array_equal(spec.b_map, [[1], [0], [0], [0]])
+
 
 class TestLimitCrosscheck:
     def test_multivalued_limit(self):
@@ -500,6 +510,22 @@ class TestThetaSweepAndInterlacing:
         with pytest.raises(ValueError, match="linearly independent"):
             theta_sweep(a0, np.column_stack([b[:, 0], 2 * b[:, 0]]), family)
         assert log == []
+
+    def test_sweep_validates_a0_once(self, monkeypatch):
+        # one HermitianMatrix for the ndarray A0, one per matrix Theta
+        builds = []
+        real = spectral.HermitianMatrix.__post_init__
+
+        def counting(self):
+            builds.append(self.entries.shape)
+            real(self)
+
+        monkeypatch.setattr(spectral.HermitianMatrix, "__post_init__", counting)
+        a0 = np.diag(np.arange(1.0, 9.0))
+        b = np.eye(8)[:, :1]
+        family = [(t, np.array([[t]])) for t in np.linspace(0.0, 9.0, 10)]
+        theta_sweep(a0, b, family)
+        assert builds == [(8, 8)] + [(1, 1)] * 10
 
     def test_interlacing_two_by_two(self):
         # eigenvalues (5 +/- sqrt 5)/2 = 1.38..., 3.61... interlace 1, 3

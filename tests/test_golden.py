@@ -11,8 +11,8 @@ After a deliberate change of verdicts or tables, rewrite the stored outputs:
 
     PYTHONPATH=src python tests/test_golden.py
 
-Only the laguerre-identity experiment needs scipy (its Gauss rules): `ldlab run`
-on any other golden config, in a fresh interpreter, loads no scipy module.
+No experiment needs scipy: `ldlab run` on every golden config, in a fresh
+interpreter, loads no scipy module.
 """
 
 import csv
@@ -33,8 +33,6 @@ from ldlab.scenarios import run_scenario
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if (p / "config.json").is_file())
 NUMERIC_RTOL = 1e-9
-SCIPY_FREE = [n for n in CASES if parse_config((GOLDEN / n / "config.json").read_text())
-              .experiment != "laguerre-identity"]
 
 
 def _outputs(name: str):
@@ -86,7 +84,7 @@ def test_golden_covers_every_experiment():
     assert seen == set(EXPERIMENTS)
 
 
-@pytest.mark.parametrize("name", SCIPY_FREE)
+@pytest.mark.parametrize("name", CASES)
 def test_run_loads_no_scipy(name, tmp_path):
     code = ("import sys\n"
             "from ldlab.cli import main\n"

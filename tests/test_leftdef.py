@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,22 @@ class TestVerifyProperties:
         assert flags["multiplicity-invariance"] == "FAIL"
         flags = {row.name: row.status for row in verify_ld_properties(exact, 2.0, 5, seed=1).rows}
         assert flags["multiplicity-invariance"] == "PASS"
+
+    def test_peak_memory_within_four_dense_arrays(self):
+        # A^r, its compression and the dense matrix of the eigh are never alive
+        # together, and no step holds more than four n x n float64 arrays at once
+        n = 400
+        op = SpectralOperator.from_diag(np.arange(1.0, n + 1))
+        # a small run first, so one-time allocations of the first call are not counted
+        verify_ld_properties(SpectralOperator.from_diag(np.arange(1.0, 9.0)), 3, 2, seed=0)
+        tracemalloc.start()
+        try:
+            report = verify_ld_properties(op, 3, 5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.overall == "PASS"
+        assert peak <= 4 * n * n * 8
 
 
 class TestDefaultShift:

@@ -175,7 +175,7 @@ class TestTridiagonal:
         assert op.matrix is op.matrix           # built once, then cached
 
     def test_import_leaves_scipy_linalg_unloaded(self):
-        # nor any other scipy module: the tridiagonal solver and the Gauss rules import theirs
+        # nor any other scipy module: the tridiagonal solver imports its own on first call
         code = ("import sys, ldlab, ldlab.cli; "
                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
         src = str(Path(ldlab.__file__).resolve().parents[1])

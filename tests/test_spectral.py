@@ -419,6 +419,16 @@ class TestMatPower:
         h = HermitianMatrix.diag([-2.0, 3.0])
         np.testing.assert_allclose(mat_power(h, 2.0).entries, np.diag([4.0, 9.0]), atol=1e-12)
 
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_power_is_the_symmetrized_product_bitwise(self, complex_):
+        decomp = eigh(random_hermitian(np.random.default_rng(12), 9, complex_))
+        assert decomp.columns.dtype == (np.complex128 if complex_ else np.float64)
+        powered = decomp.apply_function(lambda lam: np.power(lam, 3.0))
+        got = decomp.power(3).entries
+        expected = (powered + powered.conj().T) / 2
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
     @pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 2.0])
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0])
     def test_power_semigroup(self, r, s):
