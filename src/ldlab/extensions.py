@@ -151,10 +151,9 @@ def friedrichs_relation(s: LinearRelation) -> LinearRelation:
     """
     _require_symmetric(s)
     scale = max(float(np.max(np.abs(s.graph.basis))) if s.dim else 0.0, 1.0)
-    if form_lower_bound(s) < -FORM_TOL * scale:
-        raise SpectrumError(
-            f"relation is not nonnegative (form lower bound {form_lower_bound(s):.3e})"
-        )
+    bound = form_lower_bound(s)
+    if bound < -FORM_TOL * scale:
+        raise SpectrumError(f"relation is not nonnegative (form lower bound {bound:.3e})")
     result = s.mul_extension
     if not rel_is_selfadjoint(result):
         raise NotSelfAdjointError("Friedrichs construction failed self-adjointness check")
@@ -231,27 +230,11 @@ def friedrichs_power_oracle(s: LinearRelation, n: int) -> PowerVerdict:
     return PowerVerdict(verdict, n, dom_a.rank, dom_b.rank)
 
 
-def _operator_part(t: LinearRelation):
-    """(D, H) for a self-adjoint relation t: D = dom t = (mul t)^perp, H its operator part.
-
-    With graph basis [F; G], the operator part in the orthonormal basis of D is
-    H = D* G F^+ D, symmetrised; D* removes the multivalued component of G F^+ D.
-    """
-    dom = t.domain()
-    f, g = t._blocks()
-    coeffs, *_ = np.linalg.lstsq(f, dom.basis, rcond=None)
-    if float(np.abs(f @ coeffs - dom.basis).max(initial=0.0)) > 1e-8:
-        raise NotSelfAdjointError("domain basis not reachable from graph (inconsistent relation)")
-    h = dom.basis.conj().T @ (g @ coeffs)
-    return dom, (h + h.conj().T) / 2
-
-
 def relation_spectrum(t: LinearRelation):
     """Operator-part eigenvalues and multivalued dimension of a self-adjoint relation."""
     if not rel_is_selfadjoint(t):
         raise NotSelfAdjointError("spectrum extraction needs a self-adjoint relation")
-    dom, h = _operator_part(t)
-    return np.linalg.eigvalsh(h), t.space_dim - dom.rank
+    return np.linalg.eigvalsh(t.operator_part), t.space_dim - t.domain().rank
 
 
 @dataclass(frozen=True)
@@ -289,17 +272,18 @@ class PerturbationSpec:
 
 
 def _compression(a0, spec: PerturbationSpec):
-    """(A0 + B Theta_op B*, B mul Theta) for the split Theta = Theta_op (+) mul Theta."""
+    """(A0 + B Theta_op B*, B mul Theta) for Theta = Theta_op (+) mul Theta, read off the one
+    f-block SVD of Theta: Theta_op on dom Theta = U[:, :r], mul Theta = dom^perp = U[:, r:]."""
     a = _operator_hermitian(a0).entries
     n = a.shape[0]
     if spec.b_map.shape[0] != n:
         raise DimensionMismatchError(
             f"B has {spec.b_map.shape[0]} rows, operator dimension is {n}"
         )
-    dom, h = _operator_part(spec.theta)
-    b_dom = spec.b_map @ dom.basis
-    b_mul = spec.b_map @ orthocomplement(dom).basis
-    return a + b_dom @ h @ b_dom.conj().T, b_mul
+    u, _, _, r = spec.theta._f_svd
+    b_dom = spec.b_map @ u[:, :r]
+    b_mul = spec.b_map @ u[:, r:]
+    return a + b_dom @ spec.theta.operator_part @ b_dom.conj().T, b_mul
 
 
 def _complement(b_mul: np.ndarray) -> np.ndarray:
@@ -405,10 +389,9 @@ def interlacing_check(a0, phi, t: float) -> bool:
     phi = np.asarray(phi, dtype=complex)
     if abs(np.linalg.norm(phi) - 1.0) > 1e-8:
         raise ValueError("phi must be normalized")
-    a = _operator_hermitian(a0).entries
-    lam = (a0.eigenvalues if isinstance(a0, SpectralOperator)
-           else eigh(HermitianMatrix(a)).eigenvalues)
-    mu = eigh(HermitianMatrix(a + t * np.outer(phi, phi.conj()))).eigenvalues
+    h = _operator_hermitian(a0)
+    lam = a0.eigenvalues if isinstance(a0, SpectralOperator) else eigh(h).eigenvalues
+    mu = eigh(HermitianMatrix(h.entries + t * np.outer(phi, phi.conj()))).eigenvalues
     scale = max(float(np.max(np.abs(lam))), float(t), 1.0)
     slack = INTERLACE_SLACK * scale
     n = lam.shape[0]

@@ -6,18 +6,19 @@ spectral decompositions (LAPACK's, or the exact one of a diagonal matrix),
 matrix powers through the eigenbasis, orthonormal subspaces, and linear
 relations represented as subspaces of the doubled space H (+) H. Every rank
 decision is the one cutoff in `_rank`. For a relation with orthonormal graph
-basis [F; G], adjoint, multivalued part and complements are each a basis
-times one nullspace: S* = ker[G*, -F*], mul = G ker F, a^perp = ker(A*).
+basis [F; G], the adjoint and complements are a basis times one nullspace:
+S* = ker[G*, -F*], a^perp = ker(A*). The split of a relation is one full SVD
+of its f block, F = U S V* with r = _rank(S): dom = U[:, :r], dom^perp =
+U[:, r:], mul = G ker F = G V[:, r:] and `operator_part` U_r* G V_r S_r^-1.
 
 A relation's derived spaces are computed once per relation object and cached
-on it: `adjoint`, `domain()`, `mul_part()`, `defect_kernels` (ker(T -/+ i))
-and `mul_extension` (T (+) {0} x (dom T)^perp, the Friedrichs construction).
-Where the construction fixes the rank, the basis is used as built, with no
-SVD of its own: G ker F, sqrt2 F ker(G -/+ iF) and the sqrt2 A u of
-`subspace_intersect` are orthonormal by construction, and `mul_extension` uses
-QR when mul T = 0. A rank decision stays where the rank is not known: `domain`,
-`rel_compose`, `Subspace.span` of arbitrary columns and every nullspace. Every
-`Subspace` still checks the orthonormality of its basis.
+on it: `adjoint`, `domain()`, `mul_part()`, `operator_part`, `defect_kernels`
+(ker(T -/+ i)) and `mul_extension` (T (+) {0} x dom^perp, the Friedrichs
+construction). Bases whose rank the construction fixes get no SVD of their
+own: G V[:, r:], sqrt2 F ker(G -/+ iF), the sqrt2 A u of `subspace_intersect`,
+and `mul_extension` by QR when mul T = 0. A rank decision stays in the f-block
+SVD, `rel_compose`, `Subspace.span` of arbitrary columns and every nullspace.
+Every `Subspace` still checks the orthonormality of its basis.
 
 A `HermitianMatrix` or `SpectralDecomposition` decides its dtype once, when
 built (`_stored`): float64 for real-valued data (a real dtype, or complex with
@@ -533,23 +534,39 @@ class LinearRelation:
         return cls(Subspace(2 * n, np.vstack([np.zeros((n, n)), np.eye(n)])))
 
     def domain(self) -> Subspace:
-        """dom t = span of the f block (a rank decision); computed once per relation."""
+        """dom t = ran F = U[:, :r] of the f-block SVD; computed once per relation."""
         return self._domain
 
     def mul_part(self) -> Subspace:
-        """mul t = {g : (0, g) in t} = G ker F; computed once per relation."""
+        """mul t = {g : (0, g) in t} = G ker F = G V[:, r:]; computed once per relation."""
         return self._mul_part
 
     @cached_property
+    def _f_svd(self):
+        """(U, s, V*, r): the full SVD F = U diag(s) V* of the f block and r = _rank(s), the
+        relation's one rank decision; dom t = U[:, :r] and (dom t)^perp = U[:, r:]."""
+        u, s, vh = np.linalg.svd(self._blocks()[0])
+        u.setflags(write=False)
+        return u, s, vh, _rank(s)
+
+    @cached_property
     def _domain(self) -> Subspace:
-        f, _ = self._blocks()
-        return Subspace(self.space_dim, _onb(f, self.space_dim))
+        u, _, _, r = self._f_svd
+        return Subspace(self.space_dim, u[:, :r])
 
     @cached_property
     def _mul_part(self) -> Subspace:
         # orthonormal as built: G*G = I - F*F is the identity on ker F
-        f, g = self._blocks()
-        return Subspace(self.space_dim, g @ _nullspace(f))
+        _, _, vh, r = self._f_svd
+        return Subspace(self.space_dim, self._blocks()[1] @ vh[r:].conj().T)
+
+    @cached_property
+    def operator_part(self) -> np.ndarray:
+        """H = U_r* G F^+ U_r = U_r* G V_r S_r^-1, symmetrized: t's operator part in the basis
+        U_r of dom t. For self-adjoint t, t = graph(H) (+) {0} x (dom t)^perp."""
+        u, s, vh, r = self._f_svd
+        h = u[:, :r].conj().T @ (self._blocks()[1] @ vh[:r].conj().T) / s[:r]
+        return (h + h.conj().T) / 2
 
     @cached_property
     def adjoint(self) -> "LinearRelation":
@@ -579,11 +596,10 @@ class LinearRelation:
         gives the basis without a rank decision; otherwise the span decides the rank.
         """
         n = self.space_dim
-        dom = self.domain()
-        extra = orthocomplement(dom)
-        mul = np.vstack([np.zeros((n, extra.rank)), extra.basis])
-        cols = np.hstack([self.graph.basis, mul])
-        if dom.rank == self.dim:
+        u, _, _, r = self._f_svd
+        extra = u[:, r:]
+        cols = np.hstack([self.graph.basis, np.vstack([np.zeros_like(extra), extra])])
+        if r == self.dim:
             q, _ = np.linalg.qr(cols)
             return LinearRelation(Subspace(2 * n, q))
         return LinearRelation(Subspace.span(cols, 2 * n))
