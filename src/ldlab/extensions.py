@@ -18,13 +18,16 @@ import numpy as np
 from .leftdef import SpectralOperator
 from .report import Report
 from .spectral import (
+    SUBSPACE_TOL,
     DimensionMismatchError,
     HermitianMatrix,
     LinearRelation,
     SpectrumError,
     Subspace,
-    _lapack_operand,
+    _boundary_form,
+    _complement,
     _rank,
+    _stored,
     as_hermitian,
     eigh,
     orthocomplement,
@@ -34,7 +37,6 @@ from .spectral import (
     subspaces_equal,
 )
 
-SYMMETRY_TOL = 1e-10
 FORM_TOL = 1e-10
 INTERLACE_SLACK = 1e-10
 
@@ -68,21 +70,13 @@ def minimal_relation(operator, constraints: Subspace) -> LinearRelation:
     return LinearRelation(Subspace(2 * n, q))
 
 
-def _adjoint_and_residual(s: LinearRelation):
-    """(S*, max |graph basis of S minus its projection onto graph S*|); S* is cached on S."""
-    adj = s.adjoint
-    if s.dim == 0:
-        return adj, 0.0
-    resid = s.graph.basis - adj.graph.projector @ s.graph.basis
-    return adj, float(np.max(np.abs(resid)))
-
-
-def _require_symmetric(s: LinearRelation) -> LinearRelation:
-    """S* of a symmetric S; raises NotSymmetricError otherwise."""
-    adj, resid = _adjoint_and_residual(s)
-    if resid > SYMMETRY_TOL:
+def _require_symmetric(s: LinearRelation) -> np.ndarray:
+    """F*G for the graph basis [F; G] of S; raises NotSymmetricError unless the boundary
+    form F*G - G*F vanishes, i.e. unless S is contained in S*."""
+    form, defect = _boundary_form(s)
+    if defect > SUBSPACE_TOL:
         raise NotSymmetricError("relation is not symmetric (S is not contained in S*)")
-    return adj
+    return form
 
 
 @dataclass(frozen=True)
@@ -98,11 +92,11 @@ def deficiency_indices(s: LinearRelation) -> DeficiencyReport:
     """Deficiency indices (m+, m-) = dims of ker(S* -/+ i) with defect bases and S*.
 
     S* and its two defect kernels are cached on their relations, so a second
-    analysis of the same S repeats only the symmetry residual.
+    analysis of the same S repeats only the symmetry check.
     """
-    adj = _require_symmetric(s)
-    d_plus, d_minus = adj.defect_kernels
-    return DeficiencyReport(d_plus.rank, d_minus.rank, d_plus, d_minus, adj)
+    _require_symmetric(s)
+    d_plus, d_minus = s.adjoint.defect_kernels
+    return DeficiencyReport(d_plus.rank, d_minus.rank, d_plus, d_minus, s.adjoint)
 
 
 def von_neumann_check(s: LinearRelation) -> Report:
@@ -132,13 +126,10 @@ def von_neumann_check(s: LinearRelation) -> Report:
 
 
 def form_lower_bound(s: LinearRelation) -> float:
-    """Smallest eigenvalue of the quadratic form <g, f> on graph coordinates."""
-    if s.dim == 0:
-        return 0.0
-    f, g = s._blocks()
-    q = f.conj().T @ g
-    q = (q + q.conj().T) / 2
-    return float(np.linalg.eigvalsh(q)[0])
+    """Smallest eigenvalue of the quadratic form <g, f> on graph coordinates, the Hermitian
+    part of F*G; raises NotSymmetricError unless S is symmetric, read off the same F*G."""
+    q = _require_symmetric(s)
+    return float(np.linalg.eigvalsh((q + q.conj().T) / 2)[0]) if s.dim else 0.0
 
 
 def friedrichs_relation(s: LinearRelation) -> LinearRelation:
@@ -149,10 +140,8 @@ def friedrichs_relation(s: LinearRelation) -> LinearRelation:
     Checked on every call: S is symmetric and nonnegative, and the result is
     self-adjoint. The form identity on dom S is not checked.
     """
-    _require_symmetric(s)
-    scale = max(float(np.max(np.abs(s.graph.basis))) if s.dim else 0.0, 1.0)
-    bound = form_lower_bound(s)
-    if bound < -FORM_TOL * scale:
+    bound = form_lower_bound(s)   # of an orthonormal graph basis: no scale to apply
+    if bound < -FORM_TOL:
         raise SpectrumError(f"relation is not nonnegative (form lower bound {bound:.3e})")
     result = s.mul_extension
     if not rel_is_selfadjoint(result):
@@ -273,7 +262,8 @@ class PerturbationSpec:
 
 def _compression(a0, spec: PerturbationSpec):
     """(A0 + B Theta_op B*, B mul Theta) for Theta = Theta_op (+) mul Theta, read off the one
-    f-block SVD of Theta: Theta_op on dom Theta = U[:, :r], mul Theta = dom^perp = U[:, r:]."""
+    f-block SVD of Theta: Theta_op on dom Theta = U[:, :r], mul Theta = dom^perp = U[:, r:].
+    The action is `_stored`, so real-valued data is solved in float64."""
     a = _operator_hermitian(a0).entries
     n = a.shape[0]
     if spec.b_map.shape[0] != n:
@@ -283,28 +273,19 @@ def _compression(a0, spec: PerturbationSpec):
     u, _, _, r = spec.theta._f_svd
     b_dom = spec.b_map @ u[:, :r]
     b_mul = spec.b_map @ u[:, r:]
-    return a + b_dom @ spec.theta.operator_part @ b_dom.conj().T, b_mul
-
-
-def _complement(b_mul: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of (B mul Theta)^perp: the trailing columns of a complete QR.
-
-    B has independent columns (checked by PerturbationSpec) and mul Theta an
-    orthonormal basis, so B mul Theta has full column rank and needs no rank decision.
-    """
-    q, _ = np.linalg.qr(b_mul, mode="complete")
-    return q[:, b_mul.shape[1]:]
+    return _stored(a + b_dom @ spec.theta.operator_part @ b_dom.conj().T, copy=False), b_mul
 
 
 def _finite_spectrum(action: np.ndarray, b_mul: np.ndarray) -> np.ndarray:
     """Eigenvalues of `action` compressed to (B mul Theta)^perp; with mul Theta = {0},
-    of `action` as it stands. Real-valued data is solved in float64."""
-    m = _lapack_operand(action)
+    of `action` as it stands. B has independent columns (checked by PerturbationSpec)
+    and mul Theta an orthonormal basis, so B mul Theta has full column rank and its
+    complement needs no rank decision."""
     if b_mul.shape[1]:
-        q = _lapack_operand(_complement(b_mul))
-        h = q.conj().T @ m @ q
-        m = (h + h.conj().T) / 2
-    return np.linalg.eigvalsh(m)
+        q = _stored(_complement(b_mul), copy=False)
+        h = q.conj().T @ action @ q
+        action = (h + h.conj().T) / 2
+    return np.linalg.eigvalsh(action)
 
 
 def perturb(a0, spec: PerturbationSpec) -> LinearRelation:
@@ -350,7 +331,7 @@ def limit_crosscheck(a0, spec: PerturbationSpec, t_list):
     target, mul_dim = _finite_spectrum(action, b_mul), b_mul.shape[1]
     rows = []
     for t in t_list:
-        lam = np.linalg.eigvalsh(_lapack_operand(action + float(t) * b_mul @ b_mul.conj().T))
+        lam = np.linalg.eigvalsh(_stored(action + float(t) * b_mul @ b_mul.conj().T, copy=False))
         keep = lam.shape[0] - mul_dim
         finite = lam[:keep]
         dev = float(np.max(np.abs(finite - target))) if keep else 0.0

@@ -5,20 +5,23 @@ is built on the primitives in this module: validated Hermitian matrices,
 spectral decompositions (LAPACK's, or the exact one of a diagonal matrix),
 matrix powers through the eigenbasis, orthonormal subspaces, and linear
 relations represented as subspaces of the doubled space H (+) H. Every rank
-decision is the one cutoff in `_rank`. For a relation with orthonormal graph
-basis [F; G], the adjoint and complements are a basis times one nullspace:
-S* = ker[G*, -F*], a^perp = ker(A*). The split of a relation is one full SVD
-of its f block, F = U S V* with r = _rank(S): dom = U[:, :r], dom^perp =
-U[:, r:], mul = G ker F = G V[:, r:] and `operator_part` U_r* G V_r S_r^-1.
+decision is the one cutoff in `_rank`. A complement of a block of full column
+rank takes none: it is the trailing columns of one complete QR (`_complement`),
+a^perp for an orthonormal basis A and S* = (JS)^perp, J(f, g) = (g, -f), for an
+orthonormal graph basis [F; G]. S = S* iff dim S = n and the boundary form
+F*G - G*F vanishes; no adjoint is built for that. The split of a relation is one
+full SVD of its f block, F = U S V* with r = _rank(S): dom = U[:, :r], dom^perp
+= U[:, r:], mul = G ker F = G V[:, r:] and `operator_part` U_r* G V_r S_r^-1.
 
 A relation's derived spaces are computed once per relation object and cached
 on it: `adjoint`, `domain()`, `mul_part()`, `operator_part`, `defect_kernels`
 (ker(T -/+ i)) and `mul_extension` (T (+) {0} x dom^perp, the Friedrichs
 construction). Bases whose rank the construction fixes get no SVD of their
-own: G V[:, r:], sqrt2 F ker(G -/+ iF), the sqrt2 A u of `subspace_intersect`,
-and `mul_extension` by QR when mul T = 0. A rank decision stays in the f-block
-SVD, `rel_compose`, `Subspace.span` of arbitrary columns and every nullspace.
-Every `Subspace` still checks the orthonormality of its basis.
+own: QR of [I; A] in `from_matrix`, G V[:, r:], sqrt2 F ker(G -/+ iF), the sqrt2
+A u of `subspace_intersect`, and `mul_extension` by QR when mul T = 0. A rank
+decision stays where the rank is the answer: the f-block SVD, `Subspace.span`
+of arbitrary columns and the nullspaces of `subspace_intersect`,
+`defect_kernels` and `rel_compose`. Every `Subspace` checks its orthonormality.
 
 A `HermitianMatrix` or `SpectralDecomposition` decides its dtype once, when
 built (`_stored`): float64 for real-valued data (a real dtype, or complex with
@@ -49,7 +52,7 @@ import numpy as np
 HERMITIAN_RTOL = 1e-12   # allowed asymmetry relative to the largest entry
 ORTHO_TOL = 1e-10        # max-norm tolerance for B*B - I
 RANK_RTOL = 1e-10        # singular values below RANK_RTOL * sigma_max are zero
-SUBSPACE_TOL = 1e-10     # projector max-norm tolerance for subspace equality
+SUBSPACE_TOL = 1e-10     # max-norm tolerance for projector differences and the boundary form
 CLUSTER_RTOL = 1e-10     # eigenvalues closer than this (relative) form a cluster
 POSITIVE_FLOOR = 1e-8    # smallest eigenvalue admitted for fractional powers
 
@@ -121,15 +124,10 @@ def as_hermitian(matrix) -> HermitianMatrix:
     return HermitianMatrix(np.asarray(matrix))
 
 
-def _lapack_operand(m: np.ndarray) -> np.ndarray:
-    """m's real part as a contiguous float64 array when m's imaginary part is exactly
-    zero, else m: a real symmetric problem goes to LAPACK's real routines."""
-    return np.ascontiguousarray(m.real) if not np.any(m.imag) else m
-
-
 def _stored(a, copy: bool) -> np.ndarray:
-    """a as float64 when real-valued (`_lapack_operand`'s rule; a real dtype never passes
-    through complex), else as complex128; with copy=False a stored dtype is kept as is."""
+    """a as float64 when real-valued (a real dtype, which never passes through complex, or
+    complex with imaginary part exactly zero), else as complex128; with copy=False a
+    stored dtype is kept as is. Real-valued data thus goes to LAPACK's real routines."""
     a = np.asarray(a)
     if np.iscomplexobj(a) and not np.any(a.imag):
         a, copy = a.real, True   # a strided view of the input: copied out either way
@@ -387,8 +385,15 @@ def _onb(columns: np.ndarray, ambient: int) -> np.ndarray:
     return u[:, :_rank(s)]
 
 
+def _complement(cols: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ran(cols)^perp for a block of full column rank: the trailing
+    columns of one complete QR. The rank is the column count; nothing is decided."""
+    q, _ = np.linalg.qr(cols, mode="complete")
+    return q[:, cols.shape[1]:]
+
+
 def _nullspace(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(m)."""
+    """Orthonormal basis of ker(m), its dimension decided by `_rank`."""
     m = np.asarray(m, dtype=complex)
     if m.shape[1] == 0:
         return np.zeros((0, 0), dtype=complex)
@@ -477,8 +482,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def orthocomplement(a: Subspace) -> Subspace:
-    """The complement as a kernel: a^perp = ker(A*) for the basis A of a."""
-    return Subspace(a.ambient_dim, _nullspace(a.basis.conj().T))
+    """a^perp from the orthonormal basis A of a, which has full column rank (`_complement`)."""
+    return Subspace(a.ambient_dim, _complement(a.basis))
 
 
 def subspaces_equal(a: Subspace, b: Subspace) -> bool:
@@ -516,9 +521,10 @@ class LinearRelation:
 
     @classmethod
     def from_matrix(cls, matrix) -> "LinearRelation":
-        a = np.asarray(matrix, dtype=complex)
-        n = a.shape[0]
-        return cls(Subspace.span(np.vstack([np.eye(n), a]), 2 * n))
+        """graph(A), its basis a QR of [I; A], which has full column rank at any scale of A."""
+        a = np.asarray(matrix)
+        q, _ = np.linalg.qr(np.vstack([np.eye(a.shape[0]), a]))
+        return cls(Subspace(2 * a.shape[0], q))
 
     @classmethod
     def from_blocks(cls, f_block, g_block) -> "LinearRelation":
@@ -570,10 +576,10 @@ class LinearRelation:
 
     @cached_property
     def adjoint(self) -> "LinearRelation":
-        """{(h, k) : <k, f> = <h, g> on t} = ker[G*, -F*], one kernel for graph [F; G]."""
+        """{(h, k) : <k, f> = <h, g> on t} = (Jt)^perp with J(f, g) = (g, -f). J is unitary,
+        so [G; -F] is an orthonormal basis of Jt and t* is its `_complement`."""
         f, g = self._blocks()
-        kernel = _nullspace(np.hstack([g.conj().T, -f.conj().T]))
-        return LinearRelation(Subspace(2 * self.space_dim, kernel))
+        return LinearRelation(Subspace(2 * self.space_dim, _complement(np.vstack([g, -f]))))
 
     @cached_property
     def defect_kernels(self) -> tuple[Subspace, Subspace]:
@@ -630,8 +636,18 @@ def rel_power(t: LinearRelation, n: int) -> LinearRelation:
     return out
 
 
+def _boundary_form(t: LinearRelation) -> tuple[np.ndarray, float]:
+    """(F*G, max|F*G - G*F|) for t's graph basis [F; G]. F*G - G*F is the Gram matrix of
+    Jt against t and t* = (Jt)^perp, so t is in t* iff the defect is 0 (to SUBSPACE_TOL)."""
+    f, g = t._blocks()
+    form = f.conj().T @ g
+    return form, float(np.max(np.abs(form - form.conj().T))) if t.dim else 0.0
+
+
 def rel_is_selfadjoint(t: LinearRelation) -> bool:
-    return subspaces_equal(t.graph, t.adjoint.graph)
+    """t = t*: t is contained in t* (`_boundary_form`) and dim t = n = dim t*, so t is a
+    Lagrangian subspace of the doubled space. No adjoint and no projector is formed."""
+    return t.dim == t.space_dim and _boundary_form(t)[1] <= SUBSPACE_TOL
 
 
 def save_matrix_csv(matrix, path):

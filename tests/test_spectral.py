@@ -495,6 +495,12 @@ class TestRelations:
         assert subspaces_equal(t.adjoint.graph, t.graph)
         assert rel_is_selfadjoint(t)
 
+    def test_graph_of_widely_scaled_diagonal_is_selfadjoint(self):
+        # [I; A] has full column rank at any scale, so QR keeps both dimensions
+        t = LinearRelation.from_matrix(np.diag([1.0, 1e11]))
+        assert t.dim == 2
+        assert rel_is_selfadjoint(t)
+
     def test_adjoint_of_nilpotent_is_transpose(self):
         t = LinearRelation.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
         expected = LinearRelation.from_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
