@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leftdef import ShiftError, SpectralOperator
+from .leftdef import SpectralOperator, _require_below
 from .spectral import DimensionMismatchError, inner
 
 PARTIAL_SUM_TERMS = 10 ** 6
@@ -150,6 +150,8 @@ def _partial_sums(model: GrowthModel, s_values, terms: int) -> np.ndarray:
 
 def _divergent(model: GrowthModel, s_values, terms: int) -> list:
     """Divergent when S_{2N}/S_N > 1 + 1/(4 log10 N), for each s."""
+    if terms < 2:
+        raise ValueError(f"the partial-sum classifier needs terms >= 2 (log10 N > 0), got {terms}")
     s_n, s_2n = _partial_sums(model, s_values, terms)
     cutoff = 1.0 + 1.0 / (4.0 * math.log10(terms))
     return [bool(b / a > cutoff) for a, b in zip(s_n, s_2n)]
@@ -189,10 +191,7 @@ def equivalence_check(operator: SpectralOperator, s: float, samples, gamma: floa
     """
     if gamma is None:
         gamma = operator.shift
-    if not gamma < operator.lower_bound:
-        raise ShiftError(
-            f"shift {gamma} must lie strictly below the lower bound {operator.lower_bound}"
-        )
+    _require_below(gamma, operator.lower_bound)
     lam = operator.eigenvalues
     shifted = np.power(lam - gamma, s / 2)
     plain = operator.scale_weights(s / 2)

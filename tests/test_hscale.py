@@ -130,6 +130,15 @@ class TestPartialSumClassifier:
             s = s_star + offset
             assert membership(model, s) == (not partial_sum_divergent(model, s))
 
+    @pytest.mark.parametrize("terms", [1, 0, -3])
+    def test_rejects_fewer_than_two_terms(self, terms):
+        # the cutoff 1 + 1/(4 log10 N) needs log10 N > 0
+        model = GrowthModel(2.0, 0.5)
+        with pytest.raises(ValueError, match=f"got {terms}"):
+            partial_sum_divergent(model, -3.0, terms=terms)
+        with pytest.raises(ValueError, match=f"got {terms}"):
+            membership_table(model, [-3.0, 0.0], terms)
+
     def test_membership_table_columns(self):
         model = GrowthModel(1.0, -1.0)
         rows = membership_table(model, [0.0, 2.0])

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ldlab import scenarios
 from ldlab.config import parse_config
 from ldlab.leftdef import (
     ClosedFormR,
@@ -15,6 +16,7 @@ from ldlab.leftdef import (
     multiplicity_list,
     verify_ld_properties,
 )
+from ldlab.report import Report
 from ldlab.scenarios import build_operator, run_scenario
 from ldlab.spectral import (
     DimensionMismatchError,
@@ -45,6 +47,17 @@ class TestSpectralOperator:
     def test_rejects_shift_at_or_above_bound(self):
         with pytest.raises(ShiftError):
             SpectralOperator.from_diag([1.0, 2.0], shift=1.0)
+
+    def test_one_shift_rule_and_message(self):
+        # the operator, the closed form and the scale's equivalence check share one rule
+        from ldlab.hscale import equivalence_check
+        op = SpectralOperator.from_diag([1.0, 2.0])
+        message = "shift 1.0 must lie strictly below the lower bound 1.0"
+        for build in (lambda: SpectralOperator.from_diag([1.0, 2.0], shift=1.0),
+                      lambda: ClosedFormR(1, 1.0, op),
+                      lambda: equivalence_check(op, 1.0, [np.ones(2)], gamma=1.0)):
+            with pytest.raises(ShiftError, match=message):
+                build()
 
     def test_semibounded_on_eigenbasis(self):
         op = seeded_positive_operator(0, n=8)
@@ -349,6 +362,107 @@ class TestVerifyProperties:
             tracemalloc.stop()
         assert report.overall == "PASS"
         assert peak <= 4 * n * n * 8
+
+
+def reference_closed_form(op, r, samples, seed):
+    """The closed-form row and the form_ordering cells as the leftdef-verify runner
+    computed them before the suite owned them: per-sample loops on a second generator
+    seeded like the suite's, so they replay the suite's stream."""
+    rng = np.random.default_rng(seed)
+    form = ClosedFormR(int(r), op.shift, op)
+    bound = form.lower_bound()
+    worst = 0.0
+    for _ in range(samples):
+        f = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+        scale = op.norm_max ** r * float(np.vdot(f, f).real)
+        value = form(f, f).real
+        worst = max(worst, (bound * float(np.vdot(f, f).real) - value) / scale)
+    next_form = ClosedFormR(int(r) + 1, op.shift, op)
+    gaps = []
+    for _ in range(min(samples, 20)):
+        f = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+        f = f / np.linalg.norm(f)
+        gaps.append(next_form(f, f).real - form(f, f).real)
+    return worst, (int(r), int(r) + 1, min(gaps), max(gaps))
+
+
+def jacobi_neumann_plus_one():
+    # Jacobi(1,1) neumann-type has lambda_0 = 0; A + I is positive, and the shift
+    # -0.5 makes the closed forms' gamma nonzero
+    spec = {"kind": "sl", "coeffs": {"name": "jacobi", "alpha": 1.0, "beta": 1.0},
+            "N": 12, "bc": "neumann-type"}
+    a = build_operator(spec).operator.matrix.entries
+    return SpectralOperator.from_matrix(a + np.eye(a.shape[0]), shift=-0.5)
+
+
+REFERENCE_OPERATORS = {
+    "from_diag": lambda: SpectralOperator.from_diag(np.arange(9, dtype=float) + 1.0),
+    "flat-sl": lambda: build_operator(
+        {"kind": "sl", "coeffs": "flat", "N": 16, "bc": "dirichlet"}).operator,
+    "jacobi-neumann": jacobi_neumann_plus_one,
+}
+
+
+class TestOneSampleStream:
+    """Every leftdef-verify row and table comes from the suite's one generator."""
+
+    @pytest.mark.parametrize("samples", [1, 2, 7, 25])
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_OPERATORS))
+    def test_closed_form_bitwise_equal_to_reference(self, kind, r, samples):
+        op = REFERENCE_OPERATORS[kind]()
+        seed = 17
+        report = verify_ld_properties(op, r, samples, seed)
+        worst, cells = reference_closed_form(op, r, samples, seed)
+        rows = {row.name: row for row in report.rows}
+        assert rows["closed-form-lower-bound"].residual == worst
+        assert rows["closed-form-lower-bound"].inputs == f"r={int(r)}, gamma={op.shift:g}"
+        ordering = [t for t in report.tables if t.name == "form_ordering"]
+        assert len(ordering) == 1 and ordering[0].rows == (cells,)
+
+    def test_fractional_r_has_no_closed_form(self):
+        report = verify_ld_properties(seeded_positive_operator(2, n=6), 1.5, 4, seed=1)
+        assert "closed-form-lower-bound" not in {row.name for row in report.rows}
+        assert [t.name for t in report.tables] == ["eigen_gram_diag"]
+
+    def test_runner_leaves_the_scenario_generator_untouched(self):
+        raw = {"operatorSpec": {"kind": "laguerre", "alpha": 1.0, "k": 1.0, "N": 10},
+               "experiment": "leftdef-verify", "params": {"r": 2, "samples": 10}, "seed": 3}
+        config = parse_config(json.dumps(raw))
+        rng = np.random.default_rng(config.seed)
+        before = rng.bit_generator.state
+        report = Report("leftdef-verify")
+        scenarios._RUNNERS["leftdef-verify"](report, build_operator(config.operator_spec),
+                                             config, rng)
+        assert rng.bit_generator.state == before
+        assert "closed-form-lower-bound" in {row.name for row in report.rows}
+
+    @pytest.mark.parametrize("r", [0.5, 2.0, 3])
+    def test_three_apply_power_calls_per_sample(self, monkeypatch, r):
+        calls = []
+        apply_power = SpectralOperator.apply_power
+
+        def counting(self, power, x):
+            calls.append(power)
+            return apply_power(self, power, x)
+        monkeypatch.setattr(SpectralOperator, "apply_power", counting)
+        verify_ld_properties(seeded_positive_operator(4, n=10), r, 7, seed=3)
+        assert calls == [r / 2, r / 2, r] * 7
+
+    def test_rejects_an_empty_suite(self):
+        with pytest.raises(ValueError, match="at least one sample, got 0"):
+            verify_ld_properties(SpectralOperator.from_diag([1.0, 4.0]), 2.0, 0, 1)
+
+    def test_checks_positivity_once(self, monkeypatch):
+        checks = []
+        require_positive = SpectralOperator.require_positive
+
+        def counting(self):
+            checks.append(self)
+            return require_positive(self)
+        monkeypatch.setattr(SpectralOperator, "require_positive", counting)
+        verify_ld_properties(seeded_positive_operator(5, n=6), 2.0, 3, seed=0)
+        assert len(checks) == 1
 
 
 class TestDefaultShift:
