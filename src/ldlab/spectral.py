@@ -4,24 +4,31 @@ Everything downstream (left-definite spaces, extension theory, perturbations)
 is built on the primitives in this module: validated Hermitian matrices,
 spectral decompositions (LAPACK's, or the exact one of a diagonal matrix),
 matrix powers through the eigenbasis, orthonormal subspaces, and linear
-relations represented as subspaces of the doubled space H (+) H. Every rank
-decision is the one cutoff in `_rank`. A complement of a block of full column
-rank takes none: it is the trailing columns of one complete QR (`_complement`),
-a^perp for an orthonormal basis A and S* = (JS)^perp, J(f, g) = (g, -f), for an
-orthonormal graph basis [F; G]. S = S* iff dim S = n and the boundary form
-F*G - G*F vanishes; no adjoint is built for that. The split of a relation is one
-full SVD of its f block, F = U S V* with r = _rank(S): dom = U[:, :r], dom^perp
-= U[:, r:], mul = G ker F = G V[:, r:] and `operator_part` U_r* G V_r S_r^-1.
+relations represented as subspaces of the doubled space H (+) H. A rank
+decision is the cutoff of `_rank`, RANK_RTOL * sigma_max, or that cutoff
+relative to 1 where the basis is orthonormal: the f block of a graph basis
+has singular values <= 1 and counts those > RANK_RTOL, and `subspace_intersect`
+keeps the principal angles whose sines are <= 2 RANK_RTOL (Bjorck-Golub), the
+same decision as `_rank` on the stack [A, -B]. A complement of a block of full
+column rank takes none: it is the trailing columns of one complete QR
+(`_complement`), a^perp for an orthonormal basis A and S* = (JS)^perp,
+J(f, g) = (g, -f), for an orthonormal graph basis [F; G]. S = S* iff dim S = n
+and the boundary form F*G - G*F vanishes; no adjoint is built for that. The
+split of a relation is one full SVD of its f block, F = U S V* with r the
+count of S > RANK_RTOL: dom = U[:, :r], dom^perp = U[:, r:], mul = G ker F =
+G V[:, r:] and `operator_part` U_r* G V_r S_r^-1.
 
 A relation's derived spaces are computed once per relation object and cached
-on it: `adjoint`, `domain()`, `mul_part()`, `operator_part`, `defect_kernels`
-(ker(T -/+ i)) and `mul_extension` (T (+) {0} x dom^perp, the Friedrichs
-construction). Bases whose rank the construction fixes get no SVD of their
-own: QR of [I; A] in `from_matrix`, G V[:, r:], sqrt2 F ker(G -/+ iF), the sqrt2
-A u of `subspace_intersect`, and `mul_extension` by QR when mul T = 0. A rank
-decision stays where the rank is the answer: the f-block SVD, `Subspace.span`
-of arbitrary columns and the nullspaces of `subspace_intersect`,
-`defect_kernels` and `rel_compose`. Every `Subspace` checks its orthonormality.
+on it: the boundary form (F*G and max|F*G - G*F|), `adjoint`, `domain()`,
+`mul_part()`, `operator_part`, `defect_kernels` (ker(T -/+ i)) and
+`mul_extension` (T (+) {0} x dom^perp, the Friedrichs construction). Bases
+whose rank the construction fixes get no SVD of their own: QR of [I; A] in
+`from_matrix`, G V[:, r:], sqrt2 F ker(G -/+ iF), and `mul_extension` by QR
+when mul T = 0. A rank decision stays where the rank is the answer: the
+f-block SVD, `Subspace.span` of arbitrary columns, the principal angles of
+`subspace_intersect` (its basis B V is orthonormal as built) and the
+nullspaces of `defect_kernels` and `rel_compose`. `rel_power` squares:
+t^4 = t^2 o t^2, two compositions. Every `Subspace` checks its orthonormality.
 
 A `HermitianMatrix` or `SpectralDecomposition` decides its dtype once, when
 built (`_stored`): float64 for real-valued data (a real dtype, or complex with
@@ -469,16 +476,23 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the nullspace of [A, -B]: x = A u = B v.
+    """a cap b from the principal angles between a and b (Bjorck-Golub, 1973).
 
-    For orthonormal kernel columns (u, v), |Au| = |u| and |Bv| = |v| make
-    <u, u'> = <v, v'> = <(u, v), (u', v')>/2, so sqrt2 A u is orthonormal as built.
+    With B the basis of smaller rank and A the other, the singular values of
+    B - A(A*B) = (I - AA*)B are the sines of the principal angles, and a cap b is
+    B V over the sines <= 2 RANK_RTOL, orthonormal as built (V is unitary). That is
+    `_rank`'s cutoff on the stack [A, -B] restated: its singular values are
+    sqrt(1 -/+ cos theta), sigma_max = sqrt2 once a cap b != 0, and
+    sqrt(1 - cos theta) <= RANK_RTOL * sqrt2 is theta <= 2 RANK_RTOL.
     """
     _check_ambient(a, b)
-    if a.rank == 0 or b.rank == 0:
+    if a.rank < b.rank:
+        a, b = b, a
+    if b.rank == 0:
         return Subspace.zero(a.ambient_dim)
-    null = _nullspace(np.hstack([a.basis, -b.basis]))
-    return Subspace(a.ambient_dim, np.sqrt(2.0) * (a.basis @ null[: a.rank]))
+    _, sines, vh = np.linalg.svd(b.basis - a.basis @ (a.basis.conj().T @ b.basis),
+                                 full_matrices=False)
+    return Subspace(a.ambient_dim, b.basis @ vh[sines <= 2.0 * RANK_RTOL].conj().T)
 
 
 def orthocomplement(a: Subspace) -> Subspace:
@@ -549,11 +563,13 @@ class LinearRelation:
 
     @cached_property
     def _f_svd(self):
-        """(U, s, V*, r): the full SVD F = U diag(s) V* of the f block and r = _rank(s), the
-        relation's one rank decision; dom t = U[:, :r] and (dom t)^perp = U[:, r:]."""
+        """(U, s, V*, r): the full SVD F = U diag(s) V* of the f block and r, the relation's
+        one rank decision; dom t = U[:, :r] and (dom t)^perp = U[:, r:]. The graph basis
+        [F; G] is orthonormal, so s <= 1 and r counts s > RANK_RTOL relative to 1, not to
+        s[0]: an f block of pure rounding has rank 0."""
         u, s, vh = np.linalg.svd(self._blocks()[0])
         u.setflags(write=False)
-        return u, s, vh, _rank(s)
+        return u, s, vh, int(np.count_nonzero(s > RANK_RTOL))
 
     @cached_property
     def _domain(self) -> Subspace:
@@ -573,6 +589,16 @@ class LinearRelation:
         u, s, vh, r = self._f_svd
         h = u[:, :r].conj().T @ (self._blocks()[1] @ vh[:r].conj().T) / s[:r]
         return (h + h.conj().T) / 2
+
+    @cached_property
+    def _boundary_form(self) -> tuple[np.ndarray, float]:
+        """(F*G, max|F*G - G*F|) for the graph basis [F; G], computed once per relation.
+        F*G - G*F is the Gram matrix of Jt against t and t* = (Jt)^perp, so t is in t* iff
+        the defect is 0 (to SUBSPACE_TOL)."""
+        f, g = self._blocks()
+        form = f.conj().T @ g
+        form.setflags(write=False)
+        return form, float(np.max(np.abs(form - form.conj().T))) if self.dim else 0.0
 
     @cached_property
     def adjoint(self) -> "LinearRelation":
@@ -628,26 +654,25 @@ def rel_compose(t: LinearRelation, s: LinearRelation) -> LinearRelation:
 
 
 def rel_power(t: LinearRelation, n: int) -> LinearRelation:
+    """t^n by repeated squaring: composition is associative, so t^4 = t^2 o t^2 and t^n
+    takes floor(log2 n) + popcount(n) - 1 `rel_compose` calls, not n - 1."""
     if n < 1:
         raise ValueError("power must be a positive integer")
-    out = t
-    for _ in range(n - 1):
-        out = rel_compose(out, t)
-    return out
-
-
-def _boundary_form(t: LinearRelation) -> tuple[np.ndarray, float]:
-    """(F*G, max|F*G - G*F|) for t's graph basis [F; G]. F*G - G*F is the Gram matrix of
-    Jt against t and t* = (Jt)^perp, so t is in t* iff the defect is 0 (to SUBSPACE_TOL)."""
-    f, g = t._blocks()
-    form = f.conj().T @ g
-    return form, float(np.max(np.abs(form - form.conj().T))) if t.dim else 0.0
+    out, square = None, t
+    while True:
+        if n & 1:
+            out = square if out is None else rel_compose(out, square)
+        n >>= 1
+        if not n:
+            return out
+        square = rel_compose(square, square)
 
 
 def rel_is_selfadjoint(t: LinearRelation) -> bool:
-    """t = t*: t is contained in t* (`_boundary_form`) and dim t = n = dim t*, so t is a
-    Lagrangian subspace of the doubled space. No adjoint and no projector is formed."""
-    return t.dim == t.space_dim and _boundary_form(t)[1] <= SUBSPACE_TOL
+    """t = t*: t is contained in t* (the cached `_boundary_form` defect vanishes) and
+    dim t = n = dim t*, so t is a Lagrangian subspace of the doubled space. No adjoint and
+    no projector is formed."""
+    return t.dim == t.space_dim and t._boundary_form[1] <= SUBSPACE_TOL
 
 
 def save_matrix_csv(matrix, path):

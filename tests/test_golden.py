@@ -11,10 +11,11 @@ After a deliberate change of verdicts or tables, rewrite the stored outputs:
 
     PYTHONPATH=src python tests/test_golden.py
 
-No experiment needs scipy: `ldlab run` on every golden config, in a fresh
-interpreter, loads no scipy module.
+No experiment needs scipy: `ldlab run` on every golden config, one after another
+in one fresh interpreter, loads no scipy module.
 """
 
+import ast
 import csv
 import io
 import math
@@ -84,21 +85,43 @@ def test_golden_covers_every_experiment():
     assert seen == set(EXPERIMENTS)
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_run_loads_no_scipy(name, tmp_path):
-    code = ("import sys\n"
-            "from ldlab.cli import main\n"
-            "status = main(sys.argv[1:])\n"
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
-            "sys.exit(status)\n")
+# Runs each config given on the command line in turn and prints, after each, its name,
+# exit status and the scipy modules loaded so far.
+NO_SCIPY_RUNNER = """\
+import contextlib, io, pathlib, sys
+from ldlab.cli import main
+out = pathlib.Path(sys.argv[1])
+for config in sys.argv[2:]:
+    name = pathlib.Path(config).parent.name
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = main(["run", config, "--out", str(out / name), "--format", "csv"])
+    loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+    print(repr((name, status, loaded)), flush=True)
+"""
+
+
+@pytest.fixture(scope="module")
+def no_scipy_runs(tmp_path_factory) -> dict:
+    """name -> (exit status, scipy modules loaded so far) for `ldlab run` of every golden
+    config, one after another in one fresh interpreter."""
     src = str(pathlib.Path(ldlab.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", code, "run", str(GOLDEN / name / "config.json"),
-         "--out", str(tmp_path), "--format", "csv"],
-        capture_output=True, text=True, cwd=src, timeout=120,
+        [sys.executable, "-c", NO_SCIPY_RUNNER, str(tmp_path_factory.mktemp("no-scipy"))]
+        + [str(GOLDEN / name / "config.json") for name in CASES],
+        capture_output=True, text=True, cwd=src, timeout=600,
         env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[]"
+    runs = {name: (status, loaded) for name, status, loaded in
+            map(ast.literal_eval, out.stdout.splitlines())}
+    assert out.returncode == 0 and len(runs) == len(CASES), out.stderr
+    return runs
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_run_loads_no_scipy(name, no_scipy_runs):
+    status, loaded = no_scipy_runs[name]
+    first = next((n for n in CASES if no_scipy_runs[n][1]), None)
+    assert status == 0, f"{name}: exit {status}"
+    assert loaded == [], f"{first} was the first config to load {no_scipy_runs[first][1]}"
 
 
 def _regenerate():

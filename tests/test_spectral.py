@@ -11,6 +11,8 @@ from ldlab.spectral import (
     SpectrumError,
     Subspace,
     _check_residual,
+    _nullspace,
+    _ortho_defect,
     diagonal_eigh,
     eigh,
     load_matrix_csv,
@@ -482,6 +484,67 @@ class TestSubspaces:
                           ambient_dim=n)
         total = subspace_sum(a, b).rank + subspace_intersect(a, b).rank
         assert total == a.rank + b.rank
+
+
+def _intersect_by_stacked_nullspace(a: Subspace, b: Subspace) -> Subspace:
+    """The former route, kept as an oracle: x = A u = B v for (u, v) in ker [A, -B], the
+    kernel decided by `_rank` on the full SVD of the stack; sqrt2 A u is orthonormal."""
+    if a.rank == 0 or b.rank == 0:
+        return Subspace.zero(a.ambient_dim)
+    null = _nullspace(np.hstack([a.basis, -b.basis]))
+    return Subspace(a.ambient_dim, np.sqrt(2.0) * (a.basis @ null[: a.rank]))
+
+
+def _planted_pair(seed: int, m: int, planted: int):
+    """Random subspaces a, b of C^m whose intersection is a random `planted`-dim subspace:
+    each adds random columns, few enough that generic columns meet in {0} only."""
+    rng = np.random.default_rng(seed)
+    gauss = lambda k: rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
+    common = gauss(planted)
+    extra_a = int(rng.integers(0, (m - planted) // 2 + 1))
+    extra_b = int(rng.integers(0, m - planted - extra_a + 1))
+    a = Subspace.span(np.hstack([common, gauss(extra_a)]), m)
+    b = Subspace.span(np.hstack([common, gauss(extra_b)]), m)
+    return a, b, Subspace.span(common, m)
+
+
+class TestPrincipalAngleIntersection:
+    """subspace_intersect (sines of the principal angles) against the stacked [A, -B]
+    nullspace route it replaced, on seeded pairs in C^2n and C^3n."""
+
+    @pytest.mark.parametrize("factor", [2, 3])
+    @pytest.mark.parametrize("n", [5, 8, 11, 16])
+    @pytest.mark.parametrize("planted", [0, 1, 2, 3])
+    def test_matches_stacked_nullspace_route(self, factor, n, planted):
+        a, b, common = _planted_pair(1000 * factor + 10 * n + planted, factor * n, planted)
+        inter = subspace_intersect(a, b)
+        assert inter.rank == planted
+        assert subspaces_equal(inter, common)
+        assert subspaces_equal(inter, _intersect_by_stacked_nullspace(a, b))
+        assert subspaces_equal(inter, subspace_intersect(b, a))
+        if planted:
+            assert _ortho_defect(inter.basis) <= 1e-13
+
+    @pytest.mark.parametrize("angle, meets", [(1e-6, False), (1e-13, True)])
+    @pytest.mark.parametrize("m", [10, 27, 48])
+    def test_planted_angle(self, angle, meets, m):
+        rng = np.random.default_rng(m)
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        ka, kb = m // 3, m // 4
+        # b holds cos(angle) q0 + sin(angle) q_last: at `angle` from q0 in a, the rest of b
+        # far from a
+        tilted = np.cos(angle) * q[:, 0] + np.sin(angle) * q[:, -1]
+        mixed = q[:, ka:m - 1] @ (rng.normal(size=(m - 1 - ka, kb - 1))
+                                   + 1j * rng.normal(size=(m - 1 - ka, kb - 1)))
+        a = Subspace(m, q[:, :ka])
+        b = Subspace.span(np.column_stack([tilted, mixed]), m)
+        for first, second in ((a, b), (b, a)):
+            inter = subspace_intersect(first, second)
+            assert inter.rank == int(meets)
+            assert subspaces_equal(inter, _intersect_by_stacked_nullspace(first, second))
+        if meets:
+            assert subspaces_equal(inter, Subspace(m, q[:, :1]))
+            assert _ortho_defect(inter.basis) <= 1e-13
 
 
 class TestRelations:
