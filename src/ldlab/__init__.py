@@ -12,7 +12,6 @@ from .spectral import (
     rel_compose,
     rel_is_selfadjoint,
     subspace_intersect,
-    subspace_sum,
     subspaces_equal,
 )
 from .leftdef import (
@@ -27,7 +26,6 @@ from .leftdef import (
 )
 from .hscale import (
     GrowthModel,
-    ScaleVector,
     critical_index,
     duality_pair,
     equivalence_check,
@@ -45,7 +43,6 @@ from .classical import (
     gauss_quadrature,
     jacobi_spectrum,
     laguerre_apply_A,
-    laguerre_eval,
     laguerre_identity_check,
     spectral_inner,
 )

@@ -99,25 +99,6 @@ class LaguerreBasis:
         return laguerre_norm_sq(n, self.alpha)
 
 
-def laguerre_eval(basis: LaguerreBasis, n: int, x):
-    """L_n^alpha(x) by the three-term recurrence."""
-    if n < 0 or n > basis.max_degree:
-        raise ValueError(f"degree {n} outside basis range 0..{basis.max_degree}")
-    values = basis.eval_all(x)[n]
-    return float(values[0]) if np.isscalar(x) else values
-
-
-def laguerre_deriv(basis: LaguerreBasis, n: int, x):
-    """d/dx L_n^alpha = -L_{n-1}^{alpha+1}."""
-    if n < 0 or n > basis.max_degree:
-        raise ValueError(f"degree {n} outside basis range 0..{basis.max_degree}")
-    if n == 0:
-        return 0.0 if np.isscalar(x) else np.zeros(np.shape(x))
-    shifted = LaguerreBasis.build(basis.alpha + 1, n - 1)
-    values = -shifted.eval_all(x)[n - 1]
-    return float(values[0]) if np.isscalar(x) else values
-
-
 @dataclass(frozen=True)
 class PolyInLaguerre:
     """Polynomial expanded in L_n^alpha: p = sum_m coeffs[m] L_m^alpha."""

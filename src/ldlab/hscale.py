@@ -18,31 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leftdef import SpectralOperator, _require_below
+from .leftdef import SpectralOperator
 from .spectral import DimensionMismatchError, inner
 
 PARTIAL_SUM_TERMS = 10 ** 6
 _SUM_BLOCK = 1 << 16     # terms per block of the partial sums: 512 KB buffers
-
-
-@dataclass(frozen=True)
-class ScaleVector:
-    """Truncated vector given by eigenbasis coefficients."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 1:
-            raise ValueError("coefficients must be one-dimensional")
-        if not np.all(np.isfinite(c.view(float))):
-            raise ValueError("coefficients must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def truncation(self) -> int:
-        return self.coeffs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -63,12 +43,6 @@ class GrowthModel:
         return SpectralOperator.from_diag(self.eigenvalues(n))
 
 
-def _coeffs(phi) -> np.ndarray:
-    if isinstance(phi, ScaleVector):
-        return phi.coeffs
-    return np.asarray(phi, dtype=complex)
-
-
 def _check_dim(operator: SpectralOperator, c: np.ndarray):
     if c.shape != (operator.dim,):
         raise DimensionMismatchError(
@@ -78,7 +52,7 @@ def _check_dim(operator: SpectralOperator, c: np.ndarray):
 
 def hs_norm(operator: SpectralOperator, s: float, phi) -> float:
     """Scale norm ||phi||_s = ||(|A| + I)^{s/2} phi||, diagonal in the eigenbasis."""
-    c = _coeffs(phi)
+    c = np.asarray(phi, dtype=complex)
     _check_dim(operator, c)
     return float(np.linalg.norm(operator.scale_weights(s / 2) * c))
 
@@ -90,8 +64,8 @@ def duality_pair(operator: SpectralOperator, s: float, phi, psi) -> complex:
     reduces to the plain inner product; it is still evaluated through the
     defining formula so the reduction is a genuine check.
     """
-    cp = _coeffs(phi)
-    cq = _coeffs(psi)
+    cp = np.asarray(phi, dtype=complex)
+    cq = np.asarray(psi, dtype=complex)
     _check_dim(operator, cp)
     _check_dim(operator, cq)
     return inner(operator.scale_weights(-s / 2) * cp, operator.scale_weights(s / 2) * cq)
@@ -102,7 +76,7 @@ def isometry_check(operator: SpectralOperator, s: float, t: float, phi) -> float
 
     Returns | ||(|A|+I)^{t/2} phi||_{s-t} - ||phi||_s | / ||phi||_s.
     """
-    c = _coeffs(phi)
+    c = np.asarray(phi, dtype=complex)
     _check_dim(operator, c)
     mapped = operator.scale_weights(t / 2) * c
     norm_s = hs_norm(operator, s, c)
@@ -181,23 +155,22 @@ def membership_table(model: GrowthModel, s_values, terms: int = PARTIAL_SUM_TERM
     ]
 
 
-def equivalence_check(operator: SpectralOperator, s: float, samples, gamma: float | None = None):
+def equivalence_check(operator: SpectralOperator, s: float, samples):
     """Min/max ratio of ||(|A|+I)^{s/2} phi|| to ||(A-gamma)^{s/2} phi|| over samples.
 
-    Both weight choices generate the same spaces with equivalent norms; the
-    ratios land inside the diagonal bounds
+    gamma is the operator's shift, which `SpectralOperator` keeps below its lower
+    bound k. Both weight choices generate the same spaces with equivalent norms;
+    the ratios land inside the diagonal bounds
     [min_n ((|l_n|+1)/(l_n-gamma))^{s/2}, max_n (...)] (endpoints swapped for
-    s < 0). Requires gamma < k.
+    s < 0).
     """
-    if gamma is None:
-        gamma = operator.shift
-    _require_below(gamma, operator.lower_bound)
+    gamma = operator.shift
     lam = operator.eigenvalues
     shifted = np.power(lam - gamma, s / 2)
     plain = operator.scale_weights(s / 2)
     ratios = []
     for phi in samples:
-        c = _coeffs(phi)
+        c = np.asarray(phi, dtype=complex)
         _check_dim(operator, c)
         denom = float(np.linalg.norm(shifted * c))
         if denom == 0.0:

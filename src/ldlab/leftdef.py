@@ -2,9 +2,10 @@
 
 The central object is a SpectralOperator: a Hermitian matrix together with its
 eigendecomposition, its lower bound k, and a shift gamma < k. From it we build
-the r-th left-definite space (Gram matrix A^r), the r-th left-definite
-operator, the shifted closed forms, and a verification report for the
-defining properties and the spectral-stability statements.
+the r-th left-definite space (its inner product <A^{r/2}x, A^{r/2}y>, applied
+through the eigenbasis with no n x n array), the r-th left-definite operator,
+the shifted closed forms, and a verification report for the defining
+properties and the spectral-stability statements.
 
 `SpectralOperator.from_matrix` decomposes with LAPACK (real symmetric: in
 float64). `from_diag` (the diag-growth and Laguerre operators) keeps the exact
@@ -165,7 +166,6 @@ class LeftDefiniteSpace:
     """The r-th left-definite space: inner product <x,y>_r = <A^{r/2}x, A^{r/2}y>."""
 
     r: float
-    gram: HermitianMatrix
     operator: SpectralOperator
 
 
@@ -200,9 +200,10 @@ def _require_ld(operator: SpectralOperator, r: float):
 
 
 def ld_space(operator: SpectralOperator, r: float) -> LeftDefiniteSpace:
-    """Build H_r with Gram matrix A^r; requires k > 0 and r > 0."""
+    """H_r, given by its inner product (`ld_inner`); requires k > 0 and r > 0. Builds
+    nothing of n x n size."""
     _require_ld(operator, r)
-    return LeftDefiniteSpace(float(r), operator.power(r), operator)
+    return LeftDefiniteSpace(float(r), operator)
 
 
 def ld_inner(space: LeftDefiniteSpace, x, y) -> complex:

@@ -63,10 +63,11 @@ class SLCoefficients:
             raise ValueError(f"empty interval ({self.a}, {self.b})")
 
     @classmethod
-    def flat(cls, a: float = 0.0, b: float = float(np.pi)) -> "SLCoefficients":
+    def flat(cls) -> "SLCoefficients":
+        """p = w = 1, q = 0 on (0, pi), both endpoints regular."""
         one = lambda x: np.ones_like(np.asarray(x, dtype=float))
         zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        return cls(one, zero, one, a, b, "regular", "regular", 0.0, "flat")
+        return cls(one, zero, one, 0.0, float(np.pi), "regular", "regular", 0.0, "flat")
 
     @classmethod
     def jacobi(cls, alpha: float, beta: float) -> "SLCoefficients":
@@ -79,14 +80,15 @@ class SLCoefficients:
         return cls(p, zero, w, -1.0, 1.0, "limit-circle", "limit-circle", 0.0, "jacobi")
 
     @classmethod
-    def laguerre(cls, alpha: float, cutoff: float = 40.0, delta: float = 1e-3) -> "SLCoefficients":
-        """w = x^a e^{-x}, p = x^{a+1} e^{-x} on (0, cutoff): truncated-domain model."""
+    def laguerre(cls, alpha: float, cutoff: float = 40.0) -> "SLCoefficients":
+        """w = x^a e^{-x}, p = x^{a+1} e^{-x} on (0, cutoff): truncated-domain model, the
+        limit-circle endpoint 0 moved in by delta = 1e-3 (`dataclasses.replace` for another)."""
         if not alpha > -1:
             raise ValueError(f"Laguerre parameter must satisfy alpha > -1, got {alpha}")
         p = lambda x: x ** (alpha + 1) * np.exp(-x)
         w = lambda x: x ** alpha * np.exp(-x)
         zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        return cls(p, zero, w, 0.0, cutoff, "limit-circle", "limit-point", delta, "laguerre")
+        return cls(p, zero, w, 0.0, cutoff, "limit-circle", "limit-point", 1e-3, "laguerre")
 
     @classmethod
     def from_tables(cls, xs, ps, qs, ws) -> "SLCoefficients":

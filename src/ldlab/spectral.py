@@ -450,29 +450,12 @@ class Subspace:
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim, dtype=complex))
-
-    def contains(self, vector) -> bool:
-        v = np.asarray(vector, dtype=complex)
-        scale = float(np.linalg.norm(v))
-        if scale == 0.0:
-            return True
-        resid = v - self.basis @ (self.basis.conj().T @ v)
-        return float(np.linalg.norm(resid)) <= SUBSPACE_TOL * scale
-
 
 def _check_ambient(a: Subspace, b: Subspace):
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError(
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
         )
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_ambient(a, b)
-    return Subspace(a.ambient_dim, _onb(np.hstack([a.basis, b.basis]), a.ambient_dim))
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:

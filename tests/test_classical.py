@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from ldlab.classical import (
     DirichletFormSpec,
@@ -16,8 +17,6 @@ from ldlab.classical import (
     gauss_quadrature,
     jacobi_spectrum,
     laguerre_apply_A,
-    laguerre_deriv,
-    laguerre_eval,
     laguerre_identity_check,
     laguerre_identity_table,
     laguerre_norm_sq,
@@ -50,28 +49,45 @@ class TestBjCoefficients:
             bj_coeff(2, 0.0, 1)
 
 
+def laguerre_power_basis(alpha: float, degree: int) -> list:
+    """L_0^alpha..L_degree^alpha as power-basis Polynomials, the recurrence multiplied out."""
+    x = Polynomial([0.0, 1.0])
+    polys = [Polynomial([1.0]), Polynomial([alpha + 1.0, -1.0])]
+    for n in range(1, degree):
+        polys.append(((2 * n + alpha + 1 - x) * polys[n] - (n + alpha) * polys[n - 1]) / (n + 1))
+    return polys[: degree + 1]
+
+
 class TestLaguerreBasis:
     def test_l0_is_one(self):
         basis = LaguerreBasis.build(0.7, 5)
-        assert laguerre_eval(basis, 0, 3.3) == 1.0
+        assert basis.eval_all(3.3)[0, 0] == 1.0
 
     def test_l1_alpha1_at_zero(self):
         basis = LaguerreBasis.build(1.0, 5)
-        assert laguerre_eval(basis, 1, 0.0) == 2.0   # L_1^a = a + 1 - x
+        assert basis.eval_all(0.0)[1, 0] == 2.0   # L_1^a = a + 1 - x
 
     def test_derivative_identity(self):
-        # d/dx L_1^a = -1 = -L_0^{a+1}
-        basis = LaguerreBasis.build(0.5, 5)
-        assert laguerre_deriv(basis, 1, 1.7) == -1.0
-        xs = np.linspace(0.1, 5.0, 7)
-        shifted = LaguerreBasis.build(basis.alpha + 1, 3)
-        np.testing.assert_allclose(laguerre_deriv(basis, 4, xs),
-                                   -shifted.eval_all(xs)[3], rtol=1e-12)
+        # oracle for `derivative_coeffs`, which encodes (L_n^a)' = -L_{n-1}^{a+1}: the j-th
+        # derivative of p = sum c_n L_n^a taken term by term in the power basis
+        rng = np.random.default_rng(4)
+        xs = np.linspace(0.0, 10.0, 21)
+        for alpha in (0.0, 0.5, 2.0):
+            polys = laguerre_power_basis(alpha, 8)
+            for deg in range(9):
+                c = rng.normal(size=deg + 1)
+                p = sum(cn * pn for cn, pn in zip(c, polys))
+                for j in range(4):
+                    want = p.deriv(j)(xs)
+                    d = derivative_coeffs(c, j)
+                    got = d @ LaguerreBasis.build(alpha + j, d.shape[0] - 1).eval_all(xs)
+                    # atol for points near a root of p^(j)
+                    np.testing.assert_allclose(got, want, rtol=1e-10,
+                                               atol=1e-10 * np.max(np.abs(want)))
 
     def test_out_of_range_degree(self):
-        basis = LaguerreBasis.build(0.0, 3)
-        with pytest.raises(ValueError, match="outside"):
-            laguerre_eval(basis, 4, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            LaguerreBasis.build(0.0, -1)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 30])
     def test_norm_by_quadrature(self, n):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ldlab.hscale import (
     GrowthModel,
-    ScaleVector,
     _partial_sums,
     critical_index,
     duality_pair,
@@ -18,7 +17,7 @@ from ldlab.hscale import (
     membership_table,
     partial_sum_divergent,
 )
-from ldlab.leftdef import ShiftError, SpectralOperator
+from ldlab.leftdef import SpectralOperator
 
 
 def e(n, i):
@@ -50,10 +49,6 @@ class TestHsNorm:
             v = rng.normal(size=3) + 1j * rng.normal(size=3)
             norms = [hs_norm(op, s, v) for s in grid]
             assert all(a <= b + 1e-12 * b for a, b in zip(norms, norms[1:]))
-
-    def test_accepts_scale_vector(self):
-        op = SpectralOperator.from_diag([1.0, 3.0])
-        assert hs_norm(op, 2.0, ScaleVector(np.array([1.0, 0.0]))) == pytest.approx(2.0)
 
 
 class TestDualityPair:
@@ -222,10 +217,11 @@ class TestEquivalence:
         assert stats["max_ratio"] <= stats["bound_hi"] + 1e-12
         assert 0 < stats["min_ratio"] <= stats["max_ratio"] < np.inf
 
-    def test_rejects_gamma_at_bound(self):
-        op = SpectralOperator.from_diag([1.0, 5.0])
-        with pytest.raises(ShiftError):
-            equivalence_check(op, 1.0, [np.ones(2)], gamma=1.0)
+    def test_gamma_is_the_operator_shift(self):
+        # s = 2 on diag(1): ratio (|1| + 1) / (1 - gamma) is 4 at gamma = 0.5, 2 at gamma = 0
+        op = SpectralOperator.from_diag([1.0], shift=0.5)
+        stats = equivalence_check(op, 2.0, [np.array([1.0])])
+        assert stats["min_ratio"] == pytest.approx(4.0, rel=1e-12) == stats["bound_lo"]
 
 
 class TestWeightsOnce:

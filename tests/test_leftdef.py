@@ -18,6 +18,7 @@ from ldlab.leftdef import (
 )
 from ldlab.report import Report
 from ldlab.scenarios import build_operator, run_scenario
+from ldlab.sldiscrete import SLCoefficients, discretize
 from ldlab.spectral import (
     DimensionMismatchError,
     HermitianMatrix,
@@ -25,6 +26,7 @@ from ldlab.spectral import (
     SpectrumError,
     _check_residual,
     inner,
+    mat_power,
 )
 
 
@@ -49,13 +51,12 @@ class TestSpectralOperator:
             SpectralOperator.from_diag([1.0, 2.0], shift=1.0)
 
     def test_one_shift_rule_and_message(self):
-        # the operator, the closed form and the scale's equivalence check share one rule
-        from ldlab.hscale import equivalence_check
+        # the operator and the closed form share one rule; the scale's equivalence check
+        # reads the operator's shift, which the operator already holds below k
         op = SpectralOperator.from_diag([1.0, 2.0])
         message = "shift 1.0 must lie strictly below the lower bound 1.0"
         for build in (lambda: SpectralOperator.from_diag([1.0, 2.0], shift=1.0),
-                      lambda: ClosedFormR(1, 1.0, op),
-                      lambda: equivalence_check(op, 1.0, [np.ones(2)], gamma=1.0)):
+                      lambda: ClosedFormR(1, 1.0, op)):
             with pytest.raises(ShiftError, match=message):
                 build()
 
@@ -174,21 +175,38 @@ class TestEigenbasisProducts:
             assert ClosedFormR(2, op.shift, op)(x, y) == form
 
 
+def gram(space) -> np.ndarray:
+    """G[i, j] = <e_j, e_i>_r, the Gram matrix of H_r in the standard basis, from `ld_inner`."""
+    basis = np.eye(space.operator.dim)
+    return np.array([[ld_inner(space, ej, ei) for ej in basis] for ei in basis])
+
+
 class TestLdSpace:
     def test_gram_r1(self):
         op = SpectralOperator.from_diag([1.0, 4.0])
-        np.testing.assert_allclose(ld_space(op, 1.0).gram.entries, np.diag([1.0, 4.0]),
-                                   atol=1e-12)
+        np.testing.assert_allclose(gram(ld_space(op, 1.0)), np.diag([1.0, 4.0]), atol=1e-12)
 
     def test_gram_r2(self):
         op = SpectralOperator.from_diag([1.0, 4.0])
-        np.testing.assert_allclose(ld_space(op, 2.0).gram.entries, np.diag([1.0, 16.0]),
-                                   atol=1e-12)
+        np.testing.assert_allclose(gram(ld_space(op, 2.0)), np.diag([1.0, 16.0]), atol=1e-12)
 
     def test_gram_fractional_scalar(self):
         op = SpectralOperator.from_diag([2.0])
-        np.testing.assert_allclose(ld_space(op, 0.5).gram.entries, [[np.sqrt(2.0)]],
-                                   atol=1e-14)
+        np.testing.assert_allclose(gram(ld_space(op, 0.5)), [[np.sqrt(2.0)]], atol=1e-14)
+
+    def test_builds_nothing_dense(self, monkeypatch):
+        # H_r is its inner product: no power, eigensolve or dense A^r at N = 800
+        import ldlab.spectral as spectral
+        op = SpectralOperator.from_matrix(discretize(SLCoefficients.flat(), 800).matrix)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a dense power or eigensolve was called")
+        monkeypatch.setattr(SpectralDecomposition, "power", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(spectral, "mat_power", forbidden)
+        space = ld_space(op, 2.0)
+        u0 = op.decomp.eigenvectors[:, 0]
+        assert ld_inner(space, u0, u0).real == pytest.approx(op.lower_bound ** 2, rel=1e-10)
 
     def test_requires_positive_bound(self):
         op = SpectralOperator.from_diag([-1.0, 4.0])
@@ -214,13 +232,15 @@ class TestLdInner:
         assert ld_inner(space, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(3.0 ** 2.5, rel=1e-12)
 
     def test_matches_gram_quadratic_form(self):
-        op = seeded_positive_operator(1, n=10)
-        space = ld_space(op, 1.5)
+        # oracle: y* A^r x with the Gram A^r formed densely by `mat_power` (eigh of the matrix)
         rng = np.random.default_rng(2)
-        x = rng.normal(size=10) + 1j * rng.normal(size=10)
-        y = rng.normal(size=10) + 1j * rng.normal(size=10)
-        direct = complex(y.conj() @ space.gram.entries @ x)
-        assert ld_inner(space, x, y) == pytest.approx(direct, rel=1e-10)
+        for op in (seeded_positive_operator(1, n=10),
+                   SpectralOperator.from_diag([4.0, 0.5, 9.0, 2.5, 2.5, 6.0])):
+            x = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+            y = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+            for r in (0.5, 1.5, 2.0, 3.0):
+                direct = complex(y.conj() @ mat_power(op.matrix, r).entries @ x)
+                assert ld_inner(ld_space(op, r), x, y) == pytest.approx(direct, rel=1e-10)
 
     def test_dimension_mismatch(self):
         op = SpectralOperator.from_diag([1.0, 4.0])
