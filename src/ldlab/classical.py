@@ -9,8 +9,12 @@ explicit derivative-weighted inner product
 with Gauss-Laguerre quadrature that is exact on the polynomial test grid, and
 the spectral inner product sum_m (m+k)^n c_m d_m ||L_m||^2, whose agreement is
 the flagship identity check of the package. The Gauss rules are Golub-Welsch
-ones computed with numpy alone (`_genlaguerre_rule`). The identity table builds
-its Gauss rules and the spectral factors (m+k)^n and ||L_m||^2 once per call.
+ones computed with numpy alone (`_genlaguerre_rules`), every rule of one weight
+exponent in one array pass: one eigvalsh per node count, then a single Newton and
+weight recurrence and a single basis recurrence over the concatenated nodes. A
+lone rule (`gauss_quadrature`) is the same pass with one node count. The identity
+table builds its rules, one pass per derivative order, and the spectral factors
+(m+k)^n and ||L_m||^2 once per call.
 
 Polynomials are represented by their coefficient vectors in L_n^alpha.
 Derivatives use the basis identity (L_n^alpha)' = -L_{n-1}^{alpha+1}
@@ -172,48 +176,78 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
-def _genlaguerre_rule(m: int, alpha: float):
-    """Nodes and weights of the m-point Gauss rule for t^alpha e^{-t} (Golub-Welsch).
+def _genlaguerre_rules(ms, alpha: float):
+    """Nodes and weights of the m-point Gauss rules for t^alpha e^{-t} (Golub-Welsch), for
+    every m in `ms` (distinct, descending), concatenated rule by rule in that order.
 
-    The nodes are the eigenvalues of the m x m Jacobi matrix (diagonal 2i + alpha + 1,
-    off-diagonal sqrt(i (i + alpha))), refined by one Newton step. With
+    Each rule's nodes are the eigenvalues of its m x m Jacobi matrix (diagonal
+    2i + alpha + 1, off-diagonal sqrt(i (i + alpha))), refined by one Newton step. With
     L_k^alpha = binom(k + alpha, k) p_k, the three-term recurrence runs on p_k and
     d_k = p_k - p_{k-1}, so L_m' = m binom(m + alpha, m) d_m / x is formed without
     cancellation. One pass at the eigenvalue nodes gives the Newton step and the
     weights 1/(L_{m-1} L_m'), up to a constant: x / (p_{m-1} d_m), each factor scaled
-    by the middle of its log-magnitude range so the product cannot overflow, then
-    normalized to the zeroth moment Gamma(alpha + 1). Eigenvector weights are not
-    used: they lose all relative accuracy at the large nodes, where weights are tiny.
+    by the middle of its log-magnitude range over the rule so the product cannot
+    overflow, then normalized to the zeroth moment Gamma(alpha + 1). Eigenvector
+    weights are not used: they lose all relative accuracy at the large nodes, where
+    weights are tiny.
+
+    The recurrence runs once over all rules: step k updates the nodes of the rules with
+    m > k, a prefix of the concatenation since m descends. Every step is elementwise, so
+    each rule is bitwise the one this function builds for its m alone.
     """
-    i = np.arange(1, m)
-    jacobi = np.diag(2.0 * np.arange(m) + alpha + 1.0) + np.diag(np.sqrt(i * (i + alpha)), -1)
-    x = np.linalg.eigvalsh(jacobi)
+    sizes = np.repeat(ms, ms)
+    starts = np.cumsum(ms) - ms
+    eigenvalues = []
+    for m in ms:
+        i = np.arange(1, m)
+        jacobi = np.diag(2.0 * np.arange(m) + alpha + 1.0) + np.diag(np.sqrt(i * (i + alpha)), -1)
+        eigenvalues.append(np.linalg.eigvalsh(jacobi))
+    x = np.concatenate(eigenvalues)
     d = -x / (alpha + 1.0)
     p = d + 1.0
-    for k in range(1, m):
-        d = (k * d - x * p) / (k + alpha + 1.0)
-        p = p + d
-    weights = 1.0
+    for k in range(1, ms[0]):
+        live = int(np.sum(sizes > k))
+        d[:live] = (k * d[:live] - x[:live] * p[:live]) / (k + alpha + 1.0)
+        p[:live] += d[:live]
+    weights = np.ones_like(x)
     for factor in (p - d, d / x):
         logs = np.log(np.abs(factor))
-        weights = weights / (factor / np.exp((logs.max() + logs.min()) / 2))
-    return x - p * x / (m * d), weights * (gamma(alpha + 1.0) / weights.sum())
+        middle = (np.maximum.reduceat(logs, starts) + np.minimum.reduceat(logs, starts)) / 2
+        weights = weights / (factor / np.repeat(np.exp(middle), ms))
+    for start, m in zip(starts, ms):
+        rule = weights[start:start + m]
+        rule *= gamma(alpha + 1.0) / rule.sum()
+    return x - p * x / (sizes * d), weights
+
+
+def _gauss_rules(weight_exponent: float, ms) -> tuple:
+    """{m: Gauss-Laguerre rule with m nodes for weight t^{weight_exponent} e^{-t}} for every
+    m in `ms`, in descending m, and the nodes of all of them concatenated in that order,
+    from one `_genlaguerre_rules` call."""
+    if not weight_exponent > -1:
+        raise ValueError(f"weight exponent must exceed -1, got {weight_exponent}")
+    for m in ms:
+        if m < 1 or m != int(m):
+            raise ValueError(f"node count must be a positive integer, got {m}")
+    ms = sorted({int(m) for m in ms}, reverse=True)
+    nodes, weights = _genlaguerre_rules(ms, float(weight_exponent))
+    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+        raise ArithmeticError(f"node solve failed for alpha'={weight_exponent}, m in {ms}")
+    rules, end = {}, 0
+    for m in ms:
+        rules[m] = QuadratureRule(float(weight_exponent), nodes[end:end + m],
+                                  weights[end:end + m], 2 * m - 1)
+        end += m
+    return rules, nodes
 
 
 def gauss_quadrature(weight_exponent: float, m: int) -> QuadratureRule:
     """Gauss-Laguerre rule with m nodes for weight t^{weight_exponent} e^{-t}.
 
     Exact for polynomials up to degree 2m - 1. Nodes and weights come from
-    `_genlaguerre_rule`, in numpy alone.
+    `_genlaguerre_rules`, in numpy alone.
     """
-    if not weight_exponent > -1:
-        raise ValueError(f"weight exponent must exceed -1, got {weight_exponent}")
-    if m < 1 or m != int(m):
-        raise ValueError(f"node count must be a positive integer, got {m}")
-    nodes, weights = _genlaguerre_rule(int(m), float(weight_exponent))
-    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
-        raise ArithmeticError(f"node solve failed for alpha'={weight_exponent}, m={m}")
-    return QuadratureRule(float(weight_exponent), nodes, weights, 2 * m - 1)
+    return _gauss_rules(weight_exponent, [m])[0][int(m)]
 
 
 @dataclass(frozen=True)
@@ -257,26 +291,31 @@ def dirichlet_inner(spec: DirichletFormSpec, basis: LaguerreBasis, p, q) -> floa
         dq = derivative_coeffs(cq, j)
         if not (np.any(dp) and np.any(dq)):
             continue
-        rule, values = _rule_values(basis, j, m, {})
+        rule = gauss_quadrature(basis.alpha + j, m)
+        values = LaguerreBasis.build(basis.alpha + j, basis.max_degree - j).eval_all(rule.nodes)
         p_vals = dp @ values[: dp.shape[0]]
         q_vals = dq @ values[: dq.shape[0]]
         total += spec.b[j] * rule.integrate_values(p_vals * q_vals)
     return total
 
 
-def _rule_values(basis: LaguerreBasis, order: int, m: int, rules: dict):
-    """The m-node Gauss rule for t^(alpha + order) e^{-t} and V, V[d] = L^{alpha+order}_d
-    at its nodes for d = 0..max_degree - order, memoized in `rules` under
-    (alpha + order, m); one dict serves one basis. Leading recurrence rows do not
-    depend on the top degree, so V's rows are bitwise those of a basis built to any
-    lower degree.
+def _rule_family(basis: LaguerreBasis, order: int, ms) -> dict:
+    """{m: (rule, V)} for every m in `ms`: the m-node Gauss rule for t^(alpha + order) e^{-t}
+    and V, V[d] = L^{alpha+order}_d at its nodes for d = 0..max_degree - order.
+
+    One `_gauss_rules` call builds every rule and one `eval_all` runs the recurrence over
+    their concatenated nodes; V is that table's block of columns for the rule. The
+    recurrence is elementwise, and its leading rows do not depend on the top degree, so
+    V is bitwise the table of the rule's nodes alone under a basis of any lower degree.
     """
-    key = (basis.alpha + order, m)
-    if key not in rules:
-        rule = gauss_quadrature(*key)
-        shifted = LaguerreBasis.build(key[0], basis.max_degree - order)
-        rules[key] = (rule, shifted.eval_all(rule.nodes))
-    return rules[key]
+    alpha = basis.alpha + order
+    rules, nodes = _gauss_rules(alpha, ms)
+    values = LaguerreBasis.build(alpha, basis.max_degree - order).eval_all(nodes)
+    family, end = {}, 0
+    for m, rule in rules.items():
+        family[m] = (rule, values[:, end:end + m])
+        end += m
+    return family
 
 
 def spectral_inner(basis: LaguerreBasis, k: float, n: int, p, q) -> float:
@@ -299,9 +338,10 @@ def _spectral_factors(basis: LaguerreBasis, k: float, n: int, m: int):
 def laguerre_identity_table(alpha: float, k: float, n: int, max_deg: int) -> list:
     """Rows (alpha, k, n, degP, degQ, dirichlet, spectral, residual) over basis pairs.
 
-    Each Gauss rule (and the shifted basis at its nodes) is built once per call and
-    shared by every pair that needs it, and so are the spectral factors (m + k)^n and
-    ||L_m||^2; nothing is kept between calls. For the basis pair (L_i, L_j), i <= j,
+    The Gauss rules of derivative order o (and the shifted basis at their nodes) are
+    built by one `_rule_family` call per table and shared by every pair that needs
+    them, and so are the spectral factors (m + k)^n and ||L_m||^2; nothing is kept
+    between calls. For the basis pair (L_i, L_j), i <= j,
     the o-th derivatives are (-1)^o L^{alpha+o}_{i-o} and (-1)^o L^{alpha+o}_{j-o} for
     o <= i and zero beyond, so each term of `dirichlet_inner` is the rule applied to
     the product of two rows of its value table: bitwise the same sum, since a product
@@ -312,14 +352,17 @@ def laguerre_identity_table(alpha: float, k: float, n: int, max_deg: int) -> lis
     basis = LaguerreBasis.build(alpha, max_deg)
     spec = DirichletFormSpec.build(n, k)
     weights, norms = _spectral_factors(basis, k, n, max_deg + 1)
-    rules = {}
+    # order o is read by the pairs o <= i <= j <= max_deg, whose node counts (i + j)//2 + 1
+    # run through o + 1 .. max_deg + 1
+    families = [_rule_family(basis, order, range(order + 1, max_deg + 2))
+                for order in range(min(n, max_deg) + 1)]
     rows = []
     for i in range(max_deg + 1):
         for j in range(i, max_deg + 1):
             m = (i + j) // 2 + 1
             d = 0.0
             for order in range(min(i, n) + 1):
-                rule, values = _rule_values(basis, order, m, rules)
+                rule, values = families[order][m]
                 d += spec.b[order] * rule.integrate_values(values[i - order] * values[j - order])
             s = float(weights[i] * norms[i]) if i == j else 0.0
             rows.append((alpha, k, n, i, j, d, s, abs(d - s) / (1.0 + abs(s))))

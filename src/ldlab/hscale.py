@@ -3,7 +3,10 @@
 Vectors are carried by their coefficients in the eigenbasis of the operator,
 so all scale norms, duality pairings, and isometries are diagonal
 computations with the weights (|lambda_n| + 1)^e, which the operator computes
-once per exponent e (`SpectralOperator.scale_weights`). Membership of an
+once per exponent e (`SpectralOperator.scale_weights`). Scale norms and the
+isometry check take a vector or an n x k block of coefficient columns through
+one path, a vector being a block of one: one product of the squared weights
+with |c|^2 gives every column's norm. Membership of an
 *infinite* power-law model vector in a given space of the scale is decided
 analytically from the growth exponents, never from truncated norms
 (truncations are always finite). The partial-sum
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leftdef import SpectralOperator
+from .report import _worst
 from .spectral import DimensionMismatchError, inner
 
 PARTIAL_SUM_TERMS = 10 ** 6
@@ -50,11 +54,27 @@ def _check_dim(operator: SpectralOperator, c: np.ndarray):
         )
 
 
-def hs_norm(operator: SpectralOperator, s: float, phi) -> float:
-    """Scale norm ||phi||_s = ||(|A| + I)^{s/2} phi||, diagonal in the eigenbasis."""
+def _as_block(operator: SpectralOperator, phi) -> np.ndarray:
+    """phi as an n x k block of coefficient columns; a vector is a block of one."""
     c = np.asarray(phi, dtype=complex)
-    _check_dim(operator, c)
-    return float(np.linalg.norm(operator.scale_weights(s / 2) * c))
+    block = c[:, None] if c.ndim == 1 else c
+    if block.ndim != 2 or block.shape[0] != operator.dim:
+        raise DimensionMismatchError(
+            f"coefficient array has shape {c.shape}, operator dimension is {operator.dim}"
+        )
+    return block
+
+
+def hs_norm(operator: SpectralOperator, s: float, phi):
+    """Scale norm ||phi||_s = ||(|A| + I)^{s/2} phi||, diagonal in the eigenbasis.
+
+    phi is a vector (the norm is a float) or an n x k block (an array of its k column
+    norms), one path for both: the squared weights applied to |c|^2, column by column.
+    """
+    c = _as_block(operator, phi)
+    squared = np.square(c.real) + np.square(c.imag)
+    norms = np.sqrt(np.square(operator.scale_weights(s / 2)) @ squared)
+    return float(norms[0]) if np.ndim(phi) == 1 else norms
 
 
 def duality_pair(operator: SpectralOperator, s: float, phi, psi) -> complex:
@@ -74,15 +94,15 @@ def duality_pair(operator: SpectralOperator, s: float, phi, psi) -> complex:
 def isometry_check(operator: SpectralOperator, s: float, t: float, phi) -> float:
     """Relative residual of the isometry H_s -> H_{s-t} induced by (|A|+I)^{t/2}.
 
-    Returns | ||(|A|+I)^{t/2} phi||_{s-t} - ||phi||_s | / ||phi||_s.
+    phi is a vector or an n x k block of them. Returns the worst, over its nonzero
+    columns c, of | ||(|A|+I)^{t/2} c||_{s-t} - ||c||_s | / ||c||_s: NaN when any is
+    NaN, 0.0 when every column is zero.
     """
-    c = np.asarray(phi, dtype=complex)
-    _check_dim(operator, c)
-    mapped = operator.scale_weights(t / 2) * c
+    c = _as_block(operator, phi)
     norm_s = hs_norm(operator, s, c)
-    if norm_s == 0.0:
-        return 0.0
-    return abs(hs_norm(operator, s - t, mapped) - norm_s) / norm_s
+    mapped = hs_norm(operator, s - t, operator.scale_weights(t / 2)[:, None] * c)
+    nonzero = norm_s != 0.0
+    return _worst(np.abs(mapped[nonzero] - norm_s[nonzero]) / norm_s[nonzero])
 
 
 def critical_index(model: GrowthModel) -> float:
@@ -168,7 +188,7 @@ def equivalence_check(operator: SpectralOperator, s: float, samples):
     lam = operator.eigenvalues
     shifted = np.power(lam - gamma, s / 2)
     plain = operator.scale_weights(s / 2)
-    ratios = []
+    ratios = []   # min and max through _worst, so a NaN ratio fails the bounds check
     for phi in samples:
         c = np.asarray(phi, dtype=complex)
         _check_dim(operator, c)
@@ -181,8 +201,8 @@ def equivalence_check(operator: SpectralOperator, s: float, samples):
     per_mode = np.power((np.abs(lam) + 1.0) / (lam - gamma), s / 2)
     lo, hi = float(np.min(per_mode)), float(np.max(per_mode))
     return {
-        "min_ratio": min(ratios),
-        "max_ratio": max(ratios),
+        "min_ratio": -_worst((-r for r in ratios), floor=-math.inf),
+        "max_ratio": _worst(ratios, floor=-math.inf),
         "bound_lo": min(lo, hi),
         "bound_hi": max(lo, hi),
     }

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .report import Report, Table
+from .report import Report, Table, _worst
 from .spectral import (
     CLUSTER_RTOL,
     DimensionMismatchError,
@@ -297,7 +297,12 @@ def verify_ld_properties(
     _require_ld(operator, r)
     rng = np.random.default_rng(seed)
     n = operator.dim
-    k_r, norm_r = operator.lower_bound ** r, operator.norm_max ** r
+    try:
+        norm_r = operator.norm_max ** r
+    except OverflowError:
+        raise ValueError(f"||A||_max^r overflows a float for r={r:g}, "
+                         f"||A||_max={operator.norm_max:g}: choose a smaller r") from None
+    k_r = operator.lower_bound ** r
     closed = float(r).is_integer()
     if closed:
         form = ClosedFormR(int(r), operator.shift, operator)
@@ -310,28 +315,26 @@ def verify_ld_properties(
         meta={"r": float(r), "dim": n, "samples": sample_count, "seed": seed},
     )
 
-    worst_lower = worst_dual = worst_form = 0.0
-    gaps = []
+    lowers, duals, forms, gaps = [], [], [], []
     for i in range(sample_count):
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         y = rng.normal(size=n) + 1j * rng.normal(size=n)
         half_x, half_y = operator.apply_power(r / 2, x), operator.apply_power(r / 2, y)
         norm_x, norm_y = float(np.linalg.norm(x)), float(np.linalg.norm(y))
         xx, yy = float(np.vdot(x, x).real), float(np.vdot(y, y).real)
-        lower = (k_r * xx - inner(half_x, half_x).real) / (norm_r * norm_x ** 2)
-        worst_lower = max(worst_lower, lower)
+        lowers.append((k_r * xx - inner(half_x, half_x).real) / (norm_r * norm_x ** 2))
         dual = abs(inner(half_x, half_y) - inner(operator.apply_power(r, x), y))
-        worst_dual = max(worst_dual, dual / (norm_r * max(norm_x, norm_y) ** 2))
+        duals.append(dual / (norm_r * max(norm_x, norm_y) ** 2))
         for j, v, vv, norm_v in ((2 * i, x, xx, norm_x), (2 * i + 1, y, yy, norm_y)):
             if not closed or j >= ordered:
                 break
             if j < sample_count:
-                worst_form = max(worst_form, (bound * vv - form(v, v).real) / (norm_r * vv))
+                forms.append((bound * vv - form(v, v).real) / (norm_r * vv))
             else:
                 f = v / norm_v
                 gaps.append(next_form(f, f).real - form(f, f).real)
-    report.add_check("lower-bound(4)", f"r={r:g}, {sample_count} samples", worst_lower, tol)
-    report.add_check("duality(5)", f"r={r:g}, {sample_count} samples", worst_dual, tol)
+    report.add_check("lower-bound(4)", f"r={r:g}, {sample_count} samples", _worst(lowers), tol)
+    report.add_check("duality(5)", f"r={r:g}, {sample_count} samples", _worst(duals), tol)
 
     # eigen-Gram: <phi_n, phi_m>_r = delta_nm * lambda_n^r. A^r (a temporary) and its
     # compression are dropped once read, so neither is alive during the dense eigh below.
@@ -361,7 +364,7 @@ def verify_ld_properties(
     )
     if closed:
         report.add_check("closed-form-lower-bound", f"r={int(r)}, gamma={operator.shift:g}",
-                         worst_form, tol)
+                         _worst(forms), tol)
         # informational only: whether the shifted forms stay ordered between
         # consecutive integer indices on unit samples (open question; no assertion)
         report.add_table(Table.build("form_ordering", ("r", "r_next", "min_gap", "max_gap"),

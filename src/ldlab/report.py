@@ -5,8 +5,19 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 PASS = "PASS"
 FAIL = "FAIL"
+
+
+def _worst(values, floor: float = 0.0) -> float:
+    """The largest of `floor` and `values`, or NaN when any value is NaN.
+
+    Python's `max` keeps a NaN only in first place, since every comparison with NaN is
+    false, so a NaN residual met mid-stream would vanish and its check read PASS.
+    """
+    return float(np.max(np.fromiter(values, dtype=float), initial=floor))
 
 
 def fmt(value) -> str:

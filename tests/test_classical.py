@@ -8,7 +8,8 @@ from ldlab.classical import (
     DirichletFormSpec,
     LaguerreBasis,
     PolyInLaguerre,
-    _genlaguerre_rule,
+    _gauss_rules,
+    _genlaguerre_rules,
     basis_poly,
     bj_coeff,
     derivative_coeffs,
@@ -182,11 +183,43 @@ class TestGenLaguerreRule:
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 2.0, 3.5, 7.0])
     def test_matches_scipy(self, alpha):
         special = pytest.importorskip("scipy.special")
-        for m in range(1, 41):
-            nodes, weights = _genlaguerre_rule(m, alpha)
+        ms = list(range(40, 0, -1))
+        nodes, weights = _genlaguerre_rules(ms, alpha)
+        end = 0
+        for m in ms:
             ref_nodes, ref_weights = special.roots_genlaguerre(m, alpha)
-            np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(weights, ref_weights, rtol=1e-11, atol=0)
+            np.testing.assert_allclose(nodes[end:end + m], ref_nodes, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(weights[end:end + m], ref_weights, rtol=1e-11, atol=0)
+            end += m
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 3.5, 7.0])
+    def test_batched_rules_bitwise_one_m_rules(self, alpha):
+        rules, nodes = _gauss_rules(alpha, range(1, 41))
+        assert np.array_equal(nodes, np.concatenate([rules[m].nodes for m in range(40, 0, -1)]))
+        for m in range(1, 41):
+            one = gauss_quadrature(alpha, m)
+            ref_nodes, ref_weights = reference_rule(m, alpha)
+            assert np.array_equal(rules[m].nodes, one.nodes)
+            assert np.array_equal(rules[m].weights, one.weights)
+            assert np.array_equal(one.nodes, ref_nodes) and np.array_equal(one.weights, ref_weights)
+            assert rules[m].exactness_degree == one.exactness_degree == 2 * m - 1
+
+
+def reference_rule(m, alpha):
+    """One Golub-Welsch rule with its own recurrence, the loop the batched pass replaced."""
+    i = np.arange(1, m)
+    jacobi = np.diag(2.0 * np.arange(m) + alpha + 1.0) + np.diag(np.sqrt(i * (i + alpha)), -1)
+    x = np.linalg.eigvalsh(jacobi)
+    d = -x / (alpha + 1.0)
+    p = d + 1.0
+    for k in range(1, m):
+        d = (k * d - x * p) / (k + alpha + 1.0)
+        p = p + d
+    weights = 1.0
+    for factor in (p - d, d / x):
+        logs = np.log(np.abs(factor))
+        weights = weights / (factor / np.exp((logs.max() + logs.min()) / 2))
+    return x - p * x / (m * d), weights * (math.gamma(alpha + 1.0) / weights.sum())
 
 
 class TestDirichletFormSpec:
@@ -269,6 +302,12 @@ class TestIdentity:
         with pytest.raises(ValueError, match="n <= 6"):
             laguerre_identity_check(1.0, 1.0, 7, 4)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "pair (28, 30) at alpha=3, k=2, n=6 has spectral 0 and terms of absolute mass 2.1e13; "
+        "their computed sum -0.63 is 2.9e-14 of that mass but is divided by 1 + |spectral| = 1"))
+    def test_high_degree_cancellation_within_params(self):
+        assert laguerre_identity_check(3.0, 2.0, 6, 30) <= 1e-8
+
 
 def reference_table(alpha, k, n, max_deg):
     """The identity table with a fresh Gauss rule and shifted basis for every pair."""
@@ -320,23 +359,27 @@ class TestRuleReuse:
         laguerre_identity_table(*args)
         assert calls == list(range(args[3] + 1))
 
-    @pytest.mark.parametrize("args", [(1.0, 1.0, 3, 20), (0.5, 2.0, 2, 30)])
+    @pytest.mark.parametrize("args", [(1.0, 1.0, 3, 20), (0.5, 2.0, 2, 30), (0.0, 3.0, 6, 4)])
     def test_rules_built_once_per_call(self, args, monkeypatch):
+        # one batched build per derivative order, covering every (alpha + o, m) a pair reads
         import ldlab.classical as classical
 
-        real = classical._genlaguerre_rule
+        real = classical._genlaguerre_rules
         calls = []
 
-        def counting(m, alpha):
-            calls.append((alpha, m))
-            return real(m, alpha)
+        def counting(ms, alpha):
+            calls.append((alpha, tuple(ms)))
+            return real(ms, alpha)
 
-        monkeypatch.setattr(classical, "_genlaguerre_rule", counting)
-        _, _, n, deg = args
+        monkeypatch.setattr(classical, "_genlaguerre_rules", counting)
+        alpha, _, n, deg = args
         laguerre_identity_table(*args)
         first = list(calls)
-        assert 0 < len(first) <= (n + 1) * (deg + 1)
-        assert len(set(first)) == len(first)
+        assert [a for a, _ in first] == [alpha + order for order in range(min(n, deg) + 1)]
+        read = {(alpha + order, (i + j) // 2 + 1) for i in range(deg + 1)
+                for j in range(i, deg + 1) for order in range(min(i, n) + 1)}
+        assert {(a, m) for a, ms in first for m in ms} == read
+        assert sum(len(ms) for _, ms in first) == len(read)
         laguerre_identity_table(*args)
         assert calls[len(first):] == first
 

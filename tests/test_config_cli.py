@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ldlab import extensions, scenarios
+from ldlab import classical, extensions, hscale, scenarios
 from ldlab.cli import main
 from ldlab.config import EXPERIMENTS, ConfigError, parse_config
 from ldlab.leftdef import SpectralOperator
@@ -420,6 +420,92 @@ class TestRunScenario:
             assert p1.read_bytes() == p2.read_bytes()
 
 
+def nan_on_call(real, index):
+    """`real`, except that call number `index` (from 0) returns its result times NaN."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        out = real(*args, **kwargs)
+        return out * np.nan if len(calls) - 1 == index else out
+    return wrapped
+
+
+SCALE = make_config(operatorSpec={"kind": "diag-growth", "p": 2.0, "q": 0.5, "N": 20},
+                    experiment="scale",
+                    params={"s": [0.5, 1.0, 1.5], "t": [0.5], "samples": 4}, seed=9)
+
+
+class TestNanResidualFails:
+    """A NaN met mid-stream fails its check; it is not dropped by the worst-of reduction."""
+
+    def statuses(self, raw):
+        return {row.name: (row.status, row.residual)
+                for row in run_scenario(parse_config(json.dumps(raw))).rows}
+
+    def test_scale_rows_pass_without_nan(self):
+        assert {status for status, _ in self.statuses(SCALE).values()} == {"PASS"}
+
+    @pytest.mark.parametrize("name, index, row", [
+        ("isometry_check", 1, "isometry"),          # 3 calls: one per (s, t)
+        ("duality_pair", 5, "duality-reduction"),   # 12 calls: 4 pairs per s
+    ])
+    def test_scale_check_rows(self, monkeypatch, name, index, row):
+        monkeypatch.setattr(hscale, name, nan_on_call(getattr(hscale, name), index))
+        status, residual = self.statuses(SCALE)[row]
+        assert status == "FAIL" and np.isnan(residual)
+
+    def test_scale_equivalence_ratios(self, monkeypatch):
+        real = hscale.equivalence_check
+
+        def nan_sample(operator, s, samples):
+            samples = list(samples)
+            samples[2] = samples[2] * np.nan
+            return real(operator, s, samples)
+        monkeypatch.setattr(hscale, "equivalence_check", nan_sample)
+        assert self.statuses(SCALE)["equivalence-bounds"][0] == "FAIL"
+
+    def test_laguerre_identity_row(self, monkeypatch):
+        real = classical.laguerre_identity_table
+
+        def nan_row(*args):
+            rows = real(*args)
+            middle = len(rows) // 2
+            rows[middle] = rows[middle][:7] + (float("nan"),)
+            return rows
+        monkeypatch.setattr(classical, "laguerre_identity_table", nan_row)
+        status, residual = self.statuses(make_config())["laguerre-identity"]
+        assert status == "FAIL" and np.isnan(residual)
+
+    def test_overflowing_weights_fail_duality(self):
+        # (|lambda| + 1)^(s/2) overflows at s = 200, so every pairing is inf * 0 = NaN
+        raw = make_config(operatorSpec={"kind": "diag-growth", "p": 2.0, "q": 0.5, "N": 50},
+                          experiment="scale", params={"s": [200.0], "t": [0.5], "samples": 2})
+        with np.errstate(all="ignore"):
+            rows = self.statuses(raw)
+        assert rows["duality-reduction"][0] == "FAIL"
+        assert rows["isometry"][0] == "FAIL"
+
+
+class TestScaleDraws:
+    def test_one_isometry_call_per_grid_point_on_the_old_draws(self, monkeypatch):
+        real = hscale.isometry_check
+        blocks = []
+
+        def recording(operator, s, t, phi):
+            blocks.append(phi)
+            return real(operator, s, t, phi)
+        monkeypatch.setattr(hscale, "isometry_check", recording)
+        run_scenario(parse_config(json.dumps(SCALE)))
+        # the per-sample list the runner drew before it drew one array
+        rng, n = np.random.default_rng(SCALE["seed"]), 20
+        vectors = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(4)]
+        assert len(blocks) == 3
+        for block in blocks:
+            assert block.shape == (n, 4)
+            assert np.array_equal(block, np.column_stack(vectors))
+
+
 class TestCli:
     def write_config(self, tmp_path, raw):
         path = tmp_path / "scenario.json"
@@ -511,6 +597,18 @@ class TestCli:
         raw = make_config(tolerances={"identity": 1e-30})
         path = self.write_config(tmp_path, raw)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+
+    def test_overflowing_power_is_a_scenario_error(self, tmp_path, capsys):
+        # 11^300 overflows a float: a failed run (exit 1), not a programming error (exit 3)
+        raw = make_config(operatorSpec={"kind": "laguerre", "alpha": 1.0, "k": 1.0, "N": 10},
+                          experiment="leftdef-verify", params={"r": 300, "samples": 3})
+        out = tmp_path / "out"
+        assert main(["run", self.write_config(tmp_path, raw), "--out", str(out),
+                     "--format", "csv"]) == 1
+        rows = (out / "report.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("scenario-error,ValueError: ")
+        assert "r=300" in rows[1] and "||A||_max=11" in rows[1]
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_seed_env_override(self, tmp_path, monkeypatch, capsys):
         raw = make_config(

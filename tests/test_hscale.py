@@ -18,6 +18,7 @@ from ldlab.hscale import (
     partial_sum_divergent,
 )
 from ldlab.leftdef import SpectralOperator
+from ldlab.spectral import DimensionMismatchError
 
 
 def e(n, i):
@@ -96,6 +97,54 @@ class TestIsometry:
         rng = np.random.default_rng(seed)
         phi = rng.normal(size=4) + 1j * rng.normal(size=4)
         assert isometry_check(op, s, t, phi) <= 1e-10
+
+
+class TestIsometryBlock:
+    """A vector is a block of one; a block's residual is the worst over its columns."""
+
+    def setup_method(self):
+        self.op = GrowthModel(2.0, 0.5).operator(60)
+        rng = np.random.default_rng(11)
+        self.block = rng.normal(size=(60, 7)) + 1j * rng.normal(size=(60, 7))
+
+    @pytest.mark.parametrize("s, t", [(1.5, 0.5), (-2.0, 1.0), (0.7, -1.3)])
+    def test_block_of_one_is_the_vector_call(self, s, t):
+        v = self.block[:, 2]
+        assert isometry_check(self.op, s, t, v[:, None]) == isometry_check(self.op, s, t, v)
+        assert hs_norm(self.op, s, v[:, None])[0] == hs_norm(self.op, s, v)
+
+    @pytest.mark.parametrize("s, t", [(1.5, 0.5), (-2.0, 1.0), (0.7, -1.3), (3.0, 3.0)])
+    def test_block_agrees_with_per_vector_calls(self, s, t):
+        norms = hs_norm(self.op, s, self.block)
+        per_vector = [hs_norm(self.op, s, v) for v in self.block.T]
+        np.testing.assert_allclose(norms, per_vector, rtol=1e-13, atol=0)
+        # the residual is relative already: column norms 1e-13 apart move it by about 1e-13
+        worst = max(isometry_check(self.op, s, t, v) for v in self.block.T)
+        assert abs(isometry_check(self.op, s, t, self.block) - worst) <= 1e-13
+
+    def test_t_zero_residual_exactly_zero(self):
+        for s in (-1.0, 0.0, 2.5):
+            assert isometry_check(self.op, s, 0.0, self.block) == 0.0
+
+    def test_zero_columns_skipped(self):
+        block = self.block.copy()
+        block[:, [0, 4]] = 0.0
+        # a zero column read would be 0/0 = NaN
+        kept = isometry_check(self.op, 1.5, 0.5, block[:, [1, 2, 3, 5, 6]])
+        assert isometry_check(self.op, 1.5, 0.5, block) == pytest.approx(kept, rel=0, abs=1e-13)
+        assert isometry_check(self.op, 1.5, 0.5, np.zeros((60, 3))) == 0.0
+
+    def test_nan_column_mid_block_is_nan(self):
+        block = self.block.copy()
+        block[5, 3] = np.nan
+        assert np.isnan(isometry_check(self.op, 1.5, 0.5, block))
+
+    @pytest.mark.parametrize("shape", [(59, 3), (61, 1), (60, 2, 2), (59,)])
+    def test_wrong_row_count_raises(self, shape):
+        with pytest.raises(DimensionMismatchError, match="operator dimension is 60"):
+            isometry_check(self.op, 1.0, 0.5, np.ones(shape))
+        with pytest.raises(DimensionMismatchError):
+            hs_norm(self.op, 1.0, np.ones(shape))
 
 
 class TestCriticalIndex:
@@ -216,6 +265,14 @@ class TestEquivalence:
         assert stats["bound_lo"] - 1e-12 <= stats["min_ratio"]
         assert stats["max_ratio"] <= stats["bound_hi"] + 1e-12
         assert 0 < stats["min_ratio"] <= stats["max_ratio"] < np.inf
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_nan_sample_gives_nan_ratios(self, where):
+        op = SpectralOperator.from_diag([1.0, 2.0, 5.0], shift=0.0)
+        samples = [np.array([1.0, 2.0, 3.0]) * (i + 1) for i in range(5)]
+        samples[where] = np.array([1.0, np.nan, 0.0])
+        stats = equivalence_check(op, 2.0, samples)
+        assert np.isnan(stats["min_ratio"]) and np.isnan(stats["max_ratio"])
 
     def test_gamma_is_the_operator_shift(self):
         # s = 2 on diag(1): ratio (|1| + 1) / (1 - gamma) is 4 at gamma = 0.5, 2 at gamma = 0

@@ -469,6 +469,36 @@ class TestOneSampleStream:
         verify_ld_properties(seeded_positive_operator(4, n=10), r, 7, seed=3)
         assert calls == [r / 2, r / 2, r] * 7
 
+    @staticmethod
+    def nan_on_call(real, index):
+        calls = []
+
+        def wrapped(*args):
+            calls.append(None)
+            return real(*args) * (np.nan if len(calls) - 1 == index else 1.0)
+        return wrapped
+
+    def suite_rows(self):
+        report = verify_ld_properties(seeded_positive_operator(4, n=10), 2.0, 3, seed=3)
+        return {row.name: (row.status, row.residual) for row in report.rows}
+
+    def test_nan_sample_fails_lower_bound_and_duality(self, monkeypatch):
+        # apply_power call 3 is sample 1's A^{r/2} x (3 calls per sample)
+        monkeypatch.setattr(SpectralOperator, "apply_power",
+                            self.nan_on_call(SpectralOperator.apply_power, 3))
+        rows = self.suite_rows()
+        for name in ("lower-bound(4)", "duality(5)"):
+            assert rows[name][0] == "FAIL" and np.isnan(rows[name][1])
+        assert rows["closed-form-lower-bound"][0] == "PASS"
+
+    def test_nan_form_value_fails_closed_form(self, monkeypatch):
+        # closed-form call 1 is stream position 1, one of the lower-bound samples
+        monkeypatch.setattr(ClosedFormR, "__call__", self.nan_on_call(ClosedFormR.__call__, 1))
+        rows = self.suite_rows()
+        assert rows["closed-form-lower-bound"][0] == "FAIL"
+        assert np.isnan(rows["closed-form-lower-bound"][1])
+        assert rows["lower-bound(4)"][0] == rows["duality(5)"][0] == "PASS"
+
     def test_rejects_an_empty_suite(self):
         with pytest.raises(ValueError, match="at least one sample, got 0"):
             verify_ld_properties(SpectralOperator.from_diag([1.0, 4.0]), 2.0, 0, 1)
