@@ -116,10 +116,6 @@ class PolyInLaguerre:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
-
 
 def _poly_coeffs(p) -> np.ndarray:
     if isinstance(p, PolyInLaguerre):
@@ -130,12 +126,6 @@ def _poly_coeffs(p) -> np.ndarray:
 def x_poly(basis: LaguerreBasis) -> PolyInLaguerre:
     """The monomial x = (alpha + 1) L_0 - L_1."""
     return PolyInLaguerre(np.array([basis.alpha + 1.0, -1.0]))
-
-
-def basis_poly(n: int) -> PolyInLaguerre:
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    return PolyInLaguerre(coeffs)
 
 
 def derivative_coeffs(coeffs: np.ndarray, order: int) -> np.ndarray:

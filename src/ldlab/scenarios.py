@@ -36,49 +36,43 @@ def _given(spec: dict, key: str) -> dict:
 
 
 def build_operator(spec: dict) -> BuiltOperator:
-    kind = spec["kind"]
+    """The operator of an operatorSpec as `parse_config` types it."""
+    kind, n = spec["kind"], spec.get("N")
     if kind == "diag-growth":
-        model = hscale.GrowthModel(float(spec["p"]), float(spec["q"]))
-        n = int(spec["N"])
-        return BuiltOperator(model.operator(n), f"diag-growth(p={spec['p']},q={spec['q']},N={n})",
+        model = hscale.GrowthModel(spec["p"], spec["q"])
+        return BuiltOperator(model.operator(n), f"diag-growth(p={model.p},q={model.q},N={n})",
                              growth=model)
     if kind == "matrix-file":
         matrix = load_matrix_csv(spec["path"])
         return BuiltOperator(leftdef.SpectralOperator.from_matrix(matrix),
                              f"matrix-file({spec['path']})")
     if kind == "laguerre":
-        alpha, k, n = float(spec["alpha"]), float(spec["k"]), int(spec["N"])
-        eigs = np.arange(n + 1, dtype=float) + k
+        eigs = np.arange(n + 1, dtype=float) + spec["k"]
         return BuiltOperator(leftdef.SpectralOperator.from_diag(eigs),
-                             f"laguerre(alpha={alpha},k={k},N={n})")
-    if kind == "sl":
-        coeffs = _sl_coeffs(spec["coeffs"])
-        if "delta" in spec:
-            coeffs = replace(coeffs, delta=float(spec["delta"]))
-        op = sldiscrete.discretize(coeffs, int(spec["N"]), **_given(spec, "bc"))
-        return BuiltOperator(leftdef.SpectralOperator.from_matrix(op.matrix),
-                             f"sl({coeffs.name},N={spec['N']},bc={op.bc})", discrete=op)
-    raise ValueError(f"unknown operator kind {kind!r}")
+                             f"laguerre(alpha={spec['alpha']},k={spec['k']},N={n})")
+    coeffs = _sl_coeffs(spec["coeffs"])   # kind "sl"
+    if "delta" in spec:
+        coeffs = replace(coeffs, delta=spec["delta"])
+    op = sldiscrete.discretize(coeffs, n, **_given(spec, "bc"))
+    return BuiltOperator(leftdef.SpectralOperator.from_matrix(op.matrix),
+                         f"sl({coeffs.name},N={n},bc={op.bc})", discrete=op)
 
 
-def _sl_coeffs(coeffs) -> sldiscrete.SLCoefficients:
+def _sl_coeffs(coeffs: dict) -> sldiscrete.SLCoefficients:
     """The named coefficient family, with its own default truncation delta."""
-    if coeffs == "flat":
-        return sldiscrete.SLCoefficients.flat()
     name = coeffs["name"]
+    if name == "flat":
+        return sldiscrete.SLCoefficients.flat()
     if name == "jacobi":
-        return sldiscrete.SLCoefficients.jacobi(float(coeffs["alpha"]), float(coeffs["beta"]))
+        return sldiscrete.SLCoefficients.jacobi(coeffs["alpha"], coeffs["beta"])
     if name == "laguerre":
-        alpha = float(coeffs["alpha"])
-        return sldiscrete.SLCoefficients.laguerre(alpha, **_given(coeffs, "cutoff"))
-    if name == "csv":
-        table = np.loadtxt(coeffs["path"], delimiter=",", ndmin=2)
-        if table.shape[1] != 4:
-            raise ValueError(f"{coeffs['path']}: expected (x, p, q, w) rows, "
-                             f"got {table.shape[1]} columns")
-        return sldiscrete.SLCoefficients.from_tables(table[:, 0], table[:, 1],
-                                                     table[:, 2], table[:, 3])
-    raise ValueError(f"unknown coefficient family {name!r}")
+        return sldiscrete.SLCoefficients.laguerre(coeffs["alpha"], **_given(coeffs, "cutoff"))
+    table = np.loadtxt(coeffs["path"], delimiter=",", ndmin=2)   # name "csv"
+    if table.shape[1] != 4:
+        raise ValueError(f"{coeffs['path']}: expected (x, p, q, w) rows, "
+                         f"got {table.shape[1]} columns")
+    return sldiscrete.SLCoefficients.from_tables(table[:, 0], table[:, 1],
+                                                 table[:, 2], table[:, 3])
 
 
 def run_scenario(config: ScenarioConfig) -> Report:

@@ -61,6 +61,10 @@ class SLCoefficients:
             raise ValueError(f"endpoint type must be one of {ENDPOINT_KINDS}")
         if not self.a < self.b:
             raise ValueError(f"empty interval ({self.a}, {self.b})")
+        a_eff, b_eff, _ = self.effective_interval()
+        if not a_eff < b_eff:
+            raise ValueError(f"delta={self.delta} empties the interval ({self.a}, {self.b}): "
+                             f"truncated to ({a_eff}, {b_eff})")
 
     @classmethod
     def flat(cls) -> "SLCoefficients":

@@ -524,14 +524,6 @@ class LinearRelation:
         return cls(Subspace(2 * a.shape[0], q))
 
     @classmethod
-    def from_blocks(cls, f_block, g_block) -> "LinearRelation":
-        f = np.atleast_2d(np.asarray(f_block, dtype=complex))
-        g = np.atleast_2d(np.asarray(g_block, dtype=complex))
-        if f.shape != g.shape:
-            raise DimensionMismatchError("f and g blocks must have matching shapes")
-        return cls(Subspace.span(np.vstack([f, g]), 2 * f.shape[0]))
-
-    @classmethod
     def multivalued(cls, n: int) -> "LinearRelation":
         """The purely multivalued relation {0} x C^n."""
         return cls(Subspace(2 * n, np.vstack([np.zeros((n, n)), np.eye(n)])))

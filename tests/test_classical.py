@@ -10,7 +10,6 @@ from ldlab.classical import (
     PolyInLaguerre,
     _gauss_rules,
     _genlaguerre_rules,
-    basis_poly,
     bj_coeff,
     derivative_coeffs,
     dirichlet_inner,
@@ -24,6 +23,13 @@ from ldlab.classical import (
     spectral_inner,
     x_poly,
 )
+
+
+def basis_poly(n: int) -> PolyInLaguerre:
+    """L_n^alpha as a coefficient vector: 1 at position n."""
+    coeffs = np.zeros(n + 1)
+    coeffs[n] = 1.0
+    return PolyInLaguerre(coeffs)
 
 
 class TestBjCoefficients:

@@ -5,7 +5,10 @@ import pytest
 
 from ldlab import classical, extensions, hscale, scenarios
 from ldlab.cli import main
-from ldlab.config import EXPERIMENTS, ConfigError, parse_config
+from ldlab.config import (
+    COEFFS, EXPERIMENTS, FLOATS, OPERATORS, PARAMS, REQUIRED, TOLERANCES, ConfigError,
+    parse_config,
+)
 from ldlab.leftdef import SpectralOperator
 from ldlab.report import Report, Table, emit
 from ldlab.scenarios import build_operator, run_scenario
@@ -59,6 +62,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(bad))
         assert len(err.value.errors) >= 4
+
+    def test_inherited_operator_value_reported_once(self):
+        # laguerre-identity takes alpha from the operatorSpec only when it passed there
+        bad = make_config(operatorSpec={"kind": "laguerre", "alpha": -3.0, "k": 1.0, "N": 8},
+                          params={})
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(bad))
+        assert err.value.errors == ["operatorSpec: alpha=-3.0 violates alpha > -1"]
 
     def test_dim_min_above_dim_max_is_config_error(self):
         bad = make_config(
@@ -133,6 +144,155 @@ FILLED_DEFAULTS = [
 ]
 
 
+# One valid object per operator kind and coefficient family, each setting every declared key.
+SPECS = {
+    "diag-growth": {"kind": "diag-growth", "p": 1.0, "q": 0.0, "N": 6},
+    "matrix-file": {"kind": "matrix-file", "path": "operator.csv"},
+    "sl": {"kind": "sl", "coeffs": "flat", "N": 8, "bc": "dirichlet", "delta": 0.0},
+    "laguerre": {"kind": "laguerre", "alpha": 1.0, "k": 1.0, "N": 8},
+}
+COEFF_OBJECTS = {
+    "flat": {"name": "flat"},
+    "jacobi": {"name": "jacobi", "alpha": 1.0, "beta": 1.0},
+    "laguerre": {"name": "laguerre", "alpha": 1.0, "cutoff": 20.0},
+    "csv": {"name": "csv", "path": "coeffs.csv"},
+}
+
+# (section, owner, key, declaration) for every key of every declaration table; the
+# owner is the operator kind, coefficient family or experiment that declares the key.
+DECLARED = (
+    [("operatorSpec", kind, key, decl) for kind, schema in OPERATORS.items()
+     for key, decl in schema.items()]
+    + [("operatorSpec.coeffs", name, key, decl) for name, schema in COEFFS.items()
+       for key, decl in schema.items()]
+    + [("params", experiment, key, decl) for experiment, schema in PARAMS.items()
+       for key, decl in schema.items()]
+    + [("tolerances", "", key, decl) for key, decl in TOLERANCES.items()]
+)
+OMITTED = object()
+
+
+def config_with(section, owner, key, value):
+    """A valid config, except that `key` of `section` is `value` (absent when OMITTED)."""
+    spec, experiment, params, tolerances = dict(SPECS["diag-growth"]), "leftdef-verify", {}, {}
+    if section == "operatorSpec":
+        spec = target = dict(SPECS[owner])
+    elif section == "operatorSpec.coeffs":
+        target = dict(COEFF_OBJECTS[owner])
+        spec = {"kind": "sl", "coeffs": target, "N": 8}
+    elif section == "params":
+        experiment, target = owner, params
+    else:
+        target = tolerances
+    target[key] = value
+    if value is OMITTED:
+        del target[key]
+    return {"operatorSpec": spec, "experiment": experiment, "params": params,
+            "tolerances": tolerances}
+
+
+def declared(select):
+    return [pytest.param(section, owner, key, decl, id=f"{section}-{owner}-{key}")
+            for section, owner, key, decl in DECLARED if select(decl)]
+
+
+# Values that are not of a kind, with the message each draws.
+NOT_OF_KIND = {
+    float: [(float("nan"), "must be a finite number, got nan"),
+            (float("inf"), "must be a finite number, got inf"),
+            ("1", "must be a finite number, got '1'"),
+            (True, "must be a finite number, got True")],
+    int: [(float("-inf"), "must be a finite number, got -inf"),
+          (2.5, "must be an integer, got 2.5"),
+          (None, "must be a finite number, got None")],
+    FLOATS: [([], "must be a finite number or a nonempty list of them"),
+             ([1.0, "2"], "must be a finite number or a nonempty list of them"),
+             (float("nan"), "must be a finite number or a nonempty list of them")],
+    str: [(5, "must be a string, got 5"), (None, "must be a string, got None")],
+}
+
+
+class TestDeclarations:
+    """Every declared key is checked the same way, in every section."""
+
+    def run_config(self, tmp_path, capsys, raw):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        code = main(["run", str(path), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+        return code, capsys.readouterr().err
+
+    def test_examples_set_every_declared_key(self):
+        assert {kind: set(spec) - {"kind"} for kind, spec in SPECS.items()} == \
+            {kind: set(schema) for kind, schema in OPERATORS.items()}
+        assert {name: set(obj) - {"name"} for name, obj in COEFF_OBJECTS.items()} == \
+            {name: set(schema) for name, schema in COEFFS.items()}
+        for section, owner, key, _ in DECLARED:
+            parse_config(json.dumps(config_with(section, owner, "unused", OMITTED)))
+
+    @pytest.mark.parametrize("section, owner, key, decl", declared(lambda d: d[1] is REQUIRED))
+    def test_omitted_required_key(self, tmp_path, capsys, section, owner, key, decl):
+        code, err = self.run_config(tmp_path, capsys, config_with(section, owner, key, OMITTED))
+        assert code == 2
+        assert f"config error: {section}: missing required key {key!r}" in err
+
+    @pytest.mark.parametrize("section, owner, key, decl", declared(lambda d: True))
+    def test_value_not_of_its_kind(self, tmp_path, capsys, section, owner, key, decl):
+        kind = decl[0]
+        if isinstance(kind, dict):   # a nested object: the coefficient families
+            cases = [(5, f"{section}.{key}: must be an object"),
+                     ({"name": "hermite"}, f"{section}.{key}: name='hermite' not one of")]
+        else:
+            cases = [(value, f"{section}: {key!r} {message}")
+                     for value, message in NOT_OF_KIND[kind]]
+        for value, message in cases:
+            code, err = self.run_config(tmp_path, capsys, config_with(section, owner, key, value))
+            assert code == 2
+            assert f"config error: {message}" in err
+
+    @pytest.mark.parametrize("section, owner, key, decl", declared(lambda d: d[2] is not None))
+    def test_value_breaking_its_rule(self, tmp_path, capsys, section, owner, key, decl):
+        kind, _, pred, rule = decl
+        value = "robin" if kind is str else -1000
+        assert not pred(value)
+        code, err = self.run_config(tmp_path, capsys, config_with(section, owner, key, value))
+        assert code == 2
+        assert f"config error: {section}: {key}={value} violates {rule}\n" in err
+
+    @pytest.mark.parametrize("section, owner", [("config", "")]
+                             + [("operatorSpec", kind) for kind in OPERATORS]
+                             + [("operatorSpec.coeffs", name) for name in COEFFS]
+                             + [("params", experiment) for experiment in PARAMS]
+                             + [("tolerances", "")])
+    def test_unknown_key(self, tmp_path, capsys, section, owner):
+        if section == "config":
+            raw = {**config_with("tolerances", owner, "bogus", OMITTED), "bogus": 1}
+        else:
+            raw = config_with(section, owner, "bogus", 1)
+        code, err = self.run_config(tmp_path, capsys, raw)
+        assert code == 2
+        assert f"config error: {section}: unknown key 'bogus' (allowed: " in err
+
+    def test_a_mistake_in_every_section_reported_together(self):
+        raw = {"operatorSpec": {"kind": "sl", "coeffs": {"name": "jacobi", "alpha": 0, "beta": 1},
+                                "N": 2.5, "bc": "robin"},
+               "experiment": "perturb-sweep", "params": {"rank": 0, "tSteps": "11"},
+               "seed": -1, "tolerances": {"limit": float("nan")}, "note": "x"}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(raw))
+        assert err.value.errors == [
+            "config: unknown key 'note' (allowed: ['experiment', 'operatorSpec', 'params', "
+            "'seed', 'tolerances'])",
+            "operatorSpec.coeffs: alpha=0 violates alpha > 0",
+            "operatorSpec: 'N' must be an integer, got 2.5",
+            "operatorSpec: bc=robin violates bc in ('dirichlet', 'neumann-type')",
+            "params: rank=0 violates rank >= 1",
+            "params: 'tSteps' must be a finite number, got '11'",
+            "seed must be a nonnegative integer, got -1",
+            "tolerances: 'limit' must be a finite number, got nan",
+        ]
+
+
 class TestFilledConfig:
     @pytest.mark.parametrize("experiment, spec, expected", FILLED_DEFAULTS)
     def test_empty_params_fill_the_defaults(self, experiment, spec, expected):
@@ -158,6 +318,20 @@ class TestFilledConfig:
         assert config.params["t"] == [0.0, 2.0] and type(config.params["t"][1]) is float
         assert type(config.params["samples"]) is int
         assert type(config.tolerances["isometry"]) is float
+
+    def test_operator_spec_is_typed(self):
+        # required keys as their kind, coeffs as an object, optional keys only when given
+        for spec, typed in [
+            ({"kind": "diag-growth", "p": 2, "q": 0, "N": 4.0},
+             {"kind": "diag-growth", "p": 2.0, "q": 0.0, "N": 4}),
+            ({"kind": "sl", "coeffs": "flat", "N": 8},
+             {"kind": "sl", "coeffs": {"name": "flat"}, "N": 8}),
+            ({"kind": "sl", "coeffs": {"name": "laguerre", "alpha": 1}, "N": 8, "delta": 0},
+             {"kind": "sl", "coeffs": {"name": "laguerre", "alpha": 1.0}, "N": 8, "delta": 0.0}),
+        ]:
+            parsed = parse_config(json.dumps(make_config(operatorSpec=spec))).operator_spec
+            assert parsed == typed
+            assert [type(v) for v in parsed.values()] == [type(v) for v in typed.values()]
 
     def test_codim_equal_to_the_dimension_is_valid(self):
         for experiment, params in (
@@ -553,8 +727,8 @@ class TestCli:
         ("leftdef-verify", {"r": 10 ** 400}, {}, "params: 'r' must be a finite number"),
         ("scale", {"s": []}, {}, "params: 's' must be a finite number or a nonempty list"),
         ("laguerre-identity", {}, {"identity": float("inf")},
-         "tolerances: identity=inf must be a finite number > 0"),
-        ("laguerre-identity", {}, {"property": 0}, "tolerances: property=0 must be"),
+         "tolerances: 'identity' must be a finite number, got inf"),
+        ("laguerre-identity", {}, {"property": 0}, "tolerances: property=0 violates property > 0"),
         ("laguerre-identity", {}, {"limt": 1e-3}, "tolerances: unknown key 'limt'"),
         ("laguerre-identity", {}, {"matrix-theta": -5}, "tolerances: unknown key 'matrix-theta'"),
     ])
@@ -568,16 +742,30 @@ class TestCli:
         assert not (tmp_path / "report.txt").exists()
 
     @pytest.mark.parametrize("spec, message", [
-        ({"kind": "laguerre", "alpha": 1.0, "k": 1.0, "N": 8.5}, "N=8.5 violates integral N >= 1"),
+        ({"kind": "laguerre", "alpha": 1.0, "k": 1.0, "N": 8.5},
+         "operatorSpec: 'N' must be an integer, got 8.5"),
         ({"kind": "diag-growth", "p": float("inf"), "q": 0.0, "N": 4},
          "operatorSpec: 'p' must be a finite number"),
         ({"kind": "sl", "coeffs": "flat", "N": 8, "delta": float("nan")},
-         "operatorSpec: delta=nan must be a finite number >= 0"),
+         "operatorSpec: 'delta' must be a finite number, got nan"),
     ])
     def test_operator_spec_mistake_exit_two(self, tmp_path, capsys, spec, message):
         raw = make_config(operatorSpec=spec)
         assert main(["run", self.write_config(tmp_path, raw), "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", [1.0, 1.5])
+    def test_delta_that_empties_the_interval_exit_one(self, tmp_path, delta):
+        spec = {"kind": "sl", "coeffs": {"name": "jacobi", "alpha": 1.0, "beta": 1.0},
+                "N": 12, "bc": "neumann-type", "delta": delta}
+        raw = make_config(operatorSpec=spec, experiment="perturb-sweep", params={})
+        out = tmp_path / "out"
+        assert main(["run", self.write_config(tmp_path, raw), "--out", str(out),
+                     "--format", "csv"]) == 1
+        rows = (out / "report.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("scenario-error,")
+        assert (f"[FAIL] scenario-error | ValueError: delta={delta} empties the interval "
+                "(-1.0, 1.0)") in (out / "report.txt").read_text()
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

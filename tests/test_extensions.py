@@ -39,6 +39,13 @@ from ldlab.spectral import (
 from ldlab.sldiscrete import SLCoefficients, discretize
 
 
+def relation_from_blocks(f_block, g_block):
+    """The relation spanned by the columns of [F; G]."""
+    f = np.atleast_2d(np.asarray(f_block, dtype=complex))
+    g = np.atleast_2d(np.asarray(g_block, dtype=complex))
+    return LinearRelation(Subspace.span(np.vstack([f, g]), 2 * f.shape[0]))
+
+
 def seeded_restriction(seed, n, codim, complex_=True):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(n, n))
@@ -260,7 +267,7 @@ class TestPerturb:
         a0 = m @ m.T + np.eye(5)
         b = Subspace.span(rng.normal(size=(5, 2))).basis
         t = 0.8
-        theta = LinearRelation.from_blocks(
+        theta = relation_from_blocks(
             np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[t, 0.0], [0.0, 1.0]])
         )
         spec = PerturbationSpec(b, theta)
@@ -281,7 +288,7 @@ class TestPerturb:
 
     def test_rejects_non_selfadjoint_theta(self):
         b = np.array([[1.0], [0.0]])
-        theta = LinearRelation.from_blocks(np.array([[1.0]]), np.array([[1.0 + 1j]]))
+        theta = relation_from_blocks(np.array([[1.0]]), np.array([[1.0 + 1j]]))
         with pytest.raises(NotSelfAdjointError):
             PerturbationSpec(b, theta)
 
@@ -335,7 +342,7 @@ def _theta(kind):
         return LinearRelation.multivalued(2)
     # mixed: operator part 0.8 on span{e1 + e2}, multivalued part span{e1 - e2}
     u = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    return LinearRelation.from_blocks(u @ np.diag([1.0, 0.0]), u @ np.diag([0.8, 1.0]))
+    return relation_from_blocks(u @ np.diag([1.0, 0.0]), u @ np.diag([0.8, 1.0]))
 
 
 def _dense_operator(n, seed):
@@ -659,7 +666,7 @@ def _selfadjointness_case(kind: str, seed: int, n: int, exponent: float):
     if kind == "multivalued":
         return LinearRelation.multivalued(n), True
     if kind == "non-symmetric-blocks":
-        return LinearRelation.from_blocks(rng.normal(size=(n, n)), rng.normal(size=(n, n))), False
+        return relation_from_blocks(rng.normal(size=(n, n)), rng.normal(size=(n, n))), False
     h, c = seeded_restriction(seed, n, 1 + seed % (n - 1))
     s = minimal_relation(10.0 ** exponent * h, c)
     return (s, False) if kind == "minimal" else (friedrichs_relation(s), True)

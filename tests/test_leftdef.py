@@ -406,19 +406,25 @@ def reference_closed_form(op, r, samples, seed):
     return worst, (int(r), int(r) + 1, min(gaps), max(gaps))
 
 
+def parsed_operator(spec):
+    """The operator of `spec` as parse_config types it."""
+    raw = {"operatorSpec": spec, "experiment": "leftdef-verify"}
+    return build_operator(parse_config(json.dumps(raw)).operator_spec).operator
+
+
 def jacobi_neumann_plus_one():
     # Jacobi(1,1) neumann-type has lambda_0 = 0; A + I is positive, and the shift
     # -0.5 makes the closed forms' gamma nonzero
     spec = {"kind": "sl", "coeffs": {"name": "jacobi", "alpha": 1.0, "beta": 1.0},
             "N": 12, "bc": "neumann-type"}
-    a = build_operator(spec).operator.matrix.entries
+    a = parsed_operator(spec).matrix.entries
     return SpectralOperator.from_matrix(a + np.eye(a.shape[0]), shift=-0.5)
 
 
 REFERENCE_OPERATORS = {
     "from_diag": lambda: SpectralOperator.from_diag(np.arange(9, dtype=float) + 1.0),
-    "flat-sl": lambda: build_operator(
-        {"kind": "sl", "coeffs": "flat", "N": 16, "bc": "dirichlet"}).operator,
+    "flat-sl": lambda: parsed_operator(
+        {"kind": "sl", "coeffs": "flat", "N": 16, "bc": "dirichlet"}),
     "jacobi-neumann": jacobi_neumann_plus_one,
 }
 
@@ -523,7 +529,7 @@ class TestDefaultShift:
         # Jacobi(1,1) neumann-type has lambda_0 = 0; rounding gives it either sign
         spec = {"kind": "sl", "coeffs": {"name": "jacobi", "alpha": 1.0, "beta": 1.0},
                 "N": n, "bc": "neumann-type"}
-        op = build_operator(spec).operator
+        op = parsed_operator(spec)
         assert op.shift == op.lower_bound - 1.0
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -542,7 +548,7 @@ class TestDefaultShift:
         # which the eigen-Gram check would divide by
         spec = {"kind": "sl", "coeffs": {"name": "jacobi", "alpha": 1.0, "beta": 2},
                 "N": 20, "bc": "neumann-type"}
-        k = build_operator(spec).operator.lower_bound
+        k = parsed_operator(spec).lower_bound
         assert 0.0 < k < 1e-12
         raw = {"operatorSpec": spec, "experiment": "leftdef-verify",
                "params": {"samples": 5}, "seed": 5}

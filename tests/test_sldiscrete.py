@@ -1,5 +1,7 @@
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +144,25 @@ class TestDiscretize:
     def test_laguerre_truncated_flag(self):
         op = discretize(SLCoefficients.laguerre(0.5), 30)
         assert op.truncated
+
+    @pytest.mark.parametrize("coeffs, delta, interval", [
+        (SLCoefficients.jacobi(1.0, 1.0), 1.0, "(-1.0, 1.0): truncated to (0.0, 0.0)"),
+        (SLCoefficients.jacobi(1.0, 1.0), 1.5, "(-1.0, 1.0): truncated to (0.5, -0.5)"),
+        (SLCoefficients.laguerre(1.0, cutoff=2.0), 1.0, "(0.0, 2.0): truncated to (1.0, 1.0)"),
+        (SLCoefficients.laguerre(1.0, cutoff=1.0), 0.75, "(0.0, 1.0): truncated to (0.75, 0.25)"),
+    ])
+    def test_rejects_a_delta_that_empties_the_interval(self, coeffs, delta, interval):
+        message = f"delta={delta} empties the interval {interval}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(coeffs, delta=delta)
+
+    @pytest.mark.parametrize("coeffs", [SLCoefficients.jacobi(1.0, 1.0),
+                                        SLCoefficients.laguerre(1.0, cutoff=2.0)])
+    def test_delta_just_below_the_limit_builds(self, coeffs):
+        op = discretize(replace(coeffs, delta=0.999), 12)
+        a, b, truncated = op.coeffs.effective_interval()
+        assert truncated and a < op.nodes[0] < op.nodes[-1] < b
+        assert np.all(np.isfinite(op.eigenvalues()))
 
 
 class TestTridiagonal:
