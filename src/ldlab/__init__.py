@@ -40,8 +40,6 @@ from .classical import (
     QuadratureRule,
     bj_coeff,
     dirichlet_inner,
-    gauss_quadrature,
-    jacobi_spectrum,
     laguerre_apply_A,
     laguerre_identity_check,
     spectral_inner,
@@ -68,7 +66,6 @@ from .sldiscrete import (
     discretize,
     greens_dirichlet_check,
     principal_solution,
-    wronskian_form,
 )
 from .config import ConfigError, ScenarioConfig, parse_config
 from .report import Report, emit

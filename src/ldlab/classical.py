@@ -8,13 +8,15 @@ explicit derivative-weighted inner product
 
 with Gauss-Laguerre quadrature that is exact on the polynomial test grid, and
 the spectral inner product sum_m (m+k)^n c_m d_m ||L_m||^2, whose agreement is
-the flagship identity check of the package. The Gauss rules are Golub-Welsch
-ones computed with numpy alone (`_genlaguerre_rules`), every rule of one weight
-exponent in one array pass: one eigvalsh per node count, then a single Newton and
-weight recurrence and a single basis recurrence over the concatenated nodes. A
-lone rule (`gauss_quadrature`) is the same pass with one node count. The identity
-table builds its rules, one pass per derivative order, and the spectral factors
-(m+k)^n and ||L_m||^2 once per call.
+the flagship identity check of the package. Each quantity has one route: A^n is
+`laguerre_apply_A`, which both the spectral inner product and the identity table
+read, and every Gauss rule with the shifted basis at its nodes comes from
+`_rule_family`, which both the Dirichlet inner product and the table call. The
+rules are Golub-Welsch ones computed with numpy alone (`_genlaguerre_rules`),
+every rule of one weight exponent in one array pass: one eigvalsh per node count,
+then a single Newton and weight recurrence and a single basis recurrence over the
+concatenated nodes. The identity table builds its rules, one pass per derivative
+order, and (m+k)^n and ||L_m||^2 once per call.
 
 Polynomials are represented by their coefficient vectors in L_n^alpha.
 Derivatives use the basis identity (L_n^alpha)' = -L_{n-1}^{alpha+1}
@@ -25,10 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gamma, lgamma
+from math import comb, factorial, gamma, lgamma, sqrt
 from math import exp as _exp
 
 import numpy as np
+
+from .report import _worst
 
 
 def gamma_ratio(a: float, b: float) -> float:
@@ -231,13 +235,23 @@ def _gauss_rules(weight_exponent: float, ms) -> tuple:
     return rules, nodes
 
 
-def gauss_quadrature(weight_exponent: float, m: int) -> QuadratureRule:
-    """Gauss-Laguerre rule with m nodes for weight t^{weight_exponent} e^{-t}.
+def _rule_family(basis: LaguerreBasis, order: int, ms) -> dict:
+    """{m: (rule, V)} for every m in `ms`: the m-node Gauss rule for t^(alpha + order) e^{-t}
+    and V, V[d] = L^{alpha+order}_d at its nodes for d = 0..max_degree - order.
 
-    Exact for polynomials up to degree 2m - 1. Nodes and weights come from
-    `_genlaguerre_rules`, in numpy alone.
+    One `_gauss_rules` call builds every rule and one `eval_all` runs the recurrence over
+    their concatenated nodes; V is that table's block of columns for the rule. The
+    recurrence is elementwise, and its leading rows do not depend on the top degree, so
+    V is bitwise the table of the rule's nodes alone under a basis of any lower degree.
     """
-    return _gauss_rules(weight_exponent, [m])[0][int(m)]
+    alpha = basis.alpha + order
+    rules, nodes = _gauss_rules(alpha, ms)
+    values = LaguerreBasis.build(alpha, basis.max_degree - order).eval_all(nodes)
+    family, end = {}, 0
+    for m, rule in rules.items():
+        family[m] = (rule, values[:, end:end + m])
+        end += m
+    return family
 
 
 @dataclass(frozen=True)
@@ -281,56 +295,33 @@ def dirichlet_inner(spec: DirichletFormSpec, basis: LaguerreBasis, p, q) -> floa
         dq = derivative_coeffs(cq, j)
         if not (np.any(dp) and np.any(dq)):
             continue
-        rule = gauss_quadrature(basis.alpha + j, m)
-        values = LaguerreBasis.build(basis.alpha + j, basis.max_degree - j).eval_all(rule.nodes)
+        rule, values = _rule_family(basis, j, [m])[m]
         p_vals = dp @ values[: dp.shape[0]]
         q_vals = dq @ values[: dq.shape[0]]
         total += spec.b[j] * rule.integrate_values(p_vals * q_vals)
     return total
 
 
-def _rule_family(basis: LaguerreBasis, order: int, ms) -> dict:
-    """{m: (rule, V)} for every m in `ms`: the m-node Gauss rule for t^(alpha + order) e^{-t}
-    and V, V[d] = L^{alpha+order}_d at its nodes for d = 0..max_degree - order.
-
-    One `_gauss_rules` call builds every rule and one `eval_all` runs the recurrence over
-    their concatenated nodes; V is that table's block of columns for the rule. The
-    recurrence is elementwise, and its leading rows do not depend on the top degree, so
-    V is bitwise the table of the rule's nodes alone under a basis of any lower degree.
-    """
-    alpha = basis.alpha + order
-    rules, nodes = _gauss_rules(alpha, ms)
-    values = LaguerreBasis.build(alpha, basis.max_degree - order).eval_all(nodes)
-    family, end = {}, 0
-    for m, rule in rules.items():
-        family[m] = (rule, values[:, end:end + m])
-        end += m
-    return family
-
-
 def spectral_inner(basis: LaguerreBasis, k: float, n: int, p, q) -> float:
-    """<A^n p, q> evaluated in the eigenbasis: sum_m (m+k)^n c_m d_m ||L_m||^2."""
-    cp = _poly_coeffs(p)
-    cq = _poly_coeffs(q)
-    m = max(cp.shape[0], cq.shape[0])
-    cp = np.pad(cp, (0, m - cp.shape[0]))
-    cq = np.pad(cq, (0, m - cq.shape[0]))
-    weights, norms = _spectral_factors(basis, k, n, m)
-    return float(np.sum(weights * cp * cq * norms))
-
-
-def _spectral_factors(basis: LaguerreBasis, k: float, n: int, m: int):
-    """((j + k)^n, ||L_j||^2) for j = 0..m-1, the factors of `spectral_inner`."""
-    ms = np.arange(m, dtype=float)
-    return (ms + k) ** n, np.array([basis.norm_sq(i) for i in range(m)])
+    """<A^n p, q> in the eigenbasis: the weighted product sum_m (A^n p)_m d_m ||L_m||^2 of
+    `laguerre_apply_A`'s coefficients with q's."""
+    a = laguerre_apply_A(basis, k, n, p).coeffs
+    d = _poly_coeffs(q)
+    m = min(a.shape[0], d.shape[0])
+    return float(np.sum(a[:m] * d[:m] * np.array([basis.norm_sq(i) for i in range(m)])))
 
 
 def laguerre_identity_table(alpha: float, k: float, n: int, max_deg: int) -> list:
     """Rows (alpha, k, n, degP, degQ, dirichlet, spectral, residual) over basis pairs.
 
+    The residual of the pair (L_i, L_j) is |dirichlet - spectral| / sqrt(s_ii s_jj), its
+    Cauchy-Schwarz scale (s_mm = (m + k)^n ||L_m||^2, the spectral value of (L_m, L_m)):
+    a pair whose spectral value is 0 is measured against the size of its two forms, not
+    against 1.
+
     The Gauss rules of derivative order o (and the shifted basis at their nodes) are
     built by one `_rule_family` call per table and shared by every pair that needs
-    them, and so are the spectral factors (m + k)^n and ||L_m||^2; nothing is kept
+    them, and so are (m + k)^n, from `laguerre_apply_A`, and ||L_m||^2; nothing is kept
     between calls. For the basis pair (L_i, L_j), i <= j,
     the o-th derivatives are (-1)^o L^{alpha+o}_{i-o} and (-1)^o L^{alpha+o}_{j-o} for
     o <= i and zero beyond, so each term of `dirichlet_inner` is the rule applied to
@@ -341,7 +332,8 @@ def laguerre_identity_table(alpha: float, k: float, n: int, max_deg: int) -> lis
     """
     basis = LaguerreBasis.build(alpha, max_deg)
     spec = DirichletFormSpec.build(n, k)
-    weights, norms = _spectral_factors(basis, k, n, max_deg + 1)
+    powers = laguerre_apply_A(basis, k, n, np.ones(max_deg + 1)).coeffs     # (m + k)^n
+    diagonal = (powers * np.array([basis.norm_sq(m) for m in range(max_deg + 1)])).tolist()
     # order o is read by the pairs o <= i <= j <= max_deg, whose node counts (i + j)//2 + 1
     # run through o + 1 .. max_deg + 1
     families = [_rule_family(basis, order, range(order + 1, max_deg + 2))
@@ -354,21 +346,14 @@ def laguerre_identity_table(alpha: float, k: float, n: int, max_deg: int) -> lis
             for order in range(min(i, n) + 1):
                 rule, values = families[order][m]
                 d += spec.b[order] * rule.integrate_values(values[i - order] * values[j - order])
-            s = float(weights[i] * norms[i]) if i == j else 0.0
-            rows.append((alpha, k, n, i, j, d, s, abs(d - s) / (1.0 + abs(s))))
+            s = diagonal[i] if i == j else 0.0    # s_ii = (i + k)^n ||L_i||^2
+            rows.append((alpha, k, n, i, j, d, s, abs(d - s) / sqrt(diagonal[i] * diagonal[j])))
     return rows
 
 
 def laguerre_identity_check(alpha: float, k: float, n: int, max_deg: int) -> float:
-    """Max relative deviation |dirichlet - spectral| / (1 + |spectral|) over basis pairs."""
+    """Worst residual |dirichlet - spectral| / sqrt(s_ii s_jj) of `laguerre_identity_table`
+    over basis pairs (`report._worst`: NaN when any residual is NaN)."""
     if n > 6:
         raise ValueError("identity check supports form powers n <= 6")
-    return max(row[7] for row in laguerre_identity_table(alpha, k, n, max_deg))
-
-
-def jacobi_spectrum(alpha: float, beta: float, max_degree: int) -> np.ndarray:
-    """Jacobi eigenvalue law n(n + alpha + beta + 1), n = 0..max_degree."""
-    if not (alpha > 0 and beta > 0):
-        raise ValueError(f"Jacobi parameters must be positive, got ({alpha}, {beta})")
-    ns = np.arange(max_degree + 1, dtype=float)
-    return ns * (ns + alpha + beta + 1.0)
+    return _worst(row[7] for row in laguerre_identity_table(alpha, k, n, max_deg))

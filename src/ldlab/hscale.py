@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leftdef import SpectralOperator
+from .leftdef import SpectralOperator, _as_block
 from .report import _worst
 from .spectral import DimensionMismatchError, inner
 
@@ -52,17 +52,6 @@ def _check_dim(operator: SpectralOperator, c: np.ndarray):
         raise DimensionMismatchError(
             f"coefficient vector has shape {c.shape}, operator dimension is {operator.dim}"
         )
-
-
-def _as_block(operator: SpectralOperator, phi) -> np.ndarray:
-    """phi as an n x k block of coefficient columns; a vector is a block of one."""
-    c = np.asarray(phi, dtype=complex)
-    block = c[:, None] if c.ndim == 1 else c
-    if block.ndim != 2 or block.shape[0] != operator.dim:
-        raise DimensionMismatchError(
-            f"coefficient array has shape {c.shape}, operator dimension is {operator.dim}"
-        )
-    return block
 
 
 def hs_norm(operator: SpectralOperator, s: float, phi):

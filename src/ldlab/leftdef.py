@@ -2,10 +2,13 @@
 
 The central object is a SpectralOperator: a Hermitian matrix together with its
 eigendecomposition, its lower bound k, and a shift gamma < k. From it we build
-the r-th left-definite space (its inner product <A^{r/2}x, A^{r/2}y>, applied
-through the eigenbasis with no n x n array), the r-th left-definite operator,
-the shifted closed forms, and a verification report for the defining
-properties and the spectral-stability statements.
+the r-th left-definite space (its inner product <A^{r/2}x, A^{r/2}y>, `ld_inner`,
+applied through the eigenbasis with no n x n array), the r-th left-definite
+operator, the shifted closed forms, and a verification report for the defining
+properties and the spectral-stability statements. `apply_power` and `ld_inner`
+take a vector or an n x k block of columns, a vector being a block of one; the
+report reads every <x,x>_r and <x,y>_r from `ld_inner`, each sample's pair
+(x, y) going through A^{r/2} as one n x 2 block.
 
 `SpectralOperator.from_matrix` decomposes with LAPACK (real symmetric: in
 float64). `from_diag` (the diag-growth and Laguerre operators) keeps the exact
@@ -155,10 +158,29 @@ class SpectralOperator:
 
     def apply_power(self, r: float, x) -> np.ndarray:
         """A^r x through the eigenbasis without forming the matrix: U (lambda^r * U* x),
-        gathers for a permutation basis (`SpectralDecomposition.to_eigenbasis`)."""
+        gathers for a permutation basis (`SpectralDecomposition.to_eigenbasis`); x is a
+        vector or an n x k block.
+
+        A block goes through column by column: BLAS rounds a product differently at
+        different block widths (float64 U at n = 30: one n x 4 product against two n x 2
+        ones), and each column must come out bitwise as it would alone."""
         x = np.asarray(x, dtype=complex)
         powers = np.power(self.decomp.eigenvalues, float(r))
-        return self.decomp.from_eigenbasis(powers * self.decomp.to_eigenbasis(x))
+
+        def power_of(v):
+            return self.decomp.from_eigenbasis(powers * self.decomp.to_eigenbasis(v))
+        return power_of(x) if x.ndim == 1 else np.array([power_of(c) for c in x.T]).T
+
+
+def _as_block(operator: SpectralOperator, x) -> np.ndarray:
+    """x as an n x k block of complex columns; a vector is a block of one."""
+    c = np.asarray(x, dtype=complex)
+    block = c[:, None] if c.ndim == 1 else c
+    if block.ndim != 2 or block.shape[0] != operator.dim:
+        raise DimensionMismatchError(
+            f"coefficient array has shape {c.shape}, operator dimension is {operator.dim}"
+        )
+    return block
 
 
 @dataclass(frozen=True)
@@ -192,38 +214,43 @@ def _exponent_tag(exponent: float) -> str:
     return f"D(A^{{{frac.numerator}/{frac.denominator}}})"
 
 
-def _require_ld(operator: SpectralOperator, r: float):
-    """The precondition of every left-definite construction: k > 0 (`require_positive`), r > 0."""
+def ld_space(operator: SpectralOperator, r: float) -> LeftDefiniteSpace:
+    """H_r, given by its inner product (`ld_inner`). Its precondition is that of every
+    left-definite construction: k > 0 (`require_positive`) and r > 0. Builds nothing of
+    n x n size."""
     operator.require_positive()
     if not r > 0:
         raise ValueError(f"left-definite index must be positive, got {r}")
-
-
-def ld_space(operator: SpectralOperator, r: float) -> LeftDefiniteSpace:
-    """H_r, given by its inner product (`ld_inner`); requires k > 0 and r > 0. Builds
-    nothing of n x n size."""
-    _require_ld(operator, r)
     return LeftDefiniteSpace(float(r), operator)
 
 
-def ld_inner(space: LeftDefiniteSpace, x, y) -> complex:
-    """<x,y>_r = <A^{r/2}x, A^{r/2}y>, equal to <A^r x, y> for matrices."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.shape != (space.operator.dim,) or y.shape != (space.operator.dim,):
-        raise DimensionMismatchError(
-            f"vectors must have shape ({space.operator.dim},), got {x.shape} and {y.shape}"
-        )
-    half_x = space.operator.apply_power(space.r / 2, x)
-    half_y = space.operator.apply_power(space.r / 2, y)
-    return inner(half_x, half_y)
+def ld_inner(space: LeftDefiniteSpace, x, y=None):
+    """<x,y>_r = <A^{r/2}x, A^{r/2}y>, equal to <A^r x, y> for matrices.
+
+    Two vectors give a complex. Blocks of columns give the array G[i, j] = <x_i, y_j>_r,
+    each entry `inner` of two columns of A^{r/2} applied to the block by one `apply_power`
+    call. y=None stands for y = x, applied once.
+    """
+    op = space.operator
+
+    def half(v):    # the rows A^{r/2} v_i, each contiguous: a strided vdot rounds differently
+        return np.ascontiguousarray(op.apply_power(space.r / 2, _as_block(op, v)).T)
+    half_x = half(x)
+    half_y = half_x if y is None else half(y)
+    gram = np.empty((len(half_x), len(half_y)), dtype=complex)
+    for i, a in enumerate(half_x):
+        for j, b in enumerate(half_y):
+            gram[i, j] = np.vdot(b, a)    # inner(a, b)
+    vectors = np.ndim(x) == 1 and (y is None or np.ndim(y) == 1)
+    return complex(gram[0, 0]) if vectors else gram
 
 
 def ld_operator(operator: SpectralOperator, r: float) -> LeftDefiniteOperator:
-    """The r-th left-definite operator; at finite dimension the action is A itself."""
-    _require_ld(operator, r)
-    exponent = (r + 2) / 2
-    return LeftDefiniteOperator(float(r), operator.matrix, exponent, _exponent_tag(exponent))
+    """The r-th left-definite operator, on H_r (`ld_space`); at finite dimension the action
+    is A itself."""
+    space = ld_space(operator, r)
+    exponent = (space.r + 2) / 2
+    return LeftDefiniteOperator(space.r, operator.matrix, exponent, _exponent_tag(exponent))
 
 
 @dataclass(frozen=True)
@@ -277,7 +304,8 @@ def verify_ld_properties(
 ) -> Report:
     """Residual report for the left-definite property suite, each residual against `tol`.
 
-    Checks, on `sample_count` seeded random pairs (x, y): the lower bound
+    Checks, on `sample_count` seeded random pairs (x, y), with <x,x>_r and <x,y>_r from
+    `ld_inner` in H_r = `ld_space(operator, r)`: the lower bound
     <x,x>_r >= k^r <x,x>; the duality identity <x,y>_r = <A^r x, y>; that the
     eigenvectors stay orthogonal in H_r with Gram entries lambda_n^r; and that
     the eigenvalue multiplicity lists of A and of the r-th left-definite
@@ -294,7 +322,7 @@ def verify_ld_properties(
     """
     if sample_count < 1:
         raise ValueError(f"the property suite needs at least one sample, got {sample_count}")
-    _require_ld(operator, r)
+    space = ld_space(operator, r)
     rng = np.random.default_rng(seed)
     n = operator.dim
     try:
@@ -319,11 +347,11 @@ def verify_ld_properties(
     for i in range(sample_count):
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         y = rng.normal(size=n) + 1j * rng.normal(size=n)
-        half_x, half_y = operator.apply_power(r / 2, x), operator.apply_power(r / 2, y)
+        gram = ld_inner(space, np.array((x, y)).T)    # the n x 2 block, columns contiguous
         norm_x, norm_y = float(np.linalg.norm(x)), float(np.linalg.norm(y))
         xx, yy = float(np.vdot(x, x).real), float(np.vdot(y, y).real)
-        lowers.append((k_r * xx - inner(half_x, half_x).real) / (norm_r * norm_x ** 2))
-        dual = abs(inner(half_x, half_y) - inner(operator.apply_power(r, x), y))
+        lowers.append((k_r * xx - gram[0, 0].real) / (norm_r * norm_x ** 2))
+        dual = abs(gram[0, 1] - inner(operator.apply_power(r, x), y))
         duals.append(dual / (norm_r * max(norm_x, norm_y) ** 2))
         for j, v, vv, norm_v in ((2 * i, x, xx, norm_x), (2 * i + 1, y, yy, norm_y)):
             if not closed or j >= ordered:

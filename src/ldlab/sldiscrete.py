@@ -197,35 +197,6 @@ def discretize(coeffs: SLCoefficients, n_interior: int, bc: str = "dirichlet") -
     )
 
 
-def _derivative_stencil(values: np.ndarray, h: float, i: int) -> float:
-    n = values.shape[0]
-    if 0 < i < n - 1:
-        return (values[i + 1] - values[i - 1]) / (2 * h)
-    if i == 0:
-        return (values[1] - values[0]) / h
-    return (values[n - 1] - values[n - 2]) / h
-
-
-def wronskian_form(coeffs: SLCoefficients, f, g, node_index: int):
-    """The p-modified Wronskian p(x)[f'(x) g(x) - f(x) g'(x)] at an interior node.
-
-    Bilinear (no conjugation), so [f, f] = 0 identically. Central second-order
-    stencils inside, one-sided first-order at the first and last node.
-    """
-    f = np.asarray(f)
-    g = np.asarray(g)
-    if f.shape != g.shape or f.ndim != 1:
-        raise ValueError("f and g must be equal-length grid vectors")
-    n = f.shape[0]
-    if not 0 <= node_index < n:
-        raise IndexError(f"node {node_index} outside grid of {n} interior nodes")
-    nodes, h, *_ = _grid(coeffs, n)
-    df = _derivative_stencil(f, h, node_index)
-    dg = _derivative_stencil(g, h, node_index)
-    p_x = float(coeffs.p(nodes[node_index]))
-    return p_x * (df * g[node_index] - f[node_index] * dg)
-
-
 def greens_dirichlet_check(op: DiscreteOperator, f, g):
     """Residual pair (symmetry, Dirichlet identity) for compactly supported f, g.
 

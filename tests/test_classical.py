@@ -1,21 +1,22 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from ldlab import classical
 from ldlab.classical import (
     DirichletFormSpec,
     LaguerreBasis,
     PolyInLaguerre,
+    QuadratureRule,
     _gauss_rules,
     _genlaguerre_rules,
     bj_coeff,
     derivative_coeffs,
     dirichlet_inner,
     gamma_ratio,
-    gauss_quadrature,
-    jacobi_spectrum,
     laguerre_apply_A,
     laguerre_identity_check,
     laguerre_identity_table,
@@ -23,6 +24,14 @@ from ldlab.classical import (
     spectral_inner,
     x_poly,
 )
+from ldlab.config import parse_config
+from ldlab.scenarios import run_scenario
+
+
+def gauss_quadrature(weight_exponent: float, m: int) -> QuadratureRule:
+    """The lone m-node Gauss-Laguerre rule for weight t^{weight_exponent} e^{-t}: the
+    batched build with one node count."""
+    return _gauss_rules(weight_exponent, [m])[0][int(m)]
 
 
 def basis_poly(n: int) -> PolyInLaguerre:
@@ -308,11 +317,52 @@ class TestIdentity:
         with pytest.raises(ValueError, match="n <= 6"):
             laguerre_identity_check(1.0, 1.0, 7, 4)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "pair (28, 30) at alpha=3, k=2, n=6 has spectral 0 and terms of absolute mass 2.1e13; "
-        "their computed sum -0.63 is 2.9e-14 of that mass but is divided by 1 + |spectral| = 1"))
     def test_high_degree_cancellation_within_params(self):
+        # pair (28, 30) has spectral 0 and terms of absolute mass 2.1e13: its rounding-level
+        # sum -0.63 is measured against sqrt(s_28,28 s_30,30), not against 1
         assert laguerre_identity_check(3.0, 2.0, 6, 30) <= 1e-8
+
+    def test_nan_residual_after_the_first_row_is_kept(self, monkeypatch):
+        table = laguerre_identity_table(1.0, 1.0, 2, 4)
+        table[3] = table[3][:7] + (float("nan"),)
+        monkeypatch.setattr(classical, "laguerre_identity_table", lambda *args: table)
+        assert math.isnan(laguerre_identity_check(1.0, 1.0, 2, 4))
+
+    @pytest.mark.parametrize("args", [(1.0, 1.0, 3, 8), (3.0, 2.0, 6, 30), (0.5, 2.0, 2, 30)])
+    def test_every_bj_is_checked(self, args, monkeypatch):
+        # b_j scaled by 1 + 1e-6, one j at a time, moves the residual to 4e-7 .. 1e-6,
+        # ten times the 1e-8 identity tolerance and more
+        real = DirichletFormSpec.build
+        for j in range(args[2] + 1):
+            def build(n, k, j=j):
+                spec = real(n, k)
+                b = tuple(v * (1 + 1e-6) if i == j else v for i, v in enumerate(spec.b))
+                object.__setattr__(spec, "b", b)
+                return spec
+            monkeypatch.setattr(DirichletFormSpec, "build", build)
+            assert laguerre_identity_check(*args) >= 1e-7, f"b_{j}"
+
+    def test_relative_error_in_apply_a_fails_the_scenario(self, monkeypatch):
+        # the table's (m + k)^n is `laguerre_apply_A`'s
+        raw = {"operatorSpec": {"kind": "laguerre", "alpha": 1.0, "k": 1.0, "N": 8},
+               "experiment": "laguerre-identity", "params": {"n": 3, "deg": 8}}
+        config = parse_config(json.dumps(raw))
+        assert run_scenario(config).overall == "PASS"
+        real = classical.laguerre_apply_A
+        monkeypatch.setattr(classical, "laguerre_apply_A", lambda *args: PolyInLaguerre(
+            real(*args).coeffs * (1 + 1e-6)))
+        rows = {row.name: row for row in run_scenario(config).rows}
+        assert rows["laguerre-identity"].status == "FAIL"
+        assert rows["laguerre-identity"].residual >= 1e-7
+
+    def test_spectral_inner_reads_apply_a(self, monkeypatch):
+        basis = LaguerreBasis.build(1.0, 6)
+        p, q = PolyInLaguerre(np.arange(1.0, 6.0)), PolyInLaguerre(np.arange(7.0, 0.0, -1.0))
+        value = spectral_inner(basis, 1.5, 2, p, q)
+        real = classical.laguerre_apply_A
+        monkeypatch.setattr(classical, "laguerre_apply_A", lambda *args: PolyInLaguerre(
+            real(*args).coeffs * 2.0))
+        assert spectral_inner(basis, 1.5, 2, p, q) == 2.0 * value
 
 
 def reference_table(alpha, k, n, max_deg):
@@ -337,7 +387,9 @@ def reference_table(alpha, k, n, max_deg):
                 q_vals = dq @ values[: dq.shape[0]]
                 d += spec.b[order] * rule.integrate_values(p_vals * q_vals)
             s = spectral_inner(basis, k, n, basis_poly(i), basis_poly(j))
-            rows.append((alpha, k, n, i, j, d, s, abs(d - s) / (1.0 + abs(s))))
+            s_ii = spectral_inner(basis, k, n, basis_poly(i), basis_poly(i))
+            s_jj = spectral_inner(basis, k, n, basis_poly(j), basis_poly(j))
+            rows.append((alpha, k, n, i, j, d, s, abs(d - s) / math.sqrt(s_ii * s_jj)))
     return rows
 
 
@@ -404,16 +456,3 @@ class TestRuleReuse:
                 (dp @ values[: dp.shape[0]]) * (dq @ values[: dq.shape[0]]))
         assert dirichlet_inner(spec, basis, p, q) == expected
 
-
-class TestJacobiSpectrum:
-    def test_alpha_beta_one(self):
-        np.testing.assert_allclose(jacobi_spectrum(1.0, 1.0, 3), [0.0, 4.0, 10.0, 18.0])
-
-    def test_zero_start_and_monotone(self):
-        lam = jacobi_spectrum(0.5, 2.0, 10)
-        assert lam[0] == 0.0
-        assert np.all(np.diff(lam) > 0)
-
-    def test_rejects_nonpositive_parameters(self):
-        with pytest.raises(ValueError):
-            jacobi_spectrum(0.0, 1.0, 3)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ldlab import scenarios
+from ldlab import leftdef, scenarios
 from ldlab.config import parse_config
 from ldlab.leftdef import (
     ClosedFormR,
@@ -246,6 +246,33 @@ class TestLdInner:
         op = SpectralOperator.from_diag([1.0, 4.0])
         with pytest.raises(DimensionMismatchError):
             ld_inner(ld_space(op, 1.0), np.ones(3), np.ones(2))
+        with pytest.raises(DimensionMismatchError):
+            ld_inner(ld_space(op, 1.0), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("make", [
+        lambda: SpectralOperator.from_matrix(discretize(SLCoefficients.flat(), 30).matrix),
+        lambda: SpectralOperator.from_diag(np.arange(30, 0, -1, dtype=float)),
+        lambda: seeded_positive_operator(6, n=12)], ids=["float64", "permutation", "complex"])
+    def test_block_is_bitwise_the_vector_calls(self, make):
+        # flat SL at N = 30 is a size at which one n x 4 BLAS product rounds differently
+        # from two n x 2 ones: every column must still match its vector call
+        op = make()
+        rng = np.random.default_rng(8)
+        block = rng.normal(size=(op.dim, 3)) + 1j * rng.normal(size=(op.dim, 3))
+        other = rng.normal(size=(op.dim, 2)) + 1j * rng.normal(size=(op.dim, 2))
+        applied = op.apply_power(0.75, block)
+        assert applied.shape == (op.dim, 3)
+        for j in range(3):
+            assert np.array_equal(applied[:, j], op.apply_power(0.75, block[:, j]))
+        space = ld_space(op, 1.5)
+        gram, cross = ld_inner(space, block), ld_inner(space, block, other)
+        assert gram.shape == (3, 3) and cross.shape == (3, 2)
+        for i in range(3):
+            for j in range(3):
+                assert gram[i, j] == ld_inner(space, block[:, i], block[:, j])
+            for j in range(2):
+                assert cross[i, j] == ld_inner(space, block[:, i], other[:, j])
+        assert ld_inner(space, block[:, 0]) == ld_inner(space, block[:, 0], block[:, 0])
 
 
 class TestLdOperator:
@@ -464,16 +491,17 @@ class TestOneSampleStream:
         assert "closed-form-lower-bound" in {row.name for row in report.rows}
 
     @pytest.mark.parametrize("r", [0.5, 2.0, 3])
-    def test_three_apply_power_calls_per_sample(self, monkeypatch, r):
+    def test_two_apply_power_calls_per_sample(self, monkeypatch, r):
+        # A^{r/2} on the sample pair (x, y) as one n x 2 block (`ld_inner`), then A^r x
         calls = []
         apply_power = SpectralOperator.apply_power
 
         def counting(self, power, x):
-            calls.append(power)
+            calls.append((power, np.shape(x)))
             return apply_power(self, power, x)
         monkeypatch.setattr(SpectralOperator, "apply_power", counting)
         verify_ld_properties(seeded_positive_operator(4, n=10), r, 7, seed=3)
-        assert calls == [r / 2, r / 2, r] * 7
+        assert calls == [(r / 2, (10, 2)), (r, (10,))] * 7
 
     @staticmethod
     def nan_on_call(real, index):
@@ -484,18 +512,46 @@ class TestOneSampleStream:
             return real(*args) * (np.nan if len(calls) - 1 == index else 1.0)
         return wrapped
 
-    def suite_rows(self):
-        report = verify_ld_properties(seeded_positive_operator(4, n=10), 2.0, 3, seed=3)
+    def suite_rows(self, op=None):
+        op = seeded_positive_operator(4, n=10) if op is None else op
+        report = verify_ld_properties(op, 2.0, 3, seed=3)
         return {row.name: (row.status, row.residual) for row in report.rows}
 
     def test_nan_sample_fails_lower_bound_and_duality(self, monkeypatch):
-        # apply_power call 3 is sample 1's A^{r/2} x (3 calls per sample)
+        # apply_power call 2 is sample 1's A^{r/2} (x, y) (2 calls per sample)
         monkeypatch.setattr(SpectralOperator, "apply_power",
-                            self.nan_on_call(SpectralOperator.apply_power, 3))
+                            self.nan_on_call(SpectralOperator.apply_power, 2))
         rows = self.suite_rows()
         for name in ("lower-bound(4)", "duality(5)"):
             assert rows[name][0] == "FAIL" and np.isnan(rows[name][1])
         assert rows["closed-form-lower-bound"][0] == "PASS"
+
+    def test_nan_power_r_fails_duality_only(self, monkeypatch):
+        # apply_power call 3 is sample 1's A^r x, read by the duality row alone
+        monkeypatch.setattr(SpectralOperator, "apply_power",
+                            self.nan_on_call(SpectralOperator.apply_power, 3))
+        rows = self.suite_rows()
+        assert rows["duality(5)"][0] == "FAIL" and np.isnan(rows["duality(5)"][1])
+        assert rows["lower-bound(4)"][0] == "PASS"
+
+    def test_nan_from_ld_inner_fails_lower_bound_and_duality(self, monkeypatch):
+        # the suite reads <x,x>_r and <x,y>_r from `ld_inner`: call 1 is sample 1's pair
+        monkeypatch.setattr(leftdef, "ld_inner", self.nan_on_call(leftdef.ld_inner, 1))
+        rows = self.suite_rows()
+        for name in ("lower-bound(4)", "duality(5)"):
+            assert rows[name][0] == "FAIL" and np.isnan(rows[name][1])
+
+    @pytest.mark.parametrize("make", [lambda: seeded_positive_operator(4, n=10),
+                                      lambda: REFERENCE_OPERATORS["flat-sl"](),
+                                      lambda: REFERENCE_OPERATORS["from_diag"]()],
+                             ids=["complex", "flat-sl", "from_diag"])
+    def test_relative_error_in_ld_inner_fails_duality(self, monkeypatch, make):
+        op = make()
+        assert self.suite_rows(op)["duality(5)"][0] == "PASS"
+        real = leftdef.ld_inner
+        monkeypatch.setattr(leftdef, "ld_inner", lambda *args: real(*args) * (1 + 1e-6))
+        status, residual = self.suite_rows(op)["duality(5)"]
+        assert status == "FAIL" and residual > 1e-8
 
     def test_nan_form_value_fails_closed_form(self, monkeypatch):
         # closed-form call 1 is stream position 1, one of the lower-bound samples

@@ -17,7 +17,6 @@ from ldlab.sldiscrete import (
     discretize,
     greens_dirichlet_check,
     principal_solution,
-    wronskian_form,
 )
 
 
@@ -220,44 +219,6 @@ class TestBuildA0:
     def test_rejects_unknown_bc(self):
         with pytest.raises(ValueError, match="boundary"):
             discretize(flat(), 10, "robin")
-
-
-class TestWronskian:
-    def test_sin_cos_identity(self):
-        coeffs = flat()
-        n = 200
-        h = np.pi / (n + 1)
-        xs = h * np.arange(1, n + 1)
-        f, g = np.sin(xs), np.cos(xs)
-        for idx in (0, 1, n // 2, n - 1):
-            expected = 1.0  # cos^2 + sin^2
-            tol = 5 * h if idx in (0, n - 1) else 2 * h ** 2
-            assert wronskian_form(coeffs, f, g, idx) == pytest.approx(expected, abs=tol)
-
-    def test_antisymmetry_f_equals_g(self):
-        coeffs = flat()
-        xs = np.linspace(0.1, 3.0, 40)
-        f = np.exp(xs)
-        assert wronskian_form(coeffs, f, f, 7) == 0.0
-
-    def test_proportional_solutions_vanish(self):
-        coeffs = flat()
-        xs = np.linspace(0.1, 3.0, 40)
-        f = np.sin(xs)
-        assert wronskian_form(coeffs, f, 3.7 * f, 11) == pytest.approx(0.0, abs=1e-12)
-
-    def test_constancy_for_same_lambda_solutions(self):
-        # u = sin, v = cos both solve -u'' = u: Wronskian constant to O(h^2)
-        coeffs = flat()
-        n = 400
-        h = np.pi / (n + 1)
-        xs = h * np.arange(1, n + 1)
-        values = [wronskian_form(coeffs, np.sin(xs), np.cos(xs), i) for i in range(1, n - 1)]
-        assert max(values) - min(values) <= 5 * h ** 2
-
-    def test_out_of_grid(self):
-        with pytest.raises(IndexError):
-            wronskian_form(flat(), np.zeros(5), np.zeros(5), 9)
 
 
 class TestGreensDirichlet:
