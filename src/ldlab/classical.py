@@ -159,12 +159,11 @@ def laguerre_apply_A(basis: LaguerreBasis, k: float, n: int, p) -> PolyInLaguerr
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss rule for integral f(t) t^weight_exponent e^{-t} dt on (0, inf)."""
+    """An m-node Gauss rule for integral f(t) t^a e^{-t} dt on (0, inf), exact for
+    polynomials f of degree <= 2m - 1."""
 
-    weight_exponent: float
     nodes: np.ndarray
     weights: np.ndarray
-    exactness_degree: int
 
     def integrate_values(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
@@ -229,8 +228,7 @@ def _gauss_rules(weight_exponent: float, ms) -> tuple:
         raise ArithmeticError(f"node solve failed for alpha'={weight_exponent}, m in {ms}")
     rules, end = {}, 0
     for m in ms:
-        rules[m] = QuadratureRule(float(weight_exponent), nodes[end:end + m],
-                                  weights[end:end + m], 2 * m - 1)
+        rules[m] = QuadratureRule(nodes[end:end + m], weights[end:end + m])
         end += m
     return rules, nodes
 

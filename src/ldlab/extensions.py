@@ -28,7 +28,6 @@ from .spectral import (
     _rank,
     _stored,
     as_hermitian,
-    eigh,
     orthocomplement,
     rel_is_selfadjoint,
     rel_power,
@@ -259,10 +258,6 @@ class PerturbationSpec:
         theta = LinearRelation.from_matrix(HermitianMatrix(np.asarray(theta_matrix)).entries)
         return cls(b_map, theta)
 
-    @property
-    def rank(self) -> int:
-        return self.b_map.shape[1]
-
 
 def _compression(a0, spec: PerturbationSpec):
     """(A0 + B Theta_op B*, B mul Theta) for Theta = Theta_op (+) mul Theta, read off the one
@@ -347,41 +342,34 @@ def limit_crosscheck(a0, spec: PerturbationSpec, t_list):
 def theta_sweep(a0, b_map, family):
     """Spectra along a family of Theta parameters.
 
-    `family` yields (label, theta) pairs where theta is a Hermitian matrix or
-    a self-adjoint LinearRelation. Returns rows
+    `family` yields (label, theta) pairs where theta is a Hermitian matrix. Returns rows
     (label, mul_dim, sorted operator-part eigenvalues...). A0 is validated once,
     before the first Theta.
     """
     a0 = _operator_hermitian(a0)
     rows = []
     for label, theta in family:
-        if isinstance(theta, LinearRelation):
-            spec = PerturbationSpec(b_map, theta)
-        else:
-            spec = PerturbationSpec.from_matrix(b_map, theta)
+        spec = PerturbationSpec.from_matrix(b_map, theta)
         eigs, mul_dim = perturbed_spectrum(a0, spec)
         rows.append((label, mul_dim, tuple(float(x) for x in eigs)))
     return rows
 
 
 def interlacing_check(a0, phi, t: float) -> bool:
-    """Rank-one interlacing: lambda_i(A) <= lambda_i(A + t phi phi*) <= lambda_{i+1}(A).
+    """Rank-one interlacing: lambda_i(A) <= lambda_i(A + t phi phi*) <= lambda_{i+1}(A), each
+    up to INTERLACE_SLACK * max(|lambda|_max, t, 1).
 
-    For a SpectralOperator, lambda(A) is its stored, validated decomposition's.
+    Only eigenvalues are read: for a SpectralOperator, lambda(A) is its stored, validated
+    decomposition's; otherwise lambda(A) and lambda(A + t phi phi*) are `eigvalsh` of the
+    `_stored` matrices, as in `_finite_spectrum`.
     """
     if not t > 0:
         raise ValueError("interlacing check needs t > 0")
     phi = np.asarray(phi, dtype=complex)
     if abs(np.linalg.norm(phi) - 1.0) > 1e-8:
         raise ValueError("phi must be normalized")
-    h = _operator_hermitian(a0)
-    lam = a0.eigenvalues if isinstance(a0, SpectralOperator) else eigh(h).eigenvalues
-    mu = eigh(HermitianMatrix(h.entries + t * np.outer(phi, phi.conj()))).eigenvalues
-    scale = max(float(np.max(np.abs(lam))), float(t), 1.0)
-    slack = INTERLACE_SLACK * scale
-    n = lam.shape[0]
-    for i in range(n):
-        upper = lam[i + 1] if i + 1 < n else np.inf
-        if not (lam[i] - slack <= mu[i] <= upper + slack):
-            return False
-    return True
+    a = _operator_hermitian(a0).entries
+    lam = a0.eigenvalues if isinstance(a0, SpectralOperator) else np.linalg.eigvalsh(a)
+    mu = np.linalg.eigvalsh(_stored(a + t * np.outer(phi, phi.conj()), copy=False))
+    slack = INTERLACE_SLACK * max(float(np.max(np.abs(lam))), float(t), 1.0)
+    return bool(np.all(lam - slack <= mu) and np.all(mu[:-1] <= lam[1:] + slack))

@@ -1,7 +1,8 @@
 """Left-definite spaces and operators for positive semi-bounded Hermitian matrices.
 
 The central object is a SpectralOperator: a Hermitian matrix together with its
-eigendecomposition, its lower bound k, and a shift gamma < k. From it we build
+eigendecomposition, from which it reads its lower bound k = lambda_min and its
+shift gamma < k (0 when k > 0, else k - 1). From it we build
 the r-th left-definite space (its inner product <A^{r/2}x, A^{r/2}y>, `ld_inner`,
 applied through the eigenbasis with no n x n array), the r-th left-definite
 operator, the shifted closed forms, and a verification report for the defining
@@ -15,7 +16,8 @@ float64). `from_diag` (the diag-growth and Laguerre operators) keeps the exact
 decomposition of a diagonal matrix, its sorted values and their permutation,
 with no LAPACK call and nothing of n x n size; the dense matrix is built, once,
 when a consumer first reads `matrix`. Left-definite constructions need k > 0
-beyond the cutoff CLUSTER_RTOL * ||A||_max, the same one that sets the default shift.
+beyond the cutoff CLUSTER_RTOL * ||A||_max, the same one that sets the shift, so
+every left-definite construction runs at gamma = 0.
 """
 
 from __future__ import annotations
@@ -46,21 +48,6 @@ class ShiftError(ValueError):
     """Raised when an operator is not positive (or a shift is not below its bound)."""
 
 
-def _require_below(shift: float, bound: float):
-    """Raise ShiftError unless the shift lies strictly below the lower bound."""
-    if not shift < bound:
-        raise ShiftError(f"shift {shift} must lie strictly below the lower bound {bound}")
-
-
-def _norm_max(dense: HermitianMatrix | None, decomp: SpectralDecomposition) -> float:
-    """max|entries| of an operator: the dense matrix's own, else (a diagonal operator) the
-    larger magnitude at the two ends of its sorted diagonal."""
-    if dense is not None:
-        return dense.norm_max
-    lam = decomp.eigenvalues
-    return max(abs(float(lam[0])), abs(float(lam[-1])))
-
-
 def _zero_cutoff(norm_max: float) -> float:
     """Lower bounds at or below CLUSTER_RTOL * ||A||_max, eigh's cluster cutoff, count as zero."""
     return CLUSTER_RTOL * max(norm_max, 1e-300)
@@ -68,7 +55,7 @@ def _zero_cutoff(norm_max: float) -> float:
 
 @dataclass(frozen=True)
 class SpectralOperator:
-    """Hermitian matrix + spectral data + lower bound k + shift gamma < k.
+    """Hermitian matrix + spectral data, with lower bound k and shift gamma < k read off it.
 
     `dense` is the matrix as given, or None for an operator diagonal in the
     permutation eigenbasis of `decomp` (`from_diag`). Such an operator holds
@@ -78,34 +65,33 @@ class SpectralOperator:
 
     dense: HermitianMatrix | None
     decomp: SpectralDecomposition
-    lower_bound: float
-    shift: float
 
     def __post_init__(self):
         if self.dense is None and self.decomp.unit_rows is None:
             raise ValueError("an operator given without its matrix needs a permutation eigenbasis")
-        _require_below(self.shift, self.lower_bound)
 
     @classmethod
-    def _with_default_shift(cls, dense: HermitianMatrix | None, decomp: SpectralDecomposition,
-                            shift: float | None) -> "SpectralOperator":
-        """Default shift: 0 when k is positive beyond `_zero_cutoff`, else k - 1."""
-        k = float(decomp.eigenvalues[0])
-        if shift is None:
-            shift = 0.0 if k > _zero_cutoff(_norm_max(dense, decomp)) else k - 1.0
-        return cls(dense, decomp, k, float(shift))
-
-    @classmethod
-    def from_matrix(cls, matrix, shift: float | None = None) -> "SpectralOperator":
+    def from_matrix(cls, matrix) -> "SpectralOperator":
         """A Hermitian matrix decomposed by LAPACK (`eigh`)."""
         h = as_hermitian(matrix)
-        return cls._with_default_shift(h, eigh(h), shift)
+        return cls(h, eigh(h))
 
     @classmethod
-    def from_diag(cls, values, shift: float | None = None) -> "SpectralOperator":
+    def from_diag(cls, values) -> "SpectralOperator":
         """diag(values) as its exact decomposition (`diagonal_eigh` of the values): sorted
         values and their permutation, O(n) data and checks, no LAPACK call."""
-        return cls._with_default_shift(None, diagonal_eigh(values), shift)
+        return cls(None, diagonal_eigh(values))
+
+    @property
+    def lower_bound(self) -> float:
+        """k = lambda_min."""
+        return float(self.decomp.eigenvalues[0])
+
+    @property
+    def shift(self) -> float:
+        """gamma < k: 0 when k is positive beyond `_zero_cutoff`, else k - 1."""
+        k = self.lower_bound
+        return 0.0 if k > _zero_cutoff(self.norm_max) else k - 1.0
 
     @cached_property
     def matrix(self) -> HermitianMatrix:
@@ -116,8 +102,12 @@ class SpectralOperator:
 
     @property
     def norm_max(self) -> float:
-        """max|entries| of the matrix, known without building it."""
-        return _norm_max(self.dense, self.decomp)
+        """max|entries| of the matrix, known without building it: the dense matrix's own, else
+        (a diagonal operator) the larger magnitude at the two ends of its sorted diagonal."""
+        if self.dense is not None:
+            return self.dense.norm_max
+        lam = self.decomp.eigenvalues
+        return max(abs(float(lam[0])), abs(float(lam[-1])))
 
     @property
     def dim(self) -> int:
@@ -143,7 +133,7 @@ class SpectralOperator:
         return {}
 
     def require_positive(self):
-        """Raise ShiftError unless k > CLUSTER_RTOL * ||A||_max, the default shift's cutoff."""
+        """Raise ShiftError unless k > CLUSTER_RTOL * ||A||_max, the shift's cutoff."""
         cutoff = _zero_cutoff(self.norm_max)
         if not self.lower_bound > cutoff:
             raise ShiftError(
@@ -197,7 +187,6 @@ class LeftDefiniteOperator:
 
     r: float
     action: HermitianMatrix
-    domain_exponent: float
     domain_tag: str
 
     @property
@@ -248,9 +237,12 @@ def ld_inner(space: LeftDefiniteSpace, x, y=None):
 def ld_operator(operator: SpectralOperator, r: float) -> LeftDefiniteOperator:
     """The r-th left-definite operator, on H_r (`ld_space`); at finite dimension the action
     is A itself."""
-    space = ld_space(operator, r)
-    exponent = (space.r + 2) / 2
-    return LeftDefiniteOperator(space.r, operator.matrix, exponent, _exponent_tag(exponent))
+    return _operator_on(ld_space(operator, r))
+
+
+def _operator_on(space: LeftDefiniteSpace) -> LeftDefiniteOperator:
+    """A_r on the space H_r as given, whose precondition `ld_space` has checked."""
+    return LeftDefiniteOperator(space.r, space.operator.matrix, _exponent_tag((space.r + 2) / 2))
 
 
 @dataclass(frozen=True)
@@ -268,7 +260,9 @@ class ClosedFormR:
     def __post_init__(self):
         if not (isinstance(self.r, int) or float(self.r).is_integer()) or self.r < 1:
             raise ValueError(f"closed-form index must be a positive integer, got {self.r}")
-        _require_below(self.gamma, self.operator.lower_bound)
+        if not self.gamma < self.operator.lower_bound:
+            raise ShiftError(f"shift {self.gamma} must lie strictly below the lower bound "
+                             f"{self.operator.lower_bound}")
         object.__setattr__(self, "r", int(self.r))
 
     def __call__(self, f, g) -> complex:
@@ -378,10 +372,11 @@ def verify_ld_properties(
     diag_dev = float(np.max(np.abs(gram_diag - lam ** r) / lam ** r))
     report.add_check("eigen-gram-diag", f"r={r:g}", diag_dev, tol)
 
-    # multiplicity stability: the r-th left-definite operator acts as A itself
-    # (`ld_operator`), so its eigenvalue list (with multiplicity) must agree exactly
-    same = np.array_equal(lam, eigh(operator.matrix).eigenvalues)
-    report.add_flag("multiplicity-invariance", f"r={r:g}, tag={_exponent_tag((r + 2) / 2)}", same)
+    # multiplicity stability: A_r on the suite's H_r (`ld_operator`'s construction) acts as
+    # A itself, so its eigenvalue list (with multiplicity) must agree exactly
+    a_r = _operator_on(space)
+    report.add_flag("multiplicity-invariance", f"r={r:g}, tag={a_r.domain_tag}",
+                    np.array_equal(lam, a_r.spectrum))
 
     report.add_table(
         Table.build(

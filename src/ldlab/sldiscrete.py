@@ -11,8 +11,7 @@ the full matrix.
 
 Endpoint classification (regular / limit-circle / limit-point) is caller
 metadata. Non-regular endpoints are handled by truncating the interval by a
-configurable delta and flagging the operator as a truncated-domain
-approximation.
+configurable delta (`SLCoefficients.effective_interval`).
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ class SLCoefficients:
             raise ValueError(f"endpoint type must be one of {ENDPOINT_KINDS}")
         if not self.a < self.b:
             raise ValueError(f"empty interval ({self.a}, {self.b})")
-        a_eff, b_eff, _ = self.effective_interval()
+        a_eff, b_eff = self.effective_interval()
         if not a_eff < b_eff:
             raise ValueError(f"delta={self.delta} empties the interval ({self.a}, {self.b}): "
                              f"truncated to ({a_eff}, {b_eff})")
@@ -107,17 +106,17 @@ class SLCoefficients:
         )
 
     def effective_interval(self):
-        """(a', b', truncated): interval after delta-truncation of non-regular endpoints."""
+        """(a', b'): the interval after delta-truncation of non-regular endpoints."""
         a_eff = self.a + self.delta if self.endpoint_a != "regular" else self.a
         b_eff = self.b - self.delta if self.endpoint_b != "regular" else self.b
-        return a_eff, b_eff, (a_eff != self.a or b_eff != self.b)
+        return a_eff, b_eff
 
 
 def _grid(coeffs: SLCoefficients, n_interior: int):
-    a_eff, b_eff, truncated = coeffs.effective_interval()
+    a_eff, b_eff = coeffs.effective_interval()
     h = (b_eff - a_eff) / (n_interior + 1)
     nodes = a_eff + h * np.arange(1, n_interior + 1)
-    return nodes, h, a_eff, b_eff, truncated
+    return nodes, h, a_eff, b_eff
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,6 @@ class DiscreteOperator:
     p_half: np.ndarray      # p at half nodes, flux coefficients actually used
     q_nodes: np.ndarray
     bc: str
-    truncated: bool
 
     @cached_property
     def matrix(self) -> HermitianMatrix:
@@ -171,7 +169,7 @@ def discretize(coeffs: SLCoefficients, n_interior: int, bc: str = "dirichlet") -
         raise ValueError("need at least 3 interior nodes")
     if bc not in BOUNDARY_TREATMENTS:
         raise ValueError(f"unknown boundary treatment {bc!r}")
-    nodes, h, a_eff, b_eff, truncated = _grid(coeffs, n_interior)
+    nodes, h, a_eff, _ = _grid(coeffs, n_interior)
     half = a_eff + h * (np.arange(n_interior + 1) + 0.5)
     p_half = np.asarray(coeffs.p(half), dtype=float).copy()
     w_nodes = np.asarray(coeffs.w(nodes), dtype=float)
@@ -193,7 +191,7 @@ def discretize(coeffs: SLCoefficients, n_interior: int, bc: str = "dirichlet") -
         raise CoefficientError("coefficient samples give a non-finite matrix entry")
     return DiscreteOperator(
         coeffs, n_interior, h, nodes, diag, off,
-        w_nodes, p_half, q_nodes, bc, truncated,
+        w_nodes, p_half, q_nodes, bc,
     )
 
 
@@ -239,7 +237,7 @@ def principal_solution(coeffs: SLCoefficients, lam: float, endpoint: str, n_inte
             f"principal solutions are only constructed at regular endpoints "
             f"(endpoint {endpoint} is declared {declared})"
         )
-    _, h, a_eff, b_eff, _ = _grid(coeffs, n_interior)
+    _, h, a_eff, b_eff = _grid(coeffs, n_interior)
     if endpoint == "a":
         x0, step, v = a_eff, h, 1.0
         order = range(n_interior)
@@ -277,7 +275,6 @@ class BoundaryFunctional:
     """Discrete representer of f -> [f, u](endpoint) for a principal solution u."""
 
     representer: np.ndarray
-    endpoint: str
     solution: np.ndarray
     h: float
     weights: np.ndarray
@@ -307,4 +304,4 @@ def boundary_functional(coeffs: SLCoefficients, u, endpoint: str) -> BoundaryFun
         r[-1] = 1.0 / (h * w_nodes[-1])         # -f(b) * (p u')(b) with (p u')(b) = -1
     else:
         raise ValueError("endpoint must be 'a' or 'b'")
-    return BoundaryFunctional(r, endpoint, u, h, w_nodes)
+    return BoundaryFunctional(r, u, h, w_nodes)

@@ -4,31 +4,28 @@ Everything downstream (left-definite spaces, extension theory, perturbations)
 is built on the primitives in this module: validated Hermitian matrices,
 spectral decompositions (LAPACK's, or the exact one of a diagonal matrix),
 matrix powers through the eigenbasis, orthonormal subspaces, and linear
-relations represented as subspaces of the doubled space H (+) H. A rank
-decision is the cutoff of `_rank`, RANK_RTOL * sigma_max, or that cutoff
-relative to 1 where the basis is orthonormal: the f block of a graph basis
-has singular values <= 1 and counts those > RANK_RTOL, and `subspace_intersect`
-keeps the principal angles whose sines are <= 2 RANK_RTOL (Bjorck-Golub), the
-same decision as `_rank` on the stack [A, -B]. A complement of a block of full
+relations represented as subspaces of the doubled space H (+) H. Every rank
+decision is one call of `_rank`, the count of singular values above RANK_RTOL
+times a reference scale: sigma_max for arbitrary columns, 1 for the f block of
+an orthonormal graph basis (its singular values are <= 1), and 2 for the sines
+of the principal angles in `subspace_intersect` (Bjorck-Golub), the same
+decision as sigma_max on the stack [A, -B]. A complement of a block of full
 column rank takes none: it is the trailing columns of one complete QR
 (`_complement`), a^perp for an orthonormal basis A and S* = (JS)^perp,
 J(f, g) = (g, -f), for an orthonormal graph basis [F; G]. S = S* iff dim S = n
 and the boundary form F*G - G*F vanishes; no adjoint is built for that. The
 split of a relation is one full SVD of its f block, F = U S V* with r the
-count of S > RANK_RTOL: dom = U[:, :r], dom^perp = U[:, r:], mul = G ker F =
-G V[:, r:] and `operator_part` U_r* G V_r S_r^-1.
+count of S > RANK_RTOL: dom = U[:, :r], dom^perp = U[:, r:] and
+`operator_part` U_r* G V_r S_r^-1.
 
 A relation's derived spaces are computed once per relation object and cached
 on it: the boundary form (F*G and max|F*G - G*F|), `adjoint`, `domain()`,
-`mul_part()`, `operator_part`, `defect_kernels` (ker(T -/+ i)) and
-`mul_extension` (T (+) {0} x dom^perp, the Friedrichs construction). Bases
-whose rank the construction fixes get no SVD of their own: QR of [I; A] in
-`from_matrix`, G V[:, r:], sqrt2 F ker(G -/+ iF), and `mul_extension` by QR
-when mul T = 0. A rank decision stays where the rank is the answer: the
-f-block SVD, `Subspace.span` of arbitrary columns, the principal angles of
-`subspace_intersect` (its basis B V is orthonormal as built) and the
-nullspaces of `defect_kernels` and `rel_compose`. `rel_power` squares:
-t^4 = t^2 o t^2, two compositions. Every `Subspace` checks its orthonormality.
+`operator_part`, `defect_kernels` (ker(T -/+ i)) and `mul_extension`
+(T (+) {0} x dom^perp, the Friedrichs construction). Bases whose rank the
+construction fixes get no SVD of their own: QR of [I; A] in `from_matrix`,
+sqrt2 F ker(G -/+ iF), and `mul_extension` by QR when mul T = 0. `rel_power`
+squares: t^4 = t^2 o t^2, two compositions. Every `Subspace` checks its
+orthonormality.
 
 A `HermitianMatrix` or `SpectralDecomposition` decides its dtype once, when
 built (`_stored`): float64 for real-valued data (a real dtype, or complex with
@@ -111,17 +108,6 @@ class HermitianMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @classmethod
-    def diag(cls, values) -> "HermitianMatrix":
-        return cls(np.diag(np.asarray(values, dtype=float)))
-
-    @classmethod
-    def identity(cls, n: int) -> "HermitianMatrix":
-        return cls(np.eye(n))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
 
 
 def as_hermitian(matrix) -> HermitianMatrix:
@@ -356,17 +342,15 @@ def diagonal_eigh(diagonal) -> SpectralDecomposition:
 def mat_power(matrix, r: float) -> HermitianMatrix:
     """H^r through the spectral decomposition, U diag(lambda^r) U*.
 
-    For non-integer (or negative) r every eigenvalue must exceed
+    For a power that is not a positive integer every eigenvalue must exceed
     POSITIVE_FLOOR; otherwise a SpectrumError names the offending eigenvalue.
-    mat_power(H, 0) is the identity and mat_power(H, 1) returns H itself.
+    mat_power(H, 1) returns H itself.
     """
     if not np.isfinite(r):
         raise ValueError("power must be finite")
     h = as_hermitian(matrix)
     if r == 1:
         return h
-    if r == 0:
-        return HermitianMatrix.identity(h.dim)
     decomp = eigh(h)
     lam = decomp.eigenvalues
     fractional = not (float(r).is_integer() and r > 0)
@@ -378,9 +362,12 @@ def mat_power(matrix, r: float) -> HermitianMatrix:
     return decomp.power(r)
 
 
-def _rank(s: np.ndarray) -> int:
-    """Rank from descending singular values s: the package's one cutoff, RANK_RTOL * s[0]."""
-    return int(np.count_nonzero(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
+def _rank(s: np.ndarray, scale: float | None = None) -> int:
+    """Rank from descending singular values s: the count of s > RANK_RTOL * scale, the
+    package's one cutoff. scale is sigma_max = s[0] by default (0 for an empty s)."""
+    if scale is None:
+        scale = s[0] if s.size else 0.0
+    return int(np.count_nonzero(s > RANK_RTOL * scale))
 
 
 def _onb(columns: np.ndarray, ambient: int) -> np.ndarray:
@@ -463,9 +450,10 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
     With B the basis of smaller rank and A the other, the singular values of
     B - A(A*B) = (I - AA*)B are the sines of the principal angles, and a cap b is
-    B V over the sines <= 2 RANK_RTOL, orthonormal as built (V is unitary). That is
-    `_rank`'s cutoff on the stack [A, -B] restated: its singular values are
-    sqrt(1 -/+ cos theta), sigma_max = sqrt2 once a cap b != 0, and
+    B V over the sines <= 2 RANK_RTOL, orthonormal as built (V is unitary): the
+    sines descend, so those rows of V* follow the `_rank(sines, 2.0)` larger ones.
+    That is `_rank`'s sigma_max cutoff on the stack [A, -B] restated: its singular
+    values are sqrt(1 -/+ cos theta), sigma_max = sqrt2 once a cap b != 0, and
     sqrt(1 - cos theta) <= RANK_RTOL * sqrt2 is theta <= 2 RANK_RTOL.
     """
     _check_ambient(a, b)
@@ -475,7 +463,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         return Subspace.zero(a.ambient_dim)
     _, sines, vh = np.linalg.svd(b.basis - a.basis @ (a.basis.conj().T @ b.basis),
                                  full_matrices=False)
-    return Subspace(a.ambient_dim, b.basis @ vh[sines <= 2.0 * RANK_RTOL].conj().T)
+    return Subspace(a.ambient_dim, b.basis @ vh[_rank(sines, 2.0):].conj().T)
 
 
 def orthocomplement(a: Subspace) -> Subspace:
@@ -532,10 +520,6 @@ class LinearRelation:
         """dom t = ran F = U[:, :r] of the f-block SVD; computed once per relation."""
         return self._domain
 
-    def mul_part(self) -> Subspace:
-        """mul t = {g : (0, g) in t} = G ker F = G V[:, r:]; computed once per relation."""
-        return self._mul_part
-
     @cached_property
     def _f_svd(self):
         """(U, s, V*, r): the full SVD F = U diag(s) V* of the f block and r, the relation's
@@ -544,18 +528,12 @@ class LinearRelation:
         s[0]: an f block of pure rounding has rank 0."""
         u, s, vh = np.linalg.svd(self._blocks()[0])
         u.setflags(write=False)
-        return u, s, vh, int(np.count_nonzero(s > RANK_RTOL))
+        return u, s, vh, _rank(s, 1.0)
 
     @cached_property
     def _domain(self) -> Subspace:
         u, _, _, r = self._f_svd
         return Subspace(self.space_dim, u[:, :r])
-
-    @cached_property
-    def _mul_part(self) -> Subspace:
-        # orthonormal as built: G*G = I - F*F is the identity on ker F
-        _, _, vh, r = self._f_svd
-        return Subspace(self.space_dim, self._blocks()[1] @ vh[r:].conj().T)
 
     @cached_property
     def operator_part(self) -> np.ndarray:
@@ -650,20 +628,8 @@ def rel_is_selfadjoint(t: LinearRelation) -> bool:
     return t.dim == t.space_dim and t._boundary_form[1] <= SUBSPACE_TOL
 
 
-def save_matrix_csv(matrix, path):
-    """Write a complex matrix row-major, each entry as adjacent (re, im) columns."""
-    m = np.asarray(matrix, dtype=complex)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in m:
-            flat = []
-            for z in row:
-                flat.extend((repr(float(z.real)), repr(float(z.imag))))
-            writer.writerow(flat)
-
-
 def load_matrix_csv(path) -> np.ndarray:
-    """Read a complex matrix written by save_matrix_csv."""
+    """Read a complex matrix stored row-major, each entry as adjacent (re, im) columns."""
     rows = []
     with open(path, "r", newline="") as fh:
         for record in csv.reader(fh):

@@ -177,8 +177,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("m", [1, 2, 4, 8, 21, 31, 40])
     def test_gamma_moment_exactness(self, alpha, m):
         rule = gauss_quadrature(alpha, m)
-        assert rule.exactness_degree == 2 * m - 1
-        for d in range(2 * m):
+        for d in range(2 * m):    # exact through degree 2m - 1
             moment = rule.integrate_values(rule.nodes ** d)
             exact = math.gamma(d + alpha + 1)
             assert moment == pytest.approx(exact, rel=1e-10)
@@ -217,7 +216,7 @@ class TestGenLaguerreRule:
             assert np.array_equal(rules[m].nodes, one.nodes)
             assert np.array_equal(rules[m].weights, one.weights)
             assert np.array_equal(one.nodes, ref_nodes) and np.array_equal(one.weights, ref_weights)
-            assert rules[m].exactness_degree == one.exactness_degree == 2 * m - 1
+            assert rules[m].nodes.shape == rules[m].weights.shape == (m,)
 
 
 def reference_rule(m, alpha):

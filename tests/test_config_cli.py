@@ -356,12 +356,12 @@ class TestDelta:
     LAGUERRE = {"name": "laguerre", "alpha": 1.0}
 
     @pytest.mark.parametrize("coeffs, delta, interval", [
-        (JACOBI, None, (-1.0, 1.0, False)),
-        (JACOBI, 0.05, (-0.95, 0.95, True)),
-        (LAGUERRE, None, (1e-3, 40.0 - 1e-3, True)),
-        (LAGUERRE, 0, (0.0, 40.0, False)),
-        (LAGUERRE, 0.5, (0.5, 39.5, True)),
-        ("flat", 0.05, (0.0, np.pi, False)),   # regular endpoints are never truncated
+        (JACOBI, None, (-1.0, 1.0)),
+        (JACOBI, 0.05, (-0.95, 0.95)),
+        (LAGUERRE, None, (1e-3, 40.0 - 1e-3)),
+        (LAGUERRE, 0, (0.0, 40.0)),
+        (LAGUERRE, 0.5, (0.5, 39.5)),
+        ("flat", 0.05, (0.0, np.pi)),   # regular endpoints are never truncated
     ])
     def test_delta_truncates_non_regular_endpoints(self, coeffs, delta, interval):
         spec = {"kind": "sl", "coeffs": coeffs, "N": 10}
@@ -369,9 +369,8 @@ class TestDelta:
             spec["delta"] = delta
         disc = build_operator(parse_config(json.dumps(make_config(operatorSpec=spec)))
                               .operator_spec).discrete
-        a, b, truncated = disc.coeffs.effective_interval()
-        assert (a, b, truncated) == pytest.approx(interval, abs=1e-15)
-        assert disc.truncated == truncated
+        a, b = disc.coeffs.effective_interval()
+        assert (a, b) == pytest.approx(interval, abs=1e-15)
         assert disc.nodes[0] > a and disc.nodes[-1] < b
 
     def test_jacobi_tables_change_with_delta(self):
@@ -435,10 +434,11 @@ class TestRunScenario:
         assert all(row[4] == "EQUAL" for row in table.rows)
 
     def test_leftdef_verify_on_matrix_file(self, tmp_path):
-        from ldlab.spectral import save_matrix_csv
         rng = np.random.default_rng(0)
         m = rng.normal(size=(6, 6))
-        save_matrix_csv(m @ m.T + np.eye(6), tmp_path / "op.csv")
+        # the matrix-file layout: row-major, each entry as adjacent (re, im) columns
+        np.savetxt(tmp_path / "op.csv", (m @ m.T + np.eye(6)).astype(complex).view(float),
+                   delimiter=",", fmt="%.17g")
         raw = make_config(
             operatorSpec={"kind": "matrix-file", "path": str(tmp_path / "op.csv")},
             experiment="leftdef-verify",
@@ -480,6 +480,32 @@ class TestRunScenario:
         report = run_scenario(parse_config(json.dumps(raw)))
         row = next(r for r in report.rows if r.name == "t0-matches-base")
         assert row.status == "FAIL"
+
+    # t = 1 moves the top eigenvalue of flat SL at N = 60 by about 1e-4, less than 1e-6 ||A||
+    RANK_ONE_SWEEP = {"operatorSpec": {"kind": "sl", "coeffs": "flat", "N": 60, "bc": "dirichlet"},
+                      "experiment": "perturb-sweep", "params": {"rank": 1, "tMax": 1.0,
+                                                                "tSteps": 3}}
+
+    def sweep_status(self, name: str) -> str:
+        report = run_scenario(parse_config(json.dumps(make_config(**self.RANK_ONE_SWEEP))))
+        return next(r.status for r in report.rows if r.name == name)
+
+    def test_shifted_operator_eigenvalues_fail_interlacing(self, monkeypatch):
+        assert self.sweep_status("rank-one-interlacing") == "PASS"
+        shifted = property(lambda op: op.decomp.eigenvalues + 1e-6 * op.matrix.norm_max)
+        monkeypatch.setattr(SpectralOperator, "eigenvalues", shifted)
+        assert self.sweep_status("rank-one-interlacing") == "FAIL"
+
+    def test_decreasing_sweep_row_fails_monotone(self, monkeypatch):
+        assert self.sweep_status("eigenvalue-monotone-in-t") == "PASS"
+        real = extensions.theta_sweep
+
+        def decreasing(*args):
+            rows = real(*args)
+            label, mul, eigs = rows[-1]
+            return rows[:-1] + [(label, mul, (rows[-2][2][0] - 1e-3,) + eigs[1:])]
+        monkeypatch.setattr(extensions, "theta_sweep", decreasing)
+        assert self.sweep_status("eigenvalue-monotone-in-t") == "FAIL"
 
     def test_perturb_sweep_on_limit_circle_sl_falls_back(self):
         # no boundary functional at limit-circle endpoints: seeded columns instead

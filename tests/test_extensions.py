@@ -27,6 +27,7 @@ from ldlab.leftdef import SpectralOperator
 from ldlab.spectral import (
     DimensionMismatchError,
     LinearRelation,
+    NotHermitianError,
     SpectrumError,
     Subspace,
     orthocomplement,
@@ -44,6 +45,13 @@ def relation_from_blocks(f_block, g_block):
     f = np.atleast_2d(np.asarray(f_block, dtype=complex))
     g = np.atleast_2d(np.asarray(g_block, dtype=complex))
     return LinearRelation(Subspace.span(np.vstack([f, g]), 2 * f.shape[0]))
+
+
+def mul_part(t: LinearRelation) -> Subspace:
+    """mul t = {g : (0, g) in t} = G ker F, read off the relation's one f-block SVD:
+    G V[:, r:], orthonormal since G*G = I - F*F is the identity on ker F."""
+    _, _, vh, r = t._f_svd
+    return Subspace(t.space_dim, t.graph.basis[t.space_dim:] @ vh[r:].conj().T)
 
 
 def seeded_restriction(seed, n, codim, complex_=True):
@@ -145,7 +153,7 @@ class TestFriedrichs:
         eigs, mul_dim = relation_spectrum(sf)
         np.testing.assert_allclose(eigs, [1.0])
         assert mul_dim == 1
-        assert subspaces_equal(sf.mul_part(), Subspace.span(np.array([0.0, 1.0])))
+        assert subspaces_equal(mul_part(sf), Subspace.span(np.array([0.0, 1.0])))
 
     def test_domain_preserved_and_extends(self):
         for seed in range(10):
@@ -242,7 +250,7 @@ class TestPerturb:
         eigs, mul_dim = relation_spectrum(rel)
         np.testing.assert_allclose(eigs, [2.0], atol=1e-12)
         assert mul_dim == 1
-        assert subspaces_equal(rel.mul_part(), Subspace.span(np.array([1.0, 0.0])))
+        assert subspaces_equal(mul_part(rel), Subspace.span(np.array([1.0, 0.0])))
 
     def test_matrix_theta_matches_direct_eigensolve(self):
         rng = np.random.default_rng(6)
@@ -438,10 +446,10 @@ class TestPerturbationBudget:
         assert report.overall == "PASS"
         assert [args[0].dtype for _, args in log] == [np.float64] * len(log)
         names = [name for name, _ in log]
-        # eigh: the operator's decomposition and the rank-one update of the interlacing check;
-        # eigvalsh: one per sweep step, the crosscheck's target and its penalty solve
-        assert names.count("eigh") == 2
-        assert names.count("eigvalsh") == t_steps + 2
+        # eigh: the operator's decomposition; eigvalsh: one per sweep step, the rank-one
+        # update of the interlacing check, the crosscheck's target and its penalty solve
+        assert names.count("eigh") == 1
+        assert names.count("eigvalsh") == t_steps + 3
 
     def test_limit_crosscheck_compresses_once_without_full_svd(self, monkeypatch):
         n = 30
@@ -451,7 +459,7 @@ class TestPerturbationBudget:
         _record_calls(monkeypatch, extensions, "_compression", compressions)
         rows, target, mul_dim = limit_crosscheck(_flat_sl(n), spec, [1e6, 1e8])
         assert len(compressions) == 1
-        assert svds and max(shape[-1] for shape in svds) <= spec.rank
+        assert svds and max(shape[-1] for shape in svds) <= b.shape[1]
         assert mul_dim == 1 and len(rows) == 2
 
     @pytest.mark.parametrize("kind", ["matrix", "multivalued"])
@@ -506,26 +514,24 @@ class TestThetaSweepAndInterlacing:
         a0 = _dense_operator(n, 63)
         b = Subspace.span(np.random.default_rng(64).normal(size=(n, 2))).basis
         family = [(t, t * np.array([[1.0, 0.3], [0.3, -0.5]])) for t in (0.0, 0.5, 2.0)]
-        family += [(kind, _theta(kind)) for kind in ("matrix", "multivalued", "mixed")]
+        family.append(("complex", np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]])))
         return a0, b, family
 
     def test_sweep_matches_per_theta_specs(self):
         a0, b, family = self._sweep_case()
         expected = []
         for label, theta in family:
-            spec = (PerturbationSpec(b, theta) if isinstance(theta, LinearRelation)
-                    else PerturbationSpec.from_matrix(b, theta))
-            eigs, mul_dim = perturbed_spectrum(a0, spec)
+            eigs, mul_dim = perturbed_spectrum(a0, PerturbationSpec.from_matrix(b, theta))
             expected.append((label, mul_dim, tuple(float(x) for x in eigs)))
         assert theta_sweep(a0, b, family) == expected
 
     def test_sweep_rejects_a_bad_theta_mid_family(self):
         a0, b, family = self._sweep_case()
-        not_selfadjoint = LinearRelation.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(NotSelfAdjointError):
-            theta_sweep(a0, b, family[:2] + [("bad", not_selfadjoint)] + family[2:])
+        not_hermitian = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NotHermitianError):
+            theta_sweep(a0, b, family[:2] + [("bad", not_hermitian)] + family[2:])
         with pytest.raises(DimensionMismatchError):
-            theta_sweep(a0, b, family[:2] + [("bad", LinearRelation.multivalued(3))])
+            theta_sweep(a0, b, family[:2] + [("bad", np.eye(3))])
 
     def test_sweep_rejects_a_dependent_b_before_any_eigensolve(self, monkeypatch):
         a0, b, family = self._sweep_case()
@@ -553,7 +559,7 @@ class TestThetaSweepAndInterlacing:
         assert builds == [(8, 8)] + [(1, 1)] * 10
 
     def test_interlacing_validates_a0_once(self, monkeypatch):
-        # one HermitianMatrix for the ndarray A0, one for the rank-one update
+        # one HermitianMatrix for the ndarray A0; the rank-one update goes to eigvalsh as is
         builds = []
         real = spectral.HermitianMatrix.__post_init__
 
@@ -563,7 +569,7 @@ class TestThetaSweepAndInterlacing:
 
         monkeypatch.setattr(spectral.HermitianMatrix, "__post_init__", counting)
         assert interlacing_check(np.diag(np.arange(1.0, 9.0)), np.eye(8)[0], 2.0)
-        assert builds == [(8, 8)] * 2
+        assert builds == [(8, 8)]
 
     def test_interlacing_two_by_two(self):
         # eigenvalues (5 +/- sqrt 5)/2 = 1.38..., 3.61... interlace 1, 3
@@ -585,11 +591,14 @@ class TestThetaSweepAndInterlacing:
         phi = np.random.default_rng(37).normal(size=20)
         phi = phi / np.linalg.norm(phi)
         calls = []
-        _record_calls(monkeypatch, np.linalg, "eigh", calls)
+        for name in ("eigh", "eigvalsh"):
+            _record_calls(monkeypatch, np.linalg, name, calls)
+        # eigenvalues only: mu for the operator, lambda and mu for its plain matrix
         assert interlacing_check(op, phi, 3.0)
-        assert len(calls) == 1
+        assert [name for name, _ in calls] == ["eigvalsh"]
         assert interlacing_check(op.matrix, phi, 3.0)
-        assert len(calls) == 3
+        assert [name for name, _ in calls] == ["eigvalsh"] * 3
+        assert [args[0].dtype for _, args in calls] == [np.float64] * 3
 
     def test_interlacing_requires_positive_t(self):
         with pytest.raises(ValueError):
@@ -710,7 +719,7 @@ class TestKernelOracles:
     @pytest.mark.parametrize("label", sorted(RELATIONS))
     def test_mul_part_matches_intersection(self, label):
         t = RELATIONS[label][0]()
-        mul = t.mul_part()
+        mul = mul_part(t)
         assert subspaces_equal(mul, _mul_oracle(t))
         if RELATIONS[label][2] is not None:
             assert mul.rank == RELATIONS[label][2]
@@ -727,7 +736,7 @@ class TestKernelOracles:
     @pytest.mark.parametrize("label", sorted(RELATIONS))
     def test_orthocomplement_matches_full_svd(self, label):
         t = RELATIONS[label][0]()
-        for a in (t.graph, t.domain(), t.mul_part()):
+        for a in (t.graph, t.domain(), mul_part(t)):
             comp = orthocomplement(a)
             assert comp.rank + a.rank == a.ambient_dim
             assert subspaces_equal(comp, _complement_oracle(a))
@@ -819,7 +828,7 @@ class TestSingleRankDecision:
         b = np.zeros((4, 2))
         b[0, :] = 1.0
         b[1, 1] = 1e-6     # sigma_min / sigma_max ~ 5e-7
-        assert PerturbationSpec.from_matrix(b, np.eye(2)).rank == 2
+        assert PerturbationSpec.from_matrix(b, np.eye(2)).b_map.shape == (4, 2)
         monkeypatch.setattr(spectral, "RANK_RTOL", 1e-4)
         with pytest.raises(ValueError, match="linearly independent"):
             PerturbationSpec.from_matrix(b, np.eye(2))
@@ -829,7 +838,7 @@ def _derived_spaces(t: LinearRelation) -> dict:
     """Basis of every derived space cached on t, by name."""
     d_plus, d_minus = t.defect_kernels
     return {"adjoint": t.adjoint.graph.basis, "domain": t.domain().basis,
-            "mul_part": t.mul_part().basis, "defect+": d_plus.basis, "defect-": d_minus.basis,
+            "defect+": d_plus.basis, "defect-": d_minus.basis,
             "mul_extension": t.mul_extension.graph.basis, "operator_part": t.operator_part}
 
 
@@ -898,7 +907,7 @@ class TestOneSvdSplit:
     @staticmethod
     def _check_split(t: LinearRelation):
         n = t.space_dim
-        dom, mul = t.domain(), t.mul_part()
+        dom, mul = t.domain(), mul_part(t)
         u = t._f_svd[0]
         # rank(dom) + dim ker F = dim t: G is isometric on ker F, so dim mul = dim ker F
         assert dom.rank + mul.rank == t.dim
@@ -923,7 +932,7 @@ class TestOneSvdSplit:
         extra = min(extra, n - r)
         t, m = _split_relation(seed, n, r, extra, selfadjoint)
         assert t.domain().rank == r
-        assert t.mul_part().rank == (n - r if selfadjoint else extra)
+        assert mul_part(t).rank == (n - r if selfadjoint else extra)
         assert rel_is_selfadjoint(t) == selfadjoint   # a random complex M is not Hermitian
         self._check_split(t)
         if selfadjoint:
@@ -957,10 +966,10 @@ class TestOneSvdSplit:
         a0 = _dense_operator(8, 41)
         b = Subspace.span(np.random.default_rng(42).normal(size=(8, 2))).basis
         kinds = ("matrix", "multivalued", "mixed")
-        family = [(kind, _theta(kind)) for kind in kinds] + [(0.5, 0.5 * np.eye(2))]
-        assert [row[1] for row in theta_sweep(a0, b, family)] == [0, 2, 1, 0]
-        for kind in kinds:
+        assert [row[1] for row in theta_sweep(a0, b, [(0.5, 0.5 * np.eye(2))])] == [0]
+        for kind, mul in zip(kinds, (0, 2, 1)):
             spec = PerturbationSpec(b, _theta(kind))
+            assert perturbed_spectrum(a0, spec)[1] == mul
             rows, target, mul_dim = limit_crosscheck(a0, spec, [1e8])
             eigs, graph_mul = relation_spectrum(perturb(a0, spec))
             assert mul_dim == graph_mul and rows[0][1] <= 1e-5
@@ -972,7 +981,7 @@ class TestOneSvdSplit:
         rng = np.random.default_rng(2998)
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         t = LinearRelation(Subspace.span(np.vstack([np.zeros((2, 2)), q]), 4))
-        assert t.domain().rank == 0 and t.mul_part().rank == 2
+        assert t.domain().rank == 0 and mul_part(t).rank == 2
 
 
 class TestScaleProperties:
@@ -1007,11 +1016,11 @@ class TestScaleProperties:
         s = minimal_relation(1e8 * h, c)
         sf = friedrichs_relation(s)
         assert subspaces_equal(sf.domain(), s.domain())
-        assert sf.mul_part().rank == 2
+        assert mul_part(sf).rank == 2
 
     def test_multivalued_bases_orthonormal_by_construction(self):
         sf = friedrichs_relation(minimal_relation(*seeded_restriction(65, 8, 3)))
-        mul = sf.mul_part()
+        mul = mul_part(sf)
         assert mul.rank == 3 and _ortho_defect(mul.basis) <= 1e-13
         inter = subspace_intersect(sf.graph, sf.adjoint.graph)
         assert inter.rank == sf.dim and _ortho_defect(inter.basis) <= 1e-13

@@ -247,19 +247,19 @@ class TestBlockedPartialSums:
 
 class TestEquivalence:
     def test_scalar_exact_ratio(self):
-        op = SpectralOperator.from_diag([1.0], shift=0.0)
+        op = SpectralOperator.from_diag([1.0])
         for s in (0.5, 1.0, 2.0):
             stats = equivalence_check(op, s, [np.array([1.0])])
             assert stats["min_ratio"] == pytest.approx(2.0 ** (s / 2), rel=1e-12)
 
     def test_s_zero_ratio_one(self):
-        op = SpectralOperator.from_diag([1.0, 5.0], shift=0.0)
+        op = SpectralOperator.from_diag([1.0, 5.0])
         stats = equivalence_check(op, 0.0, [np.array([1.0, 2.0])])
         assert stats["min_ratio"] == pytest.approx(1.0) == stats["max_ratio"]
 
     def test_ratios_within_diagonal_bounds(self):
         rng = np.random.default_rng(3)
-        op = SpectralOperator.from_diag(np.sort(rng.uniform(1.0, 9.0, size=10)), shift=0.0)
+        op = SpectralOperator.from_diag(np.sort(rng.uniform(1.0, 9.0, size=10)))
         samples = [rng.normal(size=10) + 1j * rng.normal(size=10) for _ in range(50)]
         stats = equivalence_check(op, 2.0, samples)
         assert stats["bound_lo"] - 1e-12 <= stats["min_ratio"]
@@ -268,17 +268,18 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("where", [0, 2, 4])
     def test_nan_sample_gives_nan_ratios(self, where):
-        op = SpectralOperator.from_diag([1.0, 2.0, 5.0], shift=0.0)
+        op = SpectralOperator.from_diag([1.0, 2.0, 5.0])
         samples = [np.array([1.0, 2.0, 3.0]) * (i + 1) for i in range(5)]
         samples[where] = np.array([1.0, np.nan, 0.0])
         stats = equivalence_check(op, 2.0, samples)
         assert np.isnan(stats["min_ratio"]) and np.isnan(stats["max_ratio"])
 
     def test_gamma_is_the_operator_shift(self):
-        # s = 2 on diag(1): ratio (|1| + 1) / (1 - gamma) is 4 at gamma = 0.5, 2 at gamma = 0
-        op = SpectralOperator.from_diag([1.0], shift=0.5)
-        stats = equivalence_check(op, 2.0, [np.array([1.0])])
-        assert stats["min_ratio"] == pytest.approx(4.0, rel=1e-12) == stats["bound_lo"]
+        # k = -1 gives gamma = k - 1 = -2; s = 2 on e_0: ratio (|-1| + 1) / (-1 - gamma) = 2
+        op = SpectralOperator.from_diag([-1.0, 3.0])
+        assert op.shift == -2.0
+        stats = equivalence_check(op, 2.0, [np.array([1.0, 0.0])])
+        assert stats["max_ratio"] == pytest.approx(2.0, rel=1e-12) == stats["bound_hi"]
 
 
 class TestWeightsOnce:

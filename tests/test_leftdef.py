@@ -47,18 +47,17 @@ class TestSpectralOperator:
         assert op.shift < op.lower_bound == -1.0
 
     def test_rejects_shift_at_or_above_bound(self):
-        with pytest.raises(ShiftError):
-            SpectralOperator.from_diag([1.0, 2.0], shift=1.0)
+        # an operator's shift is read off its spectrum, so it is below k on any spectrum
+        for values in ([1.0, 2.0], [1e-13, 1.0], [0.0, 2.0], [-3.0, 2.0]):
+            op = SpectralOperator.from_diag(values)
+            assert op.shift < op.lower_bound == values[0]
 
     def test_one_shift_rule_and_message(self):
-        # the operator and the closed form share one rule; the scale's equivalence check
-        # reads the operator's shift, which the operator already holds below k
+        # the closed form takes its gamma as given and holds it below k; the scale's
+        # equivalence check reads the operator's shift, below k by construction
         op = SpectralOperator.from_diag([1.0, 2.0])
-        message = "shift 1.0 must lie strictly below the lower bound 1.0"
-        for build in (lambda: SpectralOperator.from_diag([1.0, 2.0], shift=1.0),
-                      lambda: ClosedFormR(1, 1.0, op)):
-            with pytest.raises(ShiftError, match=message):
-                build()
+        with pytest.raises(ShiftError, match="shift 1.0 must lie strictly below the lower bound 1.0"):
+            ClosedFormR(1, 1.0, op)
 
     def test_semibounded_on_eigenbasis(self):
         op = seeded_positive_operator(0, n=8)
@@ -73,7 +72,7 @@ class TestFromDiag:
     def test_bitwise_equal_to_lapack_route(self, n):
         for values in (np.arange(n, dtype=float) + 1.0, np.arange(1, n + 1, dtype=float) ** 2):
             exact = SpectralOperator.from_diag(values)
-            dense = SpectralOperator.from_matrix(HermitianMatrix.diag(values))
+            dense = SpectralOperator.from_matrix(HermitianMatrix(np.diag(values)))
             np.testing.assert_array_equal(exact.eigenvalues, dense.eigenvalues)
             np.testing.assert_array_equal(exact.decomp.eigenvectors, dense.decomp.eigenvectors)
             assert (exact.lower_bound, exact.shift) == (dense.lower_bound, dense.shift)
@@ -113,7 +112,7 @@ class TestLazyDenseMatrix:
     def test_holds_no_dense_array(self):
         op = SpectralOperator.from_diag(self.VALUES)
         assert op.dense is None and op.dim == len(self.VALUES)
-        assert op.norm_max == 6.0 == HermitianMatrix.diag(self.VALUES).norm_max
+        assert op.norm_max == 6.0 == HermitianMatrix(np.diag(self.VALUES)).norm_max
         rng = np.random.default_rng(3)
         x = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
         op.apply_power(2.0, x)
@@ -137,7 +136,7 @@ class TestLazyDenseMatrix:
         np.testing.assert_array_equal(action.entries, np.diag(self.VALUES))
         assert action.entries.dtype == np.float64 and action.norm_max == op.norm_max
 
-    @pytest.mark.parametrize("fault", ["permutation", "values", "shift"])
+    @pytest.mark.parametrize("fault", ["permutation", "values", "finite"])
     def test_each_linear_time_check_raises(self, monkeypatch, fault):
         import ldlab.spectral as spectral
         values = np.array(self.VALUES)
@@ -150,8 +149,9 @@ class TestLazyDenseMatrix:
             with pytest.raises(SpectrumError, match="nondecreasing"):
                 SpectralOperator.from_diag(values)
         else:
-            with pytest.raises(ShiftError):
-                SpectralOperator.from_diag(values, shift=0.5)
+            values[2] = np.nan
+            with pytest.raises(spectral.NotHermitianError, match="non-finite"):
+                SpectralOperator.from_diag(values)
 
 
 class TestEigenbasisProducts:
@@ -291,8 +291,8 @@ class TestLdOperator:
 class TestClosedForm:
     def test_scalar_example(self):
         # A = diag(2), gamma = 1, r = 2, f = (1): (2-1)^2 + 1 = 2
-        op = SpectralOperator.from_diag([2.0], shift=1.0)
-        assert ClosedFormR(2, op.shift, op)([1.0], [1.0]) == pytest.approx(2.0, abs=1e-14)
+        op = SpectralOperator.from_diag([2.0])
+        assert ClosedFormR(2, 1.0, op)([1.0], [1.0]) == pytest.approx(2.0, abs=1e-14)
 
     def test_r1_telescopes_to_plain_form(self):
         op = seeded_positive_operator(4, n=7)
@@ -302,7 +302,7 @@ class TestClosedForm:
         assert ClosedFormR(1, op.shift, op)(f, f) == pytest.approx(expected, rel=1e-12)
 
     def test_diag_2_5_gamma0(self):
-        op = SpectralOperator.from_diag([2.0, 5.0], shift=0.0)
+        op = SpectralOperator.from_diag([2.0, 5.0])
         assert ClosedFormR(2, op.shift, op)(np.ones(2), np.ones(2)) == pytest.approx(29.0, abs=1e-12)
 
     def test_value_real_on_diagonal(self):
@@ -382,13 +382,13 @@ class TestVerifyProperties:
         # the stored decomposition is off by a few ulps in one eigenvalue: it passes
         # construction and the residual check, but not the comparison with LAPACK
         values = np.arange(1.0, 9.0)
-        h = HermitianMatrix.diag(values)
+        h = HermitianMatrix(np.diag(values))
         exact = SpectralOperator.from_diag(values)
         lam = values.copy()
         lam[3] = np.nextafter(np.nextafter(lam[3], np.inf), np.inf)
         decomp = SpectralDecomposition(lam, exact.decomp.eigenvectors)
         _check_residual(h, decomp)
-        op = SpectralOperator(h, decomp, exact.lower_bound, exact.shift)
+        op = SpectralOperator(h, decomp)
         flags = {row.name: row.status for row in verify_ld_properties(op, 2.0, 5, seed=1).rows}
         assert flags["multiplicity-invariance"] == "FAIL"
         flags = {row.name: row.status for row in verify_ld_properties(exact, 2.0, 5, seed=1).rows}
@@ -440,12 +440,12 @@ def parsed_operator(spec):
 
 
 def jacobi_neumann_plus_one():
-    # Jacobi(1,1) neumann-type has lambda_0 = 0; A + I is positive, and the shift
-    # -0.5 makes the closed forms' gamma nonzero
+    # Jacobi(1,1) neumann-type has lambda_0 = 0; A + I is positive, so the suite runs at
+    # gamma = 0, like every left-definite construction (gamma != 0: TestClosedForm)
     spec = {"kind": "sl", "coeffs": {"name": "jacobi", "alpha": 1.0, "beta": 1.0},
             "N": 12, "bc": "neumann-type"}
     a = parsed_operator(spec).matrix.entries
-    return SpectralOperator.from_matrix(a + np.eye(a.shape[0]), shift=-0.5)
+    return SpectralOperator.from_matrix(a + np.eye(a.shape[0]))
 
 
 REFERENCE_OPERATORS = {
@@ -596,7 +596,7 @@ class TestDefaultShift:
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_positivity_uses_the_same_cutoff(self, scale):
         with pytest.raises(ShiftError, match="not positive"):
-            SpectralOperator.from_diag([1e-13 * scale, scale], shift=-1.0).require_positive()
+            SpectralOperator.from_diag([1e-13 * scale, scale]).require_positive()
         SpectralOperator.from_diag([1e-6 * scale, scale]).require_positive()
 
     def test_rounding_level_bound_is_a_scenario_error(self):

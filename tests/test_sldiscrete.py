@@ -31,7 +31,7 @@ def tabulated():
 
 def dense_reference(coeffs, n, bc):
     """L_h by the dense formula: full T, both-sided W^{-1/2} scaling, symmetrization."""
-    a_eff, b_eff, _ = coeffs.effective_interval()
+    a_eff, b_eff = coeffs.effective_interval()
     h = (b_eff - a_eff) / (n + 1)
     nodes = a_eff + h * np.arange(1, n + 1)
     p_half = np.asarray(coeffs.p(a_eff + h * (np.arange(n + 1) + 0.5)), dtype=float).copy()
@@ -51,7 +51,7 @@ def dense_reference(coeffs, n, bc):
 
 def rk4_reference(coeffs, lam, endpoint, n):
     """Principal solution by the per-stage scalar RK4 loop, coefficients called pointwise."""
-    a_eff, b_eff, _ = coeffs.effective_interval()
+    a_eff, b_eff = coeffs.effective_interval()
     h = (b_eff - a_eff) / (n + 1)
 
     def rhs(x, state):
@@ -141,8 +141,11 @@ class TestDiscretize:
         assert 3.5 < errors[0] / errors[1] < 4.5
 
     def test_laguerre_truncated_flag(self):
+        # both Laguerre endpoints are non-regular: the grid lives on the delta-truncated interval
         op = discretize(SLCoefficients.laguerre(0.5), 30)
-        assert op.truncated
+        a, b = op.coeffs.effective_interval()
+        assert (a, b) == (1e-3, 40.0 - 1e-3)
+        assert op.h == (b - a) / 31 and a < op.nodes[0] < op.nodes[-1] < b
 
     @pytest.mark.parametrize("coeffs, delta, interval", [
         (SLCoefficients.jacobi(1.0, 1.0), 1.0, "(-1.0, 1.0): truncated to (0.0, 0.0)"),
@@ -159,8 +162,8 @@ class TestDiscretize:
                                         SLCoefficients.laguerre(1.0, cutoff=2.0)])
     def test_delta_just_below_the_limit_builds(self, coeffs):
         op = discretize(replace(coeffs, delta=0.999), 12)
-        a, b, truncated = op.coeffs.effective_interval()
-        assert truncated and a < op.nodes[0] < op.nodes[-1] < b
+        a, b = op.coeffs.effective_interval()
+        assert (a, b) != (op.coeffs.a, op.coeffs.b) and a < op.nodes[0] < op.nodes[-1] < b
         assert np.all(np.isfinite(op.eigenvalues()))
 
 

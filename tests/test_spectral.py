@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldlab import spectral
 from ldlab.spectral import (
     HermitianMatrix,
     LinearRelation,
@@ -21,7 +22,6 @@ from ldlab.spectral import (
     orthocomplement,
     rel_compose,
     rel_is_selfadjoint,
-    save_matrix_csv,
     subspace_intersect,
     subspaces_equal,
 )
@@ -71,7 +71,7 @@ class TestHermitianMatrix:
 
 class TestEigh:
     def test_diagonal_input(self):
-        decomp = eigh(HermitianMatrix.diag([3.0, 1.0, 2.0]))
+        decomp = eigh(HermitianMatrix(np.diag([3.0, 1.0, 2.0])))
         np.testing.assert_allclose(decomp.eigenvalues, [1.0, 2.0, 3.0])
         # permutation eigenvectors
         np.testing.assert_allclose(np.abs(decomp.eigenvectors),
@@ -88,7 +88,7 @@ class TestEigh:
         np.testing.assert_allclose(np.abs(v1), [1, 1] / np.sqrt(2), atol=1e-12)
 
     def test_identity(self):
-        decomp = eigh(HermitianMatrix.identity(4))
+        decomp = eigh(HermitianMatrix(np.eye(4)))
         np.testing.assert_allclose(decomp.eigenvalues, np.ones(4))
 
     def test_reconstruction_and_orthonormality(self):
@@ -101,7 +101,7 @@ class TestEigh:
             assert np.max(np.abs(decomp.apply_function(lambda x: x) - h.entries)) <= 1e-10 * h.norm_max
 
     def test_degenerate_cluster_orthonormal(self):
-        h = HermitianMatrix.diag([2.0, 2.0, 5.0])
+        h = HermitianMatrix(np.diag([2.0, 2.0, 5.0]))
         decomp = eigh(h)
         u = decomp.eigenvectors
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) <= 1e-12
@@ -163,7 +163,7 @@ class TestStorage:
         np.testing.assert_array_equal(h.entries, entries)
 
     def test_lapack_basis_of_a_diagonal_matrix_is_kept_as_unit_rows(self):
-        decomp = eigh(HermitianMatrix.diag([3.0, 1.0, 2.0, 5.0]))
+        decomp = eigh(HermitianMatrix(np.diag([3.0, 1.0, 2.0, 5.0])))
         assert decomp.columns is None
         np.testing.assert_array_equal(decomp.unit_rows, [1, 2, 0, 3])
         u = decomp.eigenvectors
@@ -230,14 +230,14 @@ class TestDiagonalEigh:
     def test_bitwise_equal_to_eigh_for_sorted_distinct(self, n):
         values = np.sort(np.random.default_rng(n).normal(size=n))
         exact = diagonal_eigh(values)
-        dense = eigh(HermitianMatrix.diag(values))
+        dense = eigh(HermitianMatrix(np.diag(values)))
         np.testing.assert_array_equal(exact.eigenvalues, dense.eigenvalues)
         np.testing.assert_array_equal(exact.eigenvectors, dense.eigenvectors)
 
     @pytest.mark.parametrize("values", [[3.0, 1.0, 2.0, 2.0, 5.0], [2.0, 2.0, 5.0],
                                         [-1.0, 4.0, -1.0]])
     def test_unsorted_or_degenerate_input(self, values):
-        h = HermitianMatrix.diag(values)
+        h = HermitianMatrix(np.diag(values))
         decomp = diagonal_eigh(values)
         np.testing.assert_array_equal(decomp.eigenvalues, np.sort(values))
         np.testing.assert_allclose(decomp.eigenvalues, eigh(h).eigenvalues, rtol=1e-14)
@@ -281,7 +281,7 @@ class TestExactChecks:
             SpectralDecomposition([1.0, 2.0, 3.0], u)
 
     def test_residual_check_can_fail_on_diagonal(self):
-        h = HermitianMatrix.diag([1.0, 3.0, 2.0])
+        h = HermitianMatrix(np.diag([1.0, 3.0, 2.0]))
         u = _permutation([0, 2, 1])
         _check_residual(h, SpectralDecomposition([1.0, 2.0, 3.0], u))
         with pytest.raises(SpectrumError, match="residual"):
@@ -394,7 +394,7 @@ class TestRealProducts:
 
 class TestMatPower:
     def test_diagonal_sqrt(self):
-        out = mat_power(HermitianMatrix.diag([1.0, 4.0]), 0.5)
+        out = mat_power(HermitianMatrix(np.diag([1.0, 4.0])), 0.5)
         np.testing.assert_allclose(out.entries, np.diag([1.0, 2.0]), atol=1e-12)
 
     def test_two_by_two_sqrt_matches_eigendecomposition(self):
@@ -405,20 +405,24 @@ class TestMatPower:
         np.testing.assert_allclose(mat_power(h, 0.5).entries, expected, atol=1e-12)
 
     def test_power_zero_is_identity(self):
+        # r = 0 is not a positive integer: it goes through the eigenbasis of a positive matrix
         rng = np.random.default_rng(3)
         h = random_hermitian(rng, 5)
-        np.testing.assert_allclose(mat_power(h, 0.0).entries, np.eye(5), atol=1e-12)
+        positive = HermitianMatrix(h.entries + (1.0 - eigh(h).eigenvalues[0]) * np.eye(5))
+        np.testing.assert_allclose(mat_power(positive, 0.0).entries, np.eye(5), atol=1e-12)
+        with pytest.raises(SpectrumError, match="not strictly positive"):
+            mat_power(HermitianMatrix(np.diag([-1.0, 2.0])), 0.0)
 
     def test_power_one_is_input(self):
-        h = HermitianMatrix.diag([2.0, 7.0])
+        h = HermitianMatrix(np.diag([2.0, 7.0]))
         assert mat_power(h, 1.0) is h
 
     def test_fractional_power_rejects_nonpositive(self):
         with pytest.raises(SpectrumError, match="not strictly positive"):
-            mat_power(HermitianMatrix.diag([-1.0, 2.0]), 0.5)
+            mat_power(HermitianMatrix(np.diag([-1.0, 2.0])), 0.5)
 
     def test_integer_power_allows_indefinite(self):
-        h = HermitianMatrix.diag([-2.0, 3.0])
+        h = HermitianMatrix(np.diag([-2.0, 3.0]))
         np.testing.assert_allclose(mat_power(h, 2.0).entries, np.diag([4.0, 9.0]), atol=1e-12)
 
     @pytest.mark.parametrize("complex_", [False, True])
@@ -617,12 +621,38 @@ class TestRelations:
         assert subspaces_equal(rel_compose(t, ident).graph, t.graph)
 
     def test_mul_part_and_domain(self):
+        # dim mul t = dim t - dim dom t
         t = LinearRelation.multivalued(2)
-        assert t.mul_part().rank == 2
-        assert t.domain().rank == 0
+        assert (t.dim, t.domain().rank) == (2, 0)
         g = LinearRelation.from_matrix(np.diag([1.0, 2.0]))
-        assert g.mul_part().rank == 0
-        assert g.domain().rank == 2
+        assert (g.dim, g.domain().rank) == (2, 2)
+
+
+class TestOneCutoff:
+    """The f-block split and the principal-angle intersection decide their rank through
+    `_rank`, each with its own reference scale."""
+
+    @staticmethod
+    def _record_scales(monkeypatch) -> list:
+        scales, real = [], spectral._rank
+
+        def recording(s, scale=None):
+            scales.append(scale)
+            return real(s, scale)
+        monkeypatch.setattr(spectral, "_rank", recording)
+        return scales
+
+    def test_f_svd_counts_relative_to_one(self, monkeypatch):
+        t = LinearRelation(Subspace(4, np.eye(4)[:, [0, 3]]))    # f block diag(1, 0)
+        scales = self._record_scales(monkeypatch)
+        assert t.domain().rank == 1
+        assert scales == [1.0]
+
+    def test_intersection_keeps_sines_below_twice_rank_rtol(self, monkeypatch):
+        a, b = Subspace(4, np.eye(4)[:, :2]), Subspace(4, np.eye(4)[:, 1:3])
+        scales = self._record_scales(monkeypatch)
+        assert subspace_intersect(a, b).rank == 1
+        assert scales == [2.0]
 
 
 class TestMatrixCsv:
@@ -630,7 +660,7 @@ class TestMatrixCsv:
         rng = np.random.default_rng(21)
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         path = tmp_path / "matrix.csv"
-        save_matrix_csv(m, path)
+        np.savetxt(path, m.view(float), delimiter=",", fmt="%.17g")   # (re, im) pairs, exact
         np.testing.assert_array_equal(load_matrix_csv(path), m)
 
     def test_rejects_odd_columns(self, tmp_path):
