@@ -3,10 +3,13 @@
 Vectors are carried by their coefficients in the eigenbasis of the operator,
 so all scale norms, duality pairings, and isometries are diagonal
 computations with the weights (|lambda_n| + 1)^e, which the operator computes
-once per exponent e (`SpectralOperator.scale_weights`). Scale norms and the
+once per exponent e from log(|lambda_n| + 1), as w * exp(c) with w centred on
+the middle of the log range (`SpectralOperator.scale_weights`). The isometry
+and the duality pairing are homogeneous in that centre, so they are checked on
+w alone and stay finite where the weights overflow a float. Scale norms and the
 isometry check take a vector or an n x k block of coefficient columns through
-one path, a vector being a block of one: one product of the squared weights
-with |c|^2 gives every column's norm. Membership of an
+one path, a vector being a block of one, each column scaled by its largest
+entry before it is squared (`_scaled_norms`). Membership of an
 *infinite* power-law model vector in a given space of the scale is decided
 analytically from the growth exponents, never from truncated norms
 (truncations are always finite). The partial-sum
@@ -54,15 +57,26 @@ def _check_dim(operator: SpectralOperator, c: np.ndarray):
         )
 
 
+def _scaled_norms(operator: SpectralOperator, e: float, c: np.ndarray):
+    """(norms, shift): the column norms of w c for (w, shift) = `scale_weights(e)` of the
+    n x k block c, so that ||(|A| + I)^e c_j|| = norms[j] * exp(shift). Each column is
+    divided by its largest modulus before it is squared, so no square overflows; a NaN
+    column gives NaN, a zero column 0."""
+    w, shift = operator.scale_weights(e)
+    x = np.abs(w[:, None] * c)
+    big = np.max(x, axis=0)
+    x /= np.where(big > 0, big, 1.0)
+    return big * np.sqrt(np.sum(np.square(x), axis=0)), shift
+
+
 def hs_norm(operator: SpectralOperator, s: float, phi):
     """Scale norm ||phi||_s = ||(|A| + I)^{s/2} phi||, diagonal in the eigenbasis.
 
     phi is a vector (the norm is a float) or an n x k block (an array of its k column
-    norms), one path for both: the squared weights applied to |c|^2, column by column.
+    norms), one path for both (`_scaled_norms`).
     """
-    c = _as_block(operator, phi)
-    squared = np.square(c.real) + np.square(c.imag)
-    norms = np.sqrt(np.square(operator.scale_weights(s / 2)) @ squared)
+    norms, shift = _scaled_norms(operator, s / 2, _as_block(operator, phi))
+    norms = norms * math.exp(shift)
     return float(norms[0]) if np.ndim(phi) == 1 else norms
 
 
@@ -71,13 +85,16 @@ def duality_pair(operator: SpectralOperator, s: float, phi, psi) -> complex:
 
     On truncated vectors the weights cancel algebraically, so the pairing
     reduces to the plain inner product; it is still evaluated through the
-    defining formula so the reduction is a genuine check.
+    defining formula, the product of the two weight vectors, so the reduction is a
+    genuine check. Their factors exp(c) cancel exactly (c = -/+ s m / 2).
     """
     cp = np.asarray(phi, dtype=complex)
     cq = np.asarray(psi, dtype=complex)
     _check_dim(operator, cp)
     _check_dim(operator, cq)
-    return inner(operator.scale_weights(-s / 2) * cp, operator.scale_weights(s / 2) * cq)
+    w_minus, c_minus = operator.scale_weights(-s / 2)
+    w_plus, c_plus = operator.scale_weights(s / 2)
+    return inner(w_minus * cp, w_plus * cq) * math.exp(c_minus + c_plus)
 
 
 def isometry_check(operator: SpectralOperator, s: float, t: float, phi) -> float:
@@ -85,11 +102,12 @@ def isometry_check(operator: SpectralOperator, s: float, t: float, phi) -> float
 
     phi is a vector or an n x k block of them. Returns the worst, over its nonzero
     columns c, of | ||(|A|+I)^{t/2} c||_{s-t} - ||c||_s | / ||c||_s: NaN when any is
-    NaN, 0.0 when every column is zero.
+    NaN, 0.0 when every column is zero. Both norms carry the factor exp(s m / 2) of
+    `scale_weights`, which the ratio drops, so they are compared as `_scaled_norms`.
     """
     c = _as_block(operator, phi)
-    norm_s = hs_norm(operator, s, c)
-    mapped = hs_norm(operator, s - t, operator.scale_weights(t / 2)[:, None] * c)
+    norm_s, _ = _scaled_norms(operator, s / 2, c)
+    mapped, _ = _scaled_norms(operator, (s - t) / 2, operator.scale_weights(t / 2)[0][:, None] * c)
     nonzero = norm_s != 0.0
     return _worst(np.abs(mapped[nonzero] - norm_s[nonzero]) / norm_s[nonzero])
 
@@ -165,7 +183,7 @@ def membership_table(model: GrowthModel, s_values, terms: int = PARTIAL_SUM_TERM
 
 
 def equivalence_check(operator: SpectralOperator, s: float, samples):
-    """Min/max ratio of ||(|A|+I)^{s/2} phi|| to ||(A-gamma)^{s/2} phi|| over samples.
+    """Min/max ratio of ||phi||_s (`hs_norm`) to ||(A-gamma)^{s/2} phi|| over samples.
 
     gamma is the operator's shift, which `SpectralOperator` keeps below its lower
     bound k. Both weight choices generate the same spaces with equivalent norms;
@@ -176,7 +194,6 @@ def equivalence_check(operator: SpectralOperator, s: float, samples):
     gamma = operator.shift
     lam = operator.eigenvalues
     shifted = np.power(lam - gamma, s / 2)
-    plain = operator.scale_weights(s / 2)
     ratios = []   # min and max through _worst, so a NaN ratio fails the bounds check
     for phi in samples:
         c = np.asarray(phi, dtype=complex)
@@ -184,7 +201,7 @@ def equivalence_check(operator: SpectralOperator, s: float, samples):
         denom = float(np.linalg.norm(shifted * c))
         if denom == 0.0:
             continue
-        ratios.append(float(np.linalg.norm(plain * c)) / denom)
+        ratios.append(hs_norm(operator, s, c) / denom)
     if not ratios:
         raise ValueError("no nonzero sample vectors supplied")
     per_mode = np.power((np.abs(lam) + 1.0) / (lam - gamma), s / 2)

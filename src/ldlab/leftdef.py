@@ -117,20 +117,35 @@ class SpectralOperator:
     def eigenvalues(self) -> np.ndarray:
         return self.decomp.eigenvalues
 
-    def scale_weights(self, exponent: float) -> np.ndarray:
-        """(|lambda_n| + 1)^exponent, the diagonal of (|A| + I)^exponent in the eigenbasis that
-        sets the norms of the Hilbert scale (`hscale`); computed once per exponent and kept,
-        read-only, on the operator."""
+    def scale_weights(self, exponent: float) -> tuple[np.ndarray, float]:
+        """(w, c) with w * exp(c) = (|lambda_n| + 1)^exponent, the diagonal of (|A| + I)^exponent
+        in the eigenbasis that sets the norms of the Hilbert scale (`hscale`).
+
+        w = exp(exponent (L - m)) for L = log(|lambda| + 1) and m the middle of its range, and
+        c = exponent m: w stays finite while |exponent| (L_max - L_min) / 2 < 709, far beyond
+        the exponents at which the weights themselves overflow. Every identity of the scale
+        is homogeneous in exp(m), so it can be checked on w alone. Computed once per exponent
+        and kept, read-only, on the operator."""
         weights = self._scale_weights.get(exponent)
         if weights is None:
-            weights = np.power(np.abs(self.eigenvalues) + 1.0, exponent)
-            weights.setflags(write=False)
-            self._scale_weights[exponent] = weights
+            centered, middle = self._log_weight_base
+            w = np.exp(exponent * centered)
+            w.setflags(write=False)
+            weights = self._scale_weights[exponent] = (w, exponent * middle)
         return weights
 
     @cached_property
     def _scale_weights(self) -> dict:
         return {}
+
+    @cached_property
+    def _log_weight_base(self) -> tuple[np.ndarray, float]:
+        """(L - m, m) for L = log(|lambda| + 1) and m = (L_min + L_max) / 2."""
+        logs = np.log1p(np.abs(self.eigenvalues))
+        middle = (float(np.min(logs)) + float(np.max(logs))) / 2
+        centered = logs - middle
+        centered.setflags(write=False)
+        return centered, middle
 
     def require_positive(self):
         """Raise ShiftError unless k > CLUSTER_RTOL * ||A||_max, the shift's cutoff."""

@@ -677,14 +677,44 @@ class TestNanResidualFails:
         status, residual = self.statuses(make_config())["laguerre-identity"]
         assert status == "FAIL" and np.isnan(residual)
 
-    def test_overflowing_weights_fail_duality(self):
-        # (|lambda| + 1)^(s/2) overflows at s = 200, so every pairing is inf * 0 = NaN
-        raw = make_config(operatorSpec={"kind": "diag-growth", "p": 2.0, "q": 0.5, "N": 50},
-                          experiment="scale", params={"s": [200.0], "t": [0.5], "samples": 2})
-        with np.errstate(all="ignore"):
-            rows = self.statuses(raw)
-        assert rows["duality-reduction"][0] == "FAIL"
-        assert rows["isometry"][0] == "FAIL"
+
+# |lambda|max + 1 = 2501: the weights (|lambda| + 1)^(s/2) exceed a float from s = 181 on
+OVERFLOW = make_config(operatorSpec={"kind": "diag-growth", "p": 2.0, "q": 0.5, "N": 50},
+                       experiment="scale", params={"s": [200.0], "t": [0.5], "samples": 2})
+
+
+class TestScaleOverflow:
+    """The isometry and the duality pairing hold where the weights overflow a float, and
+    each still reads its weight vectors."""
+
+    @staticmethod
+    def statuses(monkeypatch=None, exponent=None, relative=0.0) -> dict:
+        """Rows of the OVERFLOW run, the last entry of scale_weights(exponent) times
+        1 + relative."""
+        if exponent is not None:
+            real = SpectralOperator.scale_weights
+
+            def perturbed(op, e):
+                w, shift = real(op, e)
+                if e == exponent:
+                    w = w.copy()
+                    w[-1] *= 1.0 + relative
+                return w, shift
+            monkeypatch.setattr(SpectralOperator, "scale_weights", perturbed)
+        return {row.name: row.status for row in run_scenario(parse_config(json.dumps(OVERFLOW))).rows}
+
+    def test_weights_beyond_a_float_pass_both_identities(self):
+        # pytest turns an overflow RuntimeWarning into an error
+        assert 100.0 * np.log(2501.0) > np.log(np.finfo(float).max)
+        rows = self.statuses()
+        assert rows["isometry"] == rows["duality-reduction"] == "PASS"
+
+    def test_one_map_weight_off_by_1e8_fails_isometry(self, monkeypatch):
+        assert self.statuses(monkeypatch, 0.25, 1e-8)["isometry"] == "FAIL"   # t / 2
+
+    @pytest.mark.parametrize("exponent", [-100.0, 100.0])   # -/+ s / 2
+    def test_either_pairing_weight_vector_off_fails_duality(self, monkeypatch, exponent):
+        assert self.statuses(monkeypatch, exponent, 1e-8)["duality-reduction"] == "FAIL"
 
 
 class TestScaleDraws:

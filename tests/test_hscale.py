@@ -290,26 +290,40 @@ class TestWeightsOnce:
 
     def test_one_power_per_distinct_exponent_in_a_scale_scenario(self, monkeypatch):
         from ldlab.config import parse_config
-        from ldlab.scenarios import build_operator, run_scenario
+        from ldlab.scenarios import run_scenario
 
         config = parse_config(self.CONFIG)
-        base = np.abs(build_operator(config.operator_spec).operator.eigenvalues) + 1.0
-        real_power = np.power
-        exponents = []
+        n = config.operator_spec["N"]
+        real_exp, real_weights = np.exp, SpectralOperator.scale_weights
+        computed, asked = [], []
 
-        def counting(x, exponent, *args, **kwargs):
-            if np.shape(x) == base.shape and np.array_equal(x, base):
-                exponents.append(float(exponent))
-            return real_power(x, exponent, *args, **kwargs)
+        def counting_exp(x, *args, **kwargs):
+            if np.shape(x) == (n,):
+                computed.append(None)
+            return real_exp(x, *args, **kwargs)
 
-        monkeypatch.setattr(np, "power", counting)
+        def asking(op, exponent):
+            asked.append(exponent)
+            return real_weights(op, exponent)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        monkeypatch.setattr(SpectralOperator, "scale_weights", asking)
         report = run_scenario(config)
         assert report.overall == "PASS"
-        assert exponents and len(exponents) == len(set(exponents))
+        assert len(asked) > len(set(asked)) and len(computed) == len(set(asked))
 
     def test_weights_are_kept_read_only_per_exponent(self):
         op = SpectralOperator.from_diag([3.0, 1.0, 2.0])
-        w = op.scale_weights(0.5)
-        assert op.scale_weights(0.5) is w and not w.flags.writeable
-        np.testing.assert_array_equal(w, np.power(np.abs(op.eigenvalues) + 1.0, 0.5))
-        assert op.scale_weights(-0.5) is not w
+        w, shift = op.scale_weights(0.5)
+        assert op.scale_weights(0.5)[0] is w and not w.flags.writeable
+        np.testing.assert_allclose(w * np.exp(shift), np.power(np.abs(op.eigenvalues) + 1.0, 0.5),
+                                   rtol=1e-15)
+        assert op.scale_weights(-0.5)[0] is not w
+
+    def test_weights_centred_on_the_log_range(self):
+        # L = log(|lambda| + 1) spans [log 2, log 2501]: w = exp(e (L - m)), m its middle
+        op = GrowthModel(2, 0.5).operator(50)
+        w, shift = op.scale_weights(100.0)
+        middle = (np.log(2.0) + np.log(2501.0)) / 2
+        assert shift == pytest.approx(100.0 * middle, rel=1e-15)
+        assert w[0] * w[-1] == pytest.approx(1.0, rel=1e-12) and np.all(np.isfinite(w))
