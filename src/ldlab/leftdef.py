@@ -122,9 +122,9 @@ class SpectralOperator:
         in the eigenbasis that sets the norms of the Hilbert scale (`hscale`).
 
         w = exp(exponent (L - m)) for L = log(|lambda| + 1) and m the middle of its range, and
-        c = exponent m: w stays finite while |exponent| (L_max - L_min) / 2 < 709, far beyond
-        the exponents at which the weights themselves overflow. Every identity of the scale
-        is homogeneous in exp(m), so it can be checked on w alone. Computed once per exponent
+        c = exponent m: w stays finite while |exponent| (L_max - L_min) / 2 < 709, where the
+        weights themselves need |exponent| L_max < 709. Every identity of the scale is
+        homogeneous in exp(m), so it can be checked on w alone. Computed once per exponent
         and kept, read-only, on the operator."""
         weights = self._scale_weights.get(exponent)
         if weights is None:
