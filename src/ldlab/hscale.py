@@ -86,15 +86,13 @@ def duality_pair(operator: SpectralOperator, s: float, phi, psi) -> complex:
     On truncated vectors the weights cancel algebraically, so the pairing
     reduces to the plain inner product; it is still evaluated through the
     defining formula, the product of the two weight vectors, so the reduction is a
-    genuine check. Their factors exp(c) cancel exactly (c = -/+ s m / 2).
+    genuine check. Their `scale_weights` factors exp(-/+ s m / 2) cancel exactly.
     """
     cp = np.asarray(phi, dtype=complex)
     cq = np.asarray(psi, dtype=complex)
     _check_dim(operator, cp)
     _check_dim(operator, cq)
-    w_minus, c_minus = operator.scale_weights(-s / 2)
-    w_plus, c_plus = operator.scale_weights(s / 2)
-    return inner(w_minus * cp, w_plus * cq) * math.exp(c_minus + c_plus)
+    return inner(operator.scale_weights(-s / 2)[0] * cp, operator.scale_weights(s / 2)[0] * cq)
 
 
 def isometry_check(operator: SpectralOperator, s: float, t: float, phi) -> float:

@@ -128,8 +128,9 @@ class SpectralOperator:
         and kept, read-only, on the operator."""
         weights = self._scale_weights.get(exponent)
         if weights is None:
-            centered, middle = self._log_weight_base
-            w = np.exp(exponent * centered)
+            logs = np.log1p(np.abs(self.eigenvalues))
+            middle = (float(np.min(logs)) + float(np.max(logs))) / 2
+            w = np.exp(exponent * (logs - middle))
             w.setflags(write=False)
             weights = self._scale_weights[exponent] = (w, exponent * middle)
         return weights
@@ -137,15 +138,6 @@ class SpectralOperator:
     @cached_property
     def _scale_weights(self) -> dict:
         return {}
-
-    @cached_property
-    def _log_weight_base(self) -> tuple[np.ndarray, float]:
-        """(L - m, m) for L = log(|lambda| + 1) and m = (L_min + L_max) / 2."""
-        logs = np.log1p(np.abs(self.eigenvalues))
-        middle = (float(np.min(logs)) + float(np.max(logs))) / 2
-        centered = logs - middle
-        centered.setflags(write=False)
-        return centered, middle
 
     def require_positive(self):
         """Raise ShiftError unless k > CLUSTER_RTOL * ||A||_max, the shift's cutoff."""

@@ -701,7 +701,8 @@ class TestScaleOverflow:
                     w[-1] *= 1.0 + relative
                 return w, shift
             monkeypatch.setattr(SpectralOperator, "scale_weights", perturbed)
-        return {row.name: row.status for row in run_scenario(parse_config(json.dumps(OVERFLOW))).rows}
+        report = run_scenario(parse_config(json.dumps(OVERFLOW)))
+        return {row.name: row.status for row in report.rows}
 
     def test_weights_beyond_a_float_pass_both_identities(self):
         # pytest turns an overflow RuntimeWarning into an error

@@ -56,7 +56,8 @@ class TestSpectralOperator:
         # the closed form takes its gamma as given and holds it below k; the scale's
         # equivalence check reads the operator's shift, below k by construction
         op = SpectralOperator.from_diag([1.0, 2.0])
-        with pytest.raises(ShiftError, match="shift 1.0 must lie strictly below the lower bound 1.0"):
+        message = "shift 1.0 must lie strictly below the lower bound 1.0"
+        with pytest.raises(ShiftError, match=message):
             ClosedFormR(1, 1.0, op)
 
     def test_semibounded_on_eigenbasis(self):

@@ -105,7 +105,8 @@ def _exported_members() -> list:
         if not inspect.isclass(cls):
             continue
         stem = cls.__module__.rsplit(".", 1)[-1]
-        names = {f.name: False for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else {}
+        fields = dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ()
+        names = {f.name: False for f in fields}
         for name, raw in vars(cls).items():
             if isinstance(raw, (classmethod, staticmethod, property, functools.cached_property)) \
                     or inspect.isfunction(raw):
