@@ -8,8 +8,9 @@ the middle of the log range (`SpectralOperator.scale_weights`). The isometry
 and the duality pairing are homogeneous in that centre, so they are checked on
 w alone and stay finite where the weights overflow a float. Scale norms and the
 isometry check take a vector or an n x k block of coefficient columns through
-one path, a vector being a block of one, each column scaled by its largest
-entry before it is squared (`_scaled_norms`). Membership of an
+one path, a vector being a block of one: one product of the squared weights,
+divided by the largest first, with |c|^2 gives every column's norm (`_norms`);
+the isometry forms |c|^2 once for both of its norms. Membership of an
 *infinite* power-law model vector in a given space of the scale is decided
 analytically from the growth exponents, never from truncated norms
 (truncations are always finite). The partial-sum
@@ -57,26 +58,27 @@ def _check_dim(operator: SpectralOperator, c: np.ndarray):
         )
 
 
-def _scaled_norms(operator: SpectralOperator, e: float, c: np.ndarray):
-    """(norms, shift): the column norms of w c for (w, shift) = `scale_weights(e)` of the
-    n x k block c, so that ||(|A| + I)^e c_j|| = norms[j] * exp(shift). Each column is
-    divided by its largest modulus before it is squared, so no square overflows; a NaN
-    column gives NaN, a zero column 0."""
-    w, shift = operator.scale_weights(e)
-    x = np.abs(w[:, None] * c)
-    big = np.max(x, axis=0)
-    x /= np.where(big > 0, big, 1.0)
-    return big * np.sqrt(np.sum(np.square(x), axis=0)), shift
+def _squared(operator: SpectralOperator, phi) -> np.ndarray:
+    """|c|^2 of the coefficient block of phi (`_as_block`)."""
+    c = _as_block(operator, phi)
+    return np.square(c.real) + np.square(c.imag)
+
+
+def _norms(w: np.ndarray, squared: np.ndarray) -> np.ndarray:
+    """||w c_j|| for the columns of c, given squared = |c|^2: w is divided by its largest
+    entry before it is squared, so the square of a finite w cannot overflow."""
+    top = float(np.max(w))
+    return np.sqrt(np.square(w / top) @ squared) * top
 
 
 def hs_norm(operator: SpectralOperator, s: float, phi):
     """Scale norm ||phi||_s = ||(|A| + I)^{s/2} phi||, diagonal in the eigenbasis.
 
     phi is a vector (the norm is a float) or an n x k block (an array of its k column
-    norms), one path for both (`_scaled_norms`).
+    norms), one path for both (`_norms`).
     """
-    norms, shift = _scaled_norms(operator, s / 2, _as_block(operator, phi))
-    norms = norms * math.exp(shift)
+    w, shift = operator.scale_weights(s / 2)
+    norms = _norms(w, _squared(operator, phi)) * math.exp(shift)
     return float(norms[0]) if np.ndim(phi) == 1 else norms
 
 
@@ -100,14 +102,19 @@ def isometry_check(operator: SpectralOperator, s: float, t: float, phi) -> float
 
     phi is a vector or an n x k block of them. Returns the worst, over its nonzero
     columns c, of | ||(|A|+I)^{t/2} c||_{s-t} - ||c||_s | / ||c||_s: NaN when any is
-    NaN, 0.0 when every column is zero. Both norms carry the factor exp(s m / 2) of
-    `scale_weights`, which the ratio drops, so they are compared as `_scaled_norms`.
+    NaN or when a nonzero column's norm underflows to 0 (its squared weights span more
+    than a float's range), 0.0 when every column is zero. Both norms carry the factor
+    exp(s m / 2) of `scale_weights`, which the ratio drops, so both are taken with the
+    centred weights w: ||c||_s with w_{s/2}, the mapped norm with w_{(s-t)/2} w_{t/2}.
     """
-    c = _as_block(operator, phi)
-    norm_s, _ = _scaled_norms(operator, s / 2, c)
-    mapped, _ = _scaled_norms(operator, (s - t) / 2, operator.scale_weights(t / 2)[0][:, None] * c)
-    nonzero = norm_s != 0.0
-    return _worst(np.abs(mapped[nonzero] - norm_s[nonzero]) / norm_s[nonzero])
+    squared = _squared(operator, phi)
+    nonzero = np.any(squared != 0.0, axis=0)
+    norm_s = _norms(operator.scale_weights(s / 2)[0], squared)[nonzero]
+    mapped = _norms(operator.scale_weights((s - t) / 2)[0] * operator.scale_weights(t / 2)[0],
+                    squared)[nonzero]
+    if np.any(norm_s == 0.0):
+        return math.nan
+    return _worst(np.abs(mapped - norm_s) / norm_s)
 
 
 def critical_index(model: GrowthModel) -> float:

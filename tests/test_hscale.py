@@ -134,6 +134,14 @@ class TestIsometryBlock:
         assert isometry_check(self.op, 1.5, 0.5, block) == pytest.approx(kept, rel=0, abs=1e-13)
         assert isometry_check(self.op, 1.5, 0.5, np.zeros((60, 3))) == 0.0
 
+    def test_underflowed_column_is_nan(self):
+        # s = 200 on diag-growth p=2, N=50: w_{100}^2 spans e^1426, so e_0's squared weight
+        # underflows against the largest; the check cannot be made and reads NaN, not 0
+        op = GrowthModel(2, 0.5).operator(50)
+        e0 = np.eye(50)[:, [0]]
+        assert np.isnan(isometry_check(op, 200.0, 0.5, np.hstack([self.block[:50, :2], e0])))
+        assert isometry_check(op, 200.0, 0.5, self.block[:50, :2]) <= 1e-10
+
     def test_nan_column_mid_block_is_nan(self):
         block = self.block.copy()
         block[5, 3] = np.nan
