@@ -66,9 +66,14 @@ def _squared(operator: SpectralOperator, phi) -> np.ndarray:
 
 def _norms(w: np.ndarray, squared: np.ndarray) -> np.ndarray:
     """||w c_j|| for the columns of c, given squared = |c|^2: w is divided by its largest
-    entry before it is squared, so the square of a finite w cannot overflow."""
+    entry before it is squared, so the square of a finite w cannot overflow. A nonzero
+    column whose every term underflows against the largest weight has no value: NaN."""
     top = float(np.max(w))
-    return np.sqrt(np.square(w / top) @ squared) * top
+    norms = np.sqrt(np.square(w / top) @ squared) * top
+    zero = norms == 0.0
+    if zero.any():
+        norms[zero & np.any(squared != 0.0, axis=0)] = np.nan
+    return norms
 
 
 def hs_norm(operator: SpectralOperator, s: float, phi):
@@ -102,19 +107,17 @@ def isometry_check(operator: SpectralOperator, s: float, t: float, phi) -> float
 
     phi is a vector or an n x k block of them. Returns the worst, over its nonzero
     columns c, of | ||(|A|+I)^{t/2} c||_{s-t} - ||c||_s | / ||c||_s: NaN when any is
-    NaN or when a nonzero column's norm underflows to 0 (its squared weights span more
-    than a float's range), 0.0 when every column is zero. Both norms carry the factor
-    exp(s m / 2) of `scale_weights`, which the ratio drops, so both are taken with the
-    centred weights w: ||c||_s with w_{s/2}, the mapped norm with w_{(s-t)/2} w_{t/2}.
+    NaN (a norm with no value included, `_norms`), 0.0 when every column is zero. Both
+    norms carry the factor exp(s m / 2) of `scale_weights`, which the ratio drops, so both
+    are taken with the centred weights w: ||c||_s with w_{s/2}, the mapped norm with
+    w_{(s-t)/2} w_{t/2}.
     """
     squared = _squared(operator, phi)
-    nonzero = np.any(squared != 0.0, axis=0)
-    norm_s = _norms(operator.scale_weights(s / 2)[0], squared)[nonzero]
+    norm_s = _norms(operator.scale_weights(s / 2)[0], squared)
     mapped = _norms(operator.scale_weights((s - t) / 2)[0] * operator.scale_weights(t / 2)[0],
-                    squared)[nonzero]
-    if np.any(norm_s == 0.0):
-        return math.nan
-    return _worst(np.abs(mapped - norm_s) / norm_s)
+                    squared)
+    nonzero = norm_s != 0.0
+    return _worst(np.abs(mapped[nonzero] - norm_s[nonzero]) / norm_s[nonzero])
 
 
 def critical_index(model: GrowthModel) -> float:

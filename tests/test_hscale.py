@@ -136,9 +136,10 @@ class TestIsometryBlock:
 
     def test_underflowed_column_is_nan(self):
         # s = 200 on diag-growth p=2, N=50: w_{100}^2 spans e^1426, so e_0's squared weight
-        # underflows against the largest; the check cannot be made and reads NaN, not 0
+        # underflows against the largest; its norm has no value and reads NaN, not 0
         op = GrowthModel(2, 0.5).operator(50)
         e0 = np.eye(50)[:, [0]]
+        assert np.isnan(hs_norm(op, 200.0, e0[:, 0]))
         assert np.isnan(isometry_check(op, 200.0, 0.5, np.hstack([self.block[:50, :2], e0])))
         assert isometry_check(op, 200.0, 0.5, self.block[:50, :2]) <= 1e-10
 
