@@ -2,9 +2,9 @@
 
 The central object is a SpectralOperator: a Hermitian matrix together with its
 eigendecomposition, from which it reads its lower bound k = lambda_min and its
-shift gamma < k (0 when k > 0, else k - 1). From it we build
-the r-th left-definite space (its inner product <A^{r/2}x, A^{r/2}y>, `ld_inner`,
-applied through the eigenbasis with no n x n array), the r-th left-definite
+shift gamma < k (0 when k is positive beyond the cutoff below, else k - 1). From it
+we build the r-th left-definite space (its inner product <A^{r/2}x, A^{r/2}y>,
+`ld_inner`, applied through the eigenbasis with no n x n array), the r-th left-definite
 operator, the shifted closed forms, and a verification report for the defining
 properties and the spectral-stability statements. `apply_power` and `ld_inner`
 take a vector or an n x k block of columns, a vector being a block of one; the
