@@ -36,8 +36,6 @@ from .hscale import (
 from .classical import (
     DirichletFormSpec,
     LaguerreBasis,
-    PolyInLaguerre,
-    QuadratureRule,
     bj_coeff,
     dirichlet_inner,
     laguerre_apply_A,

@@ -16,9 +16,11 @@ rules are Golub-Welsch ones computed with numpy alone (`_genlaguerre_rules`),
 every rule of one weight exponent in one array pass: one eigvalsh per node count,
 then a single Newton and weight recurrence and a single basis recurrence over the
 concatenated nodes. The identity table builds its rules, one pass per derivative
-order, and (m+k)^n and ||L_m||^2 once per call.
+order, and (m+k)^n once per call; ||L_m||^2 is the basis's `norms` array, filled
+once when the basis is built.
 
-Polynomials are represented by their coefficient vectors in L_n^alpha.
+Everything is a plain array: a polynomial is its coefficient array in L_n^alpha
+and a Gauss rule its (nodes, weights) pair, whose sum is np.dot(weights, values).
 Derivatives use the basis identity (L_n^alpha)' = -L_{n-1}^{alpha+1}
 symbolically, never finite differences.
 """
@@ -33,16 +35,6 @@ from math import exp as _exp
 import numpy as np
 
 from .report import _worst
-
-
-def gamma_ratio(a: float, b: float) -> float:
-    """Gamma(a)/Gamma(b) in ratio form, safe against overflow for a, b <= ~170."""
-    return _exp(lgamma(a) - lgamma(b))
-
-
-def laguerre_norm_sq(n: int, alpha: float) -> float:
-    """||L_n^alpha||^2 = Gamma(n + alpha + 1) / n! under the weight t^alpha e^{-t}."""
-    return gamma_ratio(n + alpha + 1.0, n + 1.0)
 
 
 def bj_coeff(n: int, k: float, j: int):
@@ -71,13 +63,16 @@ class LaguerreBasis:
     """Generalized Laguerre basis L_0..L_N for weight t^alpha e^{-t}.
 
     Stores the three-term recurrence
-    (n+1) L_{n+1} = (a_n - x) L_n - c_n L_{n-1}, a_n = 2n+alpha+1, c_n = n+alpha.
+    (n+1) L_{n+1} = (a_n - x) L_n - c_n L_{n-1}, a_n = 2n+alpha+1, c_n = n+alpha,
+    and the squared norms ||L_n||^2 = Gamma(n + alpha + 1) / n! under the weight
+    t^alpha e^{-t}, each exp(lgamma(n + alpha + 1) - lgamma(n + 1)), finite for large n.
     """
 
     alpha: float
     max_degree: int
     rec_a: np.ndarray
     rec_c: np.ndarray
+    norms: np.ndarray
 
     @classmethod
     def build(cls, alpha: float, max_degree: int) -> "LaguerreBasis":
@@ -88,9 +83,11 @@ class LaguerreBasis:
         ns = np.arange(max_degree + 1, dtype=float)
         a = 2 * ns + alpha + 1
         c = ns + alpha
-        a.setflags(write=False)
-        c.setflags(write=False)
-        return cls(float(alpha), int(max_degree), a, c)
+        norms = np.array([_exp(lgamma(m + alpha + 1.0) - lgamma(m + 1.0))
+                          for m in range(max_degree + 1)])
+        for array in (a, c, norms):
+            array.setflags(write=False)
+        return cls(float(alpha), int(max_degree), a, c, norms)
 
     def eval_all(self, x) -> np.ndarray:
         """Matrix of values V[n, i] = L_n^alpha(x_i) for n = 0..max_degree."""
@@ -103,33 +100,10 @@ class LaguerreBasis:
             out[n + 1] = ((self.rec_a[n] - x) * out[n] - self.rec_c[n] * out[n - 1]) / (n + 1)
         return out
 
-    def norm_sq(self, n: int) -> float:
-        return laguerre_norm_sq(n, self.alpha)
 
-
-@dataclass(frozen=True)
-class PolyInLaguerre:
-    """Polynomial expanded in L_n^alpha: p = sum_m coeffs[m] L_m^alpha."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.shape[0] == 0:
-            raise ValueError("coefficients must be a nonempty 1-D array")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-
-def _poly_coeffs(p) -> np.ndarray:
-    if isinstance(p, PolyInLaguerre):
-        return p.coeffs
-    return np.asarray(p, dtype=float)
-
-
-def x_poly(basis: LaguerreBasis) -> PolyInLaguerre:
-    """The monomial x = (alpha + 1) L_0 - L_1."""
-    return PolyInLaguerre(np.array([basis.alpha + 1.0, -1.0]))
+def x_poly(basis: LaguerreBasis) -> np.ndarray:
+    """The coefficients of the monomial x = (alpha + 1) L_0 - L_1."""
+    return np.array([basis.alpha + 1.0, -1.0])
 
 
 def derivative_coeffs(coeffs: np.ndarray, order: int) -> np.ndarray:
@@ -146,27 +120,15 @@ def derivative_coeffs(coeffs: np.ndarray, order: int) -> np.ndarray:
     return (-1.0) ** order * c[order:]
 
 
-def laguerre_apply_A(basis: LaguerreBasis, k: float, n: int, p) -> PolyInLaguerre:
-    """Apply A^n = (l + k)^n diagonally: c_m -> (m + k)^n c_m."""
+def laguerre_apply_A(k: float, n: int, p) -> np.ndarray:
+    """Apply A^n = (l + k)^n diagonally to the coefficients of p: c_m -> (m + k)^n c_m."""
     if not k > 0:
         raise ValueError(f"spectral shift k must be positive, got {k}")
     if n < 0:
         raise ValueError("power must be a nonnegative integer")
-    c = _poly_coeffs(p)
+    c = np.asarray(p, dtype=float)
     m = np.arange(c.shape[0], dtype=float)
-    return PolyInLaguerre((m + k) ** n * c)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """An m-node Gauss rule for integral f(t) t^a e^{-t} dt on (0, inf), exact for
-    polynomials f of degree <= 2m - 1."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def integrate_values(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
+    return (m + k) ** n * c
 
 
 def _genlaguerre_rules(ms, alpha: float):
@@ -214,9 +176,10 @@ def _genlaguerre_rules(ms, alpha: float):
 
 
 def _gauss_rules(weight_exponent: float, ms) -> tuple:
-    """{m: Gauss-Laguerre rule with m nodes for weight t^{weight_exponent} e^{-t}} for every
-    m in `ms`, in descending m, and the nodes of all of them concatenated in that order,
-    from one `_genlaguerre_rules` call."""
+    """{m: (nodes, weights)} of the m-node Gauss-Laguerre rule for the weight
+    t^{weight_exponent} e^{-t} on (0, inf), exact for polynomials of degree <= 2m - 1, for
+    every m in `ms`, in descending m, and the nodes of all of them concatenated in that
+    order, from one `_genlaguerre_rules` call."""
     if not weight_exponent > -1:
         raise ValueError(f"weight exponent must exceed -1, got {weight_exponent}")
     for m in ms:
@@ -228,26 +191,30 @@ def _gauss_rules(weight_exponent: float, ms) -> tuple:
         raise ArithmeticError(f"node solve failed for alpha'={weight_exponent}, m in {ms}")
     rules, end = {}, 0
     for m in ms:
-        rules[m] = QuadratureRule(nodes[end:end + m], weights[end:end + m])
+        rules[m] = (nodes[end:end + m], weights[end:end + m])
         end += m
     return rules, nodes
 
 
 def _rule_family(basis: LaguerreBasis, order: int, ms) -> dict:
-    """{m: (rule, V)} for every m in `ms`: the m-node Gauss rule for t^(alpha + order) e^{-t}
-    and V, V[d] = L^{alpha+order}_d at its nodes for d = 0..max_degree - order.
+    """{m: (weights, V)} for every m in `ms`: the weights of the m-node Gauss rule for
+    t^(alpha + order) e^{-t} and V, V[d] = L^{alpha+order}_d at its nodes for
+    d = 0..max_degree - order. The rule's sum of values f at its nodes is
+    float(np.dot(weights, f)).
 
     One `_gauss_rules` call builds every rule and one `eval_all` runs the recurrence over
-    their concatenated nodes; V is that table's block of columns for the rule. The
-    recurrence is elementwise, and its leading rows do not depend on the top degree, so
-    V is bitwise the table of the rule's nodes alone under a basis of any lower degree.
+    their concatenated nodes, in `basis` itself at order 0; V is that table's block of
+    columns for the rule. The recurrence is elementwise, and its leading rows do not
+    depend on the top degree, so V is bitwise the table of the rule's nodes alone under a
+    basis of any lower degree.
     """
     alpha = basis.alpha + order
     rules, nodes = _gauss_rules(alpha, ms)
-    values = LaguerreBasis.build(alpha, basis.max_degree - order).eval_all(nodes)
+    shifted = basis if order == 0 else LaguerreBasis.build(alpha, basis.max_degree - order)
+    values = shifted.eval_all(nodes)
     family, end = {}, 0
-    for m, rule in rules.items():
-        family[m] = (rule, values[:, end:end + m])
+    for m, (_, weights) in rules.items():
+        family[m] = (weights, values[:, end:end + m])
         end += m
     return family
 
@@ -279,8 +246,8 @@ def dirichlet_inner(spec: DirichletFormSpec, basis: LaguerreBasis, p, q) -> floa
 
     Node count floor((deg p + deg q)/2) + 1 makes every integral exact.
     """
-    cp = _poly_coeffs(p)
-    cq = _poly_coeffs(q)
+    cp = np.asarray(p, dtype=float)
+    cq = np.asarray(q, dtype=float)
     deg_p, deg_q = cp.shape[0] - 1, cq.shape[0] - 1
     if deg_p > basis.max_degree or deg_q > basis.max_degree:
         raise ValueError(
@@ -293,20 +260,20 @@ def dirichlet_inner(spec: DirichletFormSpec, basis: LaguerreBasis, p, q) -> floa
         dq = derivative_coeffs(cq, j)
         if not (np.any(dp) and np.any(dq)):
             continue
-        rule, values = _rule_family(basis, j, [m])[m]
+        weights, values = _rule_family(basis, j, [m])[m]
         p_vals = dp @ values[: dp.shape[0]]
         q_vals = dq @ values[: dq.shape[0]]
-        total += spec.b[j] * rule.integrate_values(p_vals * q_vals)
+        total += spec.b[j] * float(np.dot(weights, p_vals * q_vals))
     return total
 
 
 def spectral_inner(basis: LaguerreBasis, k: float, n: int, p, q) -> float:
     """<A^n p, q> in the eigenbasis: the weighted product sum_m (A^n p)_m d_m ||L_m||^2 of
-    `laguerre_apply_A`'s coefficients with q's."""
-    a = laguerre_apply_A(basis, k, n, p).coeffs
-    d = _poly_coeffs(q)
+    `laguerre_apply_A`'s coefficients with q's, the norms the basis's own."""
+    a = laguerre_apply_A(k, n, p)
+    d = np.asarray(q, dtype=float)
     m = min(a.shape[0], d.shape[0])
-    return float(np.sum(a[:m] * d[:m] * np.array([basis.norm_sq(i) for i in range(m)])))
+    return float(np.sum(a[:m] * d[:m] * basis.norms[:m]))
 
 
 def laguerre_identity_table(alpha: float, k: float, n: int, max_deg: int) -> list:
@@ -319,8 +286,8 @@ def laguerre_identity_table(alpha: float, k: float, n: int, max_deg: int) -> lis
 
     The Gauss rules of derivative order o (and the shifted basis at their nodes) are
     built by one `_rule_family` call per table and shared by every pair that needs
-    them, and so are (m + k)^n, from `laguerre_apply_A`, and ||L_m||^2; nothing is kept
-    between calls. For the basis pair (L_i, L_j), i <= j,
+    them, and so are (m + k)^n, from `laguerre_apply_A`, and ||L_m||^2, the basis's
+    `norms`; nothing is kept between calls. For the basis pair (L_i, L_j), i <= j,
     the o-th derivatives are (-1)^o L^{alpha+o}_{i-o} and (-1)^o L^{alpha+o}_{j-o} for
     o <= i and zero beyond, so each term of `dirichlet_inner` is the rule applied to
     the product of two rows of its value table: bitwise the same sum, since a product
@@ -330,8 +297,8 @@ def laguerre_identity_table(alpha: float, k: float, n: int, max_deg: int) -> lis
     """
     basis = LaguerreBasis.build(alpha, max_deg)
     spec = DirichletFormSpec.build(n, k)
-    powers = laguerre_apply_A(basis, k, n, np.ones(max_deg + 1)).coeffs     # (m + k)^n
-    diagonal = (powers * np.array([basis.norm_sq(m) for m in range(max_deg + 1)])).tolist()
+    powers = laguerre_apply_A(k, n, np.ones(max_deg + 1))     # (m + k)^n
+    diagonal = (powers * basis.norms).tolist()
     # order o is read by the pairs o <= i <= j <= max_deg, whose node counts (i + j)//2 + 1
     # run through o + 1 .. max_deg + 1
     families = [_rule_family(basis, order, range(order + 1, max_deg + 2))
@@ -342,8 +309,8 @@ def laguerre_identity_table(alpha: float, k: float, n: int, max_deg: int) -> lis
             m = (i + j) // 2 + 1
             d = 0.0
             for order in range(min(i, n) + 1):
-                rule, values = families[order][m]
-                d += spec.b[order] * rule.integrate_values(values[i - order] * values[j - order])
+                weights, values = families[order][m]
+                d += spec.b[order] * float(np.dot(weights, values[i - order] * values[j - order]))
             s = diagonal[i] if i == j else 0.0    # s_ii = (i + k)^n ||L_i||^2
             rows.append((alpha, k, n, i, j, d, s, abs(d - s) / sqrt(diagonal[i] * diagonal[j])))
     return rows

@@ -2,15 +2,19 @@
 
 Vectors are carried by their coefficients in the eigenbasis of the operator,
 so all scale norms, duality pairings, and isometries are diagonal
-computations with the weights (|lambda_n| + 1)^e, which the operator computes
-once per exponent e from log(|lambda_n| + 1), as w * exp(c) with w centred on
-the middle of the log range (`SpectralOperator.scale_weights`). The isometry
+computations with the weights (|lambda_n| + 1)^e. This module computes them on
+each call (`_weights`), from log(|lambda_n| + 1), as w * exp(c) with w centred on
+the middle of the log range; the operator keeps nothing for them. The isometry
 and the duality pairing are homogeneous in that centre, so they are checked on
-w alone and stay finite where the weights overflow a float. Scale norms and the
-isometry check take a vector or an n x k block of coefficient columns through
-one path, a vector being a block of one: one product of the squared weights,
-divided by the largest first, with |c|^2 gives every column's norm (`_norms`);
-the isometry forms |c|^2 once for both of its norms. Membership of an
+w alone and stay finite where the weights overflow a float. Scale norms, the
+isometry check, the duality pairing and the equivalence check take a vector or
+an n x k block of coefficient columns, a vector being a block of one. One
+product of the squared weights, divided by the largest first, with |c|^2 gives
+every column's norm (`_norms`); a column whose every term underflows in it is
+taken again against its own largest weighted term. The isometry forms |c|^2 once
+for both of its norms. The pairing and the equivalence ratios keep per-column
+arithmetic (a vdot of two contiguous rows; one norm per column), so a column
+comes out bitwise as it would alone. Membership of an
 *infinite* power-law model vector in a given space of the scale is decided
 analytically from the growth exponents, never from truncated norms
 (truncations are always finite). The partial-sum
@@ -27,7 +31,7 @@ import numpy as np
 
 from .leftdef import SpectralOperator, _as_block
 from .report import _worst
-from .spectral import DimensionMismatchError, inner
+from .spectral import DimensionMismatchError
 
 PARTIAL_SUM_TERMS = 10 ** 6
 _SUM_BLOCK = 1 << 16     # terms per block of the partial sums: 512 KB buffers
@@ -51,11 +55,17 @@ class GrowthModel:
         return SpectralOperator.from_diag(self.eigenvalues(n))
 
 
-def _check_dim(operator: SpectralOperator, c: np.ndarray):
-    if c.shape != (operator.dim,):
-        raise DimensionMismatchError(
-            f"coefficient vector has shape {c.shape}, operator dimension is {operator.dim}"
-        )
+def _weights(operator: SpectralOperator, exponent: float) -> tuple[np.ndarray, float]:
+    """(w, c) with w * exp(c) = (|lambda_n| + 1)^exponent, the diagonal of (|A| + I)^exponent
+    in the eigenbasis that sets the norms of the scale.
+
+    w = exp(exponent (L - m)) for L = log(|lambda| + 1) and m the middle of its range, and
+    c = exponent m: w stays finite while |exponent| (L_max - L_min) / 2 < 709, where the
+    weights themselves need |exponent| L_max < 709. Every identity of the scale is
+    homogeneous in exp(m), so it can be checked on w alone."""
+    logs = np.log1p(np.abs(operator.eigenvalues))
+    middle = (float(np.min(logs)) + float(np.max(logs))) / 2
+    return np.exp(exponent * (logs - middle)), exponent * middle
 
 
 def _squared(operator: SpectralOperator, phi) -> np.ndarray:
@@ -67,12 +77,14 @@ def _squared(operator: SpectralOperator, phi) -> np.ndarray:
 def _norms(w: np.ndarray, squared: np.ndarray) -> np.ndarray:
     """||w c_j|| for the columns of c, given squared = |c|^2: w is divided by its largest
     entry before it is squared, so the square of a finite w cannot overflow. A nonzero
-    column whose every term underflows against the largest weight has no value: NaN."""
+    column whose every term underflows against the largest weight is taken again with
+    w |c_j| divided by its own largest entry; if that is 0 too, the norm has no value: NaN."""
     top = float(np.max(w))
     norms = np.sqrt(np.square(w / top) @ squared) * top
-    zero = norms == 0.0
-    if zero.any():
-        norms[zero & np.any(squared != 0.0, axis=0)] = np.nan
+    for j in np.flatnonzero((norms == 0.0) & np.any(squared != 0.0, axis=0)):
+        terms = w * np.sqrt(squared[:, j])
+        own = float(np.max(terms))
+        norms[j] = np.sqrt(np.sum(np.square(terms / own))) * own if own > 0.0 else np.nan
     return norms
 
 
@@ -82,24 +94,29 @@ def hs_norm(operator: SpectralOperator, s: float, phi):
     phi is a vector (the norm is a float) or an n x k block (an array of its k column
     norms), one path for both (`_norms`).
     """
-    w, shift = operator.scale_weights(s / 2)
+    w, shift = _weights(operator, s / 2)
     norms = _norms(w, _squared(operator, phi)) * math.exp(shift)
     return float(norms[0]) if np.ndim(phi) == 1 else norms
 
 
-def duality_pair(operator: SpectralOperator, s: float, phi, psi) -> complex:
+def duality_pair(operator: SpectralOperator, s: float, phi, psi):
     """<phi,psi>_{s,-s} = <(|A|+I)^{-s/2} phi, (|A|+I)^{s/2} psi>.
 
-    On truncated vectors the weights cancel algebraically, so the pairing
-    reduces to the plain inner product; it is still evaluated through the
-    defining formula, the product of the two weight vectors, so the reduction is a
-    genuine check. Their `scale_weights` factors exp(-/+ s m / 2) cancel exactly.
+    phi and psi are vectors (the pairing is a complex) or n x k blocks of the same shape
+    (an array of the k pairings of column j with column j). Each pairing is the vdot of
+    two contiguous weighted rows, bitwise the vector call's. On truncated vectors the
+    weights cancel algebraically, so the pairing reduces to the plain inner product; it
+    is still evaluated through the defining formula, the product of the two weight
+    vectors, so the reduction is a genuine check. Their `_weights` factors exp(-/+ s m / 2)
+    cancel exactly.
     """
-    cp = np.asarray(phi, dtype=complex)
-    cq = np.asarray(psi, dtype=complex)
-    _check_dim(operator, cp)
-    _check_dim(operator, cq)
-    return inner(operator.scale_weights(-s / 2)[0] * cp, operator.scale_weights(s / 2)[0] * cq)
+    left, right = _as_block(operator, phi), _as_block(operator, psi)
+    if np.shape(phi) != np.shape(psi):
+        raise DimensionMismatchError(f"paired arrays of shapes {np.shape(phi)} and {np.shape(psi)}")
+    rows = [np.ascontiguousarray((_weights(operator, e)[0][:, None] * c).T)
+            for e, c in ((-s / 2, left), (s / 2, right))]
+    pairs = np.array([np.vdot(b, a) for a, b in zip(*rows)])    # inner(a, b)
+    return complex(pairs[0]) if np.ndim(phi) == 1 else pairs
 
 
 def isometry_check(operator: SpectralOperator, s: float, t: float, phi) -> float:
@@ -108,14 +125,13 @@ def isometry_check(operator: SpectralOperator, s: float, t: float, phi) -> float
     phi is a vector or an n x k block of them. Returns the worst, over its nonzero
     columns c, of | ||(|A|+I)^{t/2} c||_{s-t} - ||c||_s | / ||c||_s: NaN when any is
     NaN (a norm with no value included, `_norms`), 0.0 when every column is zero. Both
-    norms carry the factor exp(s m / 2) of `scale_weights`, which the ratio drops, so both
+    norms carry the factor exp(s m / 2) of `_weights`, which the ratio drops, so both
     are taken with the centred weights w: ||c||_s with w_{s/2}, the mapped norm with
     w_{(s-t)/2} w_{t/2}.
     """
     squared = _squared(operator, phi)
-    norm_s = _norms(operator.scale_weights(s / 2)[0], squared)
-    mapped = _norms(operator.scale_weights((s - t) / 2)[0] * operator.scale_weights(t / 2)[0],
-                    squared)
+    norm_s = _norms(_weights(operator, s / 2)[0], squared)
+    mapped = _norms(_weights(operator, (s - t) / 2)[0] * _weights(operator, t / 2)[0], squared)
     nonzero = norm_s != 0.0
     return _worst(np.abs(mapped[nonzero] - norm_s[nonzero]) / norm_s[nonzero])
 
@@ -191,21 +207,21 @@ def membership_table(model: GrowthModel, s_values, terms: int = PARTIAL_SUM_TERM
 
 
 def equivalence_check(operator: SpectralOperator, s: float, samples):
-    """Min/max ratio of ||phi||_s (`hs_norm`) to ||(A-gamma)^{s/2} phi|| over samples.
+    """Min/max ratio of ||phi||_s (`hs_norm`) to ||(A-gamma)^{s/2} phi|| over the samples, a
+    vector or the columns of an n x k block.
 
     gamma is the operator's shift, which `SpectralOperator` keeps below its lower
     bound k. Both weight choices generate the same spaces with equivalent norms;
     the ratios land inside the diagonal bounds
     [min_n ((|l_n|+1)/(l_n-gamma))^{s/2}, max_n (...)] (endpoints swapped for
-    s < 0).
+    s < 0). Each column's two norms are taken alone, as for a vector: a block product
+    rounds differently.
     """
     gamma = operator.shift
     lam = operator.eigenvalues
     shifted = np.power(lam - gamma, s / 2)
     ratios = []   # min and max through _worst, so a NaN ratio fails the bounds check
-    for phi in samples:
-        c = np.asarray(phi, dtype=complex)
-        _check_dim(operator, c)
+    for c in _as_block(operator, samples).T:
         denom = float(np.linalg.norm(shifted * c))
         if denom == 0.0:
             continue

@@ -16,8 +16,11 @@ float64). `from_diag` (the diag-growth and Laguerre operators) keeps the exact
 decomposition of a diagonal matrix, its sorted values and their permutation,
 with no LAPACK call and nothing of n x n size; the dense matrix is built, once,
 when a consumer first reads `matrix`. Left-definite constructions need k > 0
-beyond the cutoff CLUSTER_RTOL * ||A||_max, the same one that sets the shift, so
-every left-definite construction runs at gamma = 0.
+beyond the cutoff CLUSTER_RTOL * ||A||_max (`spectral._zero_cutoff`, the one that
+also sets the shift, eigh's clusters and `mat_power`'s positivity), so every
+left-definite construction runs at gamma = 0. The operator keeps its
+decomposition and nothing else: the weights of the Hilbert scale are `hscale`'s,
+computed there on each call.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .spectral import (
     DimensionMismatchError,
     HermitianMatrix,
     SpectralDecomposition,
+    _zero_cutoff,
     as_hermitian,
     diagonal_eigh,
     eigh,
@@ -46,11 +50,6 @@ MULTIPLICITY_RTOL = 1e-8   # sorted eigenvalues this close (relative) count as o
 
 class ShiftError(ValueError):
     """Raised when an operator is not positive (or a shift is not below its bound)."""
-
-
-def _zero_cutoff(norm_max: float) -> float:
-    """Lower bounds at or below CLUSTER_RTOL * ||A||_max, eigh's cluster cutoff, count as zero."""
-    return CLUSTER_RTOL * max(norm_max, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -117,30 +116,8 @@ class SpectralOperator:
     def eigenvalues(self) -> np.ndarray:
         return self.decomp.eigenvalues
 
-    def scale_weights(self, exponent: float) -> tuple[np.ndarray, float]:
-        """(w, c) with w * exp(c) = (|lambda_n| + 1)^exponent, the diagonal of (|A| + I)^exponent
-        in the eigenbasis that sets the norms of the Hilbert scale (`hscale`).
-
-        w = exp(exponent (L - m)) for L = log(|lambda| + 1) and m the middle of its range, and
-        c = exponent m: w stays finite while |exponent| (L_max - L_min) / 2 < 709, where the
-        weights themselves need |exponent| L_max < 709. Every identity of the scale is
-        homogeneous in exp(m), so it can be checked on w alone. Computed once per exponent
-        and kept, read-only, on the operator."""
-        weights = self._scale_weights.get(exponent)
-        if weights is None:
-            logs = np.log1p(np.abs(self.eigenvalues))
-            middle = (float(np.min(logs)) + float(np.max(logs))) / 2
-            w = np.exp(exponent * (logs - middle))
-            w.setflags(write=False)
-            weights = self._scale_weights[exponent] = (w, exponent * middle)
-        return weights
-
-    @cached_property
-    def _scale_weights(self) -> dict:
-        return {}
-
     def require_positive(self):
-        """Raise ShiftError unless k > CLUSTER_RTOL * ||A||_max, the shift's cutoff."""
+        """Raise ShiftError unless k > `_zero_cutoff`, the shift's cutoff."""
         cutoff = _zero_cutoff(self.norm_max)
         if not self.lower_bound > cutoff:
             raise ShiftError(

@@ -123,15 +123,15 @@ def _run_scale(report: Report, built: BuiltOperator, config: ScenarioConfig, rng
                      config.tolerances["isometry"])
 
     duals = []
-    for s in s_values:
-        for v, u in zip(vectors, reversed(vectors)):
-            pair = hscale.duality_pair(op, s, v, u)
+    for s in s_values:    # sample i is paired with sample samples - 1 - i
+        pairs = hscale.duality_pair(op, s, vectors.T, vectors[::-1].T)
+        for pair, v, u in zip(pairs, vectors, vectors[::-1]):
             plain = complex(np.vdot(u, v))
-            duals.append(abs(pair - plain) / max(abs(plain), 1.0))
+            duals.append(abs(complex(pair) - plain) / max(abs(plain), 1.0))
     report.add_check("duality-reduction", f"{len(s_values)} s-values", _worst(duals),
                      config.tolerances["duality"])
 
-    stats = hscale.equivalence_check(op, 2.0, vectors)
+    stats = hscale.equivalence_check(op, 2.0, vectors.T)
     in_bounds = stats["bound_lo"] - 1e-12 <= stats["min_ratio"] and \
         stats["max_ratio"] <= stats["bound_hi"] + 1e-12
     report.add_flag("equivalence-bounds",

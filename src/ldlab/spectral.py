@@ -58,7 +58,6 @@ ORTHO_TOL = 1e-10        # max-norm tolerance for B*B - I
 RANK_RTOL = 1e-10        # singular values below RANK_RTOL * sigma_max are zero
 SUBSPACE_TOL = 1e-10     # max-norm tolerance for projector differences and the boundary form
 CLUSTER_RTOL = 1e-10     # eigenvalues closer than this (relative) form a cluster
-POSITIVE_FLOOR = 1e-8    # smallest eigenvalue admitted for fractional powers
 
 
 class NotHermitianError(ValueError):
@@ -291,6 +290,12 @@ def _check_residual(h, decomp: SpectralDecomposition):
         raise SpectrumError(f"eigendecomposition residual too large: {resid:.3e}")
 
 
+def _zero_cutoff(norm_max: float) -> float:
+    """CLUSTER_RTOL * ||H||_max: eigenvalue gaps at or below it join a cluster (`eigh`), and
+    a lower bound at or below it counts as zero (`mat_power`, `leftdef.SpectralOperator`)."""
+    return CLUSTER_RTOL * max(norm_max, 1e-300)
+
+
 def eigh(matrix) -> SpectralDecomposition:
     """Hermitian eigendecomposition with cluster re-orthonormalization.
 
@@ -305,7 +310,7 @@ def eigh(matrix) -> SpectralDecomposition:
     """
     h = as_hermitian(matrix)
     lam, u = np.linalg.eigh(h.entries)
-    gap_tol = CLUSTER_RTOL * max(h.norm_max, 1e-300)
+    gap_tol = _zero_cutoff(h.norm_max)
     start = 0
     for i in range(1, len(lam) + 1):
         if i == len(lam) or lam[i] - lam[i - 1] > gap_tol:
@@ -343,7 +348,7 @@ def mat_power(matrix, r: float) -> HermitianMatrix:
     """H^r through the spectral decomposition, U diag(lambda^r) U*.
 
     For a power that is not a positive integer every eigenvalue must exceed
-    POSITIVE_FLOOR; otherwise a SpectrumError names the offending eigenvalue.
+    `_zero_cutoff` of ||H||_max; otherwise a SpectrumError names the offending eigenvalue.
     mat_power(H, 1) returns H itself.
     """
     if not np.isfinite(r):
@@ -354,10 +359,11 @@ def mat_power(matrix, r: float) -> HermitianMatrix:
     decomp = eigh(h)
     lam = decomp.eigenvalues
     fractional = not (float(r).is_integer() and r > 0)
-    if fractional and lam[0] <= POSITIVE_FLOOR:
+    cutoff = _zero_cutoff(h.norm_max)
+    if fractional and lam[0] <= cutoff:
         raise SpectrumError(
             f"matrix is not strictly positive: eigenvalue {lam[0]:.6e} <= "
-            f"{POSITIVE_FLOOR:.1e} forbids power {r}"
+            f"{cutoff:.1e} = {CLUSTER_RTOL:.0e} * ||H||_max forbids power {r}"
         )
     return decomp.power(r)
 

@@ -9,18 +9,14 @@ from ldlab import classical
 from ldlab.classical import (
     DirichletFormSpec,
     LaguerreBasis,
-    PolyInLaguerre,
-    QuadratureRule,
     _gauss_rules,
     _genlaguerre_rules,
     bj_coeff,
     derivative_coeffs,
     dirichlet_inner,
-    gamma_ratio,
     laguerre_apply_A,
     laguerre_identity_check,
     laguerre_identity_table,
-    laguerre_norm_sq,
     spectral_inner,
     x_poly,
 )
@@ -28,17 +24,22 @@ from ldlab.config import parse_config
 from ldlab.scenarios import run_scenario
 
 
-def gauss_quadrature(weight_exponent: float, m: int) -> QuadratureRule:
-    """The lone m-node Gauss-Laguerre rule for weight t^{weight_exponent} e^{-t}: the
-    batched build with one node count."""
+def gauss_quadrature(weight_exponent: float, m: int) -> tuple:
+    """(nodes, weights) of the lone m-node Gauss-Laguerre rule for weight
+    t^{weight_exponent} e^{-t}: the batched build with one node count."""
     return _gauss_rules(weight_exponent, [m])[0][int(m)]
 
 
-def basis_poly(n: int) -> PolyInLaguerre:
+def integrate(rule: tuple, values: np.ndarray) -> float:
+    """The rule's sum of values at its nodes, as the module forms it."""
+    return float(np.dot(rule[1], values))
+
+
+def basis_poly(n: int) -> np.ndarray:
     """L_n^alpha as a coefficient vector: 1 at position n."""
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
-    return PolyInLaguerre(coeffs)
+    return coeffs
 
 
 class TestBjCoefficients:
@@ -110,15 +111,16 @@ class TestLaguerreBasis:
         alpha = 0.5
         basis = LaguerreBasis.build(alpha, 30)
         rule = gauss_quadrature(alpha, n + 1)
-        values = basis.eval_all(rule.nodes)[n]
-        integral = rule.integrate_values(values ** 2)
-        assert integral == pytest.approx(laguerre_norm_sq(n, alpha), rel=1e-10)
+        values = basis.eval_all(rule[0])[n]
+        assert integrate(rule, values ** 2) == pytest.approx(basis.norms[n], rel=1e-10)
 
     def test_gamma_ratio_large_arguments(self):
-        # Gamma(61.5)/Gamma(61) stays finite in ratio form
-        value = gamma_ratio(61.5, 61.0)
-        assert np.isfinite(value)
-        assert value == pytest.approx(math.gamma(61.5) / math.gamma(61.0), rel=1e-12)
+        # ||L_60^0.5||^2 = Gamma(61.5)/Gamma(61) stays finite in ratio form
+        norms = LaguerreBasis.build(0.5, 60).norms
+        assert norms.shape == (61,) and np.all(np.isfinite(norms))
+        assert norms[60] == pytest.approx(math.gamma(61.5) / math.gamma(61.0), rel=1e-12)
+        assert norms[0] == pytest.approx(math.gamma(1.5), rel=1e-15)
+        assert not norms.flags.writeable
 
 
 class TestDerivativeCoeffs:
@@ -136,8 +138,8 @@ class TestApplyA:
     def test_eigenvector(self):
         basis = LaguerreBasis.build(1.0, 5)
         p = basis_poly(3)
-        out = laguerre_apply_A(basis, 1.0, 1, p)
-        np.testing.assert_allclose(out.coeffs, [0, 0, 0, 4.0])
+        out = laguerre_apply_A(1.0, 1, p)
+        np.testing.assert_allclose(out, [0, 0, 0, 4.0])
 
     def test_action_on_x(self):
         # x = (a+1) L_0 - L_1 and l[x] = -L_1 = x - a - 1
@@ -145,40 +147,39 @@ class TestApplyA:
         basis = LaguerreBasis.build(alpha, 5)
         p = x_poly(basis)
         # apply l = A - k with k = 1: (m + 1 - 1) scaling is just m
-        applied = laguerre_apply_A(basis, 1.0, 1, p)
-        ell_x = applied.coeffs - p.coeffs          # l[x] = (A - 1)[x]
+        applied = laguerre_apply_A(1.0, 1, p)
+        ell_x = applied - p          # l[x] = (A - 1)[x]
         np.testing.assert_allclose(ell_x, [0.0, -1.0], atol=1e-14)
         xs = np.linspace(0.0, 4.0, 9)
         values = ell_x @ basis.eval_all(xs)[:2]
         np.testing.assert_allclose(values, xs - alpha - 1.0, atol=1e-12)
 
     def test_power_zero_identity(self):
-        basis = LaguerreBasis.build(1.0, 4)
-        p = PolyInLaguerre(np.array([1.0, -2.0, 0.5]))
-        np.testing.assert_array_equal(laguerre_apply_A(basis, 2.0, 0, p).coeffs, p.coeffs)
+        p = np.array([1.0, -2.0, 0.5])
+        np.testing.assert_array_equal(laguerre_apply_A(2.0, 0, p), p)
 
 
 class TestQuadrature:
     def test_one_node_alpha0(self):
-        rule = gauss_quadrature(0.0, 1)
-        np.testing.assert_allclose(rule.nodes, [1.0], atol=1e-14)
-        np.testing.assert_allclose(rule.weights, [1.0], atol=1e-14)
+        nodes, weights = gauss_quadrature(0.0, 1)
+        np.testing.assert_allclose(nodes, [1.0], atol=1e-14)
+        np.testing.assert_allclose(weights, [1.0], atol=1e-14)
 
     def test_gamma3_with_two_nodes(self):
         rule = gauss_quadrature(0.0, 2)
-        assert rule.integrate_values(rule.nodes ** 2) == pytest.approx(2.0, rel=1e-13)
+        assert integrate(rule, rule[0] ** 2) == pytest.approx(2.0, rel=1e-13)
 
     def test_weighted_first_moment(self):
         # integral t * t e^{-t} dt = Gamma(3) = 2 under weight t e^{-t}
         rule = gauss_quadrature(1.0, 2)
-        assert rule.integrate_values(rule.nodes) == pytest.approx(2.0, rel=1e-13)
+        assert integrate(rule, rule[0]) == pytest.approx(2.0, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 2.0, 2.5, 3.5, 7.0])
     @pytest.mark.parametrize("m", [1, 2, 4, 8, 21, 31, 40])
     def test_gamma_moment_exactness(self, alpha, m):
         rule = gauss_quadrature(alpha, m)
         for d in range(2 * m):    # exact through degree 2m - 1
-            moment = rule.integrate_values(rule.nodes ** d)
+            moment = integrate(rule, rule[0] ** d)
             exact = math.gamma(d + alpha + 1)
             assert moment == pytest.approx(exact, rel=1e-10)
 
@@ -209,14 +210,14 @@ class TestGenLaguerreRule:
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 3.5, 7.0])
     def test_batched_rules_bitwise_one_m_rules(self, alpha):
         rules, nodes = _gauss_rules(alpha, range(1, 41))
-        assert np.array_equal(nodes, np.concatenate([rules[m].nodes for m in range(40, 0, -1)]))
+        assert np.array_equal(nodes, np.concatenate([rules[m][0] for m in range(40, 0, -1)]))
         for m in range(1, 41):
-            one = gauss_quadrature(alpha, m)
+            one_nodes, one_weights = gauss_quadrature(alpha, m)
             ref_nodes, ref_weights = reference_rule(m, alpha)
-            assert np.array_equal(rules[m].nodes, one.nodes)
-            assert np.array_equal(rules[m].weights, one.weights)
-            assert np.array_equal(one.nodes, ref_nodes) and np.array_equal(one.weights, ref_weights)
-            assert rules[m].nodes.shape == rules[m].weights.shape == (m,)
+            assert np.array_equal(rules[m][0], one_nodes)
+            assert np.array_equal(rules[m][1], one_weights)
+            assert np.array_equal(one_nodes, ref_nodes) and np.array_equal(one_weights, ref_weights)
+            assert rules[m][0].shape == rules[m][1].shape == (m,)
 
 
 def reference_rule(m, alpha):
@@ -277,7 +278,7 @@ class TestInnerProducts:
         basis = LaguerreBasis.build(1.0, 6)
         for m in (0, 2, 5):
             value = spectral_inner(basis, 1.0, 3, basis_poly(m), basis_poly(m))
-            assert value == pytest.approx((m + 1.0) ** 3 * basis.norm_sq(m), rel=1e-13)
+            assert value == pytest.approx((m + 1.0) ** 3 * basis.norms[m], rel=1e-13)
 
     def test_spectral_orthogonality(self):
         basis = LaguerreBasis.build(1.0, 6)
@@ -291,9 +292,9 @@ class TestInnerProducts:
         spec = DirichletFormSpec.build(1, k)
         rng = np.random.default_rng(17)
         for _ in range(5):
-            p = PolyInLaguerre(rng.normal(size=5))
-            q = PolyInLaguerre(rng.normal(size=6))
-            lhs = spectral_inner(basis, k, 0, laguerre_apply_A(basis, k, 1, p), q)
+            p = rng.normal(size=5)
+            q = rng.normal(size=6)
+            lhs = spectral_inner(basis, k, 0, laguerre_apply_A(k, 1, p), q)
             rhs = dirichlet_inner(spec, basis, p, q)
             assert rhs == pytest.approx(lhs, rel=1e-10, abs=1e-10)
 
@@ -348,19 +349,17 @@ class TestIdentity:
         config = parse_config(json.dumps(raw))
         assert run_scenario(config).overall == "PASS"
         real = classical.laguerre_apply_A
-        monkeypatch.setattr(classical, "laguerre_apply_A", lambda *args: PolyInLaguerre(
-            real(*args).coeffs * (1 + 1e-6)))
+        monkeypatch.setattr(classical, "laguerre_apply_A", lambda *args: real(*args) * (1 + 1e-6))
         rows = {row.name: row for row in run_scenario(config).rows}
         assert rows["laguerre-identity"].status == "FAIL"
         assert rows["laguerre-identity"].residual >= 1e-7
 
     def test_spectral_inner_reads_apply_a(self, monkeypatch):
         basis = LaguerreBasis.build(1.0, 6)
-        p, q = PolyInLaguerre(np.arange(1.0, 6.0)), PolyInLaguerre(np.arange(7.0, 0.0, -1.0))
+        p, q = np.arange(1.0, 6.0), np.arange(7.0, 0.0, -1.0)
         value = spectral_inner(basis, 1.5, 2, p, q)
         real = classical.laguerre_apply_A
-        monkeypatch.setattr(classical, "laguerre_apply_A", lambda *args: PolyInLaguerre(
-            real(*args).coeffs * 2.0))
+        monkeypatch.setattr(classical, "laguerre_apply_A", lambda *args: real(*args) * 2.0)
         assert spectral_inner(basis, 1.5, 2, p, q) == 2.0 * value
 
 
@@ -371,7 +370,7 @@ def reference_table(alpha, k, n, max_deg):
     rows = []
     for i in range(max_deg + 1):
         for j in range(i, max_deg + 1):
-            cp, cq = basis_poly(i).coeffs, basis_poly(j).coeffs
+            cp, cq = basis_poly(i), basis_poly(j)
             m = (i + j) // 2 + 1
             d = 0.0
             for order in range(n + 1):
@@ -381,10 +380,10 @@ def reference_table(alpha, k, n, max_deg):
                     continue
                 rule = gauss_quadrature(alpha + order, m)
                 shifted = LaguerreBasis.build(alpha + order, max(dp.shape[0], dq.shape[0]) - 1)
-                values = shifted.eval_all(rule.nodes)
+                values = shifted.eval_all(rule[0])
                 p_vals = dp @ values[: dp.shape[0]]
                 q_vals = dq @ values[: dq.shape[0]]
-                d += spec.b[order] * rule.integrate_values(p_vals * q_vals)
+                d += spec.b[order] * integrate(rule, p_vals * q_vals)
             s = spectral_inner(basis, k, n, basis_poly(i), basis_poly(j))
             s_ii = spectral_inner(basis, k, n, basis_poly(i), basis_poly(i))
             s_jj = spectral_inner(basis, k, n, basis_poly(j), basis_poly(j))
@@ -403,18 +402,22 @@ class TestRuleReuse:
 
     @pytest.mark.parametrize("args", [(1.0, 1.0, 3, 20), (0.5, 2.0, 2, 30)])
     def test_spectral_factors_built_once_per_call(self, args, monkeypatch):
-        import ldlab.classical as classical
+        # ||L_m||^2 is the `norms` array of the one basis built at (alpha, deg), which the
+        # order-0 rules share; each order o >= 1 builds its shifted basis once
+        real = LaguerreBasis.build
+        built = []
 
-        real = classical.laguerre_norm_sq
-        calls = []
+        def recording(alpha, max_degree):
+            built.append(real(alpha, max_degree))
+            return built[-1]
 
-        def counting(n, alpha):
-            calls.append(n)
-            return real(n, alpha)
-
-        monkeypatch.setattr(classical, "laguerre_norm_sq", counting)
-        laguerre_identity_table(*args)
-        assert calls == list(range(args[3] + 1))
+        monkeypatch.setattr(LaguerreBasis, "build", recording)
+        alpha, k, n, deg = args
+        rows = laguerre_identity_table(*args)
+        assert [(b.alpha, b.max_degree) for b in built] == \
+            [(alpha + o, deg - o) for o in range(min(n, deg) + 1)]
+        diagonal = [row[6] for row in rows if row[3] == row[4]]
+        assert diagonal == ((np.arange(deg + 1) + k) ** n * built[0].norms).tolist()
 
     @pytest.mark.parametrize("args", [(1.0, 1.0, 3, 20), (0.5, 2.0, 2, 30), (0.0, 3.0, 6, 4)])
     def test_rules_built_once_per_call(self, args, monkeypatch):
@@ -444,14 +447,14 @@ class TestRuleReuse:
         basis = LaguerreBasis.build(0.5, 12)
         spec = DirichletFormSpec.build(3, 2.0)
         rng = np.random.default_rng(3)
-        p = PolyInLaguerre(rng.normal(size=6))
-        q = PolyInLaguerre(rng.normal(size=9))
+        p = rng.normal(size=6)
+        q = rng.normal(size=9)
         expected = 0.0
         for order in range(4):
-            dp, dq = derivative_coeffs(p.coeffs, order), derivative_coeffs(q.coeffs, order)
+            dp, dq = derivative_coeffs(p, order), derivative_coeffs(q, order)
             rule = gauss_quadrature(0.5 + order, (5 + 8) // 2 + 1)
-            values = LaguerreBasis.build(0.5 + order, dq.shape[0] - 1).eval_all(rule.nodes)
-            expected += spec.b[order] * rule.integrate_values(
-                (dp @ values[: dp.shape[0]]) * (dq @ values[: dq.shape[0]]))
+            values = LaguerreBasis.build(0.5 + order, dq.shape[0] - 1).eval_all(rule[0])
+            expected += spec.b[order] * integrate(
+                rule, (dp @ values[: dp.shape[0]]) * (dq @ values[: dq.shape[0]]))
         assert dirichlet_inner(spec, basis, p, q) == expected
 

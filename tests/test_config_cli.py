@@ -648,7 +648,7 @@ class TestNanResidualFails:
 
     @pytest.mark.parametrize("name, index, row", [
         ("isometry_check", 1, "isometry"),          # 3 calls: one per (s, t)
-        ("duality_pair", 5, "duality-reduction"),   # 12 calls: 4 pairs per s
+        ("duality_pair", 1, "duality-reduction"),   # 3 calls: one per s
     ])
     def test_scale_check_rows(self, monkeypatch, name, index, row):
         monkeypatch.setattr(hscale, name, nan_on_call(getattr(hscale, name), index))
@@ -659,8 +659,8 @@ class TestNanResidualFails:
         real = hscale.equivalence_check
 
         def nan_sample(operator, s, samples):
-            samples = list(samples)
-            samples[2] = samples[2] * np.nan
+            samples = samples.copy()
+            samples[:, 2] *= np.nan
             return real(operator, s, samples)
         monkeypatch.setattr(hscale, "equivalence_check", nan_sample)
         assert self.statuses(SCALE)["equivalence-bounds"][0] == "FAIL"
@@ -689,10 +689,10 @@ class TestScaleOverflow:
 
     @staticmethod
     def statuses(monkeypatch=None, exponent=None, relative=0.0) -> dict:
-        """Rows of the OVERFLOW run, the last entry of scale_weights(exponent) times
-        1 + relative."""
+        """Rows of the OVERFLOW run, the last entry of the weights hscale._weights(op, exponent)
+        times 1 + relative."""
         if exponent is not None:
-            real = SpectralOperator.scale_weights
+            real = hscale._weights
 
             def perturbed(op, e):
                 w, shift = real(op, e)
@@ -700,7 +700,7 @@ class TestScaleOverflow:
                     w = w.copy()
                     w[-1] *= 1.0 + relative
                 return w, shift
-            monkeypatch.setattr(SpectralOperator, "scale_weights", perturbed)
+            monkeypatch.setattr(hscale, "_weights", perturbed)
         report = run_scenario(parse_config(json.dumps(OVERFLOW)))
         return {row.name: row.status for row in report.rows}
 
@@ -719,6 +719,17 @@ class TestScaleOverflow:
 
 
 class TestScaleDraws:
+    def test_one_duality_call_per_s_and_one_equivalence_call(self, monkeypatch):
+        calls = []
+        for name in ("duality_pair", "equivalence_check"):
+            def recording(*args, real=getattr(hscale, name), name=name):
+                calls.append((name, args[1]))
+                return real(*args)
+            monkeypatch.setattr(hscale, name, recording)
+        assert run_scenario(parse_config(json.dumps(SCALE))).overall == "PASS"
+        assert calls == [("duality_pair", s) for s in SCALE["params"]["s"]] + \
+            [("equivalence_check", 2.0)]
+
     def test_one_isometry_call_per_grid_point_on_the_old_draws(self, monkeypatch):
         real = hscale.isometry_check
         blocks = []

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ldlab.hscale import (
     GrowthModel,
     _partial_sums,
+    _weights,
     critical_index,
     duality_pair,
     equivalence_check,
@@ -73,6 +74,35 @@ class TestDualityPair:
             assert duality_pair(op, s, x, y) == pytest.approx(plain, rel=1e-12)
 
 
+class TestDualityPairBlock:
+    """Blocks pair column j with column j; every pairing is bitwise the vector call's."""
+
+    def setup_method(self):
+        self.op = GrowthModel(2.0, 0.5).operator(60)
+        rng = np.random.default_rng(12)
+        self.phi = rng.normal(size=(60, 5)) + 1j * rng.normal(size=(60, 5))
+        self.psi = rng.normal(size=(60, 5)) + 1j * rng.normal(size=(60, 5))
+
+    @pytest.mark.parametrize("s", [-2.0, 0.0, 1.5, 200.0])
+    def test_block_of_one_is_the_vector_call(self, s):
+        x, y = self.phi[:, 3], self.psi[:, 1]
+        pairs = duality_pair(self.op, s, x[:, None], y[:, None])
+        assert pairs.shape == (1,) and pairs[0] == duality_pair(self.op, s, x, y)
+
+    @pytest.mark.parametrize("s", [-2.0, 0.7, 3.0])
+    def test_block_is_the_vdot_of_each_weighted_pair(self, s):
+        # strided columns (a transposed row-major array) as well as contiguous ones
+        rows = np.ascontiguousarray(self.psi.T)
+        left, right = _weights(self.op, -s / 2)[0], _weights(self.op, s / 2)[0]
+        per_column = [complex(np.vdot(right * y, left * x)) for x, y in zip(self.phi.T, rows)]
+        assert duality_pair(self.op, s, self.phi, rows.T).tolist() == per_column
+
+    @pytest.mark.parametrize("shapes", [((60, 5), (60, 4)), ((60,), (60, 1)), ((59, 5), (59, 5))])
+    def test_mismatched_blocks_raise(self, shapes):
+        with pytest.raises(DimensionMismatchError):
+            duality_pair(self.op, 1.0, np.ones(shapes[0]), np.ones(shapes[1]))
+
+
 class TestIsometry:
     def test_t_zero_residual_zero(self):
         op = SpectralOperator.from_diag([1.0, 3.0])
@@ -134,14 +164,26 @@ class TestIsometryBlock:
         assert isometry_check(self.op, 1.5, 0.5, block) == pytest.approx(kept, rel=0, abs=1e-13)
         assert isometry_check(self.op, 1.5, 0.5, np.zeros((60, 3))) == 0.0
 
-    def test_underflowed_column_is_nan(self):
+    def test_underflowed_column_gets_its_value(self):
         # s = 200 on diag-growth p=2, N=50: w_{100}^2 spans e^1426, so e_0's squared weight
-        # underflows against the largest; its norm has no value and reads NaN, not 0
+        # underflows against the largest; the column is taken again against its own largest
+        # weighted term, and ||e_0||_200 = (1 + 1)^100
         op = GrowthModel(2, 0.5).operator(50)
         e0 = np.eye(50)[:, [0]]
-        assert np.isnan(hs_norm(op, 200.0, e0[:, 0]))
-        assert np.isnan(isometry_check(op, 200.0, 0.5, np.hstack([self.block[:50, :2], e0])))
+        assert hs_norm(op, 200.0, e0[:, 0]) == pytest.approx(2.0 ** 100, rel=1e-12)
+        assert hs_norm(op, 200.0, np.hstack([e0, 3 * e0]))[1] == pytest.approx(3 * 2.0 ** 100,
+                                                                               rel=1e-12)
+        assert isometry_check(op, 200.0, 0.5, np.hstack([self.block[:50, :2], e0])) <= 1e-10
         assert isometry_check(op, 200.0, 0.5, self.block[:50, :2]) <= 1e-10
+
+    def test_column_whose_weighted_terms_underflow_is_nan(self):
+        # s = 380: w_{190}(e_0) is about e^-677, so 1e-160 e_0 (|c|^2 = 1e-320, not 0) has
+        # every weighted term underflow, against its own largest term too: no value, NaN
+        op = GrowthModel(2, 0.5).operator(50)
+        tiny = 1e-160 * np.eye(50)[:, 0]
+        assert isometry_check(op, 380.0, 0.5, self.block[:50, :2]) <= 1e-10
+        block = np.column_stack([self.block[:50, :2], tiny])
+        assert np.isnan(isometry_check(op, 380.0, 0.5, block))
 
     def test_nan_column_mid_block_is_nan(self):
         block = self.block.copy()
@@ -246,7 +288,8 @@ class TestBlockedPartialSums:
             hs_norm(op, 1.0, v)
             isometry_check(op, 1.0, 0.5, v)
             duality_pair(op, 1.0, v, w)
-            equivalence_check(op, 2.0, [v, w])
+            duality_pair(op, 1.0, np.column_stack([v, w]), np.column_stack([w, v]))
+            equivalence_check(op, 2.0, np.column_stack([v, w]))
             membership_table(model, s_values)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -258,18 +301,18 @@ class TestEquivalence:
     def test_scalar_exact_ratio(self):
         op = SpectralOperator.from_diag([1.0])
         for s in (0.5, 1.0, 2.0):
-            stats = equivalence_check(op, s, [np.array([1.0])])
+            stats = equivalence_check(op, s, np.array([1.0]))
             assert stats["min_ratio"] == pytest.approx(2.0 ** (s / 2), rel=1e-12)
 
     def test_s_zero_ratio_one(self):
         op = SpectralOperator.from_diag([1.0, 5.0])
-        stats = equivalence_check(op, 0.0, [np.array([1.0, 2.0])])
+        stats = equivalence_check(op, 0.0, np.array([1.0, 2.0]))
         assert stats["min_ratio"] == pytest.approx(1.0) == stats["max_ratio"]
 
     def test_ratios_within_diagonal_bounds(self):
         rng = np.random.default_rng(3)
         op = SpectralOperator.from_diag(np.sort(rng.uniform(1.0, 9.0, size=10)))
-        samples = [rng.normal(size=10) + 1j * rng.normal(size=10) for _ in range(50)]
+        samples = rng.normal(size=(10, 50)) + 1j * rng.normal(size=(10, 50))
         stats = equivalence_check(op, 2.0, samples)
         assert stats["bound_lo"] - 1e-12 <= stats["min_ratio"]
         assert stats["max_ratio"] <= stats["bound_hi"] + 1e-12
@@ -278,8 +321,8 @@ class TestEquivalence:
     @pytest.mark.parametrize("where", [0, 2, 4])
     def test_nan_sample_gives_nan_ratios(self, where):
         op = SpectralOperator.from_diag([1.0, 2.0, 5.0])
-        samples = [np.array([1.0, 2.0, 3.0]) * (i + 1) for i in range(5)]
-        samples[where] = np.array([1.0, np.nan, 0.0])
+        samples = np.outer([1.0, 2.0, 3.0], np.arange(1.0, 6.0))
+        samples[:, where] = [1.0, np.nan, 0.0]
         stats = equivalence_check(op, 2.0, samples)
         assert np.isnan(stats["min_ratio"]) and np.isnan(stats["max_ratio"])
 
@@ -287,52 +330,40 @@ class TestEquivalence:
         # k = -1 gives gamma = k - 1 = -2; s = 2 on e_0: ratio (|-1| + 1) / (-1 - gamma) = 2
         op = SpectralOperator.from_diag([-1.0, 3.0])
         assert op.shift == -2.0
-        stats = equivalence_check(op, 2.0, [np.array([1.0, 0.0])])
+        stats = equivalence_check(op, 2.0, np.array([1.0, 0.0]))
         assert stats["max_ratio"] == pytest.approx(2.0, rel=1e-12) == stats["bound_hi"]
+
+    @pytest.mark.parametrize("s", [-1.0, 2.0])
+    def test_block_equals_per_column_calls(self, s):
+        # each column's ratio is taken alone, so the block's extremes are bitwise the
+        # extremes of the vector calls; zero columns are skipped
+        op = GrowthModel(2.0, 0.5).operator(40)
+        rng = np.random.default_rng(15)
+        block = rng.normal(size=(40, 6)) + 1j * rng.normal(size=(40, 6))
+        alone = [equivalence_check(op, s, c) for c in block.T]
+        block = np.column_stack([block, np.zeros(40)])
+        stats = equivalence_check(op, s, block)
+        assert stats["min_ratio"] == min(a["min_ratio"] for a in alone)
+        assert stats["max_ratio"] == max(a["max_ratio"] for a in alone)
+        assert equivalence_check(op, s, block[:, [2]]) == alone[2]
+
+    @pytest.mark.parametrize("shape", [(39, 2), (41,), (40, 2, 2)])
+    def test_wrong_row_count_raises(self, shape):
+        op = GrowthModel(2.0, 0.5).operator(40)
+        with pytest.raises(DimensionMismatchError, match="operator dimension is 40"):
+            equivalence_check(op, 2.0, np.ones(shape))
 
 
 class TestWeightsOnce:
-    """The weights (|lambda_n| + 1)^e are computed once per (operator, exponent)."""
-
-    CONFIG = ('{"operatorSpec": {"kind": "diag-growth", "p": 2.0, "q": 0.5, "N": 200}, '
-              '"experiment": "scale", "params": {"samples": 8}, "seed": 3}')
-
-    def test_one_power_per_distinct_exponent_in_a_scale_scenario(self, monkeypatch):
-        from ldlab.config import parse_config
-        from ldlab.scenarios import run_scenario
-
-        config = parse_config(self.CONFIG)
-        n = config.operator_spec["N"]
-        real_exp, real_weights = np.exp, SpectralOperator.scale_weights
-        computed, asked = [], []
-
-        def counting_exp(x, *args, **kwargs):
-            if np.shape(x) == (n,):
-                computed.append(None)
-            return real_exp(x, *args, **kwargs)
-
-        def asking(op, exponent):
-            asked.append(exponent)
-            return real_weights(op, exponent)
-
-        monkeypatch.setattr(np, "exp", counting_exp)
-        monkeypatch.setattr(SpectralOperator, "scale_weights", asking)
-        report = run_scenario(config)
-        assert report.overall == "PASS"
-        assert len(asked) > len(set(asked)) and len(computed) == len(set(asked))
-
-    def test_weights_are_kept_read_only_per_exponent(self):
-        op = SpectralOperator.from_diag([3.0, 1.0, 2.0])
-        w, shift = op.scale_weights(0.5)
-        assert op.scale_weights(0.5)[0] is w and not w.flags.writeable
-        np.testing.assert_allclose(w * np.exp(shift), np.power(np.abs(op.eigenvalues) + 1.0, 0.5),
-                                   rtol=1e-15)
-        assert op.scale_weights(-0.5)[0] is not w
+    """The weights (|lambda_n| + 1)^e, computed once per call and exponent as w * exp(c)."""
 
     def test_weights_centred_on_the_log_range(self):
         # L = log(|lambda| + 1) spans [log 2, log 2501]: w = exp(e (L - m)), m its middle
         op = GrowthModel(2, 0.5).operator(50)
-        w, shift = op.scale_weights(100.0)
+        w, shift = _weights(op, 100.0)
         middle = (np.log(2.0) + np.log(2501.0)) / 2
         assert shift == pytest.approx(100.0 * middle, rel=1e-15)
         assert w[0] * w[-1] == pytest.approx(1.0, rel=1e-12) and np.all(np.isfinite(w))
+        w, shift = _weights(op, 0.5)
+        np.testing.assert_allclose(w * np.exp(shift), np.power(np.abs(op.eigenvalues) + 1.0, 0.5),
+                                   rtol=1e-15)

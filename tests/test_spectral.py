@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldlab import spectral
+from ldlab.leftdef import ShiftError, SpectralOperator, ld_space
 from ldlab.spectral import (
     HermitianMatrix,
     LinearRelation,
@@ -420,6 +421,19 @@ class TestMatPower:
     def test_fractional_power_rejects_nonpositive(self):
         with pytest.raises(SpectrumError, match="not strictly positive"):
             mat_power(HermitianMatrix(np.diag([-1.0, 2.0])), 0.5)
+
+    def test_positivity_cutoff_is_relative(self):
+        # the one cutoff CLUSTER_RTOL * ||H||_max, as `leftdef.ld_space` decides it: a small
+        # positive matrix is positive at any scale, and 1e-3 is zero next to 1e12
+        small = HermitianMatrix(1e-9 * np.diag([1.0, 2.0, 3.0]))
+        np.testing.assert_allclose(mat_power(small, 0.5).entries,
+                                   np.sqrt(1e-9 * np.diag([1.0, 2.0, 3.0])), rtol=1e-12, atol=0)
+        assert ld_space(SpectralOperator.from_matrix(small), 0.5).r == 0.5
+        wide = HermitianMatrix(np.diag([1e-3, 1e12]))
+        with pytest.raises(SpectrumError, match=r"1\.0e\+02 = 1e-10 \* \|\|H\|\|_max"):
+            mat_power(wide, 0.5)
+        with pytest.raises(ShiftError):
+            ld_space(SpectralOperator.from_matrix(wide), 0.5)
 
     def test_integer_power_allows_indefinite(self):
         h = HermitianMatrix(np.diag([-2.0, 3.0]))
