@@ -6,7 +6,9 @@ compute defect spaces and deficiency indices, check the von Neumann
 decomposition, build the Friedrichs extension as a linear relation, run the
 power-commutation experiment, and realize the Theta-parameterized singular
 perturbation A_Theta = A0 + B Theta B* for self-adjoint relations Theta,
-including purely multivalued parts.
+including purely multivalued parts. The relation layer, from `minimal_relation` to
+the power experiment and its oracle, takes a single relation or a stack of them
+(`spectral`'s batch axes) through one function body each.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ from .spectral import (
     SpectrumError,
     Subspace,
     _complement,
+    _ct,
+    _first_member,
+    _hermitian_entries,
+    _per_member,
     _rank,
     _stored,
     as_hermitian,
@@ -53,27 +59,30 @@ def _operator_hermitian(a) -> HermitianMatrix:
 
 
 def minimal_relation(operator, constraints: Subspace) -> LinearRelation:
-    """The symmetric restriction {(f, Af) : f perp C} as a linear relation."""
-    a = _operator_hermitian(operator).entries
-    n = a.shape[0]
+    """The symmetric restriction {(f, Af) : f perp C} as a linear relation; for a stack of
+    Hermitian matrices (..., n, n) and constraints of one shape, a stack of restrictions."""
+    a = _hermitian_entries(operator.matrix if isinstance(operator, SpectralOperator) else operator)
+    n = a.shape[-1]
     if constraints.ambient_dim != n:
         raise DimensionMismatchError(
             f"constraints live in C^{constraints.ambient_dim}, operator in C^{n}"
         )
     dom = orthocomplement(constraints)
     if dom.rank == 0:
-        return LinearRelation(Subspace.zero(2 * n))
+        return LinearRelation(Subspace(2 * n, np.zeros(dom.basis.shape[:-2] + (2 * n, 0))))
     # [D; AD] has full column rank for orthonormal D: QR, no rank decision
-    q, _ = np.linalg.qr(np.vstack([dom.basis, a @ dom.basis]))
+    q, _ = np.linalg.qr(np.concatenate([dom.basis, a @ dom.basis], axis=-2))
     return LinearRelation(Subspace(2 * n, q))
 
 
 def _require_symmetric(s: LinearRelation) -> np.ndarray:
     """F*G for the graph basis [F; G] of S; raises NotSymmetricError unless the boundary
-    form F*G - G*F vanishes, i.e. unless S is contained in S*."""
+    form F*G - G*F vanishes, i.e. unless S (every member of a stack) is contained in S*."""
     form, defect = s._boundary_form
-    if defect > SUBSPACE_TOL:
-        raise NotSymmetricError("relation is not symmetric (S is not contained in S*)")
+    asymmetric = np.asarray(defect) > SUBSPACE_TOL
+    if asymmetric.any():
+        raise NotSymmetricError("relation is not symmetric (S is not contained in S*)"
+                                + _first_member(asymmetric)[1])
     return form
 
 
@@ -90,60 +99,82 @@ def deficiency_indices(s: LinearRelation) -> DeficiencyReport:
     """Deficiency indices (m+, m-) = dims of ker(S* -/+ i) with defect bases and S*.
 
     S* and its two defect kernels are cached on their relations, so a second
-    analysis of the same S repeats only the symmetry check.
+    analysis of the same S repeats only the symmetry check. For a stack the indices
+    are shared by its members (`_rank`), and the bases are stacked.
     """
     _require_symmetric(s)
     d_plus, d_minus = s.adjoint.defect_kernels
     return DeficiencyReport(d_plus.rank, d_minus.rank, d_plus, d_minus, s.adjoint)
 
 
-def von_neumann_check(s: LinearRelation) -> Report:
+def _each(values, batch: tuple) -> list:
+    """A per-member value as a list over the members of `batch`, in C order."""
+    return np.broadcast_to(values, batch).ravel().tolist()
+
+
+def von_neumann_check(s: LinearRelation):
     """Verify graph(S*) = graph(S) (+) D+ (+) D- in the graph space.
 
     Checks the dimension identity dim S* = dim S + m+ + m-, pairwise trivial
-    intersections of the three summands, and that their span recovers S*.
+    intersections of the three summands, and that their span recovers S*. Returns a
+    Report, or for a stack a list of one Report per member in C order.
     """
     rep = deficiency_indices(s)
     adj = rep.adjoint
     n = s.space_dim
     # graph of D+/-: [d; +/-i d] / sqrt 2 is orthonormal for an orthonormal basis d
-    gp, gm = (Subspace(2 * n, np.vstack([d.basis, sign * 1j * d.basis]) / np.sqrt(2.0))
+    gp, gm = (Subspace(2 * n, np.concatenate([d.basis, sign * 1j * d.basis], axis=-2)
+                       / np.sqrt(2.0))
               for d, sign in ((rep.defect_plus, 1.0), (rep.defect_minus, -1.0)))
-
-    report = Report("von Neumann decomposition", meta={"dim": n})
-    report.add_flag("dimension-identity",
-                    f"dim S*={adj.dim}, dim S={s.dim}, m+={rep.m_plus}, m-={rep.m_minus}",
-                    adj.dim == s.dim + rep.m_plus + rep.m_minus)
-    for name, a, b in (("S^D+", s.graph, gp), ("S^D-", s.graph, gm), ("D+^D-", gp, gm)):
-        inter = subspace_intersect(a, b)
-        report.add_flag(f"trivial-intersection {name}", f"dim={inter.rank}", inter.rank == 0)
-    stacked = np.hstack([s.graph.basis, gp.basis, gm.basis])
+    inters = [(name, subspace_intersect(a, b).rank)
+              for name, a, b in (("S^D+", s.graph, gp), ("S^D-", s.graph, gm), ("D+^D-", gp, gm))]
+    stacked = np.concatenate([s.graph.basis, gp.basis, gm.basis], axis=-1)
     span = Subspace.span(stacked, 2 * n)
-    report.add_flag("span-equals-adjoint", f"dim span={span.rank}", subspaces_equal(span, adj.graph))
-    return report
+    batch = s.graph.basis.shape[:-2]
+
+    reports = []
+    for equal in _each(subspaces_equal(span, adj.graph), batch):
+        report = Report("von Neumann decomposition", meta={"dim": n})
+        report.add_flag("dimension-identity",
+                        f"dim S*={adj.dim}, dim S={s.dim}, m+={rep.m_plus}, m-={rep.m_minus}",
+                        adj.dim == s.dim + rep.m_plus + rep.m_minus)
+        for name, rank in inters:
+            report.add_flag(f"trivial-intersection {name}", f"dim={rank}", rank == 0)
+        report.add_flag("span-equals-adjoint", f"dim span={span.rank}", equal)
+        reports.append(report)
+    return reports if batch else reports[0]
 
 
-def form_lower_bound(s: LinearRelation) -> float:
+def form_lower_bound(s: LinearRelation):
     """Smallest eigenvalue of the quadratic form <g, f> on graph coordinates, the Hermitian
-    part of F*G; raises NotSymmetricError unless S is symmetric, read off the same F*G."""
+    part of F*G (a float, or one per member of a stack); raises NotSymmetricError unless S
+    is symmetric, read off the same F*G."""
     q = _require_symmetric(s)
-    return float(np.linalg.eigvalsh((q + q.conj().T) / 2)[0]) if s.dim else 0.0
+    if not s.dim:
+        return _per_member(np.zeros(q.shape[:-2]))
+    return _per_member(np.linalg.eigvalsh((q + _ct(q)) / 2)[..., 0])
 
 
 def friedrichs_relation(s: LinearRelation) -> LinearRelation:
-    """Friedrichs extension of a nonnegative symmetric relation.
+    """Friedrichs extension of a nonnegative symmetric relation, or of each member of a stack.
 
     Construction: graph(S) (+) {0} x (dom S)^perp (`LinearRelation.mul_extension`,
     built once per S). The result extends S and has dom = dom S by construction.
     Checked on every call: S is symmetric and nonnegative, and the result is
-    self-adjoint. The form identity on dom S is not checked.
+    self-adjoint. The form identity on dom S is not checked. An error names the first
+    failing member of a stack.
     """
-    bound = form_lower_bound(s)   # of an orthonormal graph basis: no scale to apply
-    if bound < -FORM_TOL:
-        raise SpectrumError(f"relation is not nonnegative (form lower bound {bound:.3e})")
+    bound = np.asarray(form_lower_bound(s))   # of an orthonormal graph basis: no scale to apply
+    negative = bound < -FORM_TOL
+    if negative.any():
+        i, member = _first_member(negative)
+        raise SpectrumError(f"relation is not nonnegative (form lower bound {bound[i]:.3e})"
+                            + member)
     result = s.mul_extension
-    if not rel_is_selfadjoint(result):
-        raise NotSelfAdjointError("Friedrichs construction failed self-adjointness check")
+    selfadjoint = np.asarray(rel_is_selfadjoint(result))
+    if not selfadjoint.all():
+        raise NotSelfAdjointError("Friedrichs construction failed self-adjointness check"
+                                  + _first_member(~selfadjoint)[1])
     return result
 
 
@@ -155,8 +186,17 @@ class PowerVerdict:
     dim_friedrichs_of_power: int
 
 
-def friedrichs_power_experiment(s: LinearRelation, n: int) -> PowerVerdict:
-    """Compare dom((S_F)^n) with dom((S^n)_F) as subspaces; report the verdict only.
+def _verdicts(equal, n: int, dom_a: Subspace, dom_b: Subspace):
+    """The PowerVerdict of each member (a list for a stack, in C order) from its equality."""
+    batch = dom_a.basis.shape[:-2]
+    verdicts = [PowerVerdict("EQUAL" if ok else "DIFFER", n, dom_a.rank, dom_b.rank)
+                for ok in _each(equal, batch)]
+    return verdicts if batch else verdicts[0]
+
+
+def friedrichs_power_experiment(s: LinearRelation, n: int):
+    """Compare dom((S_F)^n) with dom((S^n)_F) as subspaces; report the verdict only (for a
+    stack, one per member).
 
     The experiment makes no truth claim beyond the trivial cases (self-adjoint
     S, or n = 1, which are EQUAL by construction).
@@ -167,8 +207,7 @@ def friedrichs_power_experiment(s: LinearRelation, n: int) -> PowerVerdict:
     pow_f = friedrichs_relation(rel_power(s, n))
     dom_a = sf_pow.domain()
     dom_b = pow_f.domain()
-    verdict = "EQUAL" if subspaces_equal(dom_a, dom_b) else "DIFFER"
-    return PowerVerdict(verdict, n, dom_a.rank, dom_b.rank)
+    return _verdicts(subspaces_equal(dom_a, dom_b), n, dom_a, dom_b)
 
 
 def _compose_triple_space(t: LinearRelation, s: LinearRelation) -> LinearRelation:
@@ -180,27 +219,27 @@ def _compose_triple_space(t: LinearRelation, s: LinearRelation) -> LinearRelatio
     """
     n = t.space_dim
     ds, dt = s.dim, t.dim
-    w1 = np.zeros((3 * n, ds + n), dtype=complex)
-    w1[: 2 * n, :ds] = s.graph.basis
-    w1[2 * n:, ds:] = np.eye(n)
-    w2 = np.zeros((3 * n, dt + n), dtype=complex)
-    w2[:n, dt:] = np.eye(n)
-    w2[n:, :dt] = t.graph.basis
+    batch = s.graph.basis.shape[:-2]
+    w1 = np.zeros(batch + (3 * n, ds + n), dtype=complex)
+    w1[..., : 2 * n, :ds] = s.graph.basis
+    w1[..., 2 * n:, ds:] = np.eye(n)
+    w2 = np.zeros(batch + (3 * n, dt + n), dtype=complex)
+    w2[..., :n, dt:] = np.eye(n)
+    w2[..., n:, :dt] = t.graph.basis
     # each block of columns is orthonormal and the blocks have disjoint row supports
     inter = subspace_intersect(Subspace(3 * n, w1), Subspace(3 * n, w2))
-    dropped = np.vstack([inter.basis[:n], inter.basis[2 * n:]])
+    dropped = np.concatenate([inter.basis[..., :n, :], inter.basis[..., 2 * n:, :]], axis=-2)
     return LinearRelation(Subspace.span(dropped, 2 * n))
 
 
-def _domains_equal_by_rank(a: Subspace, b: Subspace) -> bool:
-    """Independent equality test: equal dims and rank of the stacked bases."""
-    if a.rank != b.rank:
-        return False
-    if a.rank == 0:
-        return True
-    stacked = np.hstack([a.basis, b.basis])
+def _domains_equal_by_rank(a: Subspace, b: Subspace):
+    """Independent equality test: equal dims and rank of the stacked bases, counted per
+    member with its own cutoff."""
+    if a.rank != b.rank or a.rank == 0:
+        return np.full(a.basis.shape[:-2], a.rank == b.rank)
+    stacked = np.concatenate([a.basis, b.basis], axis=-1)
     sv = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(sv > 1e-9 * sv[0])) == a.rank
+    return np.count_nonzero(sv > 1e-9 * sv[..., :1], axis=-1) == a.rank
 
 
 def _power_triple_space(t: LinearRelation, n: int) -> LinearRelation:
@@ -212,14 +251,13 @@ def _power_triple_space(t: LinearRelation, n: int) -> LinearRelation:
     return _compose_triple_space(square, t) if n % 2 else square
 
 
-def friedrichs_power_oracle(s: LinearRelation, n: int) -> PowerVerdict:
+def friedrichs_power_oracle(s: LinearRelation, n: int):
     """Same experiment through the triple-space composition and a rank-based equality test."""
     sf_pow = _power_triple_space(friedrichs_relation(s), n)
     pow_f = friedrichs_relation(_power_triple_space(s, n))
     dom_a = sf_pow.domain()
     dom_b = pow_f.domain()
-    verdict = "EQUAL" if _domains_equal_by_rank(dom_a, dom_b) else "DIFFER"
-    return PowerVerdict(verdict, n, dom_a.rank, dom_b.rank)
+    return _verdicts(_domains_equal_by_rank(dom_a, dom_b), n, dom_a, dom_b)
 
 
 def relation_spectrum(t: LinearRelation):

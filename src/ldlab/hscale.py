@@ -10,9 +10,9 @@ w alone and stay finite where the weights overflow a float. Scale norms, the
 isometry check, the duality pairing and the equivalence check take a vector or
 an n x k block of coefficient columns, a vector being a block of one. One
 product of the squared weights, divided by the largest first, with |c|^2 gives
-every column's norm (`_norms`); a column whose every term underflows in it is
-taken again against its own largest weighted term. The isometry forms |c|^2 once
-for both of its norms. The pairing and the equivalence ratios keep per-column
+every column's norm (`_norms`); a nonzero column whose every term underflows in
+it is taken again from |c| divided by its own largest entry, and that scale is
+carried beside the norm. The isometry forms |c|^2 once for both of its norms. The pairing and the equivalence ratios keep per-column
 arithmetic (a vdot of two contiguous rows; one norm per column), so a column
 comes out bitwise as it would alone. Membership of an
 *infinite* power-law model vector in a given space of the scale is decided
@@ -68,35 +68,57 @@ def _weights(operator: SpectralOperator, exponent: float) -> tuple[np.ndarray, f
     return np.exp(exponent * (logs - middle)), exponent * middle
 
 
-def _squared(operator: SpectralOperator, phi) -> np.ndarray:
-    """|c|^2 of the coefficient block of phi (`_as_block`)."""
-    c = _as_block(operator, phi)
+def _squared(c: np.ndarray) -> np.ndarray:
+    """|c|^2 of a coefficient block."""
     return np.square(c.real) + np.square(c.imag)
 
 
-def _norms(w: np.ndarray, squared: np.ndarray) -> np.ndarray:
-    """||w c_j|| for the columns of c, given squared = |c|^2: w is divided by its largest
-    entry before it is squared, so the square of a finite w cannot overflow. A nonzero
-    column whose every term underflows against the largest weight is taken again with
-    w |c_j| divided by its own largest entry; if that is 0 too, the norm has no value: NaN."""
+def _norms(w: np.ndarray, c: np.ndarray, squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(norms, scale) with ||w c_j|| = norms[j] * scale[j] for the columns of the coefficient
+    block c, given squared = |c|^2. w is divided by its largest entry before it is squared,
+    so the square of a finite w cannot overflow; there scale[j] = 1. A column whose product
+    reads 0 but whose entries do not (its terms underflowed against the largest weight, or
+    |c_j|^2 underflowed) is taken again as w |c_j| / max|c_j| divided by its own largest
+    term, with scale[j] = max|c_j|. A finite w is positive, so that term is too: a column
+    with a nonzero entry has a nonzero norm."""
     top = float(np.max(w))
     norms = np.sqrt(np.square(w / top) @ squared) * top
-    for j in np.flatnonzero((norms == 0.0) & np.any(squared != 0.0, axis=0)):
-        terms = w * np.sqrt(squared[:, j])
-        own = float(np.max(terms))
-        norms[j] = np.sqrt(np.sum(np.square(terms / own))) * own if own > 0.0 else np.nan
-    return norms
+    scale = np.ones_like(norms)
+    for j in np.flatnonzero(norms == 0.0):
+        size = np.abs(c[:, j])
+        big = float(np.max(size))
+        if big > 0.0:   # else a zero column, whose norm is 0
+            scale[j] = big
+            terms = w * (size / big)
+            own = float(np.max(terms))
+            norms[j] = np.sqrt(np.sum(np.square(terms / own))) * own
+    return norms, scale
 
 
 def hs_norm(operator: SpectralOperator, s: float, phi):
     """Scale norm ||phi||_s = ||(|A| + I)^{s/2} phi||, diagonal in the eigenbasis.
 
     phi is a vector (the norm is a float) or an n x k block (an array of its k column
-    norms), one path for both (`_norms`).
+    norms), one path for both (`_norms`). A column's norm is its centred norm times
+    exp(s m / 2) of `_weights`; it is taken in logs for a column `_norms` took at its own
+    scale, and for every column where that factor is not a positive float. A norm past
+    the float range raises ValueError.
     """
     w, shift = _weights(operator, s / 2)
-    norms = _norms(w, _squared(operator, phi)) * math.exp(shift)
-    return float(norms[0]) if np.ndim(phi) == 1 else norms
+    c = _as_block(operator, phi)
+    norms, scale = _norms(w, c, _squared(c))
+    try:
+        factor = math.exp(shift)
+    except OverflowError:
+        factor = math.inf
+    logged = (scale != 1.0) | (not 0.0 < factor < math.inf)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # log 0 = -inf
+        out = norms * factor
+        if logged.any():
+            out[logged] = np.exp(np.log(norms[logged]) + np.log(scale[logged]) + shift)
+    if np.isinf(out).any():
+        raise ValueError(f"scale norm at s={s:g} overflows a float")
+    return float(out[0]) if np.ndim(phi) == 1 else out
 
 
 def duality_pair(operator: SpectralOperator, s: float, phi, psi):
@@ -123,15 +145,18 @@ def isometry_check(operator: SpectralOperator, s: float, t: float, phi) -> float
     """Relative residual of the isometry H_s -> H_{s-t} induced by (|A|+I)^{t/2}.
 
     phi is a vector or an n x k block of them. Returns the worst, over its nonzero
-    columns c, of | ||(|A|+I)^{t/2} c||_{s-t} - ||c||_s | / ||c||_s: NaN when any is
-    NaN (a norm with no value included, `_norms`), 0.0 when every column is zero. Both
-    norms carry the factor exp(s m / 2) of `_weights`, which the ratio drops, so both
-    are taken with the centred weights w: ||c||_s with w_{s/2}, the mapped norm with
-    w_{(s-t)/2} w_{t/2}.
+    columns c, of | ||(|A|+I)^{t/2} c||_{s-t} - ||c||_s | / ||c||_s: NaN when any is NaN,
+    0.0 when every column is zero (a column with a nonzero entry has a nonzero norm,
+    `_norms`). Both norms carry the factor exp(s m / 2) of `_weights`, which the ratio
+    drops, so both are taken with the centred weights w: ||c||_s with w_{s/2}, the mapped
+    norm with w_{(s-t)/2} w_{t/2}, each at the scale `_norms` gives the column.
     """
-    squared = _squared(operator, phi)
-    norm_s = _norms(_weights(operator, s / 2)[0], squared)
-    mapped = _norms(_weights(operator, (s - t) / 2)[0] * _weights(operator, t / 2)[0], squared)
+    c = _as_block(operator, phi)
+    squared = _squared(c)
+    norm_s, scale_s = _norms(_weights(operator, s / 2)[0], c, squared)
+    mapped, scale_m = _norms(_weights(operator, (s - t) / 2)[0] * _weights(operator, t / 2)[0],
+                             c, squared)
+    mapped *= scale_m / scale_s   # both at the norm_s column's scale; 1 where neither rescaled
     nonzero = norm_s != 0.0
     return _worst(np.abs(mapped[nonzero] - norm_s[nonzero]) / norm_s[nonzero])
 

@@ -12,6 +12,7 @@ programming error, not a failed check, and propagates to the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import classical, extensions, hscale, leftdef, sldiscrete
 from .config import ScenarioConfig
 from .report import Report, Table, _worst
-from .spectral import LinearRelation, Subspace, load_matrix_csv
+from .spectral import LinearRelation, Subspace, _ct, load_matrix_csv
 
 
 @dataclass(frozen=True)
@@ -151,37 +152,89 @@ def _run_scale(report: Report, built: BuiltOperator, config: ScenarioConfig, rng
                         all(r[4] == r[5] for r in rows))
 
 
-def _random_minimal_relation(rng: np.random.Generator, n: int, codim: int):
-    """A random positive definite matrix on C^n restricted to the complement of a
-    random codim-dimensional subspace (codim 0 draws nothing for it)."""
+def _draw_restriction(rng: np.random.Generator, n: int, codim: int):
+    """The draws of one random restriction on C^n: a matrix m and codim constraint columns
+    c (codim 0 draws nothing for them), real parts before imaginary ones."""
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h = m @ m.conj().T + 0.5 * np.eye(n)
-    c = Subspace.span(rng.normal(size=(n, codim)) + 1j * rng.normal(size=(n, codim)))
-    return extensions.minimal_relation(h, c)
+    c = rng.normal(size=(n, codim)) + 1j * rng.normal(size=(n, codim))
+    return m, c
+
+
+def _restriction(m: np.ndarray, c: np.ndarray):
+    """The positive definite matrix m m* + I/2 restricted to the complement of span c,
+    for one draw or a stack of them."""
+    h = m @ _ct(m) + 0.5 * np.eye(m.shape[-1])
+    return extensions.minimal_relation(h, Subspace.span(c))
+
+
+# members x entries of a draw's first array (n^2 for a trial on C^n) in one stack. The
+# arrays a stack holds grow with it: one stack per shape group raised the peak memory of
+# the benchmark's 640 extension and Friedrichs trials by 13%, this budget by about 5%
+_STACK_ENTRIES = 2048
+
+
+def _by_shape(draws: list, trial) -> list:
+    """trial's rows for every draw, in draw order, each group of same-shape draws run as
+    stacks of up to _STACK_ENTRIES entries: `trial(*stacked arrays)` returns one row per
+    member.
+
+    A group whose stack raises a ValueError (a failed check, or members that disagree on a
+    rank) is run again as stacks of one; an error then reports the first failing draw in
+    draw order, with the message a loop over the draws would have raised.
+    """
+    groups = {}
+    for i, arrays in enumerate(draws):
+        groups.setdefault(tuple(a.shape for a in arrays), []).append(i)
+    stacks = []
+    for shapes, members in groups.items():
+        size = max(1, _STACK_ENTRIES // max(1, math.prod(shapes[0])))
+        stacks += [members[i:i + size] for i in range(0, len(members), size)]
+    rows, errors = [None] * len(draws), {}
+    for members in stacks:
+        try:
+            out = trial(*map(np.stack, zip(*(draws[i] for i in members))))
+        except ValueError:
+            out = []
+            for i in members:
+                try:
+                    out += trial(*(a[None] for a in draws[i]))
+                except ValueError as exc:
+                    errors[i] = exc
+                    out.append(None)
+        for i, row in zip(members, out):
+            rows[i] = row
+    if errors:
+        raise errors[min(errors)]
+    return rows
 
 
 def _run_extensions(report: Report, built: BuiltOperator, config: ScenarioConfig, rng):
     trials, dim_min, dim_max, codim = (
         config.params[key] for key in ("trials", "dimMin", "dimMax", "codim"))
-    rows = []
-    all_ok = {"deficiency": True, "von-neumann": True, "friedrichs-sa": True, "friedrichs-dom": True}
-    for trial in range(trials):
+    draws = []
+    for _ in range(trials):
         n = int(rng.integers(dim_min, dim_max + 1))
-        s = _random_minimal_relation(rng, n, codim)
+        draws.append(_draw_restriction(rng, n, codim))
+
+    def trial(m, c):
+        s = _restriction(m, c)
         rep = extensions.deficiency_indices(s)
         ok_def = (rep.m_plus, rep.m_minus) == (codim, codim)
-        vn = extensions.von_neumann_check(s)
-        ok_vn = vn.overall == "PASS"
+        ok_vn = [vn.overall == "PASS" for vn in extensions.von_neumann_check(s)]
         sf = extensions.friedrichs_relation(s)
         ok_sa = extensions.rel_is_selfadjoint(sf)
         ok_dom = extensions.subspaces_equal(sf.domain(), s.domain())
-        all_ok["deficiency"] &= ok_def
-        all_ok["von-neumann"] &= ok_vn
-        all_ok["friedrichs-sa"] &= ok_sa
-        all_ok["friedrichs-dom"] &= ok_dom
-        rows.append((trial, n, codim, rep.m_plus, rep.m_minus, s.dim,
-                     rep.adjoint.dim,
-                     "PASS" if (ok_def and ok_vn and ok_sa and ok_dom) else "FAIL"))
+        return [(m.shape[-1], rep.m_plus, rep.m_minus, s.dim, rep.adjoint.dim,
+                 ok_def, vn, bool(sa), bool(dom))
+                for vn, sa, dom in zip(ok_vn, ok_sa, ok_dom)]
+
+    rows = []
+    all_ok = {"deficiency": True, "von-neumann": True, "friedrichs-sa": True, "friedrichs-dom": True}
+    for trial_no, (n, m_plus, m_minus, dim_s, dim_adj, *oks) in enumerate(_by_shape(draws, trial)):
+        for key, ok in zip(all_ok, oks):
+            all_ok[key] &= ok
+        rows.append((trial_no, n, codim, m_plus, m_minus, dim_s, dim_adj,
+                     "PASS" if all(oks) else "FAIL"))
     report.add_table(Table.build(
         "extension_trials",
         ("trial", "dim", "codim", "m_plus", "m_minus", "dim_S", "dim_Sstar", "status"), rows))
@@ -194,17 +247,21 @@ def _run_extensions(report: Report, built: BuiltOperator, config: ScenarioConfig
 
 def _run_friedrichs_conjecture(report: Report, built: BuiltOperator, config: ScenarioConfig, rng):
     dim, codim, n_pow, trials = (config.params[key] for key in ("dim", "codim", "n", "trials"))
+    draws = [_draw_restriction(rng, dim, codim) for _ in range(trials)]
+
+    def trial(m, c):
+        s = _restriction(m, c)
+        return list(zip(extensions.friedrichs_power_experiment(s, n_pow),
+                        extensions.friedrichs_power_oracle(s, n_pow)))
+
     rows = []
     agree = True
     equal_when_trivial = True
-    for trial in range(trials):
-        s = _random_minimal_relation(rng, dim, codim)
-        main = extensions.friedrichs_power_experiment(s, n_pow)
-        oracle = extensions.friedrichs_power_oracle(s, n_pow)
+    for trial_no, (main, oracle) in enumerate(_by_shape(draws, trial)):
         agree &= main.verdict == oracle.verdict
         if codim == 0 or n_pow == 1:
             equal_when_trivial &= main.verdict == "EQUAL"
-        rows.append((trial, dim, codim, n_pow, main.verdict, oracle.verdict,
+        rows.append((trial_no, dim, codim, n_pow, main.verdict, oracle.verdict,
                      main.dim_power_of_friedrichs, main.dim_friedrichs_of_power))
     report.add_table(Table.build(
         "friedrichs_power",

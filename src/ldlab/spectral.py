@@ -25,7 +25,20 @@ on it: the boundary form (F*G and max|F*G - G*F|), `adjoint`, `domain()`,
 construction fixes get no SVD of their own: QR of [I; A] in `from_matrix`,
 sqrt2 F ker(G -/+ iF), and `mul_extension` by QR when mul T = 0. `rel_power`
 squares: t^4 = t^2 o t^2, two compositions. Every `Subspace` checks its
-orthonormality.
+orthonormality, a stack of them in one batched product (below).
+
+Subspaces, relations and the functions on them take operands with leading
+batch axes, (..., m, n), as numpy's linalg does: a stack of same-shape
+subspaces or relations goes through every SVD, QR, product and check in one
+call, and a single one is the 2-D case of the same function body. Each member's
+result is bitwise what it gives alone (LAPACK and BLAS run member by member).
+`_rank` decides per member, and a rank fixes the shape of every basis built
+from it, so members that disagree raise RaggedRankError and are run apart. A
+stack's orthonormality is checked with one batched B*B - I, each member against
+ORTHO_TOL. Verdicts (`subspaces_equal`, `rel_is_selfadjoint`, the boundary-form
+defect) are a Python scalar for a single operand and an array of the batch
+shape for a stack. An error about a stack names its first failing member in C
+order ("(stack member k of K)"); about a single operand it reads as always.
 
 A `HermitianMatrix` or `SpectralDecomposition` decides its dtype once, when
 built (`_stored`): float64 for real-valued data (a real dtype, or complex with
@@ -72,6 +85,36 @@ class SpectrumError(ValueError):
     """Raised when a spectral precondition (e.g. strict positivity) fails."""
 
 
+class RaggedRankError(ValueError):
+    """Raised when the members of a stack disagree on a rank decision; run them apart."""
+
+
+def _ct(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of each member of a stack (..., m, n)."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _max_abs(a: np.ndarray):
+    """max|a| over the entries of a matrix, or one per member of a stack (..., m, n); a must
+    be C-contiguous, so that each member's entries are one row of a view."""
+    return np.abs(a.reshape(a.shape[:-2] + (-1,))).max(axis=-1)
+
+
+def _first_member(bad) -> tuple[tuple, str]:
+    """(index, suffix) of the first member, in C order, for which the per-member array `bad`
+    holds. The suffix names that member in a stack of more than one and is empty otherwise,
+    so an error about a single operand reads as it always has."""
+    bad = np.asarray(bad)
+    k = int(np.argmax(bad))
+    return np.unravel_index(k, bad.shape), f" (stack member {k} of {bad.size})" * (bad.size > 1)
+
+
+def _per_member(values):
+    """A per-member array as it is for a stack, a Python scalar for a single operand."""
+    values = np.asarray(values)
+    return values.item() if values.ndim == 0 else values
+
+
 def inner(x, y) -> complex:
     """Inner product, linear in the first argument: <x,y> = sum x_i conj(y_i)."""
     return complex(np.vdot(np.asarray(y), np.asarray(x)))
@@ -86,20 +129,9 @@ class HermitianMatrix:
 
     def __post_init__(self):
         entries = _stored(self.entries, copy=True)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        if entries.ndim != 2:
             raise NotHermitianError(f"expected a square matrix, got shape {entries.shape}")
-        if entries.shape[0] == 0:
-            raise NotHermitianError("empty matrix")
-        if not np.all(np.isfinite(entries.view(float))):
-            raise NotHermitianError("matrix contains non-finite entries")
-        asym = entries - entries.conj().T
-        asym = float(np.max(np.abs(asym, out=asym).real))   # |.| in place: one temporary
-        scale = float(np.max(np.abs(entries)))
-        if asym > HERMITIAN_RTOL * max(scale, 1e-300):
-            raise NotHermitianError(
-                f"matrix is not Hermitian: max asymmetry {asym:.3e} "
-                f"exceeds {HERMITIAN_RTOL:.1e} * {scale:.3e}"
-            )
+        scale = float(_hermitian_scale(entries))
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "norm_max", scale)
@@ -107,6 +139,42 @@ class HermitianMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+def _hermitian_scale(entries: np.ndarray):
+    """max|entries| of a square matrix, or of each member of a stack (..., n, n), after
+    checking that it is nonempty, finite and Hermitian to HERMITIAN_RTOL relative to that
+    scale. An error names the first failing member of a stack."""
+    if entries.ndim < 2 or entries.shape[-2] != entries.shape[-1]:
+        raise NotHermitianError(f"expected a square matrix, got shape {entries.shape}")
+    if entries.shape[-1] == 0:
+        raise NotHermitianError("empty matrix")
+    finite = np.isfinite(entries.view(float).reshape(entries.shape[:-2] + (-1,))).all(axis=-1)
+    if not finite.all():
+        raise NotHermitianError("matrix contains non-finite entries" + _first_member(~finite)[1])
+    asym = entries - _ct(entries)
+    asym = np.abs(asym, out=asym).real   # |.| in place: one temporary
+    asym = np.max(asym.reshape(asym.shape[:-2] + (-1,)), axis=-1)
+    scale = np.max(np.abs(entries.reshape(entries.shape[:-2] + (-1,))), axis=-1)
+    bad = asym > HERMITIAN_RTOL * np.maximum(scale, 1e-300)
+    if bad.any():
+        i, member = _first_member(bad)
+        raise NotHermitianError(
+            f"matrix is not Hermitian: max asymmetry {asym[i]:.3e} "
+            f"exceeds {HERMITIAN_RTOL:.1e} * {scale[i]:.3e}{member}"
+        )
+    return scale
+
+
+def _hermitian_entries(matrix) -> np.ndarray:
+    """The read-only entries of a HermitianMatrix as they are, else the checked `_stored` copy
+    of a Hermitian matrix or of a stack of them (`_hermitian_scale`)."""
+    if isinstance(matrix, HermitianMatrix):
+        return matrix.entries
+    entries = _stored(matrix, copy=True)
+    _hermitian_scale(entries)
+    entries.setflags(write=False)
+    return entries
 
 
 def as_hermitian(matrix) -> HermitianMatrix:
@@ -127,11 +195,12 @@ def _stored(a, copy: bool) -> np.ndarray:
     return np.array(a, dtype=dtype) if copy else np.asarray(a, dtype=dtype)
 
 
-def _ortho_defect(b: np.ndarray) -> float:
-    """max|B*B - I|, the identity subtracted from the diagonal of B*B in place."""
-    gram = b.conj().T @ b   # a new C-contiguous array, so reshape(-1) is a view of it
-    gram.reshape(-1)[:: gram.shape[0] + 1] -= 1.0
-    return float(np.abs(gram).max())
+def _ortho_defect(b: np.ndarray):
+    """max|B*B - I| of a basis, or one per member of a stack in one batched product, the
+    identity subtracted from the diagonal of B*B in place."""
+    gram = _ct(b) @ b   # a new C-contiguous array, so the reshape is a view of it
+    gram.reshape(gram.shape[:-2] + (-1,))[..., :: gram.shape[-1] + 1] -= 1.0
+    return _max_abs(gram)
 
 
 def _unit_permutation(u: np.ndarray) -> np.ndarray | None:
@@ -369,74 +438,93 @@ def mat_power(matrix, r: float) -> HermitianMatrix:
 
 
 def _rank(s: np.ndarray, scale: float | None = None) -> int:
-    """Rank from descending singular values s: the count of s > RANK_RTOL * scale, the
-    package's one cutoff. scale is sigma_max = s[0] by default (0 for an empty s)."""
+    """Rank from descending singular values s (..., k): the count of s > RANK_RTOL * scale,
+    the package's one cutoff. scale is sigma_max = s[..., 0] by default (0 for an empty s).
+    A rank fixes the shape of every basis built from it, so the members of a stack must
+    agree on it; where they do not, RaggedRankError asks for them to be run apart."""
     if scale is None:
-        scale = s[0] if s.size else 0.0
-    return int(np.count_nonzero(s > RANK_RTOL * scale))
+        scale = s[..., :1] if s.shape[-1] else 0.0
+    counts = np.add.reduce(s > RANK_RTOL * scale, axis=-1, dtype=np.intp)
+    rank = counts.item(0)
+    if counts.ndim and (counts != rank).any():
+        raise RaggedRankError(f"stack members disagree on a rank: {sorted(set(counts.tolist()))}")
+    return rank
+
+
+def _columns(a, ambient: int) -> np.ndarray:
+    """a as complex columns in C^ambient: a vector is one column, and a matrix, or each
+    member of a stack (..., m, k), is read as columns of `ambient` rows."""
+    a = np.asarray(a, dtype=complex)
+    return a.reshape(a.shape[:-2] + (ambient, -1))
 
 
 def _onb(columns: np.ndarray, ambient: int) -> np.ndarray:
-    """Orthonormal basis of the column space."""
-    cols = np.asarray(columns, dtype=complex).reshape(ambient, -1)
-    if cols.shape[1] == 0:
-        return np.zeros((ambient, 0), dtype=complex)
+    """Orthonormal basis of the column space, of each member of a stack alike."""
+    cols = _columns(columns, ambient)
+    if cols.shape[-1] == 0:
+        return np.zeros(cols.shape, dtype=complex)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, :_rank(s)]
+    return u[..., :_rank(s)]
 
 
 def _complement(cols: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ran(cols)^perp for a block of full column rank: the trailing
-    columns of one complete QR. The rank is the column count; nothing is decided."""
+    """Orthonormal basis of ran(cols)^perp for a block (or a stack of blocks) of full column
+    rank: the trailing columns of one complete QR. The rank is the column count; nothing is
+    decided."""
     q, _ = np.linalg.qr(cols, mode="complete")
-    return q[:, cols.shape[1]:]
+    return q[..., cols.shape[-1]:]
 
 
 def _nullspace(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(m), its dimension decided by `_rank`."""
+    """Orthonormal basis of ker(m), of each member of a stack, its dimension decided by
+    `_rank`."""
     m = np.asarray(m, dtype=complex)
-    if m.shape[1] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    if m.shape[0] == 0:
-        return np.eye(m.shape[1], dtype=complex)
+    batch, (rows, cols) = m.shape[:-2], m.shape[-2:]
+    if cols == 0:
+        return np.zeros(batch + (0, 0), dtype=complex)
+    if rows == 0:
+        return np.zeros(batch + (cols, cols), dtype=complex) + np.eye(cols)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    return vh[_rank(s):, :].conj().T
+    return _ct(vh[..., _rank(s):, :])
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of C^n carried by an orthonormal column basis."""
+    """A subspace of C^n carried by an orthonormal column basis (n, k), or a stack of
+    subspaces of one rank k carried by a stack of bases (..., n, k)."""
 
     ambient_dim: int
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=complex).reshape(self.ambient_dim, -1)
-        if basis.shape[1] > self.ambient_dim:
+        basis = _columns(self.basis, self.ambient_dim)
+        if basis.shape[-1] > self.ambient_dim:
             raise DimensionMismatchError(
-                f"rank {basis.shape[1]} exceeds ambient dimension {self.ambient_dim}"
+                f"rank {basis.shape[-1]} exceeds ambient dimension {self.ambient_dim}"
             )
-        if basis.shape[1] > 0:
+        if basis.shape[-1] > 0:
             ortho = _ortho_defect(basis)
-            if ortho > ORTHO_TOL:
-                raise SpectrumError(f"basis columns not orthonormal: {ortho:.3e}")
+            bad = ortho > ORTHO_TOL
+            if bad.any():
+                i, member = _first_member(bad)
+                raise SpectrumError(f"basis columns not orthonormal: {ortho[i]:.3e}{member}")
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[1]
+        return self.basis.shape[-1]
 
     @property
     def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
+        return self.basis @ _ct(self.basis)
 
     @classmethod
     def span(cls, columns, ambient_dim: int | None = None) -> "Subspace":
         cols = np.asarray(columns, dtype=complex)
         if cols.ndim == 1:
             cols = cols[:, None]
-        n = ambient_dim if ambient_dim is not None else cols.shape[0]
+        n = ambient_dim if ambient_dim is not None else cols.shape[-2]
         return cls(n, _onb(cols, n))
 
     @classmethod
@@ -466,10 +554,10 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.rank < b.rank:
         a, b = b, a
     if b.rank == 0:
-        return Subspace.zero(a.ambient_dim)
-    _, sines, vh = np.linalg.svd(b.basis - a.basis @ (a.basis.conj().T @ b.basis),
+        return b
+    _, sines, vh = np.linalg.svd(b.basis - a.basis @ (_ct(a.basis) @ b.basis),
                                  full_matrices=False)
-    return Subspace(a.ambient_dim, b.basis @ vh[_rank(sines, 2.0):].conj().T)
+    return Subspace(a.ambient_dim, b.basis @ _ct(vh[..., _rank(sines, 2.0):, :]))
 
 
 def orthocomplement(a: Subspace) -> Subspace:
@@ -477,11 +565,13 @@ def orthocomplement(a: Subspace) -> Subspace:
     return Subspace(a.ambient_dim, _complement(a.basis))
 
 
-def subspaces_equal(a: Subspace, b: Subspace) -> bool:
+def subspaces_equal(a: Subspace, b: Subspace):
+    """a = b: equal ranks and projectors within SUBSPACE_TOL; a bool, or one per member of
+    a stack."""
     _check_ambient(a, b)
-    if a.rank != b.rank:
-        return False
-    return float(np.max(np.abs(a.projector - b.projector))) <= SUBSPACE_TOL if a.rank else True
+    if a.rank != b.rank or a.rank == 0:
+        return _per_member(np.full(a.basis.shape[:-2], a.rank == b.rank))
+    return _per_member(_max_abs(a.projector - b.projector) <= SUBSPACE_TOL)
 
 
 @dataclass(frozen=True)
@@ -489,7 +579,8 @@ class LinearRelation:
     """A linear relation on C^n: a subspace of the doubled space C^n (+) C^n.
 
     The graph basis is stored with the first n rows holding the `f` block and
-    the last n rows the `g` block of pairs (f, g).
+    the last n rows the `g` block of pairs (f, g). A stacked graph is a stack of
+    relations of one dimension, and every derived space is stacked alike.
     """
 
     graph: Subspace
@@ -508,14 +599,18 @@ class LinearRelation:
 
     def _blocks(self):
         n = self.space_dim
-        return self.graph.basis[:n], self.graph.basis[n:]
+        return self.graph.basis[..., :n, :], self.graph.basis[..., n:, :]
 
     @classmethod
     def from_matrix(cls, matrix) -> "LinearRelation":
         """graph(A), its basis a QR of [I; A], which has full column rank at any scale of A."""
         a = np.asarray(matrix)
-        q, _ = np.linalg.qr(np.vstack([np.eye(a.shape[0]), a]))
-        return cls(Subspace(2 * a.shape[0], q))
+        n = a.shape[-1]
+        cols = np.empty(a.shape[:-2] + (2 * n, n), dtype=np.result_type(a, float))
+        cols[..., :n, :] = np.eye(n)
+        cols[..., n:, :] = a
+        q, _ = np.linalg.qr(cols)
+        return cls(Subspace(2 * n, q))
 
     @classmethod
     def multivalued(cls, n: int) -> "LinearRelation":
@@ -539,32 +634,35 @@ class LinearRelation:
     @cached_property
     def _domain(self) -> Subspace:
         u, _, _, r = self._f_svd
-        return Subspace(self.space_dim, u[:, :r])
+        return Subspace(self.space_dim, u[..., :r])
 
     @cached_property
     def operator_part(self) -> np.ndarray:
         """H = U_r* G F^+ U_r = U_r* G V_r S_r^-1, symmetrized: t's operator part in the basis
         U_r of dom t. For self-adjoint t, t = graph(H) (+) {0} x (dom t)^perp."""
         u, s, vh, r = self._f_svd
-        h = u[:, :r].conj().T @ (self._blocks()[1] @ vh[:r].conj().T) / s[:r]
-        return (h + h.conj().T) / 2
+        h = _ct(u[..., :r]) @ (self._blocks()[1] @ _ct(vh[..., :r, :])) / s[..., None, :r]
+        return (h + _ct(h)) / 2
 
     @cached_property
-    def _boundary_form(self) -> tuple[np.ndarray, float]:
-        """(F*G, max|F*G - G*F|) for the graph basis [F; G], computed once per relation.
-        F*G - G*F is the Gram matrix of Jt against t and t* = (Jt)^perp, so t is in t* iff
-        the defect is 0 (to SUBSPACE_TOL)."""
+    def _boundary_form(self) -> tuple:
+        """(F*G, max|F*G - G*F|) for the graph basis [F; G], computed once per relation; the
+        defect is a float, or one per member of a stack. F*G - G*F is the Gram matrix of Jt
+        against t and t* = (Jt)^perp, so t is in t* iff the defect is 0 (to SUBSPACE_TOL)."""
         f, g = self._blocks()
-        form = f.conj().T @ g
+        form = _ct(f) @ g
         form.setflags(write=False)
-        return form, float(np.max(np.abs(form - form.conj().T))) if self.dim else 0.0
+        if not self.dim:
+            return form, _per_member(np.zeros(form.shape[:-2]))
+        return form, _per_member(_max_abs(form - _ct(form)))
 
     @cached_property
     def adjoint(self) -> "LinearRelation":
         """{(h, k) : <k, f> = <h, g> on t} = (Jt)^perp with J(f, g) = (g, -f). J is unitary,
         so [G; -F] is an orthonormal basis of Jt and t* is its `_complement`."""
         f, g = self._blocks()
-        return LinearRelation(Subspace(2 * self.space_dim, _complement(np.vstack([g, -f]))))
+        return LinearRelation(Subspace(2 * self.space_dim,
+                                       _complement(np.concatenate([g, -f], axis=-2))))
 
     @cached_property
     def defect_kernels(self) -> tuple[Subspace, Subspace]:
@@ -588,8 +686,9 @@ class LinearRelation:
         """
         n = self.space_dim
         u, _, _, r = self._f_svd
-        extra = u[:, r:]
-        cols = np.hstack([self.graph.basis, np.vstack([np.zeros_like(extra), extra])])
+        extra = u[..., r:]
+        cols = np.concatenate(
+            [self.graph.basis, np.concatenate([np.zeros_like(extra), extra], axis=-2)], axis=-1)
         if r == self.dim:
             q, _ = np.linalg.qr(cols)
             return LinearRelation(Subspace(2 * n, q))
@@ -607,9 +706,9 @@ def rel_compose(t: LinearRelation, s: LinearRelation) -> LinearRelation:
     n = t.space_dim
     fs, gs = s._blocks()
     ft, gt = t._blocks()
-    null = _nullspace(np.hstack([gs, -ft]))
-    a, b = null[: s.dim], null[s.dim:]
-    return LinearRelation(Subspace.span(np.vstack([fs @ a, gt @ b]), 2 * n))
+    null = _nullspace(np.concatenate([gs, -ft], axis=-1))
+    a, b = null[..., :s.dim, :], null[..., s.dim:, :]
+    return LinearRelation(Subspace.span(np.concatenate([fs @ a, gt @ b], axis=-2), 2 * n))
 
 
 def rel_power(t: LinearRelation, n: int) -> LinearRelation:
@@ -627,11 +726,13 @@ def rel_power(t: LinearRelation, n: int) -> LinearRelation:
         square = rel_compose(square, square)
 
 
-def rel_is_selfadjoint(t: LinearRelation) -> bool:
+def rel_is_selfadjoint(t: LinearRelation):
     """t = t*: t is contained in t* (the cached `_boundary_form` defect vanishes) and
     dim t = n = dim t*, so t is a Lagrangian subspace of the doubled space. No adjoint and
-    no projector is formed."""
-    return t.dim == t.space_dim and t._boundary_form[1] <= SUBSPACE_TOL
+    no projector is formed. A bool, or one per member of a stack."""
+    if t.dim != t.space_dim:
+        return _per_member(np.zeros(t.graph.basis.shape[:-2], dtype=bool))
+    return _per_member(np.asarray(t._boundary_form[1]) <= SUBSPACE_TOL)
 
 
 def load_matrix_csv(path) -> np.ndarray:

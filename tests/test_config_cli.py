@@ -557,7 +557,8 @@ class TestRunScenario:
         def inverse_friedrichs(s):
             n = s.space_dim
             basis = real(s).graph.basis
-            return LinearRelation(Subspace(2 * n, np.vstack([basis[n:], basis[:n]])))
+            return LinearRelation(Subspace(2 * n, np.concatenate([basis[..., n:, :],
+                                                                  basis[..., :n, :]], axis=-2)))
 
         monkeypatch.setattr(extensions, "friedrichs_relation", inverse_friedrichs)
         raw = make_config(

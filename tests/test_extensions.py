@@ -1,8 +1,10 @@
 import functools
+import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ldlab.extensions import (
@@ -10,6 +12,7 @@ from ldlab.extensions import (
     NotSymmetricError,
     PerturbationSpec,
     deficiency_indices,
+    form_lower_bound,
     friedrichs_power_experiment,
     friedrichs_power_oracle,
     friedrichs_relation,
@@ -22,7 +25,8 @@ from ldlab.extensions import (
     theta_sweep,
     von_neumann_check,
 )
-from ldlab import extensions, spectral
+from ldlab import extensions, scenarios, spectral
+from ldlab.config import parse_config
 from ldlab.leftdef import SpectralOperator
 from ldlab.spectral import (
     DimensionMismatchError,
@@ -1024,3 +1028,240 @@ class TestScaleProperties:
         assert mul.rank == 3 and _ortho_defect(mul.basis) <= 1e-13
         inter = subspace_intersect(sf.graph, sf.adjoint.graph)
         assert inter.rank == sf.dim and _ortho_defect(inter.basis) <= 1e-13
+
+
+def restriction_draws(seed, n, codim, k):
+    """(h, c): k seeded positive definite matrices on C^n and k blocks of codim constraint
+    columns, stacked (k, n, n) and (k, n, codim) as the scenarios draw them."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+    h = m @ np.swapaxes(m.conj(), -1, -2) + 0.5 * np.eye(n)
+    c = rng.normal(size=(k, n, codim)) + 1j * rng.normal(size=(k, n, codim))
+    return h, c
+
+
+def stack_and_singles(h, c):
+    """The minimal relations of a stack of draws, as one stack and one by one."""
+    return (minimal_relation(h, Subspace.span(c)),
+            [minimal_relation(h[i], Subspace.span(c[i])) for i in range(len(h))])
+
+
+class TestStackEqualsLoop:
+    """A stack of same-shape relations gives, bitwise, each member's result as a single
+    relation: every LAPACK call and product runs member by member in one call."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 12), codim=st.integers(0, 3),
+           k=st.integers(1, 8))
+    def test_relation_layer(self, seed, n, codim, k):
+        s, singles = stack_and_singles(*restriction_draws(seed, n, codim, k))
+        rep = deficiency_indices(s)
+        reports = von_neumann_check(s)
+        sf = friedrichs_relation(s)
+        inter = subspace_intersect(s.graph, s.adjoint.graph)
+        assert len(reports) == k
+        for i, t in enumerate(singles):
+            one = deficiency_indices(t)
+            assert (rep.m_plus, rep.m_minus) == (one.m_plus, one.m_minus) == (codim, codim)
+            pairs = ((s.graph, t.graph), (rep.defect_plus, one.defect_plus),
+                     (rep.defect_minus, one.defect_minus), (rep.adjoint.graph, one.adjoint.graph),
+                     (sf.graph, friedrichs_relation(t).graph),
+                     (inter, subspace_intersect(t.graph, t.adjoint.graph)))
+            for stacked, single in pairs:
+                np.testing.assert_array_equal(stacked.basis[i], single.basis)
+            assert reports[i].rows == von_neumann_check(t).rows
+            assert form_lower_bound(s)[i] == form_lower_bound(t)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 12), codim=st.integers(0, 3),
+           k=st.integers(1, 8), power=st.integers(1, 4))
+    def test_power_experiment_and_oracle(self, seed, n, codim, k, power):
+        s, singles = stack_and_singles(*restriction_draws(seed, n, codim, k))
+        for experiment in (friedrichs_power_experiment, friedrichs_power_oracle):
+            try:
+                verdicts = experiment(s, power)
+            except spectral.RaggedRankError:
+                assume(False)   # a stack that must be run apart: test_ragged_rank_splits_out
+            except ValueError as exc:
+                # at n >= 11 and power 4, S_F^4 can fail its self-adjointness check: the
+                # stack names a member, whose own run raises the same error
+                named = re.fullmatch(r"(.*) \(stack member (\d+) of \d+\)", str(exc))
+                with pytest.raises(type(exc)) as single:
+                    experiment(singles[int(named[2]) if named else 0], power)
+                assert str(single.value) == (named[1] if named else str(exc))
+                return
+            assert verdicts == [experiment(t, power) for t in singles]
+        for route in (rel_power, extensions._power_triple_space):
+            stacked = route(s, power).graph.basis
+            for i, t in enumerate(singles):
+                np.testing.assert_array_equal(stacked[i], route(t, power).graph.basis)
+
+    def test_ragged_rank_splits_out(self):
+        h, c = restriction_draws(70, 8, 2, 4)
+        c[1, :, 1] = c[1, :, 0]     # member 1's constraints span one dimension
+        with pytest.raises(spectral.RaggedRankError, match=r"disagree on a rank: \[1, 2\]"):
+            Subspace.span(c)
+
+        def trial(h, c):
+            s = minimal_relation(h, Subspace.span(c))
+            rep = deficiency_indices(s)
+            return [(rep.m_plus, rep.m_minus, basis) for basis in s.graph.basis]
+
+        rows = scenarios._by_shape([(h[i], c[i]) for i in range(4)], trial)
+        assert [row[:2] for row in rows] == [(2, 2), (1, 1), (2, 2), (2, 2)]
+        for i, (_, _, basis) in enumerate(rows):
+            np.testing.assert_array_equal(
+                basis, minimal_relation(h[i], Subspace.span(c[i])).graph.basis)
+
+    def test_failing_member_is_named_and_reported_in_trial_order(self):
+        h, c = restriction_draws(71, 6, 1, 5)
+        h[2] = -h[2]     # the third member's form is negative definite
+        with pytest.raises(SpectrumError) as single:
+            friedrichs_relation(minimal_relation(h[2], Subspace.span(c[2])))
+        message = str(single.value)
+        assert message.startswith("relation is not nonnegative (form lower bound -")
+        with pytest.raises(SpectrumError) as stacked:
+            friedrichs_relation(minimal_relation(h, Subspace.span(c)))
+        assert str(stacked.value) == message + " (stack member 2 of 5)"
+
+        # draw 3 (n = 6) fails in the first group, draw 2 (n = 5) in the second: the scenario
+        # reports draw 2, with the message a loop over the draws would have raised
+        other_h, other_c = restriction_draws(72, 5, 1, 1)
+        h[3] = -h[3]
+        draws = [(h[0], c[0]), (h[1], c[1]), (-other_h[0], other_c[0]), (h[3], c[3])]
+
+        def trial(h, c):
+            return [sf.dim for sf in [friedrichs_relation(minimal_relation(h, Subspace.span(c)))]
+                    for _ in range(len(h))]
+
+        with pytest.raises(SpectrumError) as first:
+            scenarios._by_shape(draws, trial)
+        with pytest.raises(SpectrumError) as loop:
+            friedrichs_relation(minimal_relation(-other_h[0], Subspace.span(other_c[0])))
+        assert str(first.value) == str(loop.value)
+
+
+def _record_shapes(monkeypatch, module, name: str) -> list:
+    """Shapes of the first argument of every call of module.name after this point."""
+    real, shapes = getattr(module, name), []
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return shapes
+
+
+class TestStackBudget:
+    """A K-member stack makes the calls of one member, each with a leading K."""
+
+    # one extension trial at n = 8, codim 1, after minimal_relation: the SVDs of
+    # `test_extension_trial_svd_budget`, the complete QR of [G; -F] (S*) and the QR of the
+    # Friedrichs graph, and one orthonormality check per Subspace built
+    SVDS = [(8, 9), (8, 9), (16, 1), (16, 1), (16, 1), (16, 9), (8, 7), (8, 8)]
+    QRS = [(16, 7), (16, 8)]
+    CHECKS = [(16, 9), (8, 1), (8, 1), (16, 1), (16, 1), (16, 9), (16, 8), (8, 7), (8, 7)]
+
+    @staticmethod
+    def _counters(monkeypatch):
+        return (_count_svds(monkeypatch), _record_shapes(monkeypatch, np.linalg, "qr"),
+                _record_shapes(monkeypatch, spectral, "_ortho_defect"))
+
+    @pytest.mark.parametrize("k", [None, 1, 4])
+    def test_extension_trial(self, monkeypatch, k):
+        h, c = restriction_draws(61, 8, 1, k or 1)
+        s = minimal_relation(h if k else h[0], Subspace.span(c if k else c[0]))
+        svds, qrs, checks = self._counters(monkeypatch)
+        rep = deficiency_indices(s)
+        vn = von_neumann_check(s)
+        sf = friedrichs_relation(s)
+        assert (rep.m_plus, rep.m_minus) == (1, 1)
+        assert np.all(rel_is_selfadjoint(sf))
+        assert np.all(subspaces_equal(sf.domain(), s.domain()))
+        assert all(r.overall == "PASS" for r in (vn if k else [vn]))
+        lead = (k,) if k else ()
+        assert svds == [lead + shape for shape in self.SVDS]
+        assert qrs == [lead + shape for shape in self.QRS]
+        assert checks == [lead + shape for shape in self.CHECKS]
+
+    def test_friedrichs_trial(self, monkeypatch):
+        h, c = restriction_draws(62, 10, 2, 4)
+        single = minimal_relation(h[0], Subspace.span(c[0]))
+        s = minimal_relation(h, Subspace.span(c))
+        counted = []
+        for relation in (single, s):
+            counters = self._counters(monkeypatch)
+            friedrichs_power_experiment(relation, 4)
+            friedrichs_power_oracle(relation, 4)
+            counted.append(counters)
+            monkeypatch.undo()
+        (svds, qrs, checks), (stack_svds, stack_qrs, stack_checks) = counted
+        assert (len(svds), len(qrs), len(checks)) == (23, 3, 27)
+        assert stack_svds == [(4,) + shape for shape in svds]
+        assert stack_qrs == [(4,) + shape for shape in qrs]
+        assert stack_checks == [(4,) + shape for shape in checks]
+
+    def test_corrupted_member_is_named(self):
+        h, c = restriction_draws(63, 8, 2, 4)
+        basis = minimal_relation(h, Subspace.span(c)).graph.basis.copy()
+        basis[2, 3, 1] += 1e-9
+        with pytest.raises(SpectrumError,
+                           match=r"^basis columns not orthonormal: \S+ \(stack member 2 of 4\)$"):
+            Subspace(16, basis)
+        with pytest.raises(SpectrumError, match=r"^basis columns not orthonormal: \S+$"):
+            Subspace(16, basis[2])
+        for i in (0, 1, 3):
+            Subspace(16, basis[i])
+
+
+def _scenario_table(experiment: str, params: dict, seed: int):
+    config = parse_config(json.dumps({
+        "operatorSpec": {"kind": "diag-growth", "p": 1.0, "q": -1.0, "N": 10},
+        "experiment": experiment, "params": params, "seed": seed}))
+    report = scenarios.run_scenario(config)
+    assert report.overall == "PASS", report.rows
+    return report.tables[0].rows
+
+
+class TestStackedScenarios:
+    """The extension and Friedrichs drivers run same-size trials as stacks (two stacks per
+    size here: 2048 entries hold 20 trials on C^10); their rows are those of the
+    trial-by-trial loop over the same seeded stream, kept here as the reference."""
+
+    @staticmethod
+    def _loop_restriction(rng, n, codim):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = m @ m.conj().T + 0.5 * np.eye(n)
+        c = Subspace.span(rng.normal(size=(n, codim)) + 1j * rng.normal(size=(n, codim)))
+        return minimal_relation(h, c)
+
+    def test_extension_rows_are_the_loop_rows(self):
+        trials, codim, seed = 70, 2, 17
+        rng = np.random.default_rng(seed)
+        expected = []
+        for trial in range(trials):
+            n = int(rng.integers(10, 12))
+            s = self._loop_restriction(rng, n, codim)
+            rep = deficiency_indices(s)
+            sf = friedrichs_relation(s)
+            ok = ((rep.m_plus, rep.m_minus) == (codim, codim)
+                  and von_neumann_check(s).overall == "PASS" and rel_is_selfadjoint(sf)
+                  and subspaces_equal(sf.domain(), s.domain()))
+            expected.append((trial, n, codim, rep.m_plus, rep.m_minus, s.dim, rep.adjoint.dim,
+                             "PASS" if ok else "FAIL"))
+        params = {"trials": trials, "dimMin": 10, "dimMax": 11, "codim": codim}
+        assert _scenario_table("extensions", params, seed) == tuple(expected)
+
+    def test_friedrichs_rows_are_the_loop_rows(self):
+        trials, dim, codim, power, seed = 25, 10, 2, 3, 18
+        rng = np.random.default_rng(seed)
+        expected = []
+        for trial in range(trials):
+            s = self._loop_restriction(rng, dim, codim)
+            main = friedrichs_power_experiment(s, power)
+            oracle = friedrichs_power_oracle(s, power)
+            expected.append((trial, dim, codim, power, main.verdict, oracle.verdict,
+                             main.dim_power_of_friedrichs, main.dim_friedrichs_of_power))
+        params = {"dim": dim, "codim": codim, "n": power, "trials": trials}
+        assert _scenario_table("friedrichs-conjecture", params, seed) == tuple(expected)

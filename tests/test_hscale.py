@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -51,6 +52,42 @@ class TestHsNorm:
             v = rng.normal(size=3) + 1j * rng.normal(size=3)
             norms = [hs_norm(op, s, v) for s in grid]
             assert all(a <= b + 1e-12 * b for a, b in zip(norms, norms[1:]))
+
+
+class TestHsNormRange:
+    """Norms whose entries, centre factor or value leave the float range on the way."""
+
+    op = GrowthModel(2, 0.5).operator(50)
+    e0 = np.eye(50)[:, 0]
+
+    def test_entries_below_the_square_underflow(self):
+        # |1e-200|^2 underflows to 0; the column is nonzero and ||e_0||_200 = 2^100
+        assert hs_norm(self.op, 200.0, 1e-200 * self.e0) == pytest.approx(2.0 ** 100 * 1e-200,
+                                                                          rel=1e-12)
+        norms = hs_norm(self.op, 200.0, np.column_stack([self.e0, 1e-200 * self.e0]))
+        np.testing.assert_allclose(norms, [2.0 ** 100, 2.0 ** 100 * 1e-200], rtol=1e-12)
+
+    def test_centre_factor_past_the_float_range(self):
+        # s = 380: exp(190 m) overflows a float (m = log(2 * 2501) / 2), the norm does not
+        assert hs_norm(self.op, 380.0, self.e0) == pytest.approx(2.0 ** 190, rel=1e-12)
+        assert hs_norm(self.op, 380.0, 1e-200 * self.e0) == pytest.approx(2.0 ** 190 * 1e-200,
+                                                                          rel=1e-12)
+
+    @pytest.mark.parametrize("s", [190.0, 380.0])
+    def test_norm_past_the_float_range_raises(self, s):
+        # ||e_49||_s = 2501^{s/2} > 1e322
+        with pytest.raises(ValueError, match=f"scale norm at s={s:g} overflows a float"):
+            hs_norm(self.op, s, np.eye(50)[:, 49])
+
+    @pytest.mark.parametrize("s", [-3.0, 0.5, 2.0, 150.0])
+    def test_bitwise_the_centred_product_where_the_factor_is_finite(self, s):
+        rng = np.random.default_rng(12)
+        block = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
+        w, shift = _weights(self.op, s / 2)
+        top = float(np.max(w))
+        squared = np.square(block.real) + np.square(block.imag)
+        reference = np.sqrt(np.square(w / top) @ squared) * top * math.exp(shift)
+        np.testing.assert_array_equal(hs_norm(self.op, s, block), reference)
 
 
 class TestDualityPair:
@@ -176,14 +213,19 @@ class TestIsometryBlock:
         assert isometry_check(op, 200.0, 0.5, np.hstack([self.block[:50, :2], e0])) <= 1e-10
         assert isometry_check(op, 200.0, 0.5, self.block[:50, :2]) <= 1e-10
 
-    def test_column_whose_weighted_terms_underflow_is_nan(self):
-        # s = 380: w_{190}(e_0) is about e^-677, so 1e-160 e_0 (|c|^2 = 1e-320, not 0) has
-        # every weighted term underflow, against its own largest term too: no value, NaN
+    @pytest.mark.parametrize("s, size", [(380.0, 1e-160), (200.0, 1e-200)])
+    def test_column_whose_weighted_terms_underflow_gets_its_value(self, s, size):
+        # s = 380: w_{190}(e_0) is about e^-677, so every weighted term of 1e-160 e_0
+        # underflows; at s = 200, |1e-200|^2 itself underflows to 0. Taken from |c| over its
+        # largest entry, the column is checked as e_0 is: the residual is homogeneous in c
         op = GrowthModel(2, 0.5).operator(50)
-        tiny = 1e-160 * np.eye(50)[:, 0]
-        assert isometry_check(op, 380.0, 0.5, self.block[:50, :2]) <= 1e-10
-        block = np.column_stack([self.block[:50, :2], tiny])
-        assert np.isnan(isometry_check(op, 380.0, 0.5, block))
+        e0 = np.eye(50)[:, 0]
+        residual = isometry_check(op, s, 0.5, e0)
+        assert 0.0 < residual <= 1e-10
+        assert isometry_check(op, s, 0.5, size * e0) == residual
+        block = np.column_stack([self.block[:50, :2], size * e0])
+        assert isometry_check(op, s, 0.5, block) == max(
+            isometry_check(op, s, 0.5, self.block[:50, :2]), residual)
 
     def test_nan_column_mid_block_is_nan(self):
         block = self.block.copy()
