@@ -13,12 +13,13 @@ report reads every <x,x>_r and <x,y>_r from `ld_inner`, each sample's pair
 
 `SpectralOperator.from_matrix` decomposes with LAPACK (real symmetric: in
 float64). `from_diag` (the diag-growth and Laguerre operators) keeps the exact
-decomposition of a diagonal matrix, its sorted values and their permutation,
-with no LAPACK call and nothing of n x n size; the dense matrix is built, once,
-when a consumer first reads `matrix`. Left-definite constructions need k > 0
-beyond the cutoff CLUSTER_RTOL * ||A||_max (`spectral._zero_cutoff`, the one that
-also sets the shift, eigh's clusters and `mat_power`'s positivity), so every
-left-definite construction runs at gamma = 0. The operator keeps its
+decomposition of a diagonal matrix with no LAPACK call. Both models have a
+nondecreasing diagonal, which is its own spectrum in the identity basis: nothing
+of n x n size is held, and the dense matrix is built, once, when a consumer
+first reads `matrix`. Left-definite constructions need k > 0 beyond the cutoff
+CLUSTER_RTOL * ||A||_max (`spectral._zero_cutoff`, the one that also sets the
+shift, eigh's clusters, `multiplicity_list` and `mat_power`'s positivity), so
+every left-definite construction runs at gamma = 0. The operator keeps its
 decomposition and nothing else: the weights of the Hilbert scale are `hscale`'s,
 computed there on each call.
 """
@@ -45,7 +46,6 @@ from .spectral import (
 )
 
 PROPERTY_TOL = 1e-9
-MULTIPLICITY_RTOL = 1e-8   # sorted eigenvalues this close (relative) count as one
 
 
 class ShiftError(ValueError):
@@ -56,8 +56,8 @@ class ShiftError(ValueError):
 class SpectralOperator:
     """Hermitian matrix + spectral data, with lower bound k and shift gamma < k read off it.
 
-    `dense` is the matrix as given, or None for an operator diagonal in the
-    permutation eigenbasis of `decomp` (`from_diag`). Such an operator holds
+    `dense` is the matrix as given, or None when `decomp` has the identity basis,
+    so that the matrix is diag(eigenvalues) (`from_diag`). Such an operator holds
     O(n) data; `matrix` builds its dense HermitianMatrix, validated like any
     other, when a consumer first reads it.
     """
@@ -66,8 +66,8 @@ class SpectralOperator:
     decomp: SpectralDecomposition
 
     def __post_init__(self):
-        if self.dense is None and self.decomp.unit_rows is None:
-            raise ValueError("an operator given without its matrix needs a permutation eigenbasis")
+        if self.dense is None and self.decomp.columns is not None:
+            raise ValueError("an operator given without its matrix needs the identity eigenbasis")
 
     @classmethod
     def from_matrix(cls, matrix) -> "SpectralOperator":
@@ -77,9 +77,12 @@ class SpectralOperator:
 
     @classmethod
     def from_diag(cls, values) -> "SpectralOperator":
-        """diag(values) as its exact decomposition (`diagonal_eigh` of the values): sorted
-        values and their permutation, O(n) data and checks, no LAPACK call."""
-        return cls(None, diagonal_eigh(values))
+        """diag(values) as its exact decomposition (`diagonal_eigh` of the values), with no
+        LAPACK call. Nondecreasing values are their own spectrum in the identity basis: O(n)
+        data, the matrix built when first read. Any other values keep their dense matrix."""
+        decomp = diagonal_eigh(values)
+        dense = None if decomp.columns is None else HermitianMatrix(np.diag(values))
+        return cls(dense, decomp)
 
     @property
     def lower_bound(self) -> float:
@@ -94,15 +97,15 @@ class SpectralOperator:
 
     @cached_property
     def matrix(self) -> HermitianMatrix:
-        """The dense matrix; for a diagonal operator the scatter U diag(lambda) U*, built once."""
+        """The dense matrix; for the identity basis diag(lambda), built once."""
         if self.dense is not None:
             return self.dense
-        return HermitianMatrix(self.decomp.apply_function(lambda lam: lam))
+        return HermitianMatrix(np.diag(self.decomp.eigenvalues))
 
     @property
     def norm_max(self) -> float:
         """max|entries| of the matrix, known without building it: the dense matrix's own, else
-        (a diagonal operator) the larger magnitude at the two ends of its sorted diagonal."""
+        (the identity basis) the larger magnitude at the two ends of its sorted diagonal."""
         if self.dense is not None:
             return self.dense.norm_max
         lam = self.decomp.eigenvalues
@@ -126,14 +129,10 @@ class SpectralOperator:
                 "(left-definite constructions need k > 0)"
             )
 
-    def power(self, r: float) -> HermitianMatrix:
-        """A^r through the stored decomposition (positive spectrum assumed for fractional r)."""
-        return self.decomp.power(r)
-
     def apply_power(self, r: float, x) -> np.ndarray:
         """A^r x through the eigenbasis without forming the matrix: U (lambda^r * U* x),
-        gathers for a permutation basis (`SpectralDecomposition.to_eigenbasis`); x is a
-        vector or an n x k block.
+        for the identity basis lambda^r * x (`SpectralDecomposition.to_eigenbasis`); x is
+        a vector or an n x k block.
 
         A block goes through column by column: BLAS rounds a product differently at
         different block widths (float64 U at n = 30: one n x 4 product against two n x 2
@@ -264,12 +263,14 @@ class ClosedFormR:
 
 
 def multiplicity_list(eigenvalues) -> list:
-    """Cluster sorted eigenvalues into (value, multiplicity) pairs."""
+    """Cluster sorted eigenvalues into (value, multiplicity) pairs. A value joins a cluster
+    when it lies within _zero_cutoff(max(|lambda_0|, |lambda_-1|)) of the cluster's first
+    value, the cutoff of `eigh`'s clusters."""
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
-    scale = max(abs(lam[0]), abs(lam[-1]), 1e-300)
+    cutoff = _zero_cutoff(max(abs(lam[0]), abs(lam[-1])))
     out = []
     for v in lam:
-        if out and abs(v - out[-1][0]) <= MULTIPLICITY_RTOL * scale:
+        if out and abs(v - out[-1][0]) <= cutoff:
             out[-1][1] += 1
         else:
             out.append([float(v), 1])
@@ -345,7 +346,7 @@ def verify_ld_properties(
     # eigen-Gram: <phi_n, phi_m>_r = delta_nm * lambda_n^r. A^r (a temporary) and its
     # compression are dropped once read, so neither is alive during the dense eigh below.
     lam = operator.eigenvalues
-    gram = operator.decomp.compress(operator.power(r).entries)
+    gram = operator.decomp.compress(operator.decomp.power(r).entries)
     gram_diag = np.diagonal(gram).real.copy()
     np.fill_diagonal(gram, 0)
     lam_max_r = float(np.max(lam)) ** r

@@ -305,7 +305,9 @@ def _run_perturb_sweep(report: Report, built: BuiltOperator, config: ScenarioCon
         "theta_sweep", ("t", "mul_dim") + tuple(f"eig{i}" for i in range(n)), table_rows))
 
     spectra = np.array([row[2] for row in rows])
-    monotone = bool(np.all(np.diff(spectra, axis=0) >= -1e-10 * max(1.0, t_max)))
+    # rounding in the sweep's eigenvalues scales with their size, not only with t
+    slack = 1e-10 * max(1.0, t_max, float(np.max(np.abs(spectra))))
+    monotone = bool(np.all(np.diff(spectra, axis=0) >= -slack))
     report.add_flag("eigenvalue-monotone-in-t", f"rank {rank}, {t_steps} steps", monotone)
 
     # the operator's own eigendecomposition, not a repeat of the sweep's eigvalsh

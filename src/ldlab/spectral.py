@@ -49,10 +49,11 @@ the stored arrays as they are: U* of a float64 U is the view U.T, and complex
 vectors meet it as one real product of their (re, im) columns (`_product`).
 `extensions` solves its real-valued perturbation matrices by the same rule.
 
-The exact decomposition of a diagonal matrix (`diagonal_eigh`) is its sorted
-diagonal and a permutation, `unit_rows`; given the diagonal alone it takes
-O(n) time and memory, checks included; LAPACK's unit-permutation eigenvectors
-are kept the same way. Every product with such a basis is a gather or scatter.
+A diagonal matrix with a nondecreasing diagonal is its own spectral
+decomposition in the identity basis (`columns` None): `diagonal_eigh` returns it
+from the diagonal alone in O(n) time and memory, and `eigh` keeps LAPACK
+eigenvectors that are exactly I the same way. A product with that basis is no
+product at all.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent read-only use is safe.
@@ -203,29 +204,6 @@ def _ortho_defect(b: np.ndarray):
     return _max_abs(gram)
 
 
-def _unit_permutation(u: np.ndarray) -> np.ndarray | None:
-    """Row of each column's single entry if u has exactly one entry per column, every one
-    equal to 1 and in distinct rows, else None; then u*u = I exactly. O(n) extra memory."""
-    cols = u.shape[1]
-    if np.count_nonzero(u) != cols:
-        return None
-    rows, where = np.nonzero(u)
-    if not (np.all(u[rows, where] == 1) and np.all(np.diff(rows) > 0)
-            and np.unique(where).size == cols):
-        return None
-    row_of = np.empty(cols, dtype=np.intp)
-    row_of[where] = rows
-    return row_of
-
-
-def _is_permutation(rows: np.ndarray, n: int) -> bool:
-    """True iff rows holds each of 0..n-1 exactly once, so that the unit columns e_rows
-    are orthonormal (u*u = I exactly). O(n)."""
-    return (rows.shape == (n,) and rows.dtype.kind in "iu"
-            and (n == 0 or (rows.min() >= 0 and rows.max() < n))
-            and bool(np.all(np.bincount(rows, minlength=n) == 1)))
-
-
 def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """m @ x. A float64 m times a complex x is one real product with the (re, im) columns
     of x, so m is never upcast to complex."""
@@ -240,81 +218,62 @@ def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
 
-    It holds exactly one of `columns`, stored by `_stored` (LAPACK's float64 U as
-    it is), and `unit_rows`: the row of each column's single 1, proved a
-    permutation in O(n), also for dense columns of that form. `eigenvectors` is
-    the dense array, for `unit_rows` a float64 permuted identity built on read.
+    `columns` is the dense U, stored by `_stored` (LAPACK's float64 U as it is),
+    or None for the identity basis U = I: the matrix is then diag(eigenvalues)
+    and needs no n x n array. `eigenvectors` is the dense array, for the
+    identity a float64 I built on read.
 
     Products with U and U* go through `to_eigenbasis`, `from_eigenbasis`,
-    `apply_function`, `power` and `compress`: for a permutation basis a gather
-    or scatter, bitwise the product with the 0/1 matrix, else products with the
-    stored U (`_product`) and U.conj().T, a view for float64 U.
+    `apply_function`, `power` and `compress`: for the identity basis none is a
+    product, else products with the stored U (`_product`) and U.conj().T, a view
+    for float64 U.
     """
 
     eigenvalues: np.ndarray
     columns: np.ndarray | None = None
-    unit_rows: np.ndarray | None = None
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
+        lam = np.array(self.eigenvalues, dtype=float)   # a copy: the caller's stays writable
         if np.any(np.diff(lam) < 0):
             raise SpectrumError("eigenvalues must be nondecreasing")
-        if self.columns is None:
-            u = None
-            rows = np.asarray(self.unit_rows)
-            if not _is_permutation(rows, lam.shape[0]):
-                raise SpectrumError("eigenvector columns not orthonormal: unit_rows is not "
-                                    f"a permutation of 0..{lam.shape[0] - 1}")
-        else:
-            if self.unit_rows is not None:
-                raise ValueError("give the eigenvector columns or their unit_rows, not both")
-            u = _stored(self.columns, copy=False)
+        u = self.columns
+        if u is not None:
+            u = _stored(u, copy=False)
             if u.shape != (lam.shape[0],) * 2:
                 raise SpectrumError(f"eigenvector columns must form a {lam.shape[0]} x "
                                     f"{lam.shape[0]} array, got shape {u.shape}")
-            rows = _unit_permutation(u)
-            if rows is None:
-                ortho = _ortho_defect(u)
-                if ortho > ORTHO_TOL:
-                    raise SpectrumError(f"eigenvector columns not orthonormal: {ortho:.3e}")
+            ortho = _ortho_defect(u)
+            if ortho > ORTHO_TOL:
+                raise SpectrumError(f"eigenvector columns not orthonormal: {ortho:.3e}")
             u.setflags(write=False)
         lam.setflags(write=False)
-        if rows is not None:
-            rows.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "columns", u if rows is None else None)
-        object.__setattr__(self, "unit_rows", rows)
+        object.__setattr__(self, "columns", u)
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
-        """The eigenvector columns as a dense array; a permuted identity is built here, once."""
+        """The eigenvector columns as a dense array; the identity is built here, once."""
         if self.columns is not None:
             return self.columns
-        u = np.eye(self.unit_rows.shape[0])[:, self.unit_rows]
+        u = np.eye(self.eigenvalues.shape[0])
         u.setflags(write=False)
         return u
 
     def to_eigenbasis(self, x) -> np.ndarray:
-        """U* x, for a vector or the columns of a matrix x."""
+        """U* x, for a vector or the columns of a matrix x; x itself for the identity basis."""
         x = np.asarray(x)
-        if self.unit_rows is not None:
-            return x[self.unit_rows]
-        return _product(self.columns.conj().T, x)
+        return x if self.columns is None else _product(self.columns.conj().T, x)
 
     def from_eigenbasis(self, c) -> np.ndarray:
-        """U c, for a vector or the columns of a matrix c."""
+        """U c, for a vector or the columns of a matrix c; c itself for the identity basis."""
         c = np.asarray(c)
-        if self.unit_rows is not None:
-            out = np.empty_like(c)
-            out[self.unit_rows] = c
-            return out
-        return _product(self.columns, c)
+        return c if self.columns is None else _product(self.columns, c)
 
     def apply_function(self, func) -> np.ndarray:
         """U diag(func(lambda)) U* as a plain ndarray."""
         values = func(self.eigenvalues)
-        if self.unit_rows is not None:
-            return np.diag(self.from_eigenbasis(values))
+        if self.columns is None:
+            return np.diag(values)
         u = self.columns
         return (u * values) @ u.conj().T
 
@@ -326,42 +285,34 @@ class SpectralDecomposition:
         return HermitianMatrix(powered)
 
     def compress(self, m) -> np.ndarray:
-        """U* m U, the n x n matrix m in the eigenbasis."""
-        m = np.asarray(m)
-        if self.unit_rows is not None:
-            return m[np.ix_(self.unit_rows, self.unit_rows)]
+        """U* m U, the n x n matrix m in the eigenbasis, as a new array."""
+        if self.columns is None:
+            return np.array(m)
         u = self.columns
         return u.conj().T @ m @ u
 
 
-def _check_residual(h, decomp: SpectralDecomposition):
+def _check_residual(h: HermitianMatrix, decomp: SpectralDecomposition):
     """Raise unless max|HU - U Lambda| <= ORTHO_TOL * ||H||_max.
 
-    `h` is a HermitianMatrix or, with a unit-permutation U, the 1-D diagonal of
-    a diagonal matrix. For diagonal H and a unit-permutation U the residual is
-    exactly max|H[row_j, row_j] - lambda_j|, found in O(n) without a dense
-    product; otherwise HU - U Lambda is formed from the stored arrays.
+    For the identity basis and a diagonal H (every nonzero on the diagonal) the
+    residual is exactly max|diag(H) - lambda|, found in O(n) extra memory;
+    otherwise HU - U Lambda is formed from the stored arrays.
     """
-    lam, rows = decomp.eigenvalues, decomp.unit_rows
-    if isinstance(h, HermitianMatrix):
-        diagonal, scale = np.diagonal(h.entries), h.norm_max
-        if np.count_nonzero(h.entries) != np.count_nonzero(diagonal):
-            diagonal = None
-    else:
-        diagonal = np.asarray(h, dtype=float)
-        scale = float(np.max(np.abs(diagonal)))
-    if rows is not None and diagonal is not None:
-        resid = float(np.max(np.abs(diagonal[rows] - lam)))
+    lam, diagonal = decomp.eigenvalues, np.diagonal(h.entries)
+    if decomp.columns is None and np.count_nonzero(h.entries) == np.count_nonzero(diagonal):
+        resid = float(np.max(np.abs(diagonal - lam)))
     else:
         u = decomp.eigenvectors
         resid = float(np.max(np.abs(h.entries @ u - u * lam)))
-    if resid > ORTHO_TOL * max(scale, 1e-300):
+    if resid > ORTHO_TOL * max(h.norm_max, 1e-300):
         raise SpectrumError(f"eigendecomposition residual too large: {resid:.3e}")
 
 
 def _zero_cutoff(norm_max: float) -> float:
-    """CLUSTER_RTOL * ||H||_max: eigenvalue gaps at or below it join a cluster (`eigh`), and
-    a lower bound at or below it counts as zero (`mat_power`, `leftdef.SpectralOperator`)."""
+    """CLUSTER_RTOL * ||H||_max: eigenvalue gaps at or below it join a cluster (`eigh`,
+    `leftdef.multiplicity_list`), and a lower bound at or below it counts as zero
+    (`mat_power`, `leftdef.SpectralOperator`)."""
     return CLUSTER_RTOL * max(norm_max, 1e-300)
 
 
@@ -370,23 +321,28 @@ def eigh(matrix) -> SpectralDecomposition:
 
     Eigenvalues within CLUSTER_RTOL * ||H||_max of each other are treated as
     one cluster and their eigenvectors re-orthonormalized by QR, so degenerate
-    spectra always yield cleanly orthonormal columns. A real-valued matrix is
-    stored, hence solved, in float64; the orthonormality and residual checks
-    run on every result, on either route.
+    spectra always yield cleanly orthonormal columns. Eigenvectors that come out
+    exactly I (a diagonal matrix with a nondecreasing diagonal) are orthonormal
+    as they stand and are kept as the identity basis. A real-valued matrix is
+    stored, hence solved, in float64; the orthonormality and residual checks run
+    on every result, on either route.
 
     Raises NotHermitianError for non-Hermitian input (with the max asymmetry
     reported) and propagates LinAlgError on non-convergence.
     """
     h = as_hermitian(matrix)
     lam, u = np.linalg.eigh(h.entries)
-    gap_tol = _zero_cutoff(h.norm_max)
-    start = 0
-    for i in range(1, len(lam) + 1):
-        if i == len(lam) or lam[i] - lam[i - 1] > gap_tol:
-            if i - start > 1:
-                q, _ = np.linalg.qr(u[:, start:i])
-                u[:, start:i] = q
-            start = i
+    if np.count_nonzero(u) == len(lam) and np.all(np.diagonal(u) == 1):
+        u = None
+    else:
+        gap_tol = _zero_cutoff(h.norm_max)
+        start = 0
+        for i in range(1, len(lam) + 1):
+            if i == len(lam) or lam[i] - lam[i - 1] > gap_tol:
+                if i - start > 1:
+                    q, _ = np.linalg.qr(u[:, start:i])
+                    u[:, start:i] = q
+                start = i
     decomp = SpectralDecomposition(lam, u)
     _check_residual(h, decomp)
     return decomp
@@ -395,22 +351,21 @@ def eigh(matrix) -> SpectralDecomposition:
 def diagonal_eigh(diagonal) -> SpectralDecomposition:
     """Exact eigendecomposition of diag(diagonal), from the 1-D diagonal, without LAPACK.
 
-    The eigenvalues are the diagonal sorted by order = argsort(diagonal,
-    kind="stable") and the eigenvectors the unit columns e_order, kept as
-    `unit_rows`; for a sorted distinct diagonal both are bitwise what `eigh`
-    returns. Nothing of n x n size is formed, and the checks of `eigh` run in
-    O(n): finite values, nondecreasing eigenvalues, a valid permutation
-    (u*u = I) and the exact residual.
+    A nondecreasing diagonal is its own spectrum in the identity basis: nothing
+    of n x n size is formed and there is no residual to check. Any other
+    diagonal is sorted by order = argsort(diagonal, kind="stable") and gets the
+    dense unit columns e_order. For a sorted distinct diagonal the eigenvalues
+    and the eigenvectors are bitwise what `eigh` returns.
     """
     diagonal = np.asarray(diagonal, dtype=float)
     if diagonal.ndim != 1 or diagonal.shape[0] == 0:
         raise NotHermitianError(f"expected a nonempty diagonal, got shape {diagonal.shape}")
     if not np.all(np.isfinite(diagonal)):
         raise NotHermitianError("matrix contains non-finite entries")
+    if np.all(np.diff(diagonal) >= 0):
+        return SpectralDecomposition(diagonal)
     order = np.argsort(diagonal, kind="stable")
-    decomp = SpectralDecomposition(diagonal[order], unit_rows=order)
-    _check_residual(diagonal, decomp)
-    return decomp
+    return SpectralDecomposition(diagonal[order], np.eye(diagonal.shape[0])[:, order])
 
 
 def mat_power(matrix, r: float) -> HermitianMatrix:

@@ -507,6 +507,32 @@ class TestRunScenario:
         monkeypatch.setattr(extensions, "theta_sweep", decreasing)
         assert self.sweep_status("eigenvalue-monotone-in-t") == "FAIL"
 
+    @staticmethod
+    def stiff_sweep_status(tmp_path, name: str) -> str:
+        # p = 1e8 on [0, pi] at N = 100: the sweep's eigenvalues reach about 4e11, and their
+        # rounding alone moves them down by more than 1e-10 * tMax between steps
+        path = tmp_path / "stiff.csv"
+        path.write_text("0,1e8,0,1\n3.141592653589793,1e8,0,1\n")
+        raw = make_config(operatorSpec={"kind": "sl", "N": 100,
+                                        "coeffs": {"name": "csv", "path": str(path)}},
+                          experiment="perturb-sweep", params={"rank": 1})
+        report = run_scenario(parse_config(json.dumps(raw)))
+        return next(r.status for r in report.rows if r.name == name)
+
+    def test_monotone_slack_scales_with_the_eigenvalues(self, tmp_path):
+        assert self.stiff_sweep_status(tmp_path, "eigenvalue-monotone-in-t") == "PASS"
+
+    def test_lowered_stiff_sweep_eigenvalue_fails_monotone(self, tmp_path, monkeypatch):
+        real = extensions.theta_sweep
+
+        def lowered(*args):
+            rows = real(*args)
+            top = max(abs(e) for row in rows for e in row[2])
+            label, mul, eigs = rows[5]
+            return rows[:5] + [(label, mul, (eigs[0] - 1e-6 * top,) + eigs[1:])] + rows[6:]
+        monkeypatch.setattr(extensions, "theta_sweep", lowered)
+        assert self.stiff_sweep_status(tmp_path, "eigenvalue-monotone-in-t") == "FAIL"
+
     def test_perturb_sweep_on_limit_circle_sl_falls_back(self):
         # no boundary functional at limit-circle endpoints: seeded columns instead
         raw = make_config(

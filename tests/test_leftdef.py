@@ -101,14 +101,15 @@ class TestFromDiag:
         SpectralOperator.from_diag([3.0, 1.0, 2.0, 2.0, 5.0])
         SpectralOperator.from_diag(np.arange(401, dtype=float) + 1.0)
         assert calls == []
-        SpectralOperator.from_matrix(np.diag([2.0, 2.0, 5.0]))   # the wrappers are in place
+        SpectralOperator.from_matrix(np.diag([5.0, 2.0, 2.0]))   # the wrappers are in place
         assert calls == ["eigh", "qr"]
 
 
 class TestLazyDenseMatrix:
-    """A from_diag operator holds O(n) data until a consumer reads its dense matrix."""
+    """A from_diag operator with nondecreasing values holds O(n) data, in the identity
+    basis, until a consumer reads its dense matrix; other values keep their dense matrix."""
 
-    VALUES = [3.0, 1.0, 2.0, 2.0, 6.0, 0.5]
+    VALUES = [0.5, 1.0, 2.0, 2.0, 3.0, 6.0]
 
     def test_holds_no_dense_array(self):
         op = SpectralOperator.from_diag(self.VALUES)
@@ -119,6 +120,24 @@ class TestLazyDenseMatrix:
         op.apply_power(2.0, x)
         ClosedFormR(1, op.shift, op)(x, x)
         assert "matrix" not in vars(op) and "eigenvectors" not in vars(op.decomp)
+        assert op.decomp.columns is None
+
+    @pytest.mark.parametrize("spec", [{"kind": "diag-growth", "p": 0.5, "q": -1.0, "N": 50},
+                                      {"kind": "laguerre", "alpha": 1.0, "k": 0.5, "N": 50}])
+    def test_scenario_operators_hold_no_dense_array(self, spec):
+        op = parsed_operator(spec)
+        assert op.dense is None and op.decomp.columns is None and "matrix" not in vars(op)
+
+    def test_unsorted_values_give_the_spectrum_with_a_dense_matrix(self):
+        values = [3.0, 1.0, 2.0, 6.0, 2.0, 0.5]
+        op = SpectralOperator.from_diag(values)
+        sorted_op = SpectralOperator.from_diag(self.VALUES)
+        np.testing.assert_array_equal(op.eigenvalues, sorted_op.eigenvalues)
+        assert op.dense is not None and op.matrix is op.dense
+        np.testing.assert_array_equal(op.matrix.entries, np.diag(values))
+        order = np.argsort(values, kind="stable")
+        np.testing.assert_array_equal(op.decomp.columns, np.eye(6)[:, order])
+        assert op.norm_max == sorted_op.norm_max == 6.0
 
     def test_built_and_validated_when_ld_operator_reads_it(self, monkeypatch):
         import ldlab.spectral as spectral
@@ -137,18 +156,21 @@ class TestLazyDenseMatrix:
         np.testing.assert_array_equal(action.entries, np.diag(self.VALUES))
         assert action.entries.dtype == np.float64 and action.norm_max == op.norm_max
 
-    @pytest.mark.parametrize("fault", ["permutation", "values", "finite"])
+    def test_unsorted_values_with_a_broken_sort_are_rejected(self, monkeypatch):
+        import ldlab.spectral as spectral
+        monkeypatch.setattr(spectral.np, "argsort", lambda a, kind: np.zeros(len(a), int))
+        with pytest.raises(SpectrumError, match="not orthonormal"):
+            SpectralOperator.from_diag(self.VALUES[::-1])
+
+    @pytest.mark.parametrize("fault", ["values", "finite"])
     def test_each_linear_time_check_raises(self, monkeypatch, fault):
         import ldlab.spectral as spectral
         values = np.array(self.VALUES)
-        if fault == "permutation":
-            monkeypatch.setattr(spectral.np, "argsort", lambda a, kind: np.zeros(len(a), int))
-            with pytest.raises(SpectrumError, match="not orthonormal"):
-                SpectralOperator.from_diag(values)
-        elif fault == "values":
+        if fault == "values":
+            # an unsorted diagonal left unsorted fails the O(n) order check of its spectrum
             monkeypatch.setattr(spectral.np, "argsort", lambda a, kind: np.arange(len(a)))
             with pytest.raises(SpectrumError, match="nondecreasing"):
-                SpectralOperator.from_diag(values)
+                SpectralOperator.from_diag(values[::-1])
         else:
             values[2] = np.nan
             with pytest.raises(spectral.NotHermitianError, match="non-finite"):

@@ -155,6 +155,12 @@ class TestStorage:
         m[0, 0] = 7.0
         assert h.entries[0, 0] == 2.0
 
+    def test_callers_eigenvalues_stay_writable(self):
+        values = np.array([1.0, 2.0, 2.0, 5.0])
+        for decomp in (SpectralDecomposition(values), diagonal_eigh(values)):
+            assert values.flags.writeable and not decomp.eigenvalues.flags.writeable
+            assert not np.shares_memory(decomp.eigenvalues, values)
+
     def test_one_imaginary_pair_keeps_complex128(self):
         entries = _real_valued(48, n=6).entries.astype(complex)
         entries[1, 4] += 1e-300j
@@ -163,13 +169,20 @@ class TestStorage:
         assert h.entries.dtype == np.complex128
         np.testing.assert_array_equal(h.entries, entries)
 
-    def test_lapack_basis_of_a_diagonal_matrix_is_kept_as_unit_rows(self):
-        decomp = eigh(HermitianMatrix(np.diag([3.0, 1.0, 2.0, 5.0])))
-        assert decomp.columns is None
-        np.testing.assert_array_equal(decomp.unit_rows, [1, 2, 0, 3])
+    def test_lapack_basis_of_a_diagonal_matrix_is_kept_as_identity_or_columns(self):
+        # a sorted diagonal's LAPACK eigenvectors are exactly I: kept as the identity basis,
+        # with no QR of a cluster of repeated values
+        for values in ([1.0, 2.0, 2.0, 2.0], [2.0, 2.0, 3.0, 5.0]):
+            assert eigh(HermitianMatrix(np.diag(values))).columns is None
+        decomp = eigh(HermitianMatrix(np.diag([1.0, 2.0, 3.0, 5.0])))
+        assert decomp.columns is None and "eigenvectors" not in vars(decomp)
         u = decomp.eigenvectors
         assert u.dtype == np.float64 and not u.flags.writeable
-        np.testing.assert_array_equal(u, np.eye(4)[:, [1, 2, 0, 3]])
+        np.testing.assert_array_equal(u, np.eye(4))
+        # an unsorted one's are a permuted identity: kept as dense columns
+        decomp = eigh(HermitianMatrix(np.diag([3.0, 1.0, 2.0, 5.0])))
+        assert decomp.columns is not None and decomp.eigenvectors is decomp.columns
+        np.testing.assert_array_equal(np.abs(decomp.columns), np.eye(4)[:, [1, 2, 0, 3]])
 
 
 class TestRealRoute:
@@ -248,14 +261,8 @@ class TestDiagonalEigh:
 
 
 class TestExactChecks:
-    """The O(n^2) proofs for unit-permutation eigenvectors decide as the dense checks do."""
-
-    def test_permutation_passes_without_gram_product(self):
-        u = _permutation([2, 0, 1])
-        decomp = SpectralDecomposition([1.0, 2.0, 3.0], u)
-        assert decomp.columns is None       # kept as its unit_rows only
-        np.testing.assert_array_equal(decomp.unit_rows, [2, 0, 1])
-        np.testing.assert_array_equal(decomp.eigenvectors, u)
+    """Dense eigenvector columns, a permuted identity among them, pass the Gram check, and
+    the residual check sees a wrong eigenvalue in either basis."""
 
     @pytest.mark.parametrize("rows", [[0, 0, 2], [1, 1, 1]])
     def test_repeated_row_rejected(self, rows):
@@ -293,19 +300,23 @@ class TestExactChecks:
     def test_off_diagonal_entry_uses_dense_residual(self):
         entries = np.diag([1.0, 2.0, 3.0])
         entries[0, 2] = entries[2, 0] = 1e-3
-        with pytest.raises(SpectrumError, match="residual too large: 1.000e-03"):
-            _check_residual(HermitianMatrix(entries),
-                            SpectralDecomposition([1.0, 2.0, 3.0], np.eye(3)))
+        for columns in (np.eye(3), None):
+            with pytest.raises(SpectrumError, match="residual too large: 1.000e-03"):
+                _check_residual(HermitianMatrix(entries),
+                                SpectralDecomposition([1.0, 2.0, 3.0], columns))
 
 
 class TestPermutationBasis:
-    """A diagonal matrix's decomposition is sorted values plus unit_rows, nothing n x n."""
+    """A diagonal matrix's eigenbasis is a permuted identity: the identity basis, nothing
+    n x n, for a nondecreasing diagonal, and dense unit columns for any other."""
 
-    VALUES = [[3.0, 1.0, 2.0, 2.0, 5.0], [2.0, 2.0, 5.0], [-1.0, 4.0, -1.0, 0.5, 4.0, -3.0]]
+    VALUES = [[3.0, 1.0, 2.0, 2.0, 5.0], [2.0, 2.0, 5.0], [-1.0, 4.0, -1.0, 0.5, 4.0, -3.0],
+              [-3.0, -1.0, -1.0, 0.5, 4.0, 4.0]]
 
     @pytest.mark.parametrize("values", VALUES)
     def test_products_are_bitwise_the_dense_ones(self, values):
         decomp = diagonal_eigh(values)
+        assert (decomp.columns is None) == bool(np.all(np.diff(values) >= 0))
         assert "eigenvectors" not in vars(decomp)   # nothing dense built by the products
         rng = np.random.default_rng(len(values))
         n = len(values)
@@ -323,14 +334,9 @@ class TestPermutationBasis:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("rows", [[0, 0, 2], [0, 1, 3], [-1, 0, 1], [0, 1], [0.0, 1.0, 2.0]])
-    def test_invalid_permutation_rejected(self, rows):
-        with pytest.raises(SpectrumError, match="not orthonormal"):
-            SpectralDecomposition([1.0, 2.0, 3.0], unit_rows=rows)
-
     def test_decreasing_values_rejected(self):
         with pytest.raises(SpectrumError, match="nondecreasing"):
-            SpectralDecomposition([2.0, 1.0, 3.0], unit_rows=[1, 0, 2])
+            SpectralDecomposition([2.0, 1.0, 3.0])
 
     @pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf, 2.0], [], [[1.0, 2.0]],
                                         np.eye(2)])
@@ -339,19 +345,14 @@ class TestPermutationBasis:
             diagonal_eigh(values)
 
     def test_residual_of_a_diagonal_in_linear_time(self):
-        values = np.array([1.0, 3.0, 2.0])
-        order = [0, 2, 1]
-        decomp = SpectralDecomposition([1.0, 2.0, 3.0], unit_rows=order)
-        _check_residual(values, decomp)
+        # the identity basis of a diagonal H: max|diag(H) - lambda|, no n x n product
+        decomp = SpectralDecomposition([1.0, 2.0, 3.0])
+        _check_residual(HermitianMatrix(np.diag([1.0, 2.0, 3.0])), decomp)
         with pytest.raises(SpectrumError, match="residual too large"):
-            _check_residual(values, SpectralDecomposition([1.0, 2.0 + 1e-9, 3.0], unit_rows=order))
+            _check_residual(HermitianMatrix(np.diag([1.0, 2.0 + 1e-9, 3.0])), decomp)
         with pytest.raises(SpectrumError, match="residual too large"):
-            _check_residual(values, SpectralDecomposition([1.0, 2.0, 3.0], unit_rows=[0, 1, 2]))
+            _check_residual(HermitianMatrix(np.diag([1.0, 3.0, 2.0])), decomp)
         assert "eigenvectors" not in vars(decomp)
-
-    def test_columns_and_rows_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            SpectralDecomposition([1.0, 2.0], np.eye(2), unit_rows=[0, 1])
 
 
 class TestRealProducts:
