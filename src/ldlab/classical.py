@@ -175,48 +175,29 @@ def _genlaguerre_rules(ms, alpha: float):
     return x - p * x / (sizes * d), weights
 
 
-def _gauss_rules(weight_exponent: float, ms) -> tuple:
-    """{m: (nodes, weights)} of the m-node Gauss-Laguerre rule for the weight
-    t^{weight_exponent} e^{-t} on (0, inf), exact for polynomials of degree <= 2m - 1, for
-    every m in `ms`, in descending m, and the nodes of all of them concatenated in that
-    order, from one `_genlaguerre_rules` call."""
-    if not weight_exponent > -1:
-        raise ValueError(f"weight exponent must exceed -1, got {weight_exponent}")
-    for m in ms:
-        if m < 1 or m != int(m):
-            raise ValueError(f"node count must be a positive integer, got {m}")
-    ms = sorted({int(m) for m in ms}, reverse=True)
-    nodes, weights = _genlaguerre_rules(ms, float(weight_exponent))
-    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
-        raise ArithmeticError(f"node solve failed for alpha'={weight_exponent}, m in {ms}")
-    rules, end = {}, 0
-    for m in ms:
-        rules[m] = (nodes[end:end + m], weights[end:end + m])
-        end += m
-    return rules, nodes
-
-
 def _rule_family(basis: LaguerreBasis, order: int, ms) -> dict:
-    """{m: (weights, V)} for every m in `ms`: the weights of the m-node Gauss rule for
-    t^(alpha + order) e^{-t} and V, V[d] = L^{alpha+order}_d at its nodes for
-    d = 0..max_degree - order. The rule's sum of values f at its nodes is
-    float(np.dot(weights, f)).
+    """{m: (weights, V)} for every node count m in `ms`: the weights of the m-node Gauss
+    rule for t^(alpha + order) e^{-t}, exact for polynomials of degree <= 2m - 1, and V,
+    V[d] = L^{alpha+order}_d at its nodes for d = 0..max_degree - order. The rule's sum
+    of values f at its nodes is float(np.dot(weights, f)).
 
-    One `_gauss_rules` call builds every rule and one `eval_all` runs the recurrence over
-    their concatenated nodes, in `basis` itself at order 0; V is that table's block of
-    columns for the rule. The recurrence is elementwise, and its leading rows do not
-    depend on the top degree, so V is bitwise the table of the rule's nodes alone under a
-    basis of any lower degree.
+    One `_genlaguerre_rules` call builds every rule, in descending m, and one `eval_all`
+    runs the recurrence over their concatenated nodes, in `basis` itself at order 0; the
+    weights and V are cut per rule once. The recurrence is elementwise, and its leading
+    rows do not depend on the top degree, so V is bitwise the table of the rule's nodes
+    alone under a basis of any lower degree.
     """
     alpha = basis.alpha + order
-    rules, nodes = _gauss_rules(alpha, ms)
+    if not alpha > -1:
+        raise ValueError(f"weight exponent must exceed -1, got {alpha}")
+    ms = sorted(set(ms), reverse=True)
+    nodes, weights = _genlaguerre_rules(ms, alpha)
+    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+        raise ArithmeticError(f"node solve failed for alpha'={alpha}, m in {ms}")
     shifted = basis if order == 0 else LaguerreBasis.build(alpha, basis.max_degree - order)
     values = shifted.eval_all(nodes)
-    family, end = {}, 0
-    for m, (_, weights) in rules.items():
-        family[m] = (weights, values[:, end:end + m])
-        end += m
-    return family
+    ends = np.cumsum(ms).tolist()
+    return {m: (weights[end - m:end], values[:, end - m:end]) for m, end in zip(ms, ends)}
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,6 @@ OPERATORS = {
     },
 }
 
-OPERATOR_KINDS = tuple(OPERATORS)
 
 PARAMS = {
     "leftdef-verify": {

@@ -18,10 +18,10 @@ nondecreasing diagonal, which is its own spectrum in the identity basis: nothing
 of n x n size is held, and the dense matrix is built, once, when a consumer
 first reads `matrix`. Left-definite constructions need k > 0 beyond the cutoff
 CLUSTER_RTOL * ||A||_max (`spectral._zero_cutoff`, the one that also sets the
-shift, eigh's clusters, `multiplicity_list` and `mat_power`'s positivity), so
-every left-definite construction runs at gamma = 0. The operator keeps its
-decomposition and nothing else: the weights of the Hilbert scale are `hscale`'s,
-computed there on each call.
+shift, the gap that splits eigh's and `multiplicity_list`'s clusters, and
+`mat_power`'s positivity), so every left-definite construction runs at gamma = 0.
+The operator keeps its decomposition and nothing else: the weights of the Hilbert
+scale are `hscale`'s, computed there on each call.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .spectral import (
     DimensionMismatchError,
     HermitianMatrix,
     SpectralDecomposition,
+    _clusters,
     _zero_cutoff,
     as_hermitian,
     diagonal_eigh,
@@ -263,18 +264,12 @@ class ClosedFormR:
 
 
 def multiplicity_list(eigenvalues) -> list:
-    """Cluster sorted eigenvalues into (value, multiplicity) pairs. A value joins a cluster
-    when it lies within _zero_cutoff(max(|lambda_0|, |lambda_-1|)) of the cluster's first
-    value, the cutoff of `eigh`'s clusters."""
+    """(value, multiplicity) of each cluster of the sorted eigenvalues, value the cluster's
+    first. The clusters are `eigh`'s (`_clusters`): runs whose consecutive gaps are at
+    most _zero_cutoff(max(|lambda_0|, |lambda_-1|))."""
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
     cutoff = _zero_cutoff(max(abs(lam[0]), abs(lam[-1])))
-    out = []
-    for v in lam:
-        if out and abs(v - out[-1][0]) <= cutoff:
-            out[-1][1] += 1
-        else:
-            out.append([float(v), 1])
-    return [(v, m) for v, m in out]
+    return [(float(lam[start]), stop - start) for start, stop in _clusters(lam, cutoff)]
 
 
 def verify_ld_properties(

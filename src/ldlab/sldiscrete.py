@@ -29,6 +29,14 @@ ENDPOINT_KINDS = ("regular", "limit-circle", "limit-point")
 BOUNDARY_TREATMENTS = ("dirichlet", "neumann-type")
 
 
+def _one(x) -> np.ndarray:
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _zero(x) -> np.ndarray:
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
 class CoefficientError(ValueError):
     """Raised when p or w fail positivity at sampled grid points."""
 
@@ -68,9 +76,7 @@ class SLCoefficients:
     @classmethod
     def flat(cls) -> "SLCoefficients":
         """p = w = 1, q = 0 on (0, pi), both endpoints regular."""
-        one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        return cls(one, zero, one, 0.0, float(np.pi), "regular", "regular", 0.0, "flat")
+        return cls(_one, _zero, _one, 0.0, float(np.pi), "regular", "regular", 0.0, "flat")
 
     @classmethod
     def jacobi(cls, alpha: float, beta: float) -> "SLCoefficients":
@@ -79,8 +85,7 @@ class SLCoefficients:
             raise ValueError(f"Jacobi parameters must be positive, got ({alpha}, {beta})")
         p = lambda x: (1 - x) ** (alpha + 1) * (1 + x) ** (beta + 1)
         w = lambda x: (1 - x) ** alpha * (1 + x) ** beta
-        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        return cls(p, zero, w, -1.0, 1.0, "limit-circle", "limit-circle", 0.0, "jacobi")
+        return cls(p, _zero, w, -1.0, 1.0, "limit-circle", "limit-circle", 0.0, "jacobi")
 
     @classmethod
     def laguerre(cls, alpha: float, cutoff: float = 40.0) -> "SLCoefficients":
@@ -90,8 +95,7 @@ class SLCoefficients:
             raise ValueError(f"Laguerre parameter must satisfy alpha > -1, got {alpha}")
         p = lambda x: x ** (alpha + 1) * np.exp(-x)
         w = lambda x: x ** alpha * np.exp(-x)
-        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        return cls(p, zero, w, 0.0, cutoff, "limit-circle", "limit-point", 1e-3, "laguerre")
+        return cls(p, _zero, w, 0.0, cutoff, "limit-circle", "limit-point", 1e-3, "laguerre")
 
     @classmethod
     def from_tables(cls, xs, ps, qs, ws) -> "SLCoefficients":

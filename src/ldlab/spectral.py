@@ -310,22 +310,30 @@ def _check_residual(h: HermitianMatrix, decomp: SpectralDecomposition):
 
 
 def _zero_cutoff(norm_max: float) -> float:
-    """CLUSTER_RTOL * ||H||_max: eigenvalue gaps at or below it join a cluster (`eigh`,
-    `leftdef.multiplicity_list`), and a lower bound at or below it counts as zero
-    (`mat_power`, `leftdef.SpectralOperator`)."""
+    """CLUSTER_RTOL * ||H||_max: a lower bound at or below it counts as zero (`mat_power`,
+    `leftdef.SpectralOperator`), and a gap between consecutive sorted eigenvalues at or
+    below it joins them into one cluster (`_clusters`)."""
     return CLUSTER_RTOL * max(norm_max, 1e-300)
+
+
+def _clusters(values: np.ndarray, cutoff: float) -> list:
+    """The (start, stop) runs of the sorted `values` whose consecutive gaps are all
+    <= cutoff, the package's one cluster rule (`eigh`, `leftdef.multiplicity_list`)."""
+    edges = np.flatnonzero(np.diff(values) > cutoff) + 1
+    bounds = [0, *edges.tolist(), len(values)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def eigh(matrix) -> SpectralDecomposition:
     """Hermitian eigendecomposition with cluster re-orthonormalization.
 
-    Eigenvalues within CLUSTER_RTOL * ||H||_max of each other are treated as
-    one cluster and their eigenvectors re-orthonormalized by QR, so degenerate
-    spectra always yield cleanly orthonormal columns. Eigenvectors that come out
-    exactly I (a diagonal matrix with a nondecreasing diagonal) are orthonormal
-    as they stand and are kept as the identity basis. A real-valued matrix is
-    stored, hence solved, in float64; the orthonormality and residual checks run
-    on every result, on either route.
+    Each run of eigenvalues whose consecutive gaps are at most CLUSTER_RTOL *
+    ||H||_max (`_clusters`) is one cluster, and its eigenvectors are
+    re-orthonormalized by QR, so degenerate spectra always yield cleanly
+    orthonormal columns. Eigenvectors that come out exactly I (a diagonal matrix
+    with a nondecreasing diagonal) are orthonormal as they stand and are kept as
+    the identity basis. A real-valued matrix is stored, hence solved, in float64;
+    the orthonormality and residual checks run on every result, on either route.
 
     Raises NotHermitianError for non-Hermitian input (with the max asymmetry
     reported) and propagates LinAlgError on non-convergence.
@@ -335,14 +343,9 @@ def eigh(matrix) -> SpectralDecomposition:
     if np.count_nonzero(u) == len(lam) and np.all(np.diagonal(u) == 1):
         u = None
     else:
-        gap_tol = _zero_cutoff(h.norm_max)
-        start = 0
-        for i in range(1, len(lam) + 1):
-            if i == len(lam) or lam[i] - lam[i - 1] > gap_tol:
-                if i - start > 1:
-                    q, _ = np.linalg.qr(u[:, start:i])
-                    u[:, start:i] = q
-                start = i
+        for start, stop in _clusters(lam, _zero_cutoff(h.norm_max)):
+            if stop - start > 1:
+                u[:, start:stop] = np.linalg.qr(u[:, start:stop])[0]
     decomp = SpectralDecomposition(lam, u)
     _check_residual(h, decomp)
     return decomp

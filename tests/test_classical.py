@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,8 +10,8 @@ from ldlab import classical
 from ldlab.classical import (
     DirichletFormSpec,
     LaguerreBasis,
-    _gauss_rules,
     _genlaguerre_rules,
+    _rule_family,
     bj_coeff,
     derivative_coeffs,
     dirichlet_inner,
@@ -27,7 +28,7 @@ from ldlab.scenarios import run_scenario
 def gauss_quadrature(weight_exponent: float, m: int) -> tuple:
     """(nodes, weights) of the lone m-node Gauss-Laguerre rule for weight
     t^{weight_exponent} e^{-t}: the batched build with one node count."""
-    return _gauss_rules(weight_exponent, [m])[0][int(m)]
+    return _genlaguerre_rules([m], float(weight_exponent))
 
 
 def integrate(rule: tuple, values: np.ndarray) -> float:
@@ -184,12 +185,10 @@ class TestQuadrature:
             assert moment == pytest.approx(exact, rel=1e-10)
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            gauss_quadrature(-1.0, 3)
-        with pytest.raises(ValueError):
-            gauss_quadrature(0.0, 0)
-        with pytest.raises(ValueError, match="positive integer"):
-            gauss_quadrature(0.0, 2.5)
+        # LaguerreBasis.build rejects alpha <= -1, a basis built by hand does not
+        basis = dataclasses.replace(LaguerreBasis.build(0.0, 3), alpha=-1.0)
+        with pytest.raises(ValueError, match="must exceed -1"):
+            _rule_family(basis, 0, [3])
 
 
 class TestGenLaguerreRule:
@@ -209,7 +208,10 @@ class TestGenLaguerreRule:
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 3.5, 7.0])
     def test_batched_rules_bitwise_one_m_rules(self, alpha):
-        rules, nodes = _gauss_rules(alpha, range(1, 41))
+        ms = list(range(40, 0, -1))
+        nodes, weights = _genlaguerre_rules(ms, alpha)
+        cuts = np.cumsum(ms)[:-1]
+        rules = dict(zip(ms, zip(np.split(nodes, cuts), np.split(weights, cuts))))
         assert np.array_equal(nodes, np.concatenate([rules[m][0] for m in range(40, 0, -1)]))
         for m in range(1, 41):
             one_nodes, one_weights = gauss_quadrature(alpha, m)

@@ -361,6 +361,9 @@ class TestClosedForm:
 class TestMultiplicity:
     def test_cluster_counts(self):
         assert multiplicity_list([2.0, 2.0, 5.0]) == [(2.0, 2), (5.0, 1)]
+        # consecutive gaps of 3e-10 under the cutoff 5e-10 chain three values whose ends
+        # are 6e-10 apart into one cluster, as `eigh` groups them
+        assert multiplicity_list([1.0, 1 + 3e-10, 1 + 6e-10, 5.0]) == [(1.0, 3), (5.0, 1)]
 
     def test_degenerate_spectrum_preserved(self):
         op = SpectralOperator.from_diag([2.0, 2.0, 5.0])

@@ -107,6 +107,13 @@ class TestEigh:
         u = decomp.eigenvectors
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) <= 1e-12
 
+    def test_clusters_split_at_consecutive_gaps(self):
+        # the one cluster rule of `eigh` and `multiplicity_list`: a gap <= cutoff joins
+        values = np.array([1.0, 1 + 3e-10, 1 + 6e-10, 5.0, 5.0, 7.0])
+        assert spectral._clusters(values, 5e-10) == [(0, 3), (3, 5), (5, 6)]
+        assert spectral._clusters(values, 0.0) == [(0, 1), (1, 2), (2, 3), (3, 5), (5, 6)]
+        assert spectral._clusters(values[:1], 5e-10) == [(0, 1)]
+
 
 def _recording(monkeypatch, name: str, corrupt=None, results=None) -> list:
     """np.linalg.<name> wrapped to record the dtype it is handed; `corrupt` edits its result
