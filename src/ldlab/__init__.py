@@ -52,7 +52,6 @@ from .extensions import (
     limit_crosscheck,
     minimal_relation,
     perturb,
-    perturbed_spectrum,
     theta_sweep,
     von_neumann_check,
 )

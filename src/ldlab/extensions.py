@@ -33,7 +33,6 @@ from .spectral import (
     _per_member,
     _rank,
     _stored,
-    as_hermitian,
     orthocomplement,
     rel_is_selfadjoint,
     rel_power,
@@ -53,15 +52,17 @@ class NotSelfAdjointError(ValueError):
     """Raised when a parameter or result fails the self-adjointness test."""
 
 
-def _operator_hermitian(a) -> HermitianMatrix:
-    """The validated matrix of an operator: a SpectralOperator's, or `as_hermitian(a)`."""
-    return as_hermitian(a.matrix if isinstance(a, SpectralOperator) else a)
+def _operator_entries(operator) -> np.ndarray:
+    """The validated, read-only entries of an operator: a SpectralOperator's matrix, else
+    those of a Hermitian matrix or of a stack of them (`_hermitian_entries`)."""
+    return _hermitian_entries(operator.matrix if isinstance(operator, SpectralOperator)
+                              else operator)
 
 
 def minimal_relation(operator, constraints: Subspace) -> LinearRelation:
     """The symmetric restriction {(f, Af) : f perp C} as a linear relation; for a stack of
     Hermitian matrices (..., n, n) and constraints of one shape, a stack of restrictions."""
-    a = _hermitian_entries(operator.matrix if isinstance(operator, SpectralOperator) else operator)
+    a = _operator_entries(operator)
     n = a.shape[-1]
     if constraints.ambient_dim != n:
         raise DimensionMismatchError(
@@ -267,6 +268,25 @@ def relation_spectrum(t: LinearRelation):
     return np.linalg.eigvalsh(t.operator_part), t.space_dim - t.domain().rank
 
 
+def _coordinate_map(b_map) -> np.ndarray:
+    """B as a read-only complex copy (the caller's array stays as given), checked to be an
+    n x d matrix with d >= 1 linearly independent columns (one SVD, `_rank`)."""
+    b = np.array(b_map, dtype=complex)
+    if b.ndim != 2:
+        raise DimensionMismatchError("B must be an n x d matrix")
+    if b.shape[1] == 0 or _rank(np.linalg.svd(b, compute_uv=False)) < b.shape[1]:
+        raise ValueError("columns of B must be linearly independent")
+    b.setflags(write=False)
+    return b
+
+
+def _check_rows(a: np.ndarray, b: np.ndarray):
+    """Raise DimensionMismatchError unless the operator a is one n x n matrix for the n rows
+    of b (B, or the vector phi)."""
+    if a.shape != (b.shape[0],) * 2:
+        raise DimensionMismatchError(f"{b.shape[0]} coordinate rows, operator of shape {a.shape}")
+
+
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Coordinate map B (independent columns) and a self-adjoint relation Theta on C^d."""
@@ -275,19 +295,13 @@ class PerturbationSpec:
     theta: LinearRelation
 
     def __post_init__(self):
-        b = np.array(self.b_map, dtype=complex)   # a copy: the caller's array stays as given
-        if b.ndim != 2:
-            raise DimensionMismatchError("B must be an n x d matrix")
-        d = b.shape[1]
-        if d == 0 or _rank(np.linalg.svd(b, compute_uv=False)) < d:
-            raise ValueError("columns of B must be linearly independent")
-        if self.theta.space_dim != d:
+        b = _coordinate_map(self.b_map)
+        if self.theta.space_dim != b.shape[1]:
             raise DimensionMismatchError(
-                f"Theta lives on C^{self.theta.space_dim}, B has {d} columns"
+                f"Theta lives on C^{self.theta.space_dim}, B has {b.shape[1]} columns"
             )
         if not rel_is_selfadjoint(self.theta):
             raise NotSelfAdjointError("Theta must be a self-adjoint relation")
-        b.setflags(write=False)
         object.__setattr__(self, "b_map", b)
 
     @classmethod
@@ -297,27 +311,26 @@ class PerturbationSpec:
         return cls(b_map, theta)
 
 
+def _action(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """A0 + B Theta B* for an operator Theta, `_stored`: real-valued data is solved in float64."""
+    return _stored(a + b @ theta @ b.conj().T, copy=False)
+
+
 def _compression(a0, spec: PerturbationSpec):
     """(A0 + B Theta_op B*, B mul Theta) for Theta = Theta_op (+) mul Theta, read off the one
-    f-block SVD of Theta: Theta_op on dom Theta = U[:, :r], mul Theta = dom^perp = U[:, r:].
-    The action is `_stored`, so real-valued data is solved in float64."""
-    a = _operator_hermitian(a0).entries
-    n = a.shape[0]
-    if spec.b_map.shape[0] != n:
-        raise DimensionMismatchError(
-            f"B has {spec.b_map.shape[0]} rows, operator dimension is {n}"
-        )
+    f-block SVD of Theta: Theta_op on dom Theta = U[:, :r], mul Theta = dom^perp = U[:, r:]."""
+    a = _operator_entries(a0)
+    _check_rows(a, spec.b_map)
     u, _, _, r = spec.theta._f_svd
-    b_dom = spec.b_map @ u[:, :r]
-    b_mul = spec.b_map @ u[:, r:]
-    return _stored(a + b_dom @ spec.theta.operator_part @ b_dom.conj().T, copy=False), b_mul
+    return _action(a, spec.b_map @ u[:, :r], spec.theta.operator_part), spec.b_map @ u[:, r:]
 
 
 def _finite_spectrum(action: np.ndarray, b_mul: np.ndarray) -> np.ndarray:
-    """Eigenvalues of `action` compressed to (B mul Theta)^perp; with mul Theta = {0},
-    of `action` as it stands. B has independent columns (checked by PerturbationSpec)
-    and mul Theta an orthonormal basis, so B mul Theta has full column rank and its
-    complement needs no rank decision."""
+    """Eigenvalues of `action` compressed to (B mul Theta)^perp, the finite spectrum of
+    A_Theta (Albeverio-Kurasov; dim(B mul Theta) eigenvalues sit at infinity); with
+    mul Theta = {0}, of `action` as it stands. B has independent columns (checked by
+    PerturbationSpec) and mul Theta an orthonormal basis, so B mul Theta has full column
+    rank and its complement needs no rank decision."""
     if b_mul.shape[1]:
         q = _stored(_complement(b_mul), copy=False)
         h = q.conj().T @ action @ q
@@ -331,8 +344,8 @@ def perturb(a0, spec: PerturbationSpec) -> LinearRelation:
     With Theta = Theta_op (+) M split into operator and multivalued parts, the
     graph is {(f, A0 f + B Theta_op B* f + B m) : f perp B M, m in M}, which
     carries multivalued part B M (for M = {0}: the graph of A0 + B Theta B*).
-    Together with relation_spectrum this is the graph-route oracle for
-    perturbed_spectrum.
+    Together with relation_spectrum this is the graph-route oracle for the
+    compression route (`_compression`, `_finite_spectrum`).
     """
     action, b_mul = _compression(a0, spec)
     q = _complement(b_mul)
@@ -342,18 +355,6 @@ def perturb(a0, spec: PerturbationSpec) -> LinearRelation:
     if not rel_is_selfadjoint(result):
         raise NotSelfAdjointError("perturbed relation failed self-adjointness check")
     return result
-
-
-def perturbed_spectrum(a0, spec: PerturbationSpec):
-    """Operator-part eigenvalues and multivalued dimension of A_Theta, by compression.
-
-    The finite spectrum of A0 + B Theta B* is that of A0 + B Theta_op B*
-    compressed to (B mul Theta)^perp (Albeverio-Kurasov); dim(B mul Theta)
-    eigenvalues sit at infinity. One n x n eigensolve, no graph subspaces; for
-    mul Theta = {0} no compression basis either.
-    """
-    action, b_mul = _compression(a0, spec)
-    return _finite_spectrum(action, b_mul), b_mul.shape[1]
 
 
 def limit_crosscheck(a0, spec: PerturbationSpec, t_list):
@@ -378,18 +379,23 @@ def limit_crosscheck(a0, spec: PerturbationSpec, t_list):
 
 
 def theta_sweep(a0, b_map, family):
-    """Spectra along a family of Theta parameters.
+    """Spectra along a family of Hermitian matrices Theta, each an operator (mul Theta = {0}).
 
-    `family` yields (label, theta) pairs where theta is a Hermitian matrix. Returns rows
-    (label, mul_dim, sorted operator-part eigenvalues...). A0 is validated once,
-    before the first Theta.
+    `family` yields (label, theta) pairs. Returns rows (label, mul_dim = 0, sorted
+    eigenvalues of A0 + B Theta B*...). A0 and B are validated once, before the first
+    Theta; each Theta is validated as a d x d Hermitian matrix, and each step is one
+    `eigvalsh` of `_action`, with no relation built.
     """
-    a0 = _operator_hermitian(a0)
+    a = _operator_entries(a0)
+    b = _coordinate_map(b_map)
+    _check_rows(a, b)
+    d = b.shape[1]
     rows = []
     for label, theta in family:
-        spec = PerturbationSpec.from_matrix(b_map, theta)
-        eigs, mul_dim = perturbed_spectrum(a0, spec)
-        rows.append((label, mul_dim, tuple(float(x) for x in eigs)))
+        theta = _hermitian_entries(theta)
+        if theta.shape != (d, d):
+            raise DimensionMismatchError(f"Theta has shape {theta.shape}, B has {d} columns")
+        rows.append((label, 0, tuple(float(x) for x in np.linalg.eigvalsh(_action(a, b, theta)))))
     return rows
 
 
@@ -406,7 +412,8 @@ def interlacing_check(a0, phi, t: float) -> bool:
     phi = np.asarray(phi, dtype=complex)
     if abs(np.linalg.norm(phi) - 1.0) > 1e-8:
         raise ValueError("phi must be normalized")
-    a = _operator_hermitian(a0).entries
+    a = _operator_entries(a0)
+    _check_rows(a, phi)
     lam = a0.eigenvalues if isinstance(a0, SpectralOperator) else np.linalg.eigvalsh(a)
     mu = np.linalg.eigvalsh(_stored(a + t * np.outer(phi, phi.conj()), copy=False))
     slack = INTERLACE_SLACK * max(float(np.max(np.abs(lam))), float(t), 1.0)

@@ -12,14 +12,14 @@ an n x k block of coefficient columns, a vector being a block of one. One
 product of the squared weights, divided by the largest first, with |c|^2 gives
 every column's norm (`_norms`); a nonzero column whose every term underflows in
 it is taken again from |c| divided by its own largest entry, and that scale is
-carried beside the norm. The isometry forms |c|^2 once for both of its norms. The pairing and the equivalence ratios keep per-column
-arithmetic (a vdot of two contiguous rows; one norm per column), so a column
-comes out bitwise as it would alone. Membership of an
-*infinite* power-law model vector in a given space of the scale is decided
-analytically from the growth exponents, never from truncated norms
-(truncations are always finite). The partial-sum
-classifier that cross-checks it sums every grid point in one blocked pass
-over n.
+carried beside the norm. The isometry forms |c|^2 once for both of its norms. A
+block is one product, whose columns agree with the vector calls to rounding, not
+bit for bit: the pairing is one sum of products over the block, and the
+equivalence ratios one `hs_norm` of it. Membership of an *infinite* power-law
+model vector in a given space of the scale is decided analytically from the
+growth exponents, never from truncated norms (truncations are always finite). The
+partial-sum classifier that cross-checks it sums every grid point in one blocked
+pass over n.
 """
 
 from __future__ import annotations
@@ -125,19 +125,18 @@ def duality_pair(operator: SpectralOperator, s: float, phi, psi):
     """<phi,psi>_{s,-s} = <(|A|+I)^{-s/2} phi, (|A|+I)^{s/2} psi>.
 
     phi and psi are vectors (the pairing is a complex) or n x k blocks of the same shape
-    (an array of the k pairings of column j with column j). Each pairing is the vdot of
-    two contiguous weighted rows, bitwise the vector call's. On truncated vectors the
-    weights cancel algebraically, so the pairing reduces to the plain inner product; it
-    is still evaluated through the defining formula, the product of the two weight
-    vectors, so the reduction is a genuine check. Their `_weights` factors exp(-/+ s m / 2)
-    cancel exactly.
+    (an array of the k pairings of column j with column j), in one sum of products. On
+    truncated vectors the weights cancel algebraically, so the pairing reduces to the
+    plain inner product; it is still evaluated through the defining formula, the product
+    of the two weight vectors, so the reduction is a genuine check. Their `_weights`
+    factors exp(-/+ s m / 2) cancel exactly.
     """
     left, right = _as_block(operator, phi), _as_block(operator, psi)
     if np.shape(phi) != np.shape(psi):
         raise DimensionMismatchError(f"paired arrays of shapes {np.shape(phi)} and {np.shape(psi)}")
-    rows = [np.ascontiguousarray((_weights(operator, e)[0][:, None] * c).T)
-            for e, c in ((-s / 2, left), (s / 2, right))]
-    pairs = np.array([np.vdot(b, a) for a, b in zip(*rows)])    # inner(a, b)
+    weights = _weights(operator, -s / 2)[0] * _weights(operator, s / 2)[0]
+    # the weight product on one side: an n x k temporary for each weighted side raises peak memory
+    pairs = np.einsum("i,ij,ij->j", weights, left, right.conj())
     return complex(pairs[0]) if np.ndim(phi) == 1 else pairs
 
 
@@ -233,30 +232,26 @@ def membership_table(model: GrowthModel, s_values, terms: int = PARTIAL_SUM_TERM
 
 def equivalence_check(operator: SpectralOperator, s: float, samples):
     """Min/max ratio of ||phi||_s (`hs_norm`) to ||(A-gamma)^{s/2} phi|| over the samples, a
-    vector or the columns of an n x k block.
+    vector or the nonzero columns of an n x k block, each side taken for the whole block.
 
     gamma is the operator's shift, which `SpectralOperator` keeps below its lower
     bound k. Both weight choices generate the same spaces with equivalent norms;
     the ratios land inside the diagonal bounds
     [min_n ((|l_n|+1)/(l_n-gamma))^{s/2}, max_n (...)] (endpoints swapped for
-    s < 0). Each column's two norms are taken alone, as for a vector: a block product
-    rounds differently.
+    s < 0).
     """
     gamma = operator.shift
     lam = operator.eigenvalues
-    shifted = np.power(lam - gamma, s / 2)
-    ratios = []   # min and max through _worst, so a NaN ratio fails the bounds check
-    for c in _as_block(operator, samples).T:
-        denom = float(np.linalg.norm(shifted * c))
-        if denom == 0.0:
-            continue
-        ratios.append(hs_norm(operator, s, c) / denom)
-    if not ratios:
+    block = _as_block(operator, samples)
+    denoms = np.linalg.norm(np.power(lam - gamma, s / 2)[:, None] * block, axis=0)
+    nonzero = denoms != 0.0
+    if not nonzero.any():
         raise ValueError("no nonzero sample vectors supplied")
+    ratios = hs_norm(operator, s, block)[nonzero] / denoms[nonzero]
     per_mode = np.power((np.abs(lam) + 1.0) / (lam - gamma), s / 2)
     lo, hi = float(np.min(per_mode)), float(np.max(per_mode))
-    return {
-        "min_ratio": -_worst((-r for r in ratios), floor=-math.inf),
+    return {   # min and max through _worst, so a NaN ratio fails the bounds check
+        "min_ratio": -_worst(-ratios, floor=-math.inf),
         "max_ratio": _worst(ratios, floor=-math.inf),
         "bound_lo": min(lo, hi),
         "bound_hi": max(lo, hi),

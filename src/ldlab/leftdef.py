@@ -7,9 +7,11 @@ we build the r-th left-definite space (its inner product <A^{r/2}x, A^{r/2}y>,
 `ld_inner`, applied through the eigenbasis with no n x n array), the r-th left-definite
 operator, the shifted closed forms, and a verification report for the defining
 properties and the spectral-stability statements. `apply_power` and `ld_inner`
-take a vector or an n x k block of columns, a vector being a block of one; the
-report reads every <x,x>_r and <x,y>_r from `ld_inner`, each sample's pair
-(x, y) going through A^{r/2} as one n x 2 block.
+take a vector or an n x k block of columns, a vector being a block of one. A block
+is one product, whose columns agree with the vector calls to rounding (within
+gamma_n = n eps / (1 - n eps) of the product of the norms), not bit for bit. The
+report reads every <x,x>_r and <x,y>_r from `ld_inner`, each sample's pair (x, y)
+going through A^{r/2} as one n x 2 block.
 
 `SpectralOperator.from_matrix` decomposes with LAPACK (real symmetric: in
 float64). `from_diag` (the diag-growth and Laguerre operators) keeps the exact
@@ -133,17 +135,12 @@ class SpectralOperator:
     def apply_power(self, r: float, x) -> np.ndarray:
         """A^r x through the eigenbasis without forming the matrix: U (lambda^r * U* x),
         for the identity basis lambda^r * x (`SpectralDecomposition.to_eigenbasis`); x is
-        a vector or an n x k block.
-
-        A block goes through column by column: BLAS rounds a product differently at
-        different block widths (float64 U at n = 30: one n x 4 product against two n x 2
-        ones), and each column must come out bitwise as it would alone."""
+        a vector or an n x k block, which is one product."""
         x = np.asarray(x, dtype=complex)
         powers = np.power(self.decomp.eigenvalues, float(r))
-
-        def power_of(v):
-            return self.decomp.from_eigenbasis(powers * self.decomp.to_eigenbasis(v))
-        return power_of(x) if x.ndim == 1 else np.array([power_of(c) for c in x.T]).T
+        if x.ndim == 2:
+            powers = powers[:, None]
+        return self.decomp.from_eigenbasis(powers * self.decomp.to_eigenbasis(x))
 
 
 def _as_block(operator: SpectralOperator, x) -> np.ndarray:
@@ -200,20 +197,15 @@ def ld_space(operator: SpectralOperator, r: float) -> LeftDefiniteSpace:
 def ld_inner(space: LeftDefiniteSpace, x, y=None):
     """<x,y>_r = <A^{r/2}x, A^{r/2}y>, equal to <A^r x, y> for matrices.
 
-    Two vectors give a complex. Blocks of columns give the array G[i, j] = <x_i, y_j>_r,
-    each entry `inner` of two columns of A^{r/2} applied to the block by one `apply_power`
-    call. y=None stands for y = x, applied once.
+    Two vectors give a complex. Blocks of columns give the array G[i, j] = <x_i, y_j>_r:
+    A^{r/2} applied to each block by one `apply_power` call, then one sum of products.
+    y=None stands for y = x, applied once.
     """
     op = space.operator
-
-    def half(v):    # the rows A^{r/2} v_i, each contiguous: a strided vdot rounds differently
-        return np.ascontiguousarray(op.apply_power(space.r / 2, _as_block(op, v)).T)
-    half_x = half(x)
-    half_y = half_x if y is None else half(y)
-    gram = np.empty((len(half_x), len(half_y)), dtype=complex)
-    for i, a in enumerate(half_x):
-        for j, b in enumerate(half_y):
-            gram[i, j] = np.vdot(b, a)    # inner(a, b)
+    half_x = op.apply_power(space.r / 2, _as_block(op, x))
+    half_y = half_x if y is None else op.apply_power(space.r / 2, _as_block(op, y))
+    # einsum, not a complex @: the first zgemm call raises the peak resident memory
+    gram = np.einsum("ki,kj->ij", half_x, half_y.conj())
     vectors = np.ndim(x) == 1 and (y is None or np.ndim(y) == 1)
     return complex(gram[0, 0]) if vectors else gram
 
@@ -321,7 +313,8 @@ def verify_ld_properties(
     for i in range(sample_count):
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         y = rng.normal(size=n) + 1j * rng.normal(size=n)
-        gram = ld_inner(space, np.array((x, y)).T)    # the n x 2 block, columns contiguous
+        # one n x 2 block per sample: one block of all samples grows peak memory with their count
+        gram = ld_inner(space, np.column_stack((x, y)))
         norm_x, norm_y = float(np.linalg.norm(x)), float(np.linalg.norm(y))
         xx, yy = float(np.vdot(x, x).real), float(np.vdot(y, y).real)
         lowers.append((k_r * xx - gram[0, 0].real) / (norm_r * norm_x ** 2))

@@ -20,7 +20,6 @@ from ldlab.extensions import (
     limit_crosscheck,
     minimal_relation,
     perturb,
-    perturbed_spectrum,
     relation_spectrum,
     theta_sweep,
     von_neumann_check,
@@ -367,6 +366,12 @@ def _flat_sl(n):
     return np.asarray(discretize(SLCoefficients.flat(), n).matrix.entries)
 
 
+def _compressed_spectrum(a0, spec):
+    """(finite eigenvalues, mul_dim) of A_Theta by the compression route."""
+    action, b_mul = extensions._compression(a0, spec)
+    return extensions._finite_spectrum(action, b_mul), b_mul.shape[1]
+
+
 class TestPerturbedSpectrumOracle:
     """The compression route against the graph route relation_spectrum(perturb(...))."""
 
@@ -378,7 +383,7 @@ class TestPerturbedSpectrumOracle:
         n = a0.shape[0]
         b = Subspace.span(rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))).basis
         spec = PerturbationSpec(b, _theta(kind))
-        eigs, mul_dim = perturbed_spectrum(a0, spec)
+        eigs, mul_dim = _compressed_spectrum(a0, spec)
         oracle, oracle_mul = relation_spectrum(perturb(a0, spec))
         assert mul_dim == oracle_mul == {"matrix": 0, "multivalued": 2, "mixed": 1}[kind]
         assert eigs.shape == oracle.shape
@@ -480,7 +485,7 @@ class TestPerturbationBudget:
 
         monkeypatch.setattr(extensions, "_compression", spying)
         monkeypatch.setattr(_MatmulSpy, "shapes", [])
-        eigs, mul_dim = perturbed_spectrum(a0, spec)
+        eigs, mul_dim = _compressed_spectrum(a0, spec)
         square = [shapes for shapes in _MatmulSpy.shapes if (n, n) in shapes]
         if kind == "matrix":
             assert square == [] and mul_dim == 0
@@ -522,12 +527,16 @@ class TestThetaSweepAndInterlacing:
         return a0, b, family
 
     def test_sweep_matches_per_theta_specs(self):
+        # one eigvalsh of A0 + B Theta B* per step against the compression route of a
+        # PerturbationSpec per Theta: the two agree to rounding
         a0, b, family = self._sweep_case()
-        expected = []
-        for label, theta in family:
-            eigs, mul_dim = perturbed_spectrum(a0, PerturbationSpec.from_matrix(b, theta))
-            expected.append((label, mul_dim, tuple(float(x) for x in eigs)))
-        assert theta_sweep(a0, b, family) == expected
+        rows = theta_sweep(a0, b, family)
+        assert [(label, mul) for label, mul, _ in rows] == [(label, 0) for label, _ in family]
+        for (_, _, eigs), (_, theta) in zip(rows, family):
+            expected, mul_dim = _compressed_spectrum(a0, PerturbationSpec.from_matrix(b, theta))
+            assert mul_dim == 0 and len(eigs) == len(expected)
+            scale = float(np.max(np.abs(expected)))
+            assert float(np.max(np.abs(np.array(eigs) - expected))) <= 1e-12 * scale
 
     def test_sweep_rejects_a_bad_theta_mid_family(self):
         a0, b, family = self._sweep_case()
@@ -536,6 +545,17 @@ class TestThetaSweepAndInterlacing:
             theta_sweep(a0, b, family[:2] + [("bad", not_hermitian)] + family[2:])
         with pytest.raises(DimensionMismatchError):
             theta_sweep(a0, b, family[:2] + [("bad", np.eye(3))])
+
+    def test_single_matrix_routes_reject_stacks_and_row_mismatches(self):
+        a0, b, family = self._sweep_case()
+        stack = np.stack([a0, a0])
+        for call in (lambda: theta_sweep(stack, b, family),
+                     lambda: theta_sweep(a0, b[:-1], family),
+                     lambda: interlacing_check(stack, b[:, 0], 1.0),
+                     lambda: interlacing_check(a0, np.eye(13)[0], 1.0),
+                     lambda: limit_crosscheck(stack, PerturbationSpec(b, _theta("mixed")), [1e8])):
+            with pytest.raises(DimensionMismatchError, match="coordinate rows"):
+                call()
 
     def test_sweep_rejects_a_dependent_b_before_any_eigensolve(self, monkeypatch):
         a0, b, family = self._sweep_case()
@@ -547,15 +567,15 @@ class TestThetaSweepAndInterlacing:
         assert log == []
 
     def test_sweep_validates_a0_once(self, monkeypatch):
-        # one HermitianMatrix for the ndarray A0, one per matrix Theta
+        # one Hermitian check for the ndarray A0, one per matrix Theta
         builds = []
-        real = spectral.HermitianMatrix.__post_init__
+        real = spectral._hermitian_scale
 
-        def counting(self):
-            builds.append(self.entries.shape)
-            real(self)
+        def counting(entries):
+            builds.append(entries.shape)
+            return real(entries)
 
-        monkeypatch.setattr(spectral.HermitianMatrix, "__post_init__", counting)
+        monkeypatch.setattr(spectral, "_hermitian_scale", counting)
         a0 = np.diag(np.arange(1.0, 9.0))
         b = np.eye(8)[:, :1]
         family = [(t, np.array([[t]])) for t in np.linspace(0.0, 9.0, 10)]
@@ -563,15 +583,15 @@ class TestThetaSweepAndInterlacing:
         assert builds == [(8, 8)] + [(1, 1)] * 10
 
     def test_interlacing_validates_a0_once(self, monkeypatch):
-        # one HermitianMatrix for the ndarray A0; the rank-one update goes to eigvalsh as is
+        # one Hermitian check for the ndarray A0; the rank-one update goes to eigvalsh as is
         builds = []
-        real = spectral.HermitianMatrix.__post_init__
+        real = spectral._hermitian_scale
 
-        def counting(self):
-            builds.append(self.entries.shape)
-            real(self)
+        def counting(entries):
+            builds.append(entries.shape)
+            return real(entries)
 
-        monkeypatch.setattr(spectral.HermitianMatrix, "__post_init__", counting)
+        monkeypatch.setattr(spectral, "_hermitian_scale", counting)
         assert interlacing_check(np.diag(np.arange(1.0, 9.0)), np.eye(8)[0], 2.0)
         assert builds == [(8, 8)]
 
@@ -818,15 +838,17 @@ class TestSingleRankDecision:
         # S^4 = S^2 o S^2 on both routes: two compositions per power, not three
         assert len(calls) == 23, calls
 
-    def test_sweep_step_with_matrix_theta_takes_two_svds(self, monkeypatch):
+    def test_sweep_takes_one_svd_and_one_eigvalsh_per_step(self, monkeypatch):
         a0 = _dense_operator(8, 39)
         b = Subspace.span(np.random.default_rng(40).normal(size=(8, 2))).basis
         family = [(t, t * np.array([[0.7, 0.2], [0.2, -0.4]])) for t in (0.5, 1.0, 2.0)]
-        calls = _count_svds(monkeypatch)
+        calls, eigensolves = _count_svds(monkeypatch), []
+        _record_calls(monkeypatch, np.linalg, "eigvalsh", eigensolves)
         theta_sweep(a0, b, family)
-        # per step: B's independence and the one SVD of Theta's f block that gives dom,
-        # (dom)^perp and the operator part; graph(Theta) is a QR and its check a product
-        assert calls == [(8, 2), (2, 2)] * len(family), calls
+        # B's independence, checked once for the sweep; each step one eigvalsh of
+        # A0 + B Theta B*, with no relation (graph QR, f-block SVD) built for Theta
+        assert calls == [(8, 2)], calls
+        assert [args[0].shape for _, args in eigensolves] == [(8, 8)] * len(family)
 
     def test_spec_independence_uses_rank_rtol(self, monkeypatch):
         b = np.zeros((4, 2))
@@ -973,7 +995,7 @@ class TestOneSvdSplit:
         assert [row[1] for row in theta_sweep(a0, b, [(0.5, 0.5 * np.eye(2))])] == [0]
         for kind, mul in zip(kinds, (0, 2, 1)):
             spec = PerturbationSpec(b, _theta(kind))
-            assert perturbed_spectrum(a0, spec)[1] == mul
+            assert _compressed_spectrum(a0, spec)[1] == mul
             rows, target, mul_dim = limit_crosscheck(a0, spec, [1e8])
             eigs, graph_mul = relation_spectrum(perturb(a0, spec))
             assert mul_dim == graph_mul and rows[0][1] <= 1e-5

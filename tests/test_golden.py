@@ -7,9 +7,10 @@ Table cells must agree exactly, except that numeric cells agree to
 1e-9 * max(1, max |column|), so a refactor that reorders floating-point work
 passes while a changed verdict or table shape fails.
 
-After a deliberate change of verdicts or tables, rewrite the stored outputs:
+After a deliberate change of verdicts or tables, rewrite the stored outputs at one
+OpenBLAS thread (only the files whose bytes change are written, each one printed):
 
-    PYTHONPATH=src python tests/test_golden.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py
 
 No experiment needs scipy: `ldlab run` on every golden config, one after another
 in one fresh interpreter, loads no scipy module.
@@ -125,15 +126,21 @@ def test_run_loads_no_scipy(name, no_scipy_runs):
 
 
 def _regenerate():
+    """Write each stored output whose bytes change, drop stored tables no longer produced,
+    and print every path touched."""
     for name in CASES:
         rows_csv, tables = _outputs(name)
-        (GOLDEN / name / "report.csv").write_text(rows_csv)
         tables_dir = GOLDEN / name / "tables"
-        shutil.rmtree(tables_dir, ignore_errors=True)
-        tables_dir.mkdir()
-        for table, text in tables.items():
-            (tables_dir / f"{table}.csv").write_text(text)
-        print(f"wrote {GOLDEN / name}")
+        wanted = {GOLDEN / name / "report.csv": rows_csv}
+        wanted.update((tables_dir / f"{table}.csv", text) for table, text in tables.items())
+        for path in sorted(set(tables_dir.glob("*.csv")) - set(wanted)):
+            path.unlink()
+            print(f"removed {path}")
+        for path, text in wanted.items():
+            if not path.is_file() or path.read_text() != text:
+                path.parent.mkdir(exist_ok=True)
+                path.write_text(text)
+                print(f"wrote {path}")
 
 
 if __name__ == "__main__":
