@@ -30,6 +30,7 @@ from .spectral import (
     _ct,
     _first_member,
     _hermitian_entries,
+    _max_abs,
     _per_member,
     _rank,
     _stored,
@@ -114,34 +115,37 @@ def _each(values, batch: tuple) -> list:
 
 
 def von_neumann_check(s: LinearRelation):
-    """Verify graph(S*) = graph(S) (+) D+ (+) D- in the graph space.
+    """Verify von Neumann's formula S* = S (+) N+ (+) N-, an orthogonal sum in H (+) H.
 
-    Checks the dimension identity dim S* = dim S + m+ + m-, pairwise trivial
-    intersections of the three summands, and that their span recovers S*. Returns a
-    Report, or for a stack a list of one Report per member in C order.
+    N+/- = {(d, +/-i d) : S* d = +/-i d}. For symmetric S the sum is orthogonal:
+    <(f, Sf), (d, +/-i d)> = <f, d> -/+ i<f, S* d> = 0 and <(d+, i d+), (d-, -i d-)> = 0.
+    With W = [S | N+ | N-], the orthonormal graph bases side by side, the rows are the
+    dimension identity dim S* = dim S + m+ + m-, then max|block of W*W| for each pair of
+    summands and max|WW* - P_S*|, each against SUBSPACE_TOL; no rank is decided here.
+    Returns a Report, or for a stack a list of one Report per member in C order.
     """
     rep = deficiency_indices(s)
-    adj = rep.adjoint
-    n = s.space_dim
+    adj, k, m_plus = rep.adjoint, s.dim, rep.m_plus
     # graph of D+/-: [d; +/-i d] / sqrt 2 is orthonormal for an orthonormal basis d
-    gp, gm = (Subspace(2 * n, np.concatenate([d.basis, sign * 1j * d.basis], axis=-2)
-                       / np.sqrt(2.0))
-              for d, sign in ((rep.defect_plus, 1.0), (rep.defect_minus, -1.0)))
-    inters = [(name, subspace_intersect(a, b).rank)
-              for name, a, b in (("S^D+", s.graph, gp), ("S^D-", s.graph, gm), ("D+^D-", gp, gm))]
-    stacked = np.concatenate([s.graph.basis, gp.basis, gm.basis], axis=-1)
-    span = Subspace.span(stacked, 2 * n)
-    batch = s.graph.basis.shape[:-2]
+    defect_graphs = [np.concatenate([d.basis, sign * 1j * d.basis], axis=-2) / np.sqrt(2.0)
+                     for d, sign in ((rep.defect_plus, 1.0), (rep.defect_minus, -1.0))]
+    w = np.concatenate([s.graph.basis, *defect_graphs], axis=-1)
+    gram, batch = _ct(w) @ w, w.shape[:-2]
+    cross = {"S,D+": gram[..., :k, k:k + m_plus], "S,D-": gram[..., :k, k + m_plus:],
+             "D+,D-": gram[..., k:k + m_plus, k + m_plus:]}
+    rows = [(f"orthogonal {pair}", "max|block of W*W|", _each(_max_abs(block), batch))
+            for pair, block in cross.items()]
+    rows.append(("span-equals-adjoint", "max|WW* - P_S*|",
+                 _each(_max_abs(w @ _ct(w) - adj.graph.projector), batch)))
 
     reports = []
-    for equal in _each(subspaces_equal(span, adj.graph), batch):
-        report = Report("von Neumann decomposition", meta={"dim": n})
+    for i in range(int(np.prod(batch))):
+        report = Report("von Neumann decomposition", meta={"dim": s.space_dim})
         report.add_flag("dimension-identity",
-                        f"dim S*={adj.dim}, dim S={s.dim}, m+={rep.m_plus}, m-={rep.m_minus}",
-                        adj.dim == s.dim + rep.m_plus + rep.m_minus)
-        for name, rank in inters:
-            report.add_flag(f"trivial-intersection {name}", f"dim={rank}", rank == 0)
-        report.add_flag("span-equals-adjoint", f"dim span={span.rank}", equal)
+                        f"dim S*={adj.dim}, dim S={k}, m+={m_plus}, m-={rep.m_minus}",
+                        adj.dim == k + m_plus + rep.m_minus)
+        for name, inputs, residuals in rows:
+            report.add_check(name, inputs, residuals[i], SUBSPACE_TOL)
         reports.append(report)
     return reports if batch else reports[0]
 

@@ -80,12 +80,10 @@ class SpectralOperator:
 
     @classmethod
     def from_diag(cls, values) -> "SpectralOperator":
-        """diag(values) as its exact decomposition (`diagonal_eigh` of the values), with no
-        LAPACK call. Nondecreasing values are their own spectrum in the identity basis: O(n)
-        data, the matrix built when first read. Any other values keep their dense matrix."""
-        decomp = diagonal_eigh(values)
-        dense = None if decomp.columns is None else HermitianMatrix(np.diag(values))
-        return cls(dense, decomp)
+        """diag(values) for nondecreasing values, its own spectrum in the identity basis
+        (`diagonal_eigh`), with no LAPACK call: O(n) data, the matrix built when first read.
+        Unsorted values raise SpectrumError; `from_matrix(np.diag(values))` takes them."""
+        return cls(None, diagonal_eigh(values))
 
     @property
     def lower_bound(self) -> float:
@@ -241,15 +239,15 @@ class ClosedFormR:
                              f"{self.operator.lower_bound}")
         object.__setattr__(self, "r", int(self.r))
 
-    def __call__(self, f, g) -> complex:
-        f = np.asarray(f, dtype=complex)
-        g = np.asarray(g, dtype=complex)
+    def __call__(self, f, g=None) -> complex:
+        """t_r[f, g]; g=None stands for g = f, taken into the eigenbasis once."""
         decomp = self.operator.decomp
-        lam = decomp.eigenvalues
-        cf = decomp.to_eigenbasis(f)
-        cg = decomp.to_eigenbasis(g)
-        half = np.power(lam - self.gamma, self.r / 2)
-        return inner(half * cf, half * cg) + self.gamma * inner(f, g)
+        half = np.power(decomp.eigenvalues - self.gamma, self.r / 2)
+        f = np.asarray(f, dtype=complex)
+        g = f if g is None else np.asarray(g, dtype=complex)
+        hf = half * decomp.to_eigenbasis(f)
+        hg = hf if g is f else half * decomp.to_eigenbasis(g)
+        return inner(hf, hg) + self.gamma * inner(f, g)
 
     def lower_bound(self) -> float:
         return self.gamma + (self.operator.lower_bound - self.gamma) ** self.r
@@ -324,10 +322,10 @@ def verify_ld_properties(
             if not closed or j >= ordered:
                 break
             if j < sample_count:
-                forms.append((bound * vv - form(v, v).real) / (norm_r * vv))
+                forms.append((bound * vv - form(v).real) / (norm_r * vv))
             else:
                 f = v / norm_v
-                gaps.append(next_form(f, f).real - form(f, f).real)
+                gaps.append(next_form(f).real - form(f).real)
     report.add_check("lower-bound(4)", f"r={r:g}, {sample_count} samples", _worst(lowers), tol)
     report.add_check("duality(5)", f"r={r:g}, {sample_count} samples", _worst(duals), tol)
 

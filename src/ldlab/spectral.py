@@ -96,9 +96,9 @@ def _ct(a: np.ndarray) -> np.ndarray:
 
 
 def _max_abs(a: np.ndarray):
-    """max|a| over the entries of a matrix, or one per member of a stack (..., m, n); a must
-    be C-contiguous, so that each member's entries are one row of a view."""
-    return np.abs(a.reshape(a.shape[:-2] + (-1,))).max(axis=-1)
+    """max|a| over the entries of a matrix, or one per member of a stack (..., m, n); an empty
+    block reads 0. Each member's entries are one row of a reshape, a view for C-contiguous a."""
+    return np.abs(a.reshape(a.shape[:-2] + (-1,))).max(axis=-1, initial=0.0)
 
 
 def _first_member(bad) -> tuple[tuple, str]:
@@ -352,23 +352,21 @@ def eigh(matrix) -> SpectralDecomposition:
 
 
 def diagonal_eigh(diagonal) -> SpectralDecomposition:
-    """Exact eigendecomposition of diag(diagonal), from the 1-D diagonal, without LAPACK.
+    """Exact eigendecomposition of diag(diagonal), from a nondecreasing 1-D diagonal,
+    without LAPACK.
 
-    A nondecreasing diagonal is its own spectrum in the identity basis: nothing
-    of n x n size is formed and there is no residual to check. Any other
-    diagonal is sorted by order = argsort(diagonal, kind="stable") and gets the
-    dense unit columns e_order. For a sorted distinct diagonal the eigenvalues
-    and the eigenvectors are bitwise what `eigh` returns.
+    The diagonal is its own spectrum in the identity basis: nothing of n x n size
+    is formed and there is no residual to check. For distinct values the
+    eigenvalues and the eigenvectors are bitwise what `eigh` returns. Any other
+    order raises SpectrumError (`SpectralDecomposition`); an unsorted diagonal
+    goes through `eigh` of its matrix.
     """
     diagonal = np.asarray(diagonal, dtype=float)
     if diagonal.ndim != 1 or diagonal.shape[0] == 0:
         raise NotHermitianError(f"expected a nonempty diagonal, got shape {diagonal.shape}")
     if not np.all(np.isfinite(diagonal)):
         raise NotHermitianError("matrix contains non-finite entries")
-    if np.all(np.diff(diagonal) >= 0):
-        return SpectralDecomposition(diagonal)
-    order = np.argsort(diagonal, kind="stable")
-    return SpectralDecomposition(diagonal[order], np.eye(diagonal.shape[0])[:, order])
+    return SpectralDecomposition(diagonal)
 
 
 def mat_power(matrix, r: float) -> HermitianMatrix:
@@ -527,8 +525,8 @@ def subspaces_equal(a: Subspace, b: Subspace):
     """a = b: equal ranks and projectors within SUBSPACE_TOL; a bool, or one per member of
     a stack."""
     _check_ambient(a, b)
-    if a.rank != b.rank or a.rank == 0:
-        return _per_member(np.full(a.basis.shape[:-2], a.rank == b.rank))
+    if a.rank != b.rank:
+        return _per_member(np.full(a.basis.shape[:-2], False))
     return _per_member(_max_abs(a.projector - b.projector) <= SUBSPACE_TOL)
 
 
@@ -610,8 +608,6 @@ class LinearRelation:
         f, g = self._blocks()
         form = _ct(f) @ g
         form.setflags(write=False)
-        if not self.dim:
-            return form, _per_member(np.zeros(form.shape[:-2]))
         return form, _per_member(_max_abs(form - _ct(form)))
 
     @cached_property

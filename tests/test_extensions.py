@@ -140,6 +140,44 @@ class TestVonNeumann:
         assert von_neumann_check(s).overall == "PASS"
         assert s.adjoint.dim == s.dim + 4
 
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_takes_no_factorization(self, monkeypatch, k):
+        # S*, D+ and D- are cached by deficiency_indices: the check is products only
+        h, c = restriction_draws(64, 8, 2, k or 1)
+        s = minimal_relation(h if k else h[0], Subspace.span(c if k else c[0]))
+        deficiency_indices(s)
+        svds, calls = _count_svds(monkeypatch), []
+        for name in ("qr", "eigh", "eigvalsh"):
+            _record_calls(monkeypatch, np.linalg, name, calls)
+        reports = von_neumann_check(s)
+        assert svds == [] and calls == []
+        assert [r.overall for r in (reports if k else [reports])] == ["PASS"] * (k or 1)
+
+    def test_swapped_defect_kernels_fail_orthogonality_and_span(self, monkeypatch):
+        # (d-, i d-) is not in S*, and <(f, Sf), (d-, i d-)> = 2<f, d->; the swapped pair
+        # (d-, i d-), (d+, -i d+) stays orthogonal
+        s = minimal_relation(*seeded_restriction(65, 7, 2))
+        real = LinearRelation.defect_kernels
+        monkeypatch.setattr(LinearRelation, "defect_kernels",
+                            property(lambda t: real.__get__(t, LinearRelation)[::-1]))
+        statuses = {row.name: row.status for row in von_neumann_check(s).rows}
+        assert statuses == {"dimension-identity": "PASS", "orthogonal S,D+": "FAIL",
+                            "orthogonal S,D-": "FAIL", "orthogonal D+,D-": "PASS",
+                            "span-equals-adjoint": "FAIL"}
+
+    @pytest.mark.parametrize("exponent", [0, 4, 8, 12, 14])
+    def test_residuals_do_not_see_the_scale(self, exponent):
+        # every residual compares orthonormal bases, so ||A|| does not enter it
+        for seed in range(26):
+            n, codim = 4 + seed % 13, 1 + seed % 3
+            h, c = seeded_restriction(seed, n, codim)
+            s = minimal_relation(h * (10.0 ** exponent / np.linalg.norm(h, 2)), c)
+            rep, report = deficiency_indices(s), von_neumann_check(s)
+            residuals = [row.residual for row in report.rows if row.name != "dimension-identity"]
+            assert (rep.m_plus, rep.m_minus) == (codim, codim), seed
+            assert report.overall == "PASS", (seed, report.rows)
+            assert len(residuals) == 4 and max(residuals) <= 1e-13, (seed, report.rows)
+
 
 class TestFriedrichs:
     def test_already_selfadjoint_is_fixed_point(self):
@@ -823,10 +861,9 @@ class TestSingleRankDecision:
         assert (rep.m_plus, rep.m_minus) == (1, 1) and vn.overall == "PASS"
         assert rel_is_selfadjoint(sf)
         assert subspaces_equal(sf.domain(), s.domain())
-        # two defect kernels of S* (dim 9), the three intersections, each the SVD of the
-        # 16 x 1 residual of a defect graph (the operand of smaller rank), the span of
-        # S (+) D+ (+) D-, and the f blocks of S and S_F
-        assert calls == [(8, 9), (8, 9), (16, 1), (16, 1), (16, 1), (16, 9), (8, 7), (8, 8)]
+        # two defect kernels of S* (dim 9) and the f blocks of S and S_F; the von Neumann
+        # check reads one Gram matrix and takes none
+        assert calls == [(8, 9), (8, 9), (8, 7), (8, 8)]
 
     def test_friedrichs_trial_svd_budget(self, monkeypatch):
         s = minimal_relation(*seeded_restriction(62, 10, 2))
@@ -1192,10 +1229,11 @@ class TestStackBudget:
 
     # one extension trial at n = 8, codim 1, after minimal_relation: the SVDs of
     # `test_extension_trial_svd_budget`, the complete QR of [G; -F] (S*) and the QR of the
-    # Friedrichs graph, and one orthonormality check per Subspace built
-    SVDS = [(8, 9), (8, 9), (16, 1), (16, 1), (16, 1), (16, 9), (8, 7), (8, 8)]
+    # Friedrichs graph, and one orthonormality check per Subspace built: S*, D+, D-, S_F and
+    # the domains of S and S_F
+    SVDS = [(8, 9), (8, 9), (8, 7), (8, 8)]
     QRS = [(16, 7), (16, 8)]
-    CHECKS = [(16, 9), (8, 1), (8, 1), (16, 1), (16, 1), (16, 9), (16, 8), (8, 7), (8, 7)]
+    CHECKS = [(16, 9), (8, 1), (8, 1), (16, 8), (8, 7), (8, 7)]
 
     @staticmethod
     def _counters(monkeypatch):

@@ -80,7 +80,13 @@ class TestFromDiag:
 
     @pytest.mark.parametrize("values", [[3.0, 1.0, 2.0, 2.0, 5.0], [2.0, 2.0, 5.0]])
     def test_unsorted_or_degenerate_values(self, values):
-        op = SpectralOperator.from_diag(values)
+        # from_diag takes nondecreasing values only; an unsorted diagonal goes through LAPACK
+        if np.any(np.diff(values) < 0):
+            with pytest.raises(SpectrumError, match="nondecreasing"):
+                SpectralOperator.from_diag(values)
+            op = SpectralOperator.from_matrix(np.diag(values))
+        else:
+            op = SpectralOperator.from_diag(values)
         np.testing.assert_array_equal(op.eigenvalues, np.sort(values))
         assert op.lower_bound == min(values)
         np.testing.assert_array_equal(op.decomp.apply_function(lambda x: x), op.matrix.entries)
@@ -98,16 +104,18 @@ class TestFromDiag:
 
         monkeypatch.setattr(np.linalg, "eigh", wrap("eigh"))
         monkeypatch.setattr(np.linalg, "qr", wrap("qr"))
-        SpectralOperator.from_diag([3.0, 1.0, 2.0, 2.0, 5.0])
+        SpectralOperator.from_diag([1.0, 2.0, 2.0, 3.0, 5.0])
         SpectralOperator.from_diag(np.arange(401, dtype=float) + 1.0)
+        with pytest.raises(SpectrumError, match="nondecreasing"):
+            SpectralOperator.from_diag([3.0, 1.0, 2.0, 2.0, 5.0])
         assert calls == []
         SpectralOperator.from_matrix(np.diag([5.0, 2.0, 2.0]))   # the wrappers are in place
         assert calls == ["eigh", "qr"]
 
 
 class TestLazyDenseMatrix:
-    """A from_diag operator with nondecreasing values holds O(n) data, in the identity
-    basis, until a consumer reads its dense matrix; other values keep their dense matrix."""
+    """A from_diag operator (nondecreasing values) holds O(n) data, in the identity basis,
+    until a consumer reads its dense matrix."""
 
     VALUES = [0.5, 1.0, 2.0, 2.0, 3.0, 6.0]
 
@@ -128,17 +136,6 @@ class TestLazyDenseMatrix:
         op = parsed_operator(spec)
         assert op.dense is None and op.decomp.columns is None and "matrix" not in vars(op)
 
-    def test_unsorted_values_give_the_spectrum_with_a_dense_matrix(self):
-        values = [3.0, 1.0, 2.0, 6.0, 2.0, 0.5]
-        op = SpectralOperator.from_diag(values)
-        sorted_op = SpectralOperator.from_diag(self.VALUES)
-        np.testing.assert_array_equal(op.eigenvalues, sorted_op.eigenvalues)
-        assert op.dense is not None and op.matrix is op.dense
-        np.testing.assert_array_equal(op.matrix.entries, np.diag(values))
-        order = np.argsort(values, kind="stable")
-        np.testing.assert_array_equal(op.decomp.columns, np.eye(6)[:, order])
-        assert op.norm_max == sorted_op.norm_max == 6.0
-
     def test_built_and_validated_when_ld_operator_reads_it(self, monkeypatch):
         import ldlab.spectral as spectral
         validated = []
@@ -156,19 +153,12 @@ class TestLazyDenseMatrix:
         np.testing.assert_array_equal(action.entries, np.diag(self.VALUES))
         assert action.entries.dtype == np.float64 and action.norm_max == op.norm_max
 
-    def test_unsorted_values_with_a_broken_sort_are_rejected(self, monkeypatch):
-        import ldlab.spectral as spectral
-        monkeypatch.setattr(spectral.np, "argsort", lambda a, kind: np.zeros(len(a), int))
-        with pytest.raises(SpectrumError, match="not orthonormal"):
-            SpectralOperator.from_diag(self.VALUES[::-1])
-
     @pytest.mark.parametrize("fault", ["values", "finite"])
-    def test_each_linear_time_check_raises(self, monkeypatch, fault):
+    def test_each_linear_time_check_raises(self, fault):
         import ldlab.spectral as spectral
         values = np.array(self.VALUES)
         if fault == "values":
-            # an unsorted diagonal left unsorted fails the O(n) order check of its spectrum
-            monkeypatch.setattr(spectral.np, "argsort", lambda a, kind: np.arange(len(a)))
+            # an unsorted diagonal fails the O(n) order check of its spectrum
             with pytest.raises(SpectrumError, match="nondecreasing"):
                 SpectralOperator.from_diag(values[::-1])
         else:
@@ -181,8 +171,9 @@ class TestEigenbasisProducts:
     """Products through the stored eigenbasis give bitwise the values of the u.conj().T
     expression."""
 
-    @pytest.mark.parametrize("make", [lambda: seeded_positive_operator(20, n=9),
-                                      lambda: SpectralOperator.from_diag([4.0, 1.0, 3.0, 2.0])])
+    @pytest.mark.parametrize("make", [
+        lambda: seeded_positive_operator(20, n=9),
+        lambda: SpectralOperator.from_matrix(np.diag([4.0, 1.0, 3.0, 2.0]))])
     def test_apply_power_and_closed_form(self, make):
         op = make()
         rng = np.random.default_rng(21)
@@ -258,7 +249,7 @@ class TestLdInner:
         # oracle: y* A^r x with the Gram A^r formed densely by `mat_power` (eigh of the matrix)
         rng = np.random.default_rng(2)
         for op in (seeded_positive_operator(1, n=10),
-                   SpectralOperator.from_diag([4.0, 0.5, 9.0, 2.5, 2.5, 6.0])):
+                   SpectralOperator.from_matrix(np.diag([4.0, 0.5, 9.0, 2.5, 2.5, 6.0]))):
             x = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
             y = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
             for r in (0.5, 1.5, 2.0, 3.0):
@@ -274,7 +265,7 @@ class TestLdInner:
 
     @pytest.mark.parametrize("make", [
         lambda: SpectralOperator.from_matrix(discretize(SLCoefficients.flat(), 30).matrix),
-        lambda: SpectralOperator.from_diag(np.arange(30, 0, -1, dtype=float)),
+        lambda: SpectralOperator.from_matrix(np.diag(np.arange(30, 0, -1, dtype=float))),
         lambda: seeded_positive_operator(6, n=12)], ids=["float64", "unsorted-diagonal", "complex"])
     def test_block_columns_match_the_vector_calls_to_rounding(self, make):
         # a block is one product, which BLAS rounds differently from the vector products
@@ -320,6 +311,15 @@ class TestLdOperator:
 
 
 class TestClosedForm:
+    def test_one_argument_is_the_diagonal_value(self):
+        # t_r[f] takes f into the eigenbasis once; the bits are those of t_r[f, f]
+        rng = np.random.default_rng(9)
+        for op in (seeded_positive_operator(5, n=7), SpectralOperator.from_diag([1.0, 2.5, 4.0])):
+            f = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+            for r, gamma in ((1, op.shift), (3, op.lower_bound - 0.5)):
+                form = ClosedFormR(r, gamma, op)
+                assert form(f) == form(f, f)
+
     def test_scalar_example(self):
         # A = diag(2), gamma = 1, r = 2, f = (1): (2-1)^2 + 1 = 2
         op = SpectralOperator.from_diag([2.0])
@@ -594,6 +594,20 @@ class TestOneSampleStream:
         assert rows["closed-form-lower-bound"][0] == "FAIL"
         assert np.isnan(rows["closed-form-lower-bound"][1])
         assert rows["lower-bound(4)"][0] == rows["duality(5)"][0] == "PASS"
+
+    @pytest.mark.parametrize("samples", [7, 25])
+    def test_each_form_value_takes_one_eigenbasis_product(self, monkeypatch, samples):
+        # per sample: U* and U for A^{r/2} (x, y) and for A^r x; each closed-form value
+        # t_r[v] = form(v) is one U* v, and each table gap t_{r+1}[f] - t_r[f] two
+        from ldlab import spectral
+        real, calls = spectral._product, []
+
+        def counting(m, x):
+            calls.append(None)
+            return real(m, x)
+        monkeypatch.setattr(spectral, "_product", counting)
+        verify_ld_properties(seeded_positive_operator(4, n=10), 2.0, samples, seed=3)
+        assert len(calls) == 4 * samples + samples + 2 * min(samples, 20)
 
     def test_rejects_an_empty_suite(self):
         with pytest.raises(ValueError, match="at least one sample, got 0"):

@@ -258,8 +258,14 @@ class TestDiagonalEigh:
     @pytest.mark.parametrize("values", [[3.0, 1.0, 2.0, 2.0, 5.0], [2.0, 2.0, 5.0],
                                         [-1.0, 4.0, -1.0]])
     def test_unsorted_or_degenerate_input(self, values):
+        # diagonal_eigh takes nondecreasing values only; an unsorted diagonal goes through eigh
         h = HermitianMatrix(np.diag(values))
-        decomp = diagonal_eigh(values)
+        if np.any(np.diff(values) < 0):
+            with pytest.raises(SpectrumError, match="nondecreasing"):
+                diagonal_eigh(values)
+            decomp = eigh(h)
+        else:
+            decomp = diagonal_eigh(values)
         np.testing.assert_array_equal(decomp.eigenvalues, np.sort(values))
         np.testing.assert_allclose(decomp.eigenvalues, eigh(h).eigenvalues, rtol=1e-14)
         u = decomp.eigenvectors
@@ -315,16 +321,21 @@ class TestExactChecks:
 
 class TestPermutationBasis:
     """A diagonal matrix's eigenbasis is a permuted identity: the identity basis, nothing
-    n x n, for a nondecreasing diagonal, and dense unit columns for any other."""
+    n x n, for a nondecreasing diagonal (`diagonal_eigh`), and dense columns from `eigh` for
+    any other."""
 
     VALUES = [[3.0, 1.0, 2.0, 2.0, 5.0], [2.0, 2.0, 5.0], [-1.0, 4.0, -1.0, 0.5, 4.0, -3.0],
               [-3.0, -1.0, -1.0, 0.5, 4.0, 4.0]]
 
     @pytest.mark.parametrize("values", VALUES)
     def test_products_are_bitwise_the_dense_ones(self, values):
-        decomp = diagonal_eigh(values)
-        assert (decomp.columns is None) == bool(np.all(np.diff(values) >= 0))
-        assert "eigenvectors" not in vars(decomp)   # nothing dense built by the products
+        ordered = bool(np.all(np.diff(values) >= 0))
+        decomp = diagonal_eigh(values) if ordered else eigh(HermitianMatrix(np.diag(values)))
+        assert (decomp.columns is None) == ordered
+
+        def built():   # nothing dense is built: no identity, and dense columns are the stored U
+            return vars(decomp).get("eigenvectors", decomp.columns)
+        assert built() is decomp.columns
         rng = np.random.default_rng(len(values))
         n = len(values)
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -333,7 +344,7 @@ class TestPermutationBasis:
         gathered = [decomp.to_eigenbasis(x), decomp.to_eigenbasis(block), decomp.from_eigenbasis(x),
                     decomp.from_eigenbasis(block), decomp.compress(m),
                     decomp.apply_function(lambda lam: lam ** 3 - 2.0)]
-        assert "eigenvectors" not in vars(decomp)
+        assert built() is decomp.columns
         u = decomp.eigenvectors
         dense = [u.conj().T @ x, u.conj().T @ block, u @ x, u @ block, u.conj().T @ m @ u,
                  (u * (decomp.eigenvalues ** 3 - 2.0)) @ u.conj().T]
