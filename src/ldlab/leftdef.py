@@ -3,27 +3,33 @@
 The central object is a SpectralOperator: a Hermitian matrix together with its
 eigendecomposition, from which it reads its lower bound k = lambda_min and its
 shift gamma < k (0 when k is positive beyond the cutoff below, else k - 1). From it
-we build the r-th left-definite space (its inner product <A^{r/2}x, A^{r/2}y>,
-`ld_inner`, applied through the eigenbasis with no n x n array), the r-th left-definite
-operator, the shifted closed forms, and a verification report for the defining
-properties and the spectral-stability statements. `apply_power` and `ld_inner`
-take a vector or an n x k block of columns, a vector being a block of one. A block
-is one product, whose columns agree with the vector calls to rounding (within
-gamma_n = n eps / (1 - n eps) of the product of the norms), not bit for bit. The
-report reads every <x,x>_r and <x,y>_r from `ld_inner`, each sample's pair (x, y)
-going through A^{r/2} as one n x 2 block.
+we build the r-th left-definite space, the r-th left-definite operator, the shifted
+closed forms, and a verification report for the defining properties and the
+spectral-stability statements. Every H_r inner product is diagonal in A's
+eigenbasis: <x,y>_r = sum_k lambda_k^r c_{x,k} conj(c_{y,k}) with c = U* x, so
+`ld_inner` takes each block into the eigenbasis by one U* product and sums there,
+with no U round trip and no n x n array (`SpectralOperator.in_eigenbasis`, the
+operator diag(lambda) that A is in its eigenbasis, applies lambda^{r/2}).
+`apply_power` and `ld_inner` take a vector or an n x k block of columns, a vector
+being a block of one. A block is one product, whose columns agree with the vector
+calls to rounding (within gamma_n = n eps / (1 - n eps) of the product of the
+norms), not bit for bit. The report takes each sample's pair (x, y) into the
+eigenbasis once, as one n x 2 block, and reads everything else from those
+coefficients: <x,x>_r and <x,y>_r from `ld_inner`, A^r x = U (lambda^r c_x), and
+both closed forms.
 
-`SpectralOperator.from_matrix` decomposes with LAPACK (real symmetric: in
-float64). `from_diag` (the diag-growth and Laguerre operators) keeps the exact
-decomposition of a diagonal matrix with no LAPACK call. Both models have a
-nondecreasing diagonal, which is its own spectrum in the identity basis: nothing
-of n x n size is held, and the dense matrix is built, once, when a consumer
-first reads `matrix`. Left-definite constructions need k > 0 beyond the cutoff
-CLUSTER_RTOL * ||A||_max (`spectral._zero_cutoff`, the one that also sets the
-shift, the gap that splits eigh's and `multiplicity_list`'s clusters, and
-`mat_power`'s positivity), so every left-definite construction runs at gamma = 0.
-The operator keeps its decomposition and nothing else: the weights of the Hilbert
-scale are `hscale`'s, computed there on each call.
+`SpectralOperator.from_matrix` decomposes with `spectral.eigh`, which caches the
+decomposition on the matrix (real symmetric: in float64). `from_diag` (the
+diag-growth and Laguerre operators) keeps the exact decomposition of a diagonal
+matrix with no LAPACK call. Both models have a nondecreasing diagonal, which is its
+own spectrum in the identity basis: nothing of n x n size is held, and the dense
+matrix is built, once, when a consumer first reads `matrix`. Left-definite
+constructions need k > 0 beyond the cutoff CLUSTER_RTOL * ||A||_max
+(`spectral._zero_cutoff`, the one that also sets the shift, the gap that splits
+eigh's and `multiplicity_list`'s clusters, and `mat_power`'s positivity), so every
+left-definite construction runs at gamma = 0. The operator keeps its decomposition
+and nothing else: the weights of the Hilbert scale are `hscale`'s, computed there
+on each call.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .spectral import (
     DimensionMismatchError,
     HermitianMatrix,
     SpectralDecomposition,
+    _Owned,
     _clusters,
     _zero_cutoff,
     as_hermitian,
@@ -71,6 +78,9 @@ class SpectralOperator:
     def __post_init__(self):
         if self.dense is None and self.decomp.columns is not None:
             raise ValueError("an operator given without its matrix needs the identity eigenbasis")
+        if self.dense is not None and self.dense.dim != self.dim:
+            raise DimensionMismatchError(f"matrix dimension {self.dense.dim} differs from the "
+                                         f"decomposition's {self.dim}")
 
     @classmethod
     def from_matrix(cls, matrix) -> "SpectralOperator":
@@ -101,7 +111,16 @@ class SpectralOperator:
         """The dense matrix; for the identity basis diag(lambda), built once."""
         if self.dense is not None:
             return self.dense
-        return HermitianMatrix(np.diag(self.decomp.eigenvalues))
+        return HermitianMatrix(_Owned(np.diag(self.decomp.eigenvalues)))
+
+    @property
+    def in_eigenbasis(self) -> "SpectralOperator":
+        """diag(lambda), the operator A is in its own eigenbasis: U* maps x to its coefficients
+        c, and A^r x = U (lambda^r c). Itself for the identity basis, else built in O(n) on
+        each read (cached, it would hold the operator in a reference cycle past its use)."""
+        if self.decomp.columns is None:
+            return self
+        return SpectralOperator(None, SpectralDecomposition(self.decomp.eigenvalues))
 
     @property
     def norm_max(self) -> float:
@@ -195,13 +214,17 @@ def ld_space(operator: SpectralOperator, r: float) -> LeftDefiniteSpace:
 def ld_inner(space: LeftDefiniteSpace, x, y=None):
     """<x,y>_r = <A^{r/2}x, A^{r/2}y>, equal to <A^r x, y> for matrices.
 
-    Two vectors give a complex. Blocks of columns give the array G[i, j] = <x_i, y_j>_r:
-    A^{r/2} applied to each block by one `apply_power` call, then one sum of products.
-    y=None stands for y = x, applied once.
+    Two vectors give a complex. Blocks of columns give the array G[i, j] = <x_i, y_j>_r.
+    The sum is taken in the eigenbasis: each block is taken there by one U* product,
+    lambda^{r/2} applied by `in_eigenbasis.apply_power` (no product), then one sum of
+    products, sum_k lambda_k^r c_{x,k} conj(c_{y,k}). y=None stands for y = x, taken
+    once. For the identity basis the block is its own coefficients and no product is made.
     """
     op = space.operator
-    half_x = op.apply_power(space.r / 2, _as_block(op, x))
-    half_y = half_x if y is None else op.apply_power(space.r / 2, _as_block(op, y))
+    diag = op.in_eigenbasis
+    half_x = diag.apply_power(space.r / 2, op.decomp.to_eigenbasis(_as_block(op, x)))
+    half_y = half_x if y is None else diag.apply_power(
+        space.r / 2, op.decomp.to_eigenbasis(_as_block(op, y)))
     # einsum, not a complex @: the first zgemm call raises the peak resident memory
     gram = np.einsum("ki,kj->ij", half_x, half_y.conj())
     vectors = np.ndim(x) == 1 and (y is None or np.ndim(y) == 1)
@@ -268,25 +291,31 @@ def verify_ld_properties(
 ) -> Report:
     """Residual report for the left-definite property suite, each residual against `tol`.
 
-    Checks, on `sample_count` seeded random pairs (x, y), with <x,x>_r and <x,y>_r from
-    `ld_inner` in H_r = `ld_space(operator, r)`: the lower bound
-    <x,x>_r >= k^r <x,x>; the duality identity <x,y>_r = <A^r x, y>; that the
-    eigenvectors stay orthogonal in H_r with Gram entries lambda_n^r; and that
-    the eigenvalue multiplicity lists of A and of the r-th left-definite
-    operator coincide. That last flag compares the operator's stored eigenvalues
-    with a fresh LAPACK `eigh` of the left-definite action: for `from_diag`
-    operators the stored values are exact and the route is independent, so the
-    flag can fail; for `from_matrix` operators both sides are `eigh` of the same
-    matrix and it cannot. For integer r it also checks the closed form's lower
-    bound t_r[f,f] >= (gamma + (k - gamma)^r) <f,f> (gamma the operator's shift)
-    and tabulates the gaps t_{r+1}[f,f] - t_r[f,f] on unit vectors
-    (`form_ordering`, informational). Both read the suite's one sample stream
-    v = (x_0, y_0, x_1, y_1, ...): the lower bound v_0 .. v_{samples-1}, the
-    table the next min(samples, 20) vectors, normalized.
+    Checks, on `sample_count` seeded random pairs (x, y) in H_r = `ld_space(operator, r)`:
+    the lower bound <x,x>_r >= k^r <x,x>; the duality identity <x,y>_r = <A^r x, y>;
+    that the eigenvectors stay orthogonal in H_r with Gram entries lambda_n^r; and that
+    the eigenvalue multiplicity lists of A and of the r-th left-definite operator
+    coincide. Each pair is taken into the eigenbasis once, as one n x 2 block of
+    coefficients c = U* [x, y]; <x,x>_r and <x,y>_r are `ld_inner` of c in H_r of
+    `in_eigenbasis` (U* is an isometry onto it), and the duality's other side is
+    A^r x = U (lambda^r c_x), one U product. The multiplicity flag compares the
+    operator's stored eigenvalues with the decomposition that the left-definite
+    action, the operator's own matrix, carries (`eigh`, cached on the matrix): it
+    FAILs only when the two disagree. For a `from_matrix` operator they are one
+    decomposition, and for `from_diag` the matrix's is read off its diagonal, which holds
+    the stored values: on neither is the flag an independent route. For
+    integer r it also checks the closed form's lower bound
+    t_r[f,f] >= (gamma + (k - gamma)^r) <f,f> (gamma the operator's shift) and
+    tabulates the gaps t_{r+1}[f,f] - t_r[f,f] on unit vectors (`form_ordering`,
+    informational), both forms evaluated on the same coefficients with no product.
+    Both read the suite's one sample stream v = (x_0, y_0, x_1, y_1, ...): the lower
+    bound v_0 .. v_{samples-1}, the table the next min(samples, 20) vectors, normalized.
     """
     if sample_count < 1:
         raise ValueError(f"the property suite needs at least one sample, got {sample_count}")
     space = ld_space(operator, r)
+    eigen = LeftDefiniteSpace(space.r, operator.in_eigenbasis)
+    diag = eigen.operator
     rng = np.random.default_rng(seed)
     n = operator.dim
     try:
@@ -297,8 +326,8 @@ def verify_ld_properties(
     k_r = operator.lower_bound ** r
     closed = float(r).is_integer()
     if closed:
-        form = ClosedFormR(int(r), operator.shift, operator)
-        next_form = ClosedFormR(int(r) + 1, operator.shift, operator)
+        form = ClosedFormR(int(r), operator.shift, diag)
+        next_form = ClosedFormR(int(r) + 1, operator.shift, diag)
         bound = form.lower_bound()
     ordered = sample_count + min(sample_count, 20)   # stream positions the closed forms read
 
@@ -311,26 +340,29 @@ def verify_ld_properties(
     for i in range(sample_count):
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         y = rng.normal(size=n) + 1j * rng.normal(size=n)
-        # one n x 2 block per sample: one block of all samples grows peak memory with their count
-        gram = ld_inner(space, np.column_stack((x, y)))
+        # one n x 2 block per sample, one U* product: one block of all samples grows peak
+        # memory with their count
+        coeffs = operator.decomp.to_eigenbasis(np.column_stack((x, y)))
+        gram = ld_inner(eigen, coeffs)
         norm_x, norm_y = float(np.linalg.norm(x)), float(np.linalg.norm(y))
         xx, yy = float(np.vdot(x, x).real), float(np.vdot(y, y).real)
         lowers.append((k_r * xx - gram[0, 0].real) / (norm_r * norm_x ** 2))
-        dual = abs(gram[0, 1] - inner(operator.apply_power(r, x), y))
-        duals.append(dual / (norm_r * max(norm_x, norm_y) ** 2))
-        for j, v, vv, norm_v in ((2 * i, x, xx, norm_x), (2 * i + 1, y, yy, norm_y)):
+        power_x = operator.decomp.from_eigenbasis(diag.apply_power(r, coeffs[:, 0]))
+        duals.append(abs(gram[0, 1] - inner(power_x, y)) / (norm_r * max(norm_x, norm_y) ** 2))
+        for j, c, vv, norm_v in ((2 * i, coeffs[:, 0], xx, norm_x),
+                                 (2 * i + 1, coeffs[:, 1], yy, norm_y)):
             if not closed or j >= ordered:
                 break
             if j < sample_count:
-                forms.append((bound * vv - form(v).real) / (norm_r * vv))
+                forms.append((bound * vv - form(c).real) / (norm_r * vv))
             else:
-                f = v / norm_v
+                f = c / norm_v
                 gaps.append(next_form(f).real - form(f).real)
     report.add_check("lower-bound(4)", f"r={r:g}, {sample_count} samples", _worst(lowers), tol)
     report.add_check("duality(5)", f"r={r:g}, {sample_count} samples", _worst(duals), tol)
 
     # eigen-Gram: <phi_n, phi_m>_r = delta_nm * lambda_n^r. A^r (a temporary) and its
-    # compression are dropped once read, so neither is alive during the dense eigh below.
+    # compression are dropped once read.
     lam = operator.eigenvalues
     gram = operator.decomp.compress(operator.decomp.power(r).entries)
     gram_diag = np.diagonal(gram).real.copy()
@@ -344,7 +376,8 @@ def verify_ld_properties(
     report.add_check("eigen-gram-diag", f"r={r:g}", diag_dev, tol)
 
     # multiplicity stability: A_r on the suite's H_r (`ld_operator`'s construction) acts as
-    # A itself, so its eigenvalue list (with multiplicity) must agree exactly
+    # A itself, so its eigenvalue list (with multiplicity) must agree exactly with the one
+    # its matrix carries (`eigh`, cached on the matrix: no second eigensolve)
     a_r = _operator_on(space)
     report.add_flag("multiplicity-invariance", f"r={r:g}, tag={a_r.domain_tag}",
                     np.array_equal(lam, a_r.spectrum))

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import HermitianMatrix
+from .spectral import HermitianMatrix, _Owned
 
 ENDPOINT_KINDS = ("regular", "limit-circle", "limit-point")
 BOUNDARY_TREATMENTS = ("dirichlet", "neumann-type")
@@ -147,7 +147,7 @@ class DiscreteOperator:
         i = np.arange(n - 1)
         dense[i, i + 1] = self.offdiagonal
         dense[i + 1, i] = self.offdiagonal
-        return HermitianMatrix(dense)
+        return HermitianMatrix(_Owned(dense))
 
     def eigenvalues(self) -> np.ndarray:
         """All N eigenvalues of L_h, ascending, by a symmetric tridiagonal solver."""

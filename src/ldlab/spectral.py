@@ -51,9 +51,10 @@ vectors meet it as one real product of their (re, im) columns (`_product`).
 
 A diagonal matrix with a nondecreasing diagonal is its own spectral
 decomposition in the identity basis (`columns` None): `diagonal_eigh` returns it
-from the diagonal alone in O(n) time and memory, and `eigh` keeps LAPACK
-eigenvectors that are exactly I the same way. A product with that basis is no
-product at all.
+from the diagonal alone in O(n) time and memory, and `eigh` reads it off such a
+matrix the same way, with no LAPACK call. A product with that basis is no
+product at all. `eigh` decomposes a `HermitianMatrix` once and caches the result
+on it, as a relation caches its derived spaces.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent read-only use is safe.
@@ -122,14 +123,27 @@ def inner(x, y) -> complex:
 
 
 @dataclass(frozen=True)
+class _Owned:
+    """An array the package has just built and hands to a HermitianMatrix, which stores it
+    without a copy: nothing else holds it."""
+
+    array: np.ndarray
+
+
+@dataclass(frozen=True)
 class HermitianMatrix:
-    """A validated n x n Hermitian matrix, a read-only `_stored` copy; norm_max = max|entries|."""
+    """A validated n x n Hermitian matrix, a read-only `_stored` copy; norm_max = max|entries|.
+
+    `entries` wrapped in `_Owned` is stored as it is (a fresh float64 or complex128 array
+    is not copied), so a matrix the package builds holds one n x n array, not two."""
 
     entries: np.ndarray
     norm_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        entries = _stored(self.entries, copy=True)
+        given = self.entries
+        owned = isinstance(given, _Owned)
+        entries = _stored(given.array if owned else given, copy=not owned)
         if entries.ndim != 2:
             raise NotHermitianError(f"expected a square matrix, got shape {entries.shape}")
         scale = float(_hermitian_scale(entries))
@@ -141,6 +155,11 @@ class HermitianMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
+    @cached_property
+    def _eigh(self) -> "SpectralDecomposition":
+        """The validated decomposition `eigh` returns, computed on first request."""
+        return _decompose(self)
+
 
 def _hermitian_scale(entries: np.ndarray):
     """max|entries| of a square matrix, or of each member of a stack (..., n, n), after
@@ -150,11 +169,12 @@ def _hermitian_scale(entries: np.ndarray):
         raise NotHermitianError(f"expected a square matrix, got shape {entries.shape}")
     if entries.shape[-1] == 0:
         raise NotHermitianError("empty matrix")
+    # one temporary alive at a time: each pass's is dropped before the next pass makes its own
     finite = np.isfinite(entries.view(float).reshape(entries.shape[:-2] + (-1,))).all(axis=-1)
     if not finite.all():
         raise NotHermitianError("matrix contains non-finite entries" + _first_member(~finite)[1])
     asym = entries - _ct(entries)
-    asym = np.abs(asym, out=asym).real   # |.| in place: one temporary
+    asym = np.abs(asym, out=asym).real   # |.| in place
     asym = np.max(asym.reshape(asym.shape[:-2] + (-1,)), axis=-1)
     scale = np.max(np.abs(entries.reshape(entries.shape[:-2] + (-1,))), axis=-1)
     bad = asym > HERMITIAN_RTOL * np.maximum(scale, 1e-300)
@@ -282,7 +302,7 @@ class SpectralDecomposition:
         powered = self.apply_function(lambda x: np.power(x, float(r)))
         powered = powered + powered.conj().T
         powered /= 2
-        return HermitianMatrix(powered)
+        return HermitianMatrix(_Owned(powered))
 
     def compress(self, m) -> np.ndarray:
         """U* m U, the n x n matrix m in the eigenbasis, as a new array."""
@@ -325,28 +345,39 @@ def _clusters(values: np.ndarray, cutoff: float) -> list:
 
 
 def eigh(matrix) -> SpectralDecomposition:
-    """Hermitian eigendecomposition with cluster re-orthonormalization.
+    """Hermitian eigendecomposition with cluster re-orthonormalization, computed once per
+    `HermitianMatrix` and cached on it (an array-like is validated into a new one).
 
-    Each run of eigenvalues whose consecutive gaps are at most CLUSTER_RTOL *
-    ||H||_max (`_clusters`) is one cluster, and its eigenvectors are
-    re-orthonormalized by QR, so degenerate spectra always yield cleanly
-    orthonormal columns. Eigenvectors that come out exactly I (a diagonal matrix
-    with a nondecreasing diagonal) are orthonormal as they stand and are kept as
-    the identity basis. A real-valued matrix is stored, hence solved, in float64;
-    the orthonormality and residual checks run on every result, on either route.
+    A float64 matrix whose nonzeros all lie on a nondecreasing diagonal is its own
+    decomposition in the identity basis: the eigenvalues are read off the diagonal,
+    with no LAPACK call and no n x n workspace, bitwise what LAPACK returns for it.
+    Any other matrix goes to LAPACK (a real-valued one is stored, hence solved, in
+    float64), and each run of eigenvalues whose consecutive gaps are at most
+    CLUSTER_RTOL * ||H||_max (`_clusters`) is one cluster, whose eigenvectors are
+    re-orthonormalized by QR, so degenerate spectra always yield cleanly orthonormal
+    columns. The orthonormality and residual checks (`_check_residual`) run on every
+    result, on either route.
 
     Raises NotHermitianError for non-Hermitian input (with the max asymmetry
     reported) and propagates LinAlgError on non-convergence.
     """
-    h = as_hermitian(matrix)
-    lam, u = np.linalg.eigh(h.entries)
-    if np.count_nonzero(u) == len(lam) and np.all(np.diagonal(u) == 1):
-        u = None
+    return as_hermitian(matrix)._eigh
+
+
+def _decompose(h: HermitianMatrix) -> SpectralDecomposition:
+    """The validated decomposition of h that `eigh` caches: read off a sorted diagonal, else
+    LAPACK's with each cluster re-orthonormalized."""
+    entries = h.entries
+    diagonal = np.diagonal(entries)
+    if (entries.dtype == np.float64 and not np.any(np.diff(diagonal) < 0)
+            and np.count_nonzero(entries) == np.count_nonzero(diagonal)):
+        decomp = diagonal_eigh(diagonal)
     else:
+        lam, u = np.linalg.eigh(entries)
         for start, stop in _clusters(lam, _zero_cutoff(h.norm_max)):
             if stop - start > 1:
                 u[:, start:stop] = np.linalg.qr(u[:, start:stop])[0]
-    decomp = SpectralDecomposition(lam, u)
+        decomp = SpectralDecomposition(lam, u)
     _check_residual(h, decomp)
     return decomp
 
@@ -356,10 +387,10 @@ def diagonal_eigh(diagonal) -> SpectralDecomposition:
     without LAPACK.
 
     The diagonal is its own spectrum in the identity basis: nothing of n x n size
-    is formed and there is no residual to check. For distinct values the
-    eigenvalues and the eigenvectors are bitwise what `eigh` returns. Any other
-    order raises SpectrumError (`SpectralDecomposition`); an unsorted diagonal
-    goes through `eigh` of its matrix.
+    is formed and there is no residual to check. `eigh` of diag(diagonal) reads
+    this same decomposition off the matrix. Any other order raises SpectrumError
+    (`SpectralDecomposition`); an unsorted diagonal goes through `eigh` of its
+    matrix, to LAPACK.
     """
     diagonal = np.asarray(diagonal, dtype=float)
     if diagonal.ndim != 1 or diagonal.shape[0] == 0:

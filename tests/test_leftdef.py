@@ -65,6 +65,14 @@ class TestSpectralOperator:
         lam = op.eigenvalues
         assert np.all(lam >= op.lower_bound - 1e-12 * np.max(np.abs(lam)))
 
+    def test_rejects_matrix_and_decomposition_of_different_sizes(self):
+        # a 3 x 3 matrix with a 4-value decomposition was built with dim 4, and the suite
+        # passed every row but multiplicity-invariance on it
+        with pytest.raises(DimensionMismatchError, match="matrix dimension 3 differs"):
+            SpectralOperator(HermitianMatrix(2 * np.eye(3)), SpectralDecomposition(np.arange(1.0, 5.0)))
+        op = SpectralOperator(HermitianMatrix(2 * np.eye(3)), SpectralDecomposition(np.full(3, 2.0)))
+        assert op.dim == op.matrix.dim == 3
+
 
 class TestFromDiag:
     """from_diag builds the exact decomposition; from_matrix is the LAPACK route."""
@@ -187,6 +195,47 @@ class TestEigenbasisProducts:
             half = np.power(lam - op.shift, 1.0)
             form = inner(half * (u.conj().T @ x), half * (u.conj().T @ y)) + op.shift * inner(x, y)
             assert ClosedFormR(2, op.shift, op)(x, y) == form
+
+
+class TestEigensolveBudget:
+    """The suite decomposes nothing its operator already holds: `eigh` is cached on the
+    matrix, and a sorted diagonal is read off with no LAPACK call."""
+
+    @staticmethod
+    def counting_eigh(monkeypatch) -> list:
+        calls, real = [], np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    def test_from_matrix_and_suite_make_one_eigensolve(self, monkeypatch, r):
+        calls = self.counting_eigh(monkeypatch)
+        op = SpectralOperator.from_matrix(discretize(SLCoefficients.flat(), 40).matrix)
+        assert len(calls) == 1
+        report = verify_ld_properties(op, r, 5, seed=2)
+        assert report.overall == "PASS" and len(calls) == 1
+
+    @pytest.mark.parametrize("r", [1.5, 3.0])
+    def test_from_diag_and_suite_make_none(self, monkeypatch, r):
+        calls = self.counting_eigh(monkeypatch)
+        op = SpectralOperator.from_diag(np.arange(41, dtype=float) + 1.0)
+        report = verify_ld_properties(op, r, 5, seed=2)
+        assert report.overall == "PASS" and calls == []
+
+    @pytest.mark.parametrize("make", [lambda: seeded_positive_operator(2, n=8),
+                                      lambda: SpectralOperator.from_diag([1.0, 2.0, 2.0, 5.0])],
+                             ids=["from_matrix", "from_diag"])
+    def test_reading_the_spectrum_twice_adds_none(self, monkeypatch, make):
+        op = make()
+        calls = self.counting_eigh(monkeypatch)
+        first = ld_operator(op, 2.0).spectrum
+        second = ld_operator(op, 2.0).spectrum
+        assert calls == [] and first is second
+        np.testing.assert_array_equal(first, op.eigenvalues)
 
 
 def gram(space) -> np.ndarray:
@@ -497,15 +546,29 @@ class TestOneSampleStream:
     @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("kind", sorted(REFERENCE_OPERATORS))
     def test_closed_form_bitwise_equal_to_reference(self, kind, r, samples):
+        # the suite evaluates both forms on the coefficients of its n x 2 sample blocks (one
+        # U* product per block), the reference on each vector's own U* product: by the block
+        # rule each value agrees within 2 gamma_n ||A^{r/2}||^2 ||f||^2, two rounded stages
+        # (the product and the sum), and bit for bit in the identity basis, which makes none
         op = REFERENCE_OPERATORS[kind]()
         seed = 17
         report = verify_ld_properties(op, r, samples, seed)
         worst, cells = reference_closed_form(op, r, samples, seed)
         rows = {row.name: row for row in report.rows}
-        assert rows["closed-form-lower-bound"].residual == worst
+        n, eps = op.dim, np.finfo(float).eps
+        rounding = 2 * n * eps / (1 - n * eps)
+        lam_max = float(op.eigenvalues[-1])
+        residual = rows["closed-form-lower-bound"].residual
+        assert abs(residual - worst) <= rounding * lam_max ** r / op.norm_max ** r
         assert rows["closed-form-lower-bound"].inputs == f"r={int(r)}, gamma={op.shift:g}"
         ordering = [t for t in report.tables if t.name == "form_ordering"]
-        assert len(ordering) == 1 and ordering[0].rows == (cells,)
+        assert len(ordering) == 1 and len(ordering[0].rows) == 1
+        got = ordering[0].rows[0]
+        assert got[:2] == cells[:2]
+        for gap, reference in zip(got[2:], cells[2:]):    # t_{r+1}[f] - t_r[f], unit f
+            assert abs(gap - reference) <= rounding * (lam_max ** (r + 1) + lam_max ** r)
+        if op.decomp.columns is None:
+            assert residual == worst and got == cells
 
     def test_fractional_r_has_no_closed_form(self):
         report = verify_ld_properties(seeded_positive_operator(2, n=6), 1.5, 4, seed=1)
@@ -526,16 +589,18 @@ class TestOneSampleStream:
 
     @pytest.mark.parametrize("r", [0.5, 2.0, 3])
     def test_two_apply_power_calls_per_sample(self, monkeypatch, r):
-        # A^{r/2} on the sample pair (x, y) as one n x 2 block (`ld_inner`), then A^r x
+        # lambda^{r/2} on the coefficients of the sample pair (x, y), one n x 2 block
+        # (`ld_inner`), then lambda^r on those of x: both on the operator in its eigenbasis,
+        # the identity basis, so neither makes a product
         calls = []
         apply_power = SpectralOperator.apply_power
 
         def counting(self, power, x):
-            calls.append((power, np.shape(x)))
+            calls.append((power, np.shape(x), self.decomp.columns is None))
             return apply_power(self, power, x)
         monkeypatch.setattr(SpectralOperator, "apply_power", counting)
         verify_ld_properties(seeded_positive_operator(4, n=10), r, 7, seed=3)
-        assert calls == [(r / 2, (10, 2)), (r, (10,))] * 7
+        assert calls == [(r / 2, (10, 2), True), (r, (10,), True)] * 7
 
     @staticmethod
     def nan_on_call(real, index):
@@ -597,17 +662,18 @@ class TestOneSampleStream:
 
     @pytest.mark.parametrize("samples", [7, 25])
     def test_each_form_value_takes_one_eigenbasis_product(self, monkeypatch, samples):
-        # per sample: U* and U for A^{r/2} (x, y) and for A^r x; each closed-form value
-        # t_r[v] = form(v) is one U* v, and each table gap t_{r+1}[f] - t_r[f] two
+        # per sample: one U* of the n x 2 block (x, y) and one U for A^r x = U (lambda^r c_x);
+        # every closed-form value and table gap reads the block's coefficients, with no
+        # product of its own
         from ldlab import spectral
         real, calls = spectral._product, []
 
         def counting(m, x):
-            calls.append(None)
+            calls.append(np.shape(x))
             return real(m, x)
         monkeypatch.setattr(spectral, "_product", counting)
         verify_ld_properties(seeded_positive_operator(4, n=10), 2.0, samples, seed=3)
-        assert len(calls) == 4 * samples + samples + 2 * min(samples, 20)
+        assert calls == [(10, 2), (10,)] * samples
 
     def test_rejects_an_empty_suite(self):
         with pytest.raises(ValueError, match="at least one sample, got 0"):

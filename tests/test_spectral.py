@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ldlab import spectral
 from ldlab.leftdef import ShiftError, SpectralOperator, ld_space
+from ldlab.sldiscrete import SLCoefficients, discretize
 from ldlab.spectral import (
     HermitianMatrix,
     LinearRelation,
@@ -69,6 +70,34 @@ class TestHermitianMatrix:
         assert len(calls) == 2      # norm_max is the validator's scale, not a third pass
         assert "norm_max" in vars(h)
 
+    @pytest.mark.parametrize("build", [
+        lambda n: SpectralOperator.from_diag(np.arange(1.0, n + 1)).matrix,
+        lambda n: discretize(SLCoefficients.flat(), n).matrix,
+        lambda n: diagonal_eigh(np.arange(1.0, n + 1)).power(2)], ids=["diag", "sl", "power"])
+    def test_peak_memory_two_dense_arrays(self, build):
+        # a matrix the package builds is stored without a copy, and the validator's passes
+        # hold one temporary at a time: two n x n arrays at the peak, plus O(n) vectors
+        import tracemalloc
+        n = 1000
+        build(8)    # one-time allocations of a first call are not counted
+        tracemalloc.start()
+        try:
+            h = build(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.entries.dtype == np.float64 and h.dim == n
+        assert peak <= 2 * n * n * 8 + 64 * n * 8
+
+    def test_owned_entries_stored_bitwise_as_given(self):
+        # the hand-over stores the package's array itself, bit for bit, read-only
+        dense = np.diag(np.arange(1.0, 6.0))
+        dense[0, 1] = dense[1, 0] = 0.5
+        h = HermitianMatrix(spectral._Owned(dense))
+        assert h.entries is dense and not dense.flags.writeable
+        copied = HermitianMatrix(dense.copy())
+        assert copied.entries.tobytes() == h.entries.tobytes() and h.norm_max == copied.norm_max
+
 
 class TestEigh:
     def test_diagonal_input(self):
@@ -106,6 +135,42 @@ class TestEigh:
         decomp = eigh(h)
         u = decomp.eigenvectors
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) <= 1e-12
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 2.0, 3.0, 5.0], [2.0, 2.0, 2.0, 5.0], [0.0, 0.0, 1.0, 4.0],
+        [-3.0, -1.0, -1.0, 0.0, 2.0], [1e-200, 1e-100, 1.0, 1e100]],
+        ids=["distinct", "tied", "zero", "negative", "wide"])
+    def test_sorted_diagonal_is_read_off_without_lapack(self, monkeypatch, values):
+        # the identity basis, and the eigenvalues bit for bit those LAPACK returns
+        lapack = np.linalg.eigh(np.diag(values))[0]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("LAPACK was called")
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        decomp = eigh(HermitianMatrix(np.diag(values)))
+        assert decomp.columns is None
+        assert decomp.eigenvalues.tobytes() == lapack.tobytes()
+
+    @pytest.mark.parametrize("entries, lapack", [
+        (np.diag([3.0, 1.0, 2.0]), True),
+        (np.array([[1.0, 0.5], [0.5, 2.0]]), True),
+        (np.diag([1.0, 2.0]) + 0j, False)], ids=["unsorted", "off-diagonal", "complex-zero-imag"])
+    def test_lapack_only_off_the_sorted_diagonal(self, monkeypatch, entries, lapack):
+        # an unsorted diagonal or an off-diagonal nonzero goes to LAPACK; a complex array
+        # whose imaginary part is zero is stored as float64 and read off its diagonal
+        dtypes = _recording(monkeypatch, "eigh")
+        decomp = eigh(HermitianMatrix(entries))
+        assert dtypes == [np.float64] * lapack
+        assert (decomp.columns is None) == (not lapack)
+
+    def test_decomposed_once_per_matrix(self, monkeypatch):
+        # eigh and mat_power of one HermitianMatrix share its one cached decomposition
+        h = random_hermitian(np.random.default_rng(3), 6)
+        dtypes = _recording(monkeypatch, "eigh")
+        first = eigh(h)
+        assert eigh(h) is first
+        mat_power(h, 2.0)
+        assert dtypes == [np.complex128]
 
     def test_clusters_split_at_consecutive_gaps(self):
         # the one cluster rule of `eigh` and `multiplicity_list`: a gap <= cutoff joins
@@ -177,8 +242,8 @@ class TestStorage:
         np.testing.assert_array_equal(h.entries, entries)
 
     def test_lapack_basis_of_a_diagonal_matrix_is_kept_as_identity_or_columns(self):
-        # a sorted diagonal's LAPACK eigenvectors are exactly I: kept as the identity basis,
-        # with no QR of a cluster of repeated values
+        # a sorted diagonal is read off as the identity basis, with no LAPACK call and no QR
+        # of a cluster of repeated values
         for values in ([1.0, 2.0, 2.0, 2.0], [2.0, 2.0, 3.0, 5.0]):
             assert eigh(HermitianMatrix(np.diag(values))).columns is None
         decomp = eigh(HermitianMatrix(np.diag([1.0, 2.0, 3.0, 5.0])))
