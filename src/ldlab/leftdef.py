@@ -23,13 +23,15 @@ decomposition on the matrix (real symmetric: in float64). `from_diag` (the
 diag-growth and Laguerre operators) keeps the exact decomposition of a diagonal
 matrix with no LAPACK call. Both models have a nondecreasing diagonal, which is its
 own spectrum in the identity basis: nothing of n x n size is held, and the dense
-matrix is built, once, when a consumer first reads `matrix`. Left-definite
-constructions need k > 0 beyond the cutoff CLUSTER_RTOL * ||A||_max
-(`spectral._zero_cutoff`, the one that also sets the shift, the gap that splits
-eigh's and `multiplicity_list`'s clusters, and `mat_power`'s positivity), so every
-left-definite construction runs at gamma = 0. The operator keeps its decomposition
-and nothing else: the weights of the Hilbert scale are `hscale`'s, computed there
-on each call.
+matrix is built, once, when a consumer first reads `matrix`. The left-definite
+operator A_r is A itself and holds the SpectralOperator, so its spectrum is `eigh` of
+the given matrix or, for `from_diag`, the stored diagonal; no left-definite
+construction reads `matrix`. Left-definite constructions need k > 0 beyond the
+cutoff CLUSTER_RTOL * ||A||_max (`spectral._zero_cutoff`, the one that also sets the
+shift, the gap that splits eigh's and `multiplicity_list`'s clusters, and
+`mat_power`'s positivity), so every left-definite construction runs at gamma = 0.
+The operator keeps its decomposition and nothing else: the weights of the Hilbert
+scale are `hscale`'s, computed there on each call.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .spectral import (
     HermitianMatrix,
     SpectralDecomposition,
     _Owned,
+    _check_residual,
     _clusters,
     _zero_cutoff,
     as_hermitian,
@@ -69,18 +72,24 @@ class SpectralOperator:
     `dense` is the matrix as given, or None when `decomp` has the identity basis,
     so that the matrix is diag(eigenvalues) (`from_diag`). Such an operator holds
     O(n) data; `matrix` builds its dense HermitianMatrix, validated like any
-    other, when a consumer first reads it.
+    other, when a consumer first reads it. A given matrix must be diagonalized by
+    the given decomposition (`_check_residual`), unless that is the one `eigh`
+    cached on it (`from_matrix`), which has passed the check already.
     """
 
     dense: HermitianMatrix | None
     decomp: SpectralDecomposition
 
     def __post_init__(self):
-        if self.dense is None and self.decomp.columns is not None:
-            raise ValueError("an operator given without its matrix needs the identity eigenbasis")
-        if self.dense is not None and self.dense.dim != self.dim:
+        if self.dense is None:
+            if self.decomp.columns is not None:
+                raise ValueError("an operator given without its matrix needs the identity "
+                                 "eigenbasis")
+        elif self.dense.dim != self.dim:
             raise DimensionMismatchError(f"matrix dimension {self.dense.dim} differs from the "
                                          f"decomposition's {self.dim}")
+        elif vars(self.dense).get("_eigh") is not self.decomp:
+            _check_residual(self.dense, self.decomp)
 
     @classmethod
     def from_matrix(cls, matrix) -> "SpectralOperator":
@@ -181,15 +190,19 @@ class LeftDefiniteSpace:
 
 @dataclass(frozen=True)
 class LeftDefiniteOperator:
-    """The r-th left-definite operator: same matrix action, domain marker D(A^{(r+2)/2})."""
+    """The r-th left-definite operator: A itself (`operator`) on H_r, domain marker
+    D(A^{(r+2)/2})."""
 
     r: float
-    action: HermitianMatrix
+    operator: SpectralOperator
     domain_tag: str
 
     @property
     def spectrum(self) -> np.ndarray:
-        return eigh(self.action).eigenvalues
+        """A's eigenvalues: `eigh` of the matrix the operator was given (cached on it), else
+        (`from_diag`) the stored decomposition's, with no matrix built."""
+        op = self.operator
+        return (op.decomp if op.dense is None else eigh(op.dense)).eigenvalues
 
 
 def _exponent_tag(exponent: float) -> str:
@@ -232,14 +245,14 @@ def ld_inner(space: LeftDefiniteSpace, x, y=None):
 
 
 def ld_operator(operator: SpectralOperator, r: float) -> LeftDefiniteOperator:
-    """The r-th left-definite operator, on H_r (`ld_space`); at finite dimension the action
-    is A itself."""
+    """The r-th left-definite operator, on H_r (`ld_space`): A itself, so nothing of n x n size
+    is built for it."""
     return _operator_on(ld_space(operator, r))
 
 
 def _operator_on(space: LeftDefiniteSpace) -> LeftDefiniteOperator:
     """A_r on the space H_r as given, whose precondition `ld_space` has checked."""
-    return LeftDefiniteOperator(space.r, space.operator.matrix, _exponent_tag((space.r + 2) / 2))
+    return LeftDefiniteOperator(space.r, space.operator, _exponent_tag((space.r + 2) / 2))
 
 
 @dataclass(frozen=True)
@@ -299,12 +312,12 @@ def verify_ld_properties(
     coefficients c = U* [x, y]; <x,x>_r and <x,y>_r are `ld_inner` of c in H_r of
     `in_eigenbasis` (U* is an isometry onto it), and the duality's other side is
     A^r x = U (lambda^r c_x), one U product. The multiplicity flag compares the
-    operator's stored eigenvalues with the decomposition that the left-definite
-    action, the operator's own matrix, carries (`eigh`, cached on the matrix): it
-    FAILs only when the two disagree. For a `from_matrix` operator they are one
-    decomposition, and for `from_diag` the matrix's is read off its diagonal, which holds
-    the stored values: on neither is the flag an independent route. For
-    integer r it also checks the closed form's lower bound
+    operator's stored eigenvalues with `LeftDefiniteOperator.spectrum`: `eigh` of the
+    matrix the operator was given (cached on it), so it FAILs only when the stored
+    decomposition is not the one `eigh` finds. For a `from_matrix` operator they are one
+    decomposition, and for `from_diag` the spectrum is the stored diagonal itself: on
+    neither is the flag an independent route, and on `from_diag` it restates the
+    construction. For integer r it also checks the closed form's lower bound
     t_r[f,f] >= (gamma + (k - gamma)^r) <f,f> (gamma the operator's shift) and
     tabulates the gaps t_{r+1}[f,f] - t_r[f,f] on unit vectors (`form_ordering`,
     informational), both forms evaluated on the same coefficients with no product.
@@ -375,9 +388,9 @@ def verify_ld_properties(
     diag_dev = float(np.max(np.abs(gram_diag - lam ** r) / lam ** r))
     report.add_check("eigen-gram-diag", f"r={r:g}", diag_dev, tol)
 
-    # multiplicity stability: A_r on the suite's H_r (`ld_operator`'s construction) acts as
-    # A itself, so its eigenvalue list (with multiplicity) must agree exactly with the one
-    # its matrix carries (`eigh`, cached on the matrix: no second eigensolve)
+    # multiplicity stability: A_r on the suite's H_r (`ld_operator`'s construction) is A
+    # itself, so its eigenvalue list (with multiplicity) must agree exactly with the stored
+    # one (`eigh`, cached on the given matrix: no second eigensolve, and no matrix built)
     a_r = _operator_on(space)
     report.add_flag("multiplicity-invariance", f"r={r:g}, tag={a_r.domain_tag}",
                     np.array_equal(lam, a_r.spectrum))

@@ -51,10 +51,11 @@ vectors meet it as one real product of their (re, im) columns (`_product`).
 
 A diagonal matrix with a nondecreasing diagonal is its own spectral
 decomposition in the identity basis (`columns` None): `diagonal_eigh` returns it
-from the diagonal alone in O(n) time and memory, and `eigh` reads it off such a
-matrix the same way, with no LAPACK call. A product with that basis is no
-product at all. `eigh` decomposes a `HermitianMatrix` once and caches the result
-on it, as a relation caches its derived spaces.
+from the diagonal alone in O(n) time and memory, with no matrix and no LAPACK
+call, and is the one route to that basis. A product with that basis is no
+product at all. `eigh` sends every `HermitianMatrix`, a diagonal one too, to
+LAPACK, once: it caches the result on the matrix, as a relation caches its
+derived spaces.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent read-only use is safe.
@@ -313,18 +314,10 @@ class SpectralDecomposition:
 
 
 def _check_residual(h: HermitianMatrix, decomp: SpectralDecomposition):
-    """Raise unless max|HU - U Lambda| <= ORTHO_TOL * ||H||_max.
-
-    For the identity basis and a diagonal H (every nonzero on the diagonal) the
-    residual is exactly max|diag(H) - lambda|, found in O(n) extra memory;
-    otherwise HU - U Lambda is formed from the stored arrays.
-    """
-    lam, diagonal = decomp.eigenvalues, np.diagonal(h.entries)
-    if decomp.columns is None and np.count_nonzero(h.entries) == np.count_nonzero(diagonal):
-        resid = float(np.max(np.abs(diagonal - lam)))
-    else:
-        u = decomp.eigenvectors
-        resid = float(np.max(np.abs(h.entries @ u - u * lam)))
+    """Raise unless max|HU - U Lambda| <= ORTHO_TOL * ||H||_max, HU - U Lambda formed from
+    the stored arrays (for the identity basis, from the dense I that `eigenvectors` builds)."""
+    u = decomp.eigenvectors
+    resid = float(np.max(np.abs(h.entries @ u - u * decomp.eigenvalues)))
     if resid > ORTHO_TOL * max(h.norm_max, 1e-300):
         raise SpectrumError(f"eigendecomposition residual too large: {resid:.3e}")
 
@@ -348,15 +341,12 @@ def eigh(matrix) -> SpectralDecomposition:
     """Hermitian eigendecomposition with cluster re-orthonormalization, computed once per
     `HermitianMatrix` and cached on it (an array-like is validated into a new one).
 
-    A float64 matrix whose nonzeros all lie on a nondecreasing diagonal is its own
-    decomposition in the identity basis: the eigenvalues are read off the diagonal,
-    with no LAPACK call and no n x n workspace, bitwise what LAPACK returns for it.
-    Any other matrix goes to LAPACK (a real-valued one is stored, hence solved, in
-    float64), and each run of eigenvalues whose consecutive gaps are at most
+    Every matrix, a diagonal one too, goes to LAPACK (a real-valued one is stored, hence
+    solved, in float64), and each run of eigenvalues whose consecutive gaps are at most
     CLUSTER_RTOL * ||H||_max (`_clusters`) is one cluster, whose eigenvectors are
     re-orthonormalized by QR, so degenerate spectra always yield cleanly orthonormal
     columns. The orthonormality and residual checks (`_check_residual`) run on every
-    result, on either route.
+    result. The identity basis comes only from `diagonal_eigh`, which needs no matrix.
 
     Raises NotHermitianError for non-Hermitian input (with the max asymmetry
     reported) and propagates LinAlgError on non-convergence.
@@ -365,19 +355,13 @@ def eigh(matrix) -> SpectralDecomposition:
 
 
 def _decompose(h: HermitianMatrix) -> SpectralDecomposition:
-    """The validated decomposition of h that `eigh` caches: read off a sorted diagonal, else
-    LAPACK's with each cluster re-orthonormalized."""
-    entries = h.entries
-    diagonal = np.diagonal(entries)
-    if (entries.dtype == np.float64 and not np.any(np.diff(diagonal) < 0)
-            and np.count_nonzero(entries) == np.count_nonzero(diagonal)):
-        decomp = diagonal_eigh(diagonal)
-    else:
-        lam, u = np.linalg.eigh(entries)
-        for start, stop in _clusters(lam, _zero_cutoff(h.norm_max)):
-            if stop - start > 1:
-                u[:, start:stop] = np.linalg.qr(u[:, start:stop])[0]
-        decomp = SpectralDecomposition(lam, u)
+    """The validated decomposition of h that `eigh` caches: LAPACK's, with each cluster
+    re-orthonormalized."""
+    lam, u = np.linalg.eigh(h.entries)
+    for start, stop in _clusters(lam, _zero_cutoff(h.norm_max)):
+        if stop - start > 1:
+            u[:, start:stop] = np.linalg.qr(u[:, start:stop])[0]
+    decomp = SpectralDecomposition(lam, u)
     _check_residual(h, decomp)
     return decomp
 
@@ -387,10 +371,10 @@ def diagonal_eigh(diagonal) -> SpectralDecomposition:
     without LAPACK.
 
     The diagonal is its own spectrum in the identity basis: nothing of n x n size
-    is formed and there is no residual to check. `eigh` of diag(diagonal) reads
-    this same decomposition off the matrix. Any other order raises SpectrumError
-    (`SpectralDecomposition`); an unsorted diagonal goes through `eigh` of its
-    matrix, to LAPACK.
+    is formed and there is no residual to check. This is the package's one route to
+    the identity basis; `eigh` of the matrix diag(diagonal) goes to LAPACK like any
+    other. Any other order raises SpectrumError (`SpectralDecomposition`); an
+    unsorted diagonal goes through `eigh` of its matrix.
     """
     diagonal = np.asarray(diagonal, dtype=float)
     if diagonal.ndim != 1 or diagonal.shape[0] == 0:

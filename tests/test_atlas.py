@@ -1,10 +1,13 @@
 """The verdict atlas: fixed stress grids at the edges of `config.PARAMS`, each config run
 through `run_scenario` as `ldlab run` runs it.
 
-Every check row and every table row must PASS unless a map of expected FAILs names it.
-Slices so far:
+Every check row and every table row must PASS unless a map of expected FAILs names it,
+and every row the map names must FAIL, so a mend drops its entry. Slices so far:
 - extensions on diag-growth: dimMin 10, dimMax 10/20/30 x codim 1/2/3, 25 trials, seed 0.
   No row FAILs, so it has no map.
+- leftdef-verify, seed 0, default samples: flat SL, N 50/100/200 x r 0.5/1/2/3;
+  diag-growth p 1/2/3, q 0, N 100/200, at r 2; laguerre (alpha 1, k 1), N 100, at r 3.
+  Its map, LEFTDEF_FAILS, holds 4 rows.
 """
 
 import itertools
@@ -28,3 +31,30 @@ def test_extensions_slice_passes(dim_max, codim):
     (trials,) = report.tables
     assert len(trials.rows) == 25
     assert [row for row in trials.rows if row[-1] != "PASS"] == []
+
+
+LEFTDEF_SLICE = {
+    **{f"flat-N{n}-r{r:g}": ({"kind": "sl", "coeffs": "flat", "N": n}, r)
+       for n, r in itertools.product((50, 100, 200), (0.5, 1.0, 2.0, 3.0))},
+    **{f"diag-growth-p{p:g}-N{n}-r2": ({"kind": "diag-growth", "p": p, "q": 0.0, "N": n}, 2.0)
+       for p, n in itertools.product((1.0, 2.0, 3.0), (100, 200))},
+    "laguerre-a1-k1-N100-r3": ({"kind": "laguerre", "alpha": 1.0, "k": 1.0, "N": 100}, 3.0),
+}
+
+# config -> {check that FAILs: the ROADMAP item that mends it}. eigen-gram-diag compares
+# U*(U Lambda^r U*)U with lambda^r, so its error grows like eps * kappa^r (item 1).
+LEFTDEF_FAILS = {
+    "flat-N50-r3": {"eigen-gram-diag": 1},
+    "flat-N100-r3": {"eigen-gram-diag": 1},
+    "flat-N200-r2": {"eigen-gram-diag": 1},
+    "flat-N200-r3": {"eigen-gram-diag": 1},
+}
+
+
+@pytest.mark.parametrize("name", LEFTDEF_SLICE)
+def test_leftdef_slice_fails_only_as_mapped(name):
+    spec, r = LEFTDEF_SLICE[name]
+    report = run_scenario(parse_config(json.dumps({
+        "operatorSpec": spec, "experiment": "leftdef-verify", "params": {"r": r}, "seed": 0})))
+    failed = {row.name for row in report.rows if row.status != "PASS"}
+    assert failed == set(LEFTDEF_FAILS.get(name, {}))

@@ -13,7 +13,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from ldlab import extensions, hscale
+from ldlab import extensions, hscale, leftdef
 from ldlab.config import parse_config
 from ldlab.scenarios import run_scenario
 from ldlab.spectral import LinearRelation, SpectralDecomposition
@@ -33,6 +33,18 @@ def _offdiag_gram(monkeypatch, batches):
         return gram
 
     monkeypatch.setattr(SpectralDecomposition, "compress", compress)
+
+
+def _moved_spectrum(monkeypatch, batches):
+    """The largest eigenvalue of A_r's spectrum moved up by 2 ulps."""
+    real = leftdef.LeftDefiniteOperator.spectrum.fget
+
+    def spectrum(self):
+        lam = real(self).copy()
+        lam[-1] = np.nextafter(np.nextafter(lam[-1], np.inf), np.inf)
+        return lam
+
+    monkeypatch.setattr(leftdef.LeftDefiniteOperator, "spectrum", property(spectrum))
 
 
 def _wrong_m_plus(monkeypatch, batches):
@@ -78,6 +90,7 @@ def _inverted_classifier(monkeypatch, batches):
 # check name -> (golden config, mutation, whether the check runs on relation stacks)
 MUTATIONS = {
     "eigen-gram-offdiag": ("leftdef-sl-flat", _offdiag_gram, False),
+    "multiplicity-invariance": ("leftdef-sl-flat", _moved_spectrum, False),
     "deficiency-indices": ("extensions-codim1", _wrong_m_plus, True),
     "von-neumann-identity": ("extensions-codim1", _swapped_defect_kernels, True),
     "oracle-agreement": ("friedrichs-codim1-n2", _inverted_oracle, True),

@@ -73,6 +73,33 @@ class TestSpectralOperator:
         op = SpectralOperator(HermitianMatrix(2 * np.eye(3)), SpectralDecomposition(np.full(3, 2.0)))
         assert op.dim == op.matrix.dim == 3
 
+    def test_rejects_a_decomposition_that_does_not_diagonalize_the_matrix(self):
+        # it was accepted: apply_power(1, e1) read [1, 0] where A e1 = [2, 1], and the suite
+        # passed every row on it
+        h = HermitianMatrix([[2.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(SpectrumError, match="residual too large"):
+            SpectralOperator(h, SpectralDecomposition([1.0, 3.0]))
+        u = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+        op = SpectralOperator(h, SpectralDecomposition([1.0, 3.0], u))
+        np.testing.assert_allclose(op.apply_power(1, [1.0, 0.0]), [2.0, 1.0], atol=1e-15)
+
+    def test_from_matrix_checks_its_residual_once(self, monkeypatch):
+        # the decomposition `eigh` cached on the matrix has passed the check already
+        import ldlab.spectral as spectral
+        calls, real = [], spectral._check_residual
+
+        def counting(h, decomp):
+            calls.append(decomp)
+            real(h, decomp)
+        monkeypatch.setattr(spectral, "_check_residual", counting)
+        monkeypatch.setattr(leftdef, "_check_residual", counting)
+        op = seeded_positive_operator(4, n=6)
+        assert calls == [op.decomp]
+        SpectralOperator(op.matrix, op.decomp)
+        assert calls == [op.decomp]
+        SpectralOperator(op.matrix, SpectralDecomposition(op.eigenvalues, op.decomp.columns))
+        assert len(calls) == 2
+
 
 class TestFromDiag:
     """from_diag builds the exact decomposition; from_matrix is the LAPACK route."""
@@ -144,7 +171,7 @@ class TestLazyDenseMatrix:
         op = parsed_operator(spec)
         assert op.dense is None and op.decomp.columns is None and "matrix" not in vars(op)
 
-    def test_built_and_validated_when_ld_operator_reads_it(self, monkeypatch):
+    def test_built_and_validated_when_first_read(self, monkeypatch):
         import ldlab.spectral as spectral
         validated = []
         check = spectral.HermitianMatrix.__post_init__
@@ -154,12 +181,20 @@ class TestLazyDenseMatrix:
             validated.append(self.entries.shape)
         monkeypatch.setattr(spectral.HermitianMatrix, "__post_init__", counting)
         op = SpectralOperator.from_diag(self.VALUES)
-        assert validated == []
-        action = ld_operator(op, 2.0).action
+        ld_op = ld_operator(op, 2.0)     # A_r is A itself: its spectrum is the stored one
+        assert ld_op.operator is op and ld_op.spectrum is op.eigenvalues
+        assert validated == [] and "matrix" not in vars(op)
+        matrix = op.matrix
         assert validated == [(6, 6)]
-        assert action is op.matrix and op.matrix is op.matrix      # built once, then cached
-        np.testing.assert_array_equal(action.entries, np.diag(self.VALUES))
-        assert action.entries.dtype == np.float64 and action.norm_max == op.norm_max
+        assert matrix is op.matrix and validated == [(6, 6)]      # built once, then cached
+        np.testing.assert_array_equal(matrix.entries, np.diag(self.VALUES))
+        assert matrix.entries.dtype == np.float64 and matrix.norm_max == op.norm_max
+
+    def test_suite_builds_no_dense_matrix(self):
+        op = SpectralOperator.from_diag(np.arange(1.0, 402.0))
+        report = verify_ld_properties(op, 3, 100, seed=0)
+        assert report.overall == "PASS"
+        assert "matrix" not in vars(op) and "eigenvectors" not in vars(op.decomp)
 
     @pytest.mark.parametrize("fault", ["values", "finite"])
     def test_each_linear_time_check_raises(self, fault):
@@ -199,7 +234,7 @@ class TestEigenbasisProducts:
 
 class TestEigensolveBudget:
     """The suite decomposes nothing its operator already holds: `eigh` is cached on the
-    matrix, and a sorted diagonal is read off with no LAPACK call."""
+    matrix, and a `from_diag` operator's spectrum is its stored diagonal, with no matrix."""
 
     @staticmethod
     def counting_eigh(monkeypatch) -> list:
@@ -353,10 +388,11 @@ class TestLdOperator:
         assert ld_operator(op, 2.0).domain_tag == "D(A^2)"
 
     def test_action_and_spectrum_unchanged(self):
+        # A_r acts as A itself, and its spectrum is `eigh` of A's matrix, cached on it
         op = seeded_positive_operator(3, n=6)
         ld_op = ld_operator(op, 2.0)
-        np.testing.assert_array_equal(ld_op.action.entries, op.matrix.entries)
-        np.testing.assert_allclose(ld_op.spectrum, op.eigenvalues, atol=1e-12)
+        assert ld_op.operator is op
+        assert ld_op.spectrum is op.eigenvalues
 
 
 class TestClosedForm:

@@ -141,27 +141,28 @@ class TestEigh:
         [-3.0, -1.0, -1.0, 0.0, 2.0], [1e-200, 1e-100, 1.0, 1e100]],
         ids=["distinct", "tied", "zero", "negative", "wide"])
     def test_sorted_diagonal_is_read_off_without_lapack(self, monkeypatch, values):
-        # the identity basis, and the eigenvalues bit for bit those LAPACK returns
-        lapack = np.linalg.eigh(np.diag(values))[0]
+        # `diagonal_eigh` gives the identity basis, and the eigenvalues bit for bit those
+        # that `eigh` of the matrix gets from LAPACK
+        lapack = eigh(HermitianMatrix(np.diag(values)))
+        assert lapack.columns is not None
 
         def forbidden(*args, **kwargs):
             raise AssertionError("LAPACK was called")
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
-        decomp = eigh(HermitianMatrix(np.diag(values)))
+        decomp = diagonal_eigh(values)
         assert decomp.columns is None
-        assert decomp.eigenvalues.tobytes() == lapack.tobytes()
+        assert decomp.eigenvalues.tobytes() == lapack.eigenvalues.tobytes()
 
-    @pytest.mark.parametrize("entries, lapack", [
-        (np.diag([3.0, 1.0, 2.0]), True),
-        (np.array([[1.0, 0.5], [0.5, 2.0]]), True),
-        (np.diag([1.0, 2.0]) + 0j, False)], ids=["unsorted", "off-diagonal", "complex-zero-imag"])
-    def test_lapack_only_off_the_sorted_diagonal(self, monkeypatch, entries, lapack):
-        # an unsorted diagonal or an off-diagonal nonzero goes to LAPACK; a complex array
-        # whose imaginary part is zero is stored as float64 and read off its diagonal
+    @pytest.mark.parametrize("entries", [
+        np.diag([1.0, 2.0]), np.diag([3.0, 1.0, 2.0]), np.array([[1.0, 0.5], [0.5, 2.0]]),
+        np.diag([1.0, 2.0]) + 0j], ids=["sorted", "unsorted", "off-diagonal", "complex-zero-imag"])
+    def test_every_matrix_goes_to_lapack(self, monkeypatch, entries):
+        # a sorted diagonal too: the identity basis comes only from `diagonal_eigh`; a
+        # complex array whose imaginary part is zero is stored, hence solved, as float64
         dtypes = _recording(monkeypatch, "eigh")
         decomp = eigh(HermitianMatrix(entries))
-        assert dtypes == [np.float64] * lapack
-        assert (decomp.columns is None) == (not lapack)
+        assert dtypes == [np.float64]
+        assert decomp.columns is not None
 
     def test_decomposed_once_per_matrix(self, monkeypatch):
         # eigh and mat_power of one HermitianMatrix share its one cached decomposition
@@ -242,19 +243,20 @@ class TestStorage:
         np.testing.assert_array_equal(h.entries, entries)
 
     def test_lapack_basis_of_a_diagonal_matrix_is_kept_as_identity_or_columns(self):
-        # a sorted diagonal is read off as the identity basis, with no LAPACK call and no QR
-        # of a cluster of repeated values
-        for values in ([1.0, 2.0, 2.0, 2.0], [2.0, 2.0, 3.0, 5.0]):
-            assert eigh(HermitianMatrix(np.diag(values))).columns is None
-        decomp = eigh(HermitianMatrix(np.diag([1.0, 2.0, 3.0, 5.0])))
+        # the identity basis is `diagonal_eigh`'s, built dense only on read
+        decomp = diagonal_eigh([1.0, 2.0, 3.0, 5.0])
         assert decomp.columns is None and "eigenvectors" not in vars(decomp)
         u = decomp.eigenvectors
         assert u.dtype == np.float64 and not u.flags.writeable
         np.testing.assert_array_equal(u, np.eye(4))
-        # an unsorted one's are a permuted identity: kept as dense columns
-        decomp = eigh(HermitianMatrix(np.diag([3.0, 1.0, 2.0, 5.0])))
-        assert decomp.columns is not None and decomp.eigenvectors is decomp.columns
-        np.testing.assert_array_equal(np.abs(decomp.columns), np.eye(4)[:, [1, 2, 0, 3]])
+        # `eigh` of a diagonal matrix keeps LAPACK's basis, a signed permuted identity (with
+        # a QR of each cluster of repeated values), as dense columns
+        for values, order in (([1.0, 2.0, 2.0, 2.0], [0, 1, 2, 3]),
+                              ([2.0, 2.0, 3.0, 5.0], [0, 1, 2, 3]),
+                              ([3.0, 1.0, 2.0, 5.0], [1, 2, 0, 3])):
+            decomp = eigh(HermitianMatrix(np.diag(values)))
+            assert decomp.columns is not None and decomp.eigenvectors is decomp.columns
+            np.testing.assert_array_equal(np.abs(decomp.columns), np.eye(4)[:, order])
 
 
 class TestRealRoute:
@@ -374,6 +376,12 @@ class TestExactChecks:
             _check_residual(h, SpectralDecomposition([1.0, 2.0 + 1e-9, 3.0], u))
         with pytest.raises(SpectrumError, match="residual"):
             _check_residual(h, SpectralDecomposition([1.0, 2.0, 3.0], _permutation([0, 1, 2])))
+        # the identity basis goes through the same formula, with its dense I
+        identity = SpectralDecomposition([1.0, 2.0, 3.0])
+        _check_residual(HermitianMatrix(np.diag([1.0, 2.0, 3.0])), identity)
+        for wrong in ([1.0, 2.0 + 1e-9, 3.0], [1.0, 3.0, 2.0]):
+            with pytest.raises(SpectrumError, match="residual too large"):
+                _check_residual(HermitianMatrix(np.diag(wrong)), identity)
 
     def test_off_diagonal_entry_uses_dense_residual(self):
         entries = np.diag([1.0, 2.0, 3.0])
@@ -386,8 +394,8 @@ class TestExactChecks:
 
 class TestPermutationBasis:
     """A diagonal matrix's eigenbasis is a permuted identity: the identity basis, nothing
-    n x n, for a nondecreasing diagonal (`diagonal_eigh`), and dense columns from `eigh` for
-    any other."""
+    n x n, for a nondecreasing diagonal (`diagonal_eigh`), and dense columns from `eigh` of
+    any diagonal matrix."""
 
     VALUES = [[3.0, 1.0, 2.0, 2.0, 5.0], [2.0, 2.0, 5.0], [-1.0, 4.0, -1.0, 0.5, 4.0, -3.0],
               [-3.0, -1.0, -1.0, 0.5, 4.0, 4.0]]
@@ -426,16 +434,6 @@ class TestPermutationBasis:
     def test_nonfinite_or_malformed_diagonal_rejected(self, values):
         with pytest.raises(NotHermitianError):
             diagonal_eigh(values)
-
-    def test_residual_of_a_diagonal_in_linear_time(self):
-        # the identity basis of a diagonal H: max|diag(H) - lambda|, no n x n product
-        decomp = SpectralDecomposition([1.0, 2.0, 3.0])
-        _check_residual(HermitianMatrix(np.diag([1.0, 2.0, 3.0])), decomp)
-        with pytest.raises(SpectrumError, match="residual too large"):
-            _check_residual(HermitianMatrix(np.diag([1.0, 2.0 + 1e-9, 3.0])), decomp)
-        with pytest.raises(SpectrumError, match="residual too large"):
-            _check_residual(HermitianMatrix(np.diag([1.0, 3.0, 2.0])), decomp)
-        assert "eigenvectors" not in vars(decomp)
 
 
 class TestRealProducts:
