@@ -315,9 +315,15 @@ class SpectralDecomposition:
 
 def _check_residual(h: HermitianMatrix, decomp: SpectralDecomposition):
     """Raise unless max|HU - U Lambda| <= ORTHO_TOL * ||H||_max, HU - U Lambda formed from
-    the stored arrays (for the identity basis, from the dense I that `eigenvectors` builds)."""
-    u = decomp.eigenvectors
-    resid = float(np.max(np.abs(h.entries @ u - u * decomp.eigenvalues)))
+    the stored arrays; for the identity basis it is H - diag(lambda), with no dense I and
+    no n x n product."""
+    lam = decomp.eigenvalues
+    if decomp.columns is None:
+        resid = h.entries - np.diag(lam)
+    else:
+        u = decomp.eigenvectors
+        resid = h.entries @ u - u * lam
+    resid = float(np.max(np.abs(resid)))
     if resid > ORTHO_TOL * max(h.norm_max, 1e-300):
         raise SpectrumError(f"eigendecomposition residual too large: {resid:.3e}")
 

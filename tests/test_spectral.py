@@ -376,12 +376,6 @@ class TestExactChecks:
             _check_residual(h, SpectralDecomposition([1.0, 2.0 + 1e-9, 3.0], u))
         with pytest.raises(SpectrumError, match="residual"):
             _check_residual(h, SpectralDecomposition([1.0, 2.0, 3.0], _permutation([0, 1, 2])))
-        # the identity basis goes through the same formula, with its dense I
-        identity = SpectralDecomposition([1.0, 2.0, 3.0])
-        _check_residual(HermitianMatrix(np.diag([1.0, 2.0, 3.0])), identity)
-        for wrong in ([1.0, 2.0 + 1e-9, 3.0], [1.0, 3.0, 2.0]):
-            with pytest.raises(SpectrumError, match="residual too large"):
-                _check_residual(HermitianMatrix(np.diag(wrong)), identity)
 
     def test_off_diagonal_entry_uses_dense_residual(self):
         entries = np.diag([1.0, 2.0, 3.0])
@@ -434,6 +428,16 @@ class TestPermutationBasis:
     def test_nonfinite_or_malformed_diagonal_rejected(self, values):
         with pytest.raises(NotHermitianError):
             diagonal_eigh(values)
+
+    def test_residual_of_a_diagonal_in_linear_time(self):
+        # the identity basis of a diagonal H: max|H - diag(lambda)|, no n x n product
+        decomp = SpectralDecomposition([1.0, 2.0, 3.0])
+        _check_residual(HermitianMatrix(np.diag([1.0, 2.0, 3.0])), decomp)
+        with pytest.raises(SpectrumError, match="residual too large"):
+            _check_residual(HermitianMatrix(np.diag([1.0, 2.0 + 1e-9, 3.0])), decomp)
+        with pytest.raises(SpectrumError, match="residual too large"):
+            _check_residual(HermitianMatrix(np.diag([1.0, 3.0, 2.0])), decomp)
+        assert "eigenvectors" not in vars(decomp)
 
 
 class TestRealProducts:
