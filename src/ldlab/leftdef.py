@@ -158,12 +158,21 @@ class SpectralOperator:
                 "(left-definite constructions need k > 0)"
             )
 
+    @cached_property
+    def _powers(self) -> dict:
+        """lambda^r for each exponent r that `apply_power` has been given, computed once."""
+        return {}
+
     def apply_power(self, r: float, x) -> np.ndarray:
         """A^r x through the eigenbasis without forming the matrix: U (lambda^r * U* x),
         for the identity basis lambda^r * x (`SpectralDecomposition.to_eigenbasis`); x is
-        a vector or an n x k block, which is one product."""
+        a vector or an n x k block, which is one product. lambda^r is computed once per
+        exponent and kept on the operator."""
         x = np.asarray(x, dtype=complex)
-        powers = np.power(self.decomp.eigenvalues, float(r))
+        r = float(r)
+        powers = self._powers.get(r)
+        if powers is None:
+            powers = self._powers[r] = np.power(self.decomp.eigenvalues, r)
         if x.ndim == 2:
             powers = powers[:, None]
         return self.decomp.from_eigenbasis(powers * self.decomp.to_eigenbasis(x))
@@ -275,10 +284,15 @@ class ClosedFormR:
                              f"{self.operator.lower_bound}")
         object.__setattr__(self, "r", int(self.r))
 
+    @cached_property
+    def _half(self) -> np.ndarray:
+        """(lambda - gamma)^{r/2}, computed once per form."""
+        return np.power(self.operator.decomp.eigenvalues - self.gamma, self.r / 2)
+
     def __call__(self, f, g=None) -> complex:
         """t_r[f, g]; g=None stands for g = f, taken into the eigenbasis once."""
         decomp = self.operator.decomp
-        half = np.power(decomp.eigenvalues - self.gamma, self.r / 2)
+        half = self._half
         f = np.asarray(f, dtype=complex)
         g = f if g is None else np.asarray(g, dtype=complex)
         hf = half * decomp.to_eigenbasis(f)

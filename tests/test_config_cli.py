@@ -627,6 +627,21 @@ class TestRunScenario:
         assert report.rows[0].name == "scenario-error"
         assert "expected (x, p, q, w) rows, got 3 columns" in report.rows[0].inputs
 
+    def test_coefficient_table_out_of_order_is_fail_row(self, tmp_path):
+        # np.interp reads unordered nodes silently: p(0.1) of this table read 1.2, not 1.05
+        xs = np.linspace(0.0, 3.0, 7)[[0, 4, 2, 5, 1, 3, 6]]
+        table = np.column_stack((xs, 1.0 + xs ** 2, 0 * xs, 1.0 + 0 * xs))
+        np.savetxt(tmp_path / "coeffs.csv", table, delimiter=",")
+        raw = make_config(
+            operatorSpec={"kind": "sl", "N": 20,
+                          "coeffs": {"name": "csv", "path": str(tmp_path / "coeffs.csv")}},
+            experiment="leftdef-verify",
+            params={"r": 2.0, "samples": 5},
+        )
+        report = run_scenario(parse_config(json.dumps(raw)))
+        assert [row.name for row in report.rows] == ["scenario-error"]
+        assert "table nodes must be strictly increasing: row 2" in report.rows[0].inputs
+
     def test_determinism_identical_bytes(self, tmp_path):
         raw = make_config(
             operatorSpec={"kind": "diag-growth", "p": 1.0, "q": 0.0, "N": 6},
@@ -748,7 +763,7 @@ class TestScaleOverflow:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("s", [300.0, pytest.param(400.0, marks=pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="hscale range limit (CHANGES.md FOUND; ROADMAP item 9 reads it as lifted): at "
+        reason="hscale range limit (CHANGES.md FOUND; ROADMAP item 20 reads it as lifted): at "
                "s = 400 hscale._weights overflows in np.exp, so isometry and "
                "duality-reduction read nan and FAIL"))])
     def test_isometry_and_duality_at_large_s(self, s):

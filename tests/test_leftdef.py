@@ -273,6 +273,32 @@ class TestEigensolveBudget:
         np.testing.assert_array_equal(first, op.eigenvalues)
 
 
+class TestPowerBudget:
+    """Each eigenvalue power the suite uses is computed once over the n eigenvalues:
+    lambda^{r/2} and lambda^r by `apply_power` (kept on the operator per exponent),
+    (lambda - gamma)^{r/2} by each closed form (kept on the form), and lambda^r once more
+    for the eigen-Gram's dense A^r."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: SpectralOperator.from_matrix(discretize(SLCoefficients.flat(), 40).matrix),
+        lambda: SpectralOperator.from_diag(np.arange(41, dtype=float) + 1.0)],
+        ids=["from_matrix", "from_diag"])
+    @pytest.mark.parametrize("r, exponents", [(1.5, [0.75, 1.5, 1.5]),
+                                              (3.0, [1.5, 1.5, 2.0, 3.0, 3.0])])
+    def test_one_full_length_power_per_exponent(self, monkeypatch, make, r, exponents):
+        op = make()
+        calls, real = [], np.power
+
+        def counting(base, exponent, *args, **kwargs):
+            if np.shape(base) == (op.dim,):
+                calls.append(float(exponent))
+            return real(base, exponent, *args, **kwargs)
+        monkeypatch.setattr(np, "power", counting)
+        report = verify_ld_properties(op, r, 30, seed=4)
+        assert {row.name for row in report.rows} >= {"duality(5)", "lower-bound(4)"}
+        assert sorted(calls) == exponents
+
+
 def gram(space) -> np.ndarray:
     """G[i, j] = <e_j, e_i>_r, the Gram matrix of H_r in the standard basis, from `ld_inner`."""
     basis = np.eye(space.operator.dim)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ldlab
 from ldlab.sldiscrete import (
@@ -187,6 +189,8 @@ class TestTridiagonal:
         assert np.array_equal(op.matrix.entries, dense_reference(coeffs(), n, bc))
 
     def test_eigenvalues_match_dense_solver(self):
+        # two routes: Jacobi(1,1) bands are persymmetric to rounding, so `eigenvalues` folds
+        # them into two half-size tridiagonal problems; the dense solver takes the full matrix
         op = discretize(SLCoefficients.jacobi(1.0, 1.0), 120, "neumann-type")
         dense = np.linalg.eigvalsh(op.matrix.entries.real)
         np.testing.assert_allclose(op.eigenvalues(), dense, rtol=0, atol=1e-12 * dense[-1])
@@ -205,6 +209,84 @@ class TestTridiagonal:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, cwd=src)
         assert out.stdout.strip() == "[]"
+
+
+def mirrored(rng, length: int) -> np.ndarray:
+    """A random band equal to its own reversal."""
+    half = rng.normal(size=length // 2)
+    return np.concatenate((half, rng.normal(size=length % 2), half[::-1]))
+
+
+def counting_solver(monkeypatch) -> list:
+    """Wrap scipy's tridiagonal solver; the list collects the size of each call."""
+    import scipy.linalg
+    sizes, real = [], scipy.linalg.eigvalsh_tridiagonal
+
+    def counting(d, e, *args, **kwargs):
+        sizes.append(len(d))
+        return real(d, e, *args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", counting)
+    return sizes
+
+
+class TestFold:
+    """Bands equal to their reversal are solved as two half-size problems (J x = +-x)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 64), k=st.integers(-20, 40))
+    def test_persymmetric_bands_match_dense_solver(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        d, e = 2.0 ** k * mirrored(rng, n), 2.0 ** k * mirrored(rng, n - 1)
+        op = replace(discretize(flat(), n), n_interior=n, diagonal=d, offdiagonal=e)
+        dense = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            sizes = counting_solver(monkeypatch)
+            lam = op.eigenvalues()
+        assert sizes == [n - n // 2, n // 2]
+        np.testing.assert_allclose(lam, dense, rtol=0, atol=1e-12 * np.max(np.abs(dense)))
+
+    @pytest.mark.parametrize("coeffs, n, bc, sizes", [
+        (flat, 1600, "dirichlet", [800, 800]),
+        (flat, 1601, "dirichlet", [801, 800]),
+        (lambda: SLCoefficients.jacobi(1.0, 1.0), 1600, "neumann-type", [800, 800]),
+        (lambda: SLCoefficients.jacobi(1.0, 1.0), 401, "dirichlet", [201, 200]),
+    ], ids=["flat-even", "flat-odd", "jacobi11-even", "jacobi11-odd"])
+    def test_symmetric_problems_fold(self, monkeypatch, coeffs, n, bc, sizes):
+        op = discretize(coeffs(), n, bc)
+        calls = counting_solver(monkeypatch)
+        lam = op.eigenvalues()
+        assert calls == sizes and lam.shape == (n,) and np.all(np.diff(lam) >= 0)
+
+    @pytest.mark.parametrize("coeffs", [lambda: SLCoefficients.jacobi(1.0, 2.0),
+                                        lambda: SLCoefficients.laguerre(0.5), tabulated],
+                             ids=["jacobi12", "laguerre", "tabulated"])
+    @pytest.mark.parametrize("n", [400, 401])
+    def test_asymmetric_problems_take_one_call_as_before(self, monkeypatch, coeffs, n):
+        from scipy.linalg import eigvalsh_tridiagonal
+        op = discretize(coeffs(), n, "neumann-type")
+        unfolded = eigvalsh_tridiagonal(op.diagonal, op.offdiagonal)
+        calls = counting_solver(monkeypatch)
+        lam = op.eigenvalues()
+        assert calls == [n]
+        assert np.array_equal(lam, unfolded)
+
+
+class TestFromTables:
+    xs = np.linspace(0.0, 3.0, 7)
+
+    def test_reads_increasing_nodes(self):
+        coeffs = SLCoefficients.from_tables(self.xs, 1.0 + self.xs ** 2, 0 * self.xs,
+                                            1.0 + 0 * self.xs)
+        np.testing.assert_allclose(coeffs.p(np.array([0.1, 0.5])), [1.05, 1.25], rtol=1e-15)
+
+    @pytest.mark.parametrize("order, row", [
+        ([0, 4, 2, 5, 1, 3, 6], "row 2 (from 0) has x = 1 after x = 2"),   # p(0.1) read 1.2
+        ([0, 1, 2, 2, 3, 4, 5, 6], "row 3 (from 0) has x = 1 after x = 1"),
+    ])
+    def test_rejects_nodes_out_of_order(self, order, row):
+        xs = self.xs[order]
+        with pytest.raises(ValueError, match=re.escape(row)):
+            SLCoefficients.from_tables(xs, 1.0 + xs ** 2, 0 * xs, 1.0 + 0 * xs)
 
 
 class TestBuildA0:
