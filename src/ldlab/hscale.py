@@ -1,25 +1,17 @@
 """The scale of Hilbert spaces attached to a self-adjoint operator.
 
-Vectors are carried by their coefficients in the eigenbasis of the operator,
-so all scale norms, duality pairings, and isometries are diagonal
-computations with the weights (|lambda_n| + 1)^e. This module computes them on
-each call (`_weights`), from log(|lambda_n| + 1), as w * exp(c) with w centred on
-the middle of the log range; the operator keeps nothing for them. The isometry
-and the duality pairing are homogeneous in that centre, so they are checked on
-w alone and stay finite where the weights overflow a float. Scale norms, the
-isometry check, the duality pairing and the equivalence check take a vector or
-an n x k block of coefficient columns, a vector being a block of one. One
-product of the squared weights, divided by the largest first, with |c|^2 gives
-every column's norm (`_norms`); a nonzero column whose every term underflows in
-it is taken again from |c| divided by its own largest entry, and that scale is
-carried beside the norm. The isometry forms |c|^2 once for both of its norms. A
-block is one product, whose columns agree with the vector calls to rounding, not
-bit for bit: the pairing is one sum of products over the block, and the
-equivalence ratios one `hs_norm` of it. Membership of an *infinite* power-law
-model vector in a given space of the scale is decided analytically from the
-growth exponents, never from truncated norms (truncations are always finite). The
-partial-sum classifier that cross-checks it sums every grid point in one blocked
-pass over n.
+Vectors are carried by their coefficients in the eigenbasis of the operator, so scale norms,
+duality pairings and isometries are diagonal in the weights (|lambda_n| + 1)^e, which
+`_weights` computes on each call from log(|lambda_n| + 1) as w * exp(c), w centred on the
+middle of the log range. The isometry and the pairing are homogeneous in that centre, so
+they are checked on w alone and stay finite where the weights overflow a float. Norms,
+isometry, pairing and equivalence take a vector or an n x k block of coefficient columns, a
+vector being a block of one, whose columns agree with the vector calls to rounding. One
+product of the squared weights with |c|^2 gives every column's norm (`_norms`); a nonzero
+column whose every term underflows is taken again at its own scale. Membership of an
+*infinite* power-law model vector in a space of the scale is decided analytically from the
+growth exponents, never from truncated norms; the partial-sum classifier that cross-checks
+it takes sum n^{ps+2q} to N and 2N in closed form, in logs (`_log_power_sum`).
 """
 
 from __future__ import annotations
@@ -34,7 +26,9 @@ from .report import _worst
 from .spectral import DimensionMismatchError
 
 PARTIAL_SUM_TERMS = 10 ** 6
-_SUM_BLOCK = 1 << 16     # terms per block of the partial sums: 512 KB buffers
+# B_2j / (2j)!, j = 1..6: the coefficients of Euler's summation formula (`_log_power_sum`)
+_EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+                    -691 / 1307674368000)
 
 
 @dataclass(frozen=True)
@@ -174,60 +168,61 @@ def membership(model: GrowthModel, s: float) -> bool:
     return s < critical_index(model)
 
 
-def _partial_sums(model: GrowthModel, s_values, terms: int) -> np.ndarray:
-    """Rows S_N and S_2N of sum n^{ps+2q}, one column per s, N = terms.
+def _log_power_sum(e: float, n: int) -> float:
+    """log sum_{k<=n} k^e in closed form, at a cost that does not depend on n.
 
-    One pass over n = 1..2N in blocks of _SUM_BLOCK: each block takes log n
-    once, and every exponent e reuses it as n^e = exp(e log n), in
-    preallocated buffers.
-    """
-    exponents = [model.p * s + 2 * model.q for s in s_values]
-    sums = np.zeros((2, len(exponents)))
-    offsets = np.arange(_SUM_BLOCK, dtype=float)
-    log_n = np.empty(_SUM_BLOCK)
-    powers = np.empty(_SUM_BLOCK)
-    for half, first in enumerate((1, terms + 1)):
-        for lo in range(first, first + terms, _SUM_BLOCK):
-            size = min(_SUM_BLOCK, first + terms - lo)
-            logs = np.log(np.add(offsets[:size], lo, out=log_n[:size]), out=log_n[:size])
-            for i, e in enumerate(exponents):
-                block = np.exp(np.multiply(logs, e, out=powers[:size]), out=powers[:size])
-                sums[half, i] += block.sum()
-    sums[1] += sums[0]
-    return sums
+    The head k <= H = max(20, ceil(2|e|)), capped at n, is summed term by term, the rest by
+    Euler's summation formula for f(x) = x^e (Graham-Knuth-Patashnik, *Concrete
+    Mathematics*, 9.5): sum_{H<k<=n} f(k) = int_H^n f + f(n) G(n) - f(H) G(H), with
+    G(x) = 1/2 + sum_{j<=6} B_2j/(2j)! (e)_m / x^m, m = 2j - 1, as f^(m) = (e)_m x^(e-m).
+    For x >= 2|e| the first omitted term is below 2e-15 of the sum and 0.45 < G(x) < 0.55, so
+    every term is positive, f(H) (1 - G(H)) the last of the head. The integral is taken from
+    its larger end, n^(e+1) or H^(e+1), times log(n/H) expm1(y)/y, y = -|e+1| log(n/H) (1 at
+    e = -1). Each term is carried as its log and summed as exp(log - largest): no power
+    leaves the float range."""
+    head = min(n, max(20, math.ceil(2 * abs(e))))
+    logs = e * np.log(np.arange(1.0, head + 1))
+    if head < n:
+        x = np.array([head, n], dtype=float)
+        g, ratio = 0.5, e / x   # ratio = (e)_m / x^m
+        for m, coef in zip(range(1, 12, 2), _EULER_MACLAURIN):
+            g, ratio = g + coef * ratio, ratio * ((e - m) * (e - m - 1)) / x / x
+        a, b = math.log(head), math.log(n)
+        y = -abs(e + 1) * (b - a)
+        integral = (max((e + 1) * a, (e + 1) * b) + math.log(b - a)
+                    + (math.log(math.expm1(y) / y) if y else 0.0))
+        logs[-1] += math.log1p(-g[0])
+        logs = np.append(logs, [integral, e * b + math.log(g[1])])
+    top = float(np.max(logs))
+    return top + math.log(float(np.sum(np.exp(logs - top))))
 
 
 def _divergent(model: GrowthModel, s_values, terms: int) -> list:
-    """Divergent when S_{2N}/S_N > 1 + 1/(4 log10 N), for each s."""
+    """Divergent when S_{2N}/S_N > 1 + 1/(4 log10 N) for each s, N = terms, compared in logs:
+    log S_2N - log S_N against log1p(1/(4 log10 N)), each sum of n^{ps+2q} in closed form
+    (`_log_power_sum`)."""
     if terms < 2:
         raise ValueError(f"the partial-sum classifier needs terms >= 2 (log10 N > 0), got {terms}")
-    s_n, s_2n = _partial_sums(model, s_values, terms)
-    cutoff = 1.0 + 1.0 / (4.0 * math.log10(terms))
-    return [bool(b / a > cutoff) for a, b in zip(s_n, s_2n)]
+    cutoff = math.log1p(1.0 / (4.0 * math.log10(terms)))
+    exponents = [model.p * s + 2 * model.q for s in s_values]
+    return [_log_power_sum(e, 2 * terms) - _log_power_sum(e, terms) > cutoff for e in exponents]
 
 
 def partial_sum_divergent(model: GrowthModel, s: float, terms: int = PARTIAL_SUM_TERMS) -> bool:
-    """Partial-sum divergence classifier for sum n^{ps+2q} (`_divergent` at one point).
-
-    Sums to N = terms and 2N and classifies divergent when
-    S_{2N}/S_N > 1 + 1/(4 log10 N). Near the boundary (|s - s*| small) the
-    classifier is unreliable; keep test grids away from s*.
-    """
+    """Partial-sum divergence classifier for sum n^{ps+2q} (`_divergent` at one point):
+    divergent when S_{2N}/S_N > 1 + 1/(4 log10 N), N = terms, both sums in closed form and
+    in logs (`_log_power_sum`), at a cost free of N and finite for every exponent. Near the
+    boundary (|s - s*| small) it is unreliable; keep test grids away from s*."""
     return _divergent(model, [s], terms)[0]
 
 
 def membership_table(model: GrowthModel, s_values, terms: int = PARTIAL_SUM_TERMS) -> list:
-    """Rows (p, q, s, s*, verdict, partial-sum-verdict) for CSV export; the partial sums of
-    every grid point share one blocked pass (`_divergent`)."""
-    s_values = list(s_values)
-    s_star = critical_index(model)
-    divergent = _divergent(model, s_values, terms)
-    return [
-        (model.p, model.q, float(s), s_star,
-         "member" if membership(model, s) else "excluded",
-         "excluded" if diverges else "member")
-        for s, diverges in zip(s_values, divergent)
-    ]
+    """Rows (p, q, s, s*, verdict, partial-sum-verdict) for CSV export; the partial-sum
+    verdict of each grid point is `_divergent`'s, from its closed-form sums."""
+    s_values, s_star = list(s_values), critical_index(model)
+    return [(model.p, model.q, float(s), s_star, "member" if membership(model, s) else "excluded",
+             "excluded" if diverges else "member")
+            for s, diverges in zip(s_values, _divergent(model, s_values, terms))]
 
 
 def equivalence_check(operator: SpectralOperator, s: float, samples):

@@ -126,10 +126,14 @@ class SpectralOperator:
     def in_eigenbasis(self) -> "SpectralOperator":
         """diag(lambda), the operator A is in its own eigenbasis: U* maps x to its coefficients
         c, and A^r x = U (lambda^r c). Itself for the identity basis, else built in O(n) on
-        each read (cached, it would hold the operator in a reference cycle past its use)."""
+        each read (cached, it would hold the operator in a reference cycle past its use),
+        sharing this operator's lambda^r of `apply_power`: one power per exponent for both.
+        The shared dict holds arrays only, so it makes no cycle either."""
         if self.decomp.columns is None:
             return self
-        return SpectralOperator(None, SpectralDecomposition(self.decomp.eigenvalues))
+        diag = SpectralOperator(None, SpectralDecomposition(self.decomp.eigenvalues))
+        vars(diag)["_powers"] = self._powers
+        return diag
 
     @property
     def norm_max(self) -> float:

@@ -8,6 +8,9 @@ and every row the map names must FAIL, so a mend drops its entry. Slices so far:
 - leftdef-verify, seed 0, default samples: flat SL, N 50/100/200 x r 0.5/1/2/3;
   diag-growth p 1/2/3, q 0, N 100/200, at r 2; laguerre (alpha 1, k 1), N 100, at r 3.
   Its map, LEFTDEF_FAILS, holds 4 rows.
+- scale on diag-growth, seed 0, default s/t grids: p 0.5/2/8/50 x q -1/0.5 x N 50/200.
+  No row FAILs, so it has no map: at p = 50 the classifier's partial sums leave the float
+  range unless they are taken in logs.
 """
 
 import itertools
@@ -58,3 +61,16 @@ def test_leftdef_slice_fails_only_as_mapped(name):
         "operatorSpec": spec, "experiment": "leftdef-verify", "params": {"r": r}, "seed": 0})))
     failed = {row.name for row in report.rows if row.status != "PASS"}
     assert failed == set(LEFTDEF_FAILS.get(name, {}))
+
+
+SCALE_SLICE = {f"diag-growth-p{p:g}-q{q:g}-N{n}": {"kind": "diag-growth", "p": p, "q": q, "N": n}
+               for p, q, n in itertools.product((0.5, 2.0, 8.0, 50.0), (-1.0, 0.5), (50, 200))}
+
+
+@pytest.mark.parametrize("name", SCALE_SLICE)
+def test_scale_slice_passes(name):
+    report = run_scenario(parse_config(json.dumps({
+        "operatorSpec": SCALE_SLICE[name], "experiment": "scale", "seed": 0})))
+    assert [row.name for row in report.rows if row.status != "PASS"] == []
+    (membership,) = report.tables
+    assert [row[4] for row in membership.rows] == [row[5] for row in membership.rows]

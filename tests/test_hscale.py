@@ -3,12 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldlab.hscale import (
     GrowthModel,
-    _partial_sums,
+    _log_power_sum,
     _weights,
     critical_index,
     duality_pair,
@@ -282,6 +282,16 @@ class TestPartialSumClassifier:
         with pytest.raises(ValueError, match=f"got {terms}"):
             membership_table(model, [-3.0, 0.0], terms)
 
+    def test_steep_growth_sums_do_not_overflow(self):
+        # p = 50: n^74 at s* + 1.5 passes the float range from n = 14643 on, so the sums of
+        # plain floats read inf / inf = NaN and the verdict "member"; in logs both are finite
+        model = GrowthModel(50.0, 0.0)
+        s_star = critical_index(model)
+        assert partial_sum_divergent(model, s_star + 1.5)
+        assert partial_sum_divergent(model, s_star + 1.5, terms=100)
+        rows = membership_table(model, [s_star + d for d in (-1.5, -0.06, 0.06, 0.5, 1.5)])
+        assert [row[5] for row in rows] == [row[4] for row in rows]
+
     def test_membership_table_columns(self):
         model = GrowthModel(1.0, -1.0)
         rows = membership_table(model, [0.0, 2.0])
@@ -290,27 +300,62 @@ class TestPartialSumClassifier:
 
 
 def reference_partial_sums(model, s, terms):
-    """S_N and S_2N of sum n^{ps+2q} from one array of all 2N powers."""
-    powers = np.arange(1, 2 * terms + 1, dtype=float) ** (model.p * s + 2 * model.q)
-    return float(np.sum(powers[:terms])), float(np.sum(powers))
+    """S_N and S_2N of sum n^{ps+2q} from one array of all 2N powers (inf past the float range)."""
+    with np.errstate(over="ignore"):
+        powers = np.arange(1, 2 * terms + 1, dtype=float) ** (model.p * s + 2 * model.q)
+        return float(np.sum(powers[:terms])), float(np.sum(powers))
 
 
-class TestBlockedPartialSums:
-    """Every grid point shares one blocked pass over n; the verdicts are the one-point ones."""
+class TestClosedFormPartialSums:
+    """The partial sums in closed form and in logs, checked against the one-array sums; every
+    grid point's verdict is the one-point one."""
 
     GRID = [(p, q) for p in (0.5, 1.0, 2.0, 3.0) for q in (-1.5, -1.0, 0.0, 0.5)]
     OFFSETS = (-1.5, -0.5, -0.15, -0.06, 0.06, 0.15, 0.5, 1.5)
+
+    @staticmethod
+    def assert_sums_match(model, s_values, terms):
+        for s in s_values:
+            for n, want in zip((terms, 2 * terms), reference_partial_sums(model, s, terms)):
+                got = _log_power_sum(model.p * s + 2 * model.q, n)
+                assert math.isfinite(got)
+                if math.isfinite(want):   # relative 1e-12 of the sum is 1e-12 in its log
+                    assert got == pytest.approx(math.log(want), rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("terms", [1000, 100_003])
     def test_sums_match_one_array_reference(self, terms):
         for p, q in self.GRID[::3]:
             model = GrowthModel(p, q)
-            s_values = [critical_index(model) + d for d in self.OFFSETS]
-            s_n, s_2n = _partial_sums(model, s_values, terms)
-            for i, s in enumerate(s_values):
-                want_n, want_2n = reference_partial_sums(model, s, terms)
-                assert s_n[i] == pytest.approx(want_n, rel=1e-12)
-                assert s_2n[i] == pytest.approx(want_2n, rel=1e-12)
+            self.assert_sums_match(model, [critical_index(model) + d for d in self.OFFSETS], terms)
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.floats(0.25, 50.0), q=st.sampled_from([-0.5, 0.0]) | st.floats(-2.0, 2.0),
+           offset=st.sampled_from(OFFSETS) | st.none(), terms=st.integers(2, 10 ** 5))
+    @example(p=2.0, q=-0.5, offset=None, terms=1000)     # e = -1: the harmonic number H_N
+    @example(p=2.0, q=0.0, offset=None, terms=100_003)   # e = 0: S_N = N
+    @example(p=50.0, q=0.0, offset=1.5, terms=60)        # e = 74: 2N below the head of 148
+    @example(p=50.0, q=0.0, offset=1.5, terms=100)       # N below the head, 2N past it
+    @example(p=50.0, q=0.0, offset=1.5, terms=10_000)    # the reference S_2N is inf
+    def test_sums_match_one_array_reference_anywhere(self, p, q, offset, terms):
+        # s = s* + offset; offset None takes s = 0, where e = 2q exactly (-1 or 0 at q = -1/2, 0)
+        model = GrowthModel(p, q)
+        self.assert_sums_match(model, [0.0 if offset is None else critical_index(model) + offset],
+                               terms)
+
+    def test_exact_sums_at_e_minus_one_and_zero(self):
+        # S_N = N at e = 0 and the harmonic number H_N at e = -1
+        for n in (10 ** 6, 2 * 10 ** 6):
+            assert _log_power_sum(0.0, n) == pytest.approx(math.log(n), rel=0, abs=1e-14)
+            harmonic = math.fsum(1.0 / np.arange(n, 0, -1, dtype=float))
+            assert _log_power_sum(-1.0, n) == pytest.approx(math.log(harmonic), rel=0, abs=1e-14)
+
+    def test_analytic_verdicts_at_1e15_terms(self):
+        # the cost does not grow with N: 10^15 terms are as quick as 10^6
+        for p, q in self.GRID:
+            model = GrowthModel(p, q)
+            rows = membership_table(model, [critical_index(model) + d for d in self.OFFSETS],
+                                    10 ** 15)
+            assert [row[5] for row in rows] == [row[4] for row in rows]
 
     def test_table_verdicts_equal_one_point_classifier(self):
         terms = 100_003

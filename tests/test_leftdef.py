@@ -1,5 +1,7 @@
+import gc
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -297,6 +299,37 @@ class TestPowerBudget:
         report = verify_ld_properties(op, r, 30, seed=4)
         assert {row.name for row in report.rows} >= {"duality(5)", "lower-bound(4)"}
         assert sorted(calls) == exponents
+
+    def test_ld_inner_takes_each_power_once_across_calls(self, monkeypatch):
+        # each ld_inner reads a new in_eigenbasis operator, which shares the operator's powers
+        op = SpectralOperator.from_matrix(discretize(SLCoefficients.flat(), 40).matrix)
+        space = ld_space(op, 1.5)
+        x = np.random.default_rng(3).normal(size=op.dim)
+        calls, real = [], np.power
+
+        def counting(base, exponent, *args, **kwargs):
+            if np.shape(base) == (op.dim,):
+                calls.append(float(exponent))
+            return real(base, exponent, *args, **kwargs)
+        monkeypatch.setattr(np, "power", counting)
+        grams = [ld_inner(space, x) for _ in range(10)]
+        assert calls == [0.75]
+        assert len(set(grams)) == 1
+
+    def test_operators_are_freed_with_gc_disabled(self):
+        # the shared dict of powers holds arrays only: reference counting frees both operators
+        op = SpectralOperator.from_matrix(discretize(SLCoefficients.flat(), 40).matrix)
+        gc.disable()
+        try:
+            diag = op.in_eigenbasis
+            ld_inner(ld_space(op, 1.5), np.ones(op.dim))
+            diag.apply_power(2.0, np.ones(op.dim))
+            assert 0.75 in diag._powers and 2.0 in op._powers
+            freed = weakref.ref(op), weakref.ref(diag)
+            del op, diag
+            assert [ref() for ref in freed] == [None, None]
+        finally:
+            gc.enable()
 
 
 def gram(space) -> np.ndarray:
