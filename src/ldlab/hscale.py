@@ -1,17 +1,18 @@
 """The scale of Hilbert spaces attached to a self-adjoint operator.
 
 Vectors are carried by their coefficients in the eigenbasis of the operator, so scale norms,
-duality pairings and isometries are diagonal in the weights (|lambda_n| + 1)^e, which
-`_weights` computes on each call from log(|lambda_n| + 1) as w * exp(c), w centred on the
-middle of the log range. The isometry and the pairing are homogeneous in that centre, so
-they are checked on w alone and stay finite where the weights overflow a float. Norms,
-isometry, pairing and equivalence take a vector or an n x k block of coefficient columns, a
-vector being a block of one, whose columns agree with the vector calls to rounding. One
-product of the squared weights with |c|^2 gives every column's norm (`_norms`); a nonzero
-column whose every term underflows is taken again at its own scale. Membership of an
-*infinite* power-law model vector in a space of the scale is decided analytically from the
-growth exponents, never from truncated norms; the partial-sum classifier that cross-checks
-it takes sum n^{ps+2q} to N and 2N in closed form, in logs (`_log_power_sum`).
+duality pairings and isometries are diagonal in the weights (|lambda_n| + 1)^e. Each weight
+is carried as its log, e log(|lambda_n| + 1) (`_log_weights`), and each norm as its log, a
+log-sum-exp over the column (`_log_norms`; Blanchard-Higham-Higham, "Accurately computing
+the log-sum-exp and softmax functions", IMA J. Numer. Anal. 41, 2021): no weight or term
+leaves the float range on the way, at any index s. The isometry compares the two log-norms;
+the duality pairing multiplies the two weight vectors, each entry centred by the same
+multiple of 512 in its log. Norms, isometry, pairing and equivalence take a vector or an
+n x k block of coefficient columns, a vector being a block of one, and each column is
+taken alone, as the vector call takes it. Membership of an *infinite* power-law model
+vector in a space of the scale is decided analytically from the growth exponents, never
+from truncated norms; the partial-sum classifier that cross-checks it takes sum n^{ps+2q}
+to N and 2N in closed form, in logs (`_log_power_sum`).
 """
 
 from __future__ import annotations
@@ -49,67 +50,42 @@ class GrowthModel:
         return SpectralOperator.from_diag(self.eigenvalues(n))
 
 
-def _weights(operator: SpectralOperator, exponent: float) -> tuple[np.ndarray, float]:
-    """(w, c) with w * exp(c) = (|lambda_n| + 1)^exponent, the diagonal of (|A| + I)^exponent
-    in the eigenbasis that sets the norms of the scale.
-
-    w = exp(exponent (L - m)) for L = log(|lambda| + 1) and m the middle of its range, and
-    c = exponent m: w stays finite while |exponent| (L_max - L_min) / 2 < 709, where the
-    weights themselves need |exponent| L_max < 709. Every identity of the scale is
-    homogeneous in exp(m), so it can be checked on w alone."""
-    logs = np.log1p(np.abs(operator.eigenvalues))
-    middle = (float(np.min(logs)) + float(np.max(logs))) / 2
-    return np.exp(exponent * (logs - middle)), exponent * middle
+def _log_weights(operator: SpectralOperator, exponent: float) -> np.ndarray:
+    """exponent * log(|lambda_n| + 1): the logs of the weights (|lambda_n| + 1)^exponent, the
+    diagonal of (|A| + I)^exponent in the eigenbasis that sets the norms of the scale."""
+    return exponent * np.log1p(np.abs(operator.eigenvalues))
 
 
-def _squared(c: np.ndarray) -> np.ndarray:
-    """|c|^2 of a coefficient block."""
-    return np.square(c.real) + np.square(c.imag)
+def _log_abs(c: np.ndarray) -> np.ndarray:
+    """log|c| of an n x k coefficient block, laid out k x n, one row per column; log 0 = -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(c.T, order="C"))
 
 
-def _norms(w: np.ndarray, c: np.ndarray, squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(norms, scale) with ||w c_j|| = norms[j] * scale[j] for the columns of the coefficient
-    block c, given squared = |c|^2. w is divided by its largest entry before it is squared,
-    so the square of a finite w cannot overflow; there scale[j] = 1. A column whose product
-    reads 0 but whose entries do not (its terms underflowed against the largest weight, or
-    |c_j|^2 underflowed) is taken again as w |c_j| / max|c_j| divided by its own largest
-    term, with scale[j] = max|c_j|. A finite w is positive, so that term is too: a column
-    with a nonzero entry has a nonzero norm."""
-    top = float(np.max(w))
-    norms = np.sqrt(np.square(w / top) @ squared) * top
-    scale = np.ones_like(norms)
-    for j in np.flatnonzero(norms == 0.0):
-        size = np.abs(c[:, j])
-        big = float(np.max(size))
-        if big > 0.0:   # else a zero column, whose norm is 0
-            scale[j] = big
-            terms = w * (size / big)
-            own = float(np.max(terms))
-            norms[j] = np.sqrt(np.sum(np.square(terms / own))) * own
-    return norms, scale
+def _log_norms(log_w: np.ndarray, log_c: np.ndarray) -> np.ndarray:
+    """log ||w c_j|| of each column, from log_w = log w and the rows log|c_j| of log_c
+    (`_log_abs`): top + log(sum exp(2 (a - top))) / 2 for a = log_w + log|c_j| and top its
+    largest entry, so that every term lies in [0, 1] and one is 1. A zero column gives -inf,
+    and a NaN entry gives NaN."""
+    a = log_c + log_w
+    top = np.max(a, axis=1)
+    a -= np.where(np.isfinite(top), top, 0.0)[:, None]
+    a *= 2.0
+    with np.errstate(divide="ignore", over="ignore"):   # log 0 = -inf; an inf entry gives inf
+        np.exp(a, out=a)
+        return top + 0.5 * np.log(np.sum(a, axis=1))
 
 
 def hs_norm(operator: SpectralOperator, s: float, phi):
     """Scale norm ||phi||_s = ||(|A| + I)^{s/2} phi||, diagonal in the eigenbasis.
 
     phi is a vector (the norm is a float) or an n x k block (an array of its k column
-    norms), one path for both (`_norms`). A column's norm is its centred norm times
-    exp(s m / 2) of `_weights`; it is taken in logs for a column `_norms` took at its own
-    scale, and for every column where that factor is not a positive float. A norm past
-    the float range raises ValueError.
+    norms), each norm exp of its log-norm (`_log_norms`). A norm past the float range
+    raises ValueError.
     """
-    w, shift = _weights(operator, s / 2)
-    c = _as_block(operator, phi)
-    norms, scale = _norms(w, c, _squared(c))
-    try:
-        factor = math.exp(shift)
-    except OverflowError:
-        factor = math.inf
-    logged = (scale != 1.0) | (not 0.0 < factor < math.inf)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # log 0 = -inf
-        out = norms * factor
-        if logged.any():
-            out[logged] = np.exp(np.log(norms[logged]) + np.log(scale[logged]) + shift)
+    log_norms = _log_norms(_log_weights(operator, s / 2), _log_abs(_as_block(operator, phi)))
+    with np.errstate(over="ignore"):
+        out = np.exp(log_norms)
     if np.isinf(out).any():
         raise ValueError(f"scale norm at s={s:g} overflows a float")
     return float(out[0]) if np.ndim(phi) == 1 else out
@@ -122,13 +98,17 @@ def duality_pair(operator: SpectralOperator, s: float, phi, psi):
     (an array of the k pairings of column j with column j), in one sum of products. On
     truncated vectors the weights cancel algebraically, so the pairing reduces to the
     plain inner product; it is still evaluated through the defining formula, the product
-    of the two weight vectors, so the reduction is a genuine check. Their `_weights`
-    factors exp(-/+ s m / 2) cancel exactly.
+    of the two weight vectors, so the reduction is a genuine check. Each weight is exp of
+    its log shifted by the same centre, the multiple of 512 nearest the log of the
+    (|A|+I)^{s/2} weight: both factors stay within exp(+/-256), and the centres cancel
+    exactly.
     """
     left, right = _as_block(operator, phi), _as_block(operator, psi)
     if np.shape(phi) != np.shape(psi):
         raise DimensionMismatchError(f"paired arrays of shapes {np.shape(phi)} and {np.shape(psi)}")
-    weights = _weights(operator, -s / 2)[0] * _weights(operator, s / 2)[0]
+    up = _log_weights(operator, s / 2)
+    centre = 512.0 * np.round(up / 512.0)
+    weights = np.exp(_log_weights(operator, -s / 2) + centre) * np.exp(up - centre)
     # the weight product on one side: an n x k temporary for each weighted side raises peak memory
     pairs = np.einsum("i,ij,ij->j", weights, left, right.conj())
     return complex(pairs[0]) if np.ndim(phi) == 1 else pairs
@@ -138,20 +118,17 @@ def isometry_check(operator: SpectralOperator, s: float, t: float, phi) -> float
     """Relative residual of the isometry H_s -> H_{s-t} induced by (|A|+I)^{t/2}.
 
     phi is a vector or an n x k block of them. Returns the worst, over its nonzero
-    columns c, of | ||(|A|+I)^{t/2} c||_{s-t} - ||c||_s | / ||c||_s: NaN when any is NaN,
-    0.0 when every column is zero (a column with a nonzero entry has a nonzero norm,
-    `_norms`). Both norms carry the factor exp(s m / 2) of `_weights`, which the ratio
-    drops, so both are taken with the centred weights w: ||c||_s with w_{s/2}, the mapped
-    norm with w_{(s-t)/2} w_{t/2}, each at the scale `_norms` gives the column.
+    columns c, of | ||(|A|+I)^{t/2} c||_{s-t} / ||c||_s - 1 |, read in logs as
+    |expm1(log mapped - log ||c||_s)|: NaN when any is NaN, 0.0 when every column is zero.
+    The mapped norm's log weights are the sum of those of (|A|+I)^{(s-t)/2} and of the map
+    (|A|+I)^{t/2}, so the map is applied as a product of weights.
     """
-    c = _as_block(operator, phi)
-    squared = _squared(c)
-    norm_s, scale_s = _norms(_weights(operator, s / 2)[0], c, squared)
-    mapped, scale_m = _norms(_weights(operator, (s - t) / 2)[0] * _weights(operator, t / 2)[0],
-                             c, squared)
-    mapped *= scale_m / scale_s   # both at the norm_s column's scale; 1 where neither rescaled
-    nonzero = norm_s != 0.0
-    return _worst(np.abs(mapped[nonzero] - norm_s[nonzero]) / norm_s[nonzero])
+    log_c = _log_abs(_as_block(operator, phi))
+    log_s = _log_norms(_log_weights(operator, s / 2), log_c)
+    mapped = _log_norms(_log_weights(operator, (s - t) / 2) + _log_weights(operator, t / 2),
+                        log_c)
+    nonzero = log_s != -np.inf
+    return _worst(np.abs(np.expm1(mapped[nonzero] - log_s[nonzero])))
 
 
 def critical_index(model: GrowthModel) -> float:
@@ -228,21 +205,23 @@ def membership_table(model: GrowthModel, s_values, terms: int = PARTIAL_SUM_TERM
 def equivalence_check(operator: SpectralOperator, s: float, samples):
     """Min/max ratio of ||phi||_s (`hs_norm`) to ||(A-gamma)^{s/2} phi|| over the samples, a
     vector or the nonzero columns of an n x k block, each side taken for the whole block.
+    The denominators are log-norms (`_log_norms`) and each ratio is exp(log num - log den),
+    so neither (A-gamma)^{s/2} nor the squares of tiny samples leave the float range.
 
     gamma is the operator's shift, which `SpectralOperator` keeps below its lower
     bound k. Both weight choices generate the same spaces with equivalent norms;
     the ratios land inside the diagonal bounds
     [min_n ((|l_n|+1)/(l_n-gamma))^{s/2}, max_n (...)] (endpoints swapped for
-    s < 0).
+    s < 0), which are taken as powers, apart from both norms.
     """
     gamma = operator.shift
     lam = operator.eigenvalues
     block = _as_block(operator, samples)
-    denoms = np.linalg.norm(np.power(lam - gamma, s / 2)[:, None] * block, axis=0)
-    nonzero = denoms != 0.0
+    denoms = _log_norms((s / 2) * np.log(lam - gamma), _log_abs(block))
+    nonzero = denoms != -np.inf
     if not nonzero.any():
         raise ValueError("no nonzero sample vectors supplied")
-    ratios = hs_norm(operator, s, block)[nonzero] / denoms[nonzero]
+    ratios = np.exp(np.log(hs_norm(operator, s, block)[nonzero]) - denoms[nonzero])
     per_mode = np.power((np.abs(lam) + 1.0) / (lam - gamma), s / 2)
     lo, hi = float(np.min(per_mode)), float(np.max(per_mode))
     return {   # min and max through _worst, so a NaN ratio fails the bounds check

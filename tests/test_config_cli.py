@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -731,18 +732,17 @@ class TestScaleOverflow:
 
     @staticmethod
     def statuses(monkeypatch=None, exponent=None, relative=0.0) -> dict:
-        """Rows of the OVERFLOW run, the last entry of the weights hscale._weights(op, exponent)
-        times 1 + relative."""
+        """Rows of the OVERFLOW run, the last of the weights whose logs are
+        hscale._log_weights(op, exponent) times 1 + relative."""
         if exponent is not None:
-            real = hscale._weights
+            real = hscale._log_weights
 
             def perturbed(op, e):
-                w, shift = real(op, e)
+                log_w = real(op, e)
                 if e == exponent:
-                    w = w.copy()
-                    w[-1] *= 1.0 + relative
-                return w, shift
-            monkeypatch.setattr(hscale, "_weights", perturbed)
+                    log_w[-1] += math.log1p(relative)
+                return log_w
+            monkeypatch.setattr(hscale, "_log_weights", perturbed)
         report = run_scenario(parse_config(json.dumps(OVERFLOW)))
         return {row.name: row.status for row in report.rows}
 
@@ -759,13 +759,7 @@ class TestScaleOverflow:
     def test_either_pairing_weight_vector_off_fails_duality(self, monkeypatch, exponent):
         assert self.statuses(monkeypatch, exponent, 1e-8)["duality-reduction"] == "FAIL"
 
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("s", [300.0, pytest.param(400.0, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="hscale range limit (CHANGES.md FOUND; ROADMAP item 20 reads it as lifted): at "
-               "s = 400 hscale._weights overflows in np.exp, so isometry and "
-               "duality-reduction read nan and FAIL"))])
+    @pytest.mark.parametrize("s", [300.0, 400.0, 1000.0, -1000.0])
     def test_isometry_and_duality_at_large_s(self, s):
         config = make_config(operatorSpec={"kind": "diag-growth", "p": 2.0, "q": 0.5, "N": 50},
                              experiment="scale", params={"s": [s], "t": [1.0]}, seed=0)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from ldlab.hscale import (
     GrowthModel,
+    _log_abs,
+    _log_norms,
     _log_power_sum,
-    _weights,
+    _log_weights,
     critical_index,
     duality_pair,
     equivalence_check,
@@ -55,7 +58,7 @@ class TestHsNorm:
 
 
 class TestHsNormRange:
-    """Norms whose entries, centre factor or value leave the float range on the way."""
+    """Norms whose entries, squares, weights or value leave the float range."""
 
     op = GrowthModel(2, 0.5).operator(50)
     e0 = np.eye(50)[:, 0]
@@ -68,7 +71,8 @@ class TestHsNormRange:
         np.testing.assert_allclose(norms, [2.0 ** 100, 2.0 ** 100 * 1e-200], rtol=1e-12)
 
     def test_centre_factor_past_the_float_range(self):
-        # s = 380: exp(190 m) overflows a float (m = log(2 * 2501) / 2), the norm does not
+        # s = 380: the weights (|lambda| + 1)^190 overflow a float for lambda > 41 (from
+        # lambda = 49 on); the norm of e_0 does not
         assert hs_norm(self.op, 380.0, self.e0) == pytest.approx(2.0 ** 190, rel=1e-12)
         assert hs_norm(self.op, 380.0, 1e-200 * self.e0) == pytest.approx(2.0 ** 190 * 1e-200,
                                                                           rel=1e-12)
@@ -78,16 +82,6 @@ class TestHsNormRange:
         # ||e_49||_s = 2501^{s/2} > 1e322
         with pytest.raises(ValueError, match=f"scale norm at s={s:g} overflows a float"):
             hs_norm(self.op, s, np.eye(50)[:, 49])
-
-    @pytest.mark.parametrize("s", [-3.0, 0.5, 2.0, 150.0])
-    def test_bitwise_the_centred_product_where_the_factor_is_finite(self, s):
-        rng = np.random.default_rng(12)
-        block = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
-        w, shift = _weights(self.op, s / 2)
-        top = float(np.max(w))
-        squared = np.square(block.real) + np.square(block.imag)
-        reference = np.sqrt(np.square(w / top) @ squared) * top * math.exp(shift)
-        np.testing.assert_array_equal(hs_norm(self.op, s, block), reference)
 
 
 class TestDualityPair:
@@ -130,9 +124,11 @@ class TestDualityPairBlock:
     @pytest.mark.parametrize("s", [-2.0, 0.7, 3.0])
     def test_block_is_the_vdot_of_each_weighted_pair(self, s):
         # strided columns (a transposed row-major array) as well as contiguous ones; each
-        # pairing within 4 n eps of the product of the weighted norms (Higham's gamma_n)
+        # pairing within 4 n eps of the product of the weighted norms (Higham's gamma_n),
+        # the weights (|lambda| + 1)^{-/+s/2} taken as plain powers
         rows = np.ascontiguousarray(self.psi.T)
-        left, right = _weights(self.op, -s / 2)[0], _weights(self.op, s / 2)[0]
+        base = np.abs(self.op.eigenvalues) + 1.0
+        left, right = np.power(base, -s / 2), np.power(base, s / 2)
         pairs = duality_pair(self.op, s, self.phi, rows.T)
         assert pairs.shape == (5,)
         tol = 4 * 60 * np.finfo(float).eps
@@ -208,9 +204,8 @@ class TestIsometryBlock:
         assert isometry_check(self.op, 1.5, 0.5, np.zeros((60, 3))) == 0.0
 
     def test_underflowed_column_gets_its_value(self):
-        # s = 200 on diag-growth p=2, N=50: w_{100}^2 spans e^1426, so e_0's squared weight
-        # underflows against the largest; the column is taken again against its own largest
-        # weighted term, and ||e_0||_200 = (1 + 1)^100
+        # s = 200 on diag-growth p=2, N=50: the squared weights span e^1426, so e_0's would
+        # underflow against the largest; in logs nothing does, and ||e_0||_200 = (1 + 1)^100
         op = GrowthModel(2, 0.5).operator(50)
         e0 = np.eye(50)[:, [0]]
         assert hs_norm(op, 200.0, e0[:, 0]) == pytest.approx(2.0 ** 100, rel=1e-12)
@@ -221,15 +216,16 @@ class TestIsometryBlock:
 
     @pytest.mark.parametrize("s, size", [(380.0, 1e-160), (200.0, 1e-200)])
     def test_column_whose_weighted_terms_underflow_gets_its_value(self, s, size):
-        # s = 380: w_{190}(e_0) is about e^-677, so every weighted term of 1e-160 e_0
-        # underflows; at s = 200, |1e-200|^2 itself underflows to 0. Taken from |c| over its
-        # largest entry, the column is checked as e_0 is: the residual is homogeneous in c
+        # s = 380: w_{190}(e_0) is e^-1355 of the largest weight, so a product of the
+        # weights with 1e-160 e_0 underflows; at s = 200, |1e-200|^2 itself underflows to 0.
+        # In logs the column v = e_0 + e_24 keeps its value: its residual is the rounding of
+        # e_24's log weight, above 0, where a skipped column would read 0
         op = GrowthModel(2, 0.5).operator(50)
-        e0 = np.eye(50)[:, 0]
-        residual = isometry_check(op, s, 0.5, e0)
+        v = np.eye(50)[:, 0] + np.eye(50)[:, 24]
+        residual = isometry_check(op, s, 0.5, size * v)
         assert 0.0 < residual <= 1e-10
-        assert isometry_check(op, s, 0.5, size * e0) == residual
-        block = np.column_stack([self.block[:50, :2], size * e0])
+        assert residual == pytest.approx(isometry_check(op, s, 0.5, v), rel=0, abs=1e-12)
+        block = np.column_stack([self.block[:50, :2], size * v])
         assert isometry_check(op, s, 0.5, block) == max(
             isometry_check(op, s, 0.5, self.block[:50, :2]), residual)
 
@@ -441,6 +437,35 @@ class TestEquivalence:
         assert stats["max_ratio"] == pytest.approx(max(a["max_ratio"] for a in alone), rel=tol)
         assert equivalence_check(op, s, block[:, [2]]) == alone[2]
 
+    def test_samples_whose_squares_underflow(self):
+        # |1e-200|^2 underflows to 0, so a norm of squares read every sample as zero; the
+        # ratio is homogeneous of degree 0 in each sample
+        op = GrowthModel(2.0, 0.5).operator(50)
+        rng = np.random.default_rng(16)
+        block = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
+        want, got = equivalence_check(op, 2.0, block), equivalence_check(op, 2.0, 1e-200 * block)
+        for key in ("min_ratio", "max_ratio"):
+            assert got[key] == pytest.approx(want[key], rel=1e-13)
+        assert (got["bound_lo"], got["bound_hi"]) == (want["bound_lo"], want["bound_hi"])
+
+    def test_denominator_powers_past_the_float_range(self):
+        # s = 300: (lambda - gamma)^150 overflows a float from lambda = 114 on. Samples on the
+        # first ten modes, whose s-norms stay finite, get the ratios mpmath gives at 40 digits
+        op = GrowthModel(2.0, 0.5).operator(50)
+        rng = np.random.default_rng(17)
+        block = np.zeros((50, 3), dtype=complex)
+        block[:10] = rng.normal(size=(10, 3)) + 1j * rng.normal(size=(10, 3))
+        stats = equivalence_check(op, 300.0, block)
+        with mpmath.workdps(40):
+            lam, gamma = [mpmath.mpf(float(x)) for x in op.eigenvalues], mpmath.mpf(op.shift)
+            want = [float(mpmath.sqrt(
+                mpmath.fsum((abs(x) + 1) ** 300 * abs(mpmath.mpc(c)) ** 2 for x, c in zip(lam, col))
+                / mpmath.fsum((x - gamma) ** 300 * abs(mpmath.mpc(c)) ** 2
+                              for x, c in zip(lam, col)))) for col in block.T]
+        assert stats["min_ratio"] == pytest.approx(min(want), rel=1e-12)
+        assert stats["max_ratio"] == pytest.approx(max(want), rel=1e-12)
+        assert stats["bound_lo"] <= stats["min_ratio"] <= stats["max_ratio"] <= stats["bound_hi"]
+
     @pytest.mark.parametrize("shape", [(39, 2), (41,), (40, 2, 2)])
     def test_wrong_row_count_raises(self, shape):
         op = GrowthModel(2.0, 0.5).operator(40)
@@ -448,16 +473,43 @@ class TestEquivalence:
             equivalence_check(op, 2.0, np.ones(shape))
 
 
-class TestWeightsOnce:
-    """The weights (|lambda_n| + 1)^e, computed once per call and exponent as w * exp(c)."""
+class TestLogNormKey:
+    """The log-norms and hs_norm against mpmath at 40 digits, where the weights leave the
+    float range: a log within 1e-12 is a norm within 1e-12 relative."""
 
-    def test_weights_centred_on_the_log_range(self):
-        # L = log(|lambda| + 1) spans [log 2, log 2501]: w = exp(e (L - m)), m its middle
-        op = GrowthModel(2, 0.5).operator(50)
-        w, shift = _weights(op, 100.0)
-        middle = (np.log(2.0) + np.log(2501.0)) / 2
-        assert shift == pytest.approx(100.0 * middle, rel=1e-15)
-        assert w[0] * w[-1] == pytest.approx(1.0, rel=1e-12) and np.all(np.isfinite(w))
-        w, shift = _weights(op, 0.5)
-        np.testing.assert_allclose(w * np.exp(shift), np.power(np.abs(op.eigenvalues) + 1.0, 0.5),
-                                   rtol=1e-15)
+    op = GrowthModel(2.0, 0.5).operator(50)
+    block = (np.random.default_rng(21).normal(size=(50, 3))
+             + 1j * np.random.default_rng(22).normal(size=(50, 3)))
+
+    @classmethod
+    def key(cls, s, block) -> np.ndarray:
+        """log ||c||_s of each column of the block, at 40 digits."""
+        with mpmath.workdps(40):
+            lam = [mpmath.mpf(float(x)) for x in cls.op.eigenvalues]
+            return np.array([float(mpmath.log(mpmath.fsum(
+                (abs(x) + 1) ** s * abs(mpmath.mpc(c)) ** 2 for x, c in zip(lam, col))) / 2)
+                for col in block.T])
+
+    @pytest.mark.parametrize("s", [-400.0, -300.0, 300.0, 400.0, 1000.0])
+    def test_isometry_log_norms(self, s):
+        # ||(|A|+I)^{t/2} c||_{s-t} = ||c||_s for every t: both sides against the one key
+        want = self.key(s, self.block)
+        log_c = _log_abs(self.block)
+        np.testing.assert_allclose(_log_norms(_log_weights(self.op, s / 2), log_c), want,
+                                   rtol=0, atol=1e-12)
+        for t in (0.0, 0.5, 1.0, 2.0):
+            mapped = _log_norms(_log_weights(self.op, (s - t) / 2) + _log_weights(self.op, t / 2),
+                                log_c)
+            np.testing.assert_allclose(mapped, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("s", [-400.0, -300.0, 300.0, 400.0, 1000.0])
+    def test_hs_norm(self, s):
+        # at s > 0 the rows are scaled by (|lambda| + 1)^{-s/2}, so that every weighted entry
+        # is of order 1 and the norm is finite; rows whose scale is below e^-700 are set to 0,
+        # as the modulus of a complex subnormal keeps only a few bits
+        block = self.block
+        if s > 0:
+            log_w = _log_weights(self.op, s / 2)
+            block = block * np.where(log_w < 700.0, np.exp(-log_w), 0.0)[:, None]
+        np.testing.assert_allclose(hs_norm(self.op, s, block), np.exp(self.key(s, block)),
+                                   rtol=1e-12, atol=0)
