@@ -57,9 +57,11 @@ def _log_weights(operator: SpectralOperator, exponent: float) -> np.ndarray:
 
 
 def _log_abs(c: np.ndarray) -> np.ndarray:
-    """log|c| of an n x k coefficient block, laid out k x n, one row per column; log 0 = -inf."""
+    """log|c| of an n x k coefficient block, laid out k x n, one row per column; log 0 = -inf.
+    The log is taken in place, so that the call holds one k x n array, not two."""
+    out = np.abs(c.T, order="C")
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(c.T, order="C"))
+        return np.log(out, out=out)
 
 
 def _log_norms(log_w: np.ndarray, log_c: np.ndarray) -> np.ndarray:
@@ -203,10 +205,11 @@ def membership_table(model: GrowthModel, s_values, terms: int = PARTIAL_SUM_TERM
 
 
 def equivalence_check(operator: SpectralOperator, s: float, samples):
-    """Min/max ratio of ||phi||_s (`hs_norm`) to ||(A-gamma)^{s/2} phi|| over the samples, a
-    vector or the nonzero columns of an n x k block, each side taken for the whole block.
-    The denominators are log-norms (`_log_norms`) and each ratio is exp(log num - log den),
-    so neither (A-gamma)^{s/2} nor the squares of tiny samples leave the float range.
+    """Min/max ratio of ||phi||_s to ||(A-gamma)^{s/2} phi|| over the samples, a vector or
+    the nonzero columns of an n x k block, each side taken for the whole block. Both sides
+    are log-norms (`_log_norms`) of the one log|c| and each ratio is exp(log num - log den),
+    so neither norm, no power of the weights and no square of a tiny sample leaves the
+    float range on the way.
 
     gamma is the operator's shift, which `SpectralOperator` keeps below its lower
     bound k. Both weight choices generate the same spaces with equivalent norms;
@@ -216,13 +219,14 @@ def equivalence_check(operator: SpectralOperator, s: float, samples):
     """
     gamma = operator.shift
     lam = operator.eigenvalues
-    block = _as_block(operator, samples)
-    denoms = _log_norms((s / 2) * np.log(lam - gamma), _log_abs(block))
+    log_c = _log_abs(_as_block(operator, samples))
+    denoms = _log_norms((s / 2) * np.log(lam - gamma), log_c)
     nonzero = denoms != -np.inf
     if not nonzero.any():
         raise ValueError("no nonzero sample vectors supplied")
-    ratios = np.exp(np.log(hs_norm(operator, s, block)[nonzero]) - denoms[nonzero])
-    per_mode = np.power((np.abs(lam) + 1.0) / (lam - gamma), s / 2)
+    ratios = np.exp(_log_norms(_log_weights(operator, s / 2), log_c)[nonzero] - denoms[nonzero])
+    with np.errstate(over="ignore"):   # a bound past the float range is inf
+        per_mode = np.power((np.abs(lam) + 1.0) / (lam - gamma), s / 2)
     lo, hi = float(np.min(per_mode)), float(np.max(per_mode))
     return {   # min and max through _worst, so a NaN ratio fails the bounds check
         "min_ratio": -_worst(-ratios, floor=-math.inf),

@@ -30,6 +30,7 @@ from ldlab.hscale import (
     GrowthModel,
     critical_index,
     duality_pair,
+    hs_norm,
     isometry_check,
     partial_sum_divergent,
     membership,
@@ -148,13 +149,16 @@ def test_criterion_05_closed_form_lower_bound():
 
 
 def test_criterion_06_scale_module():
-    with criterion(6, "scale: isometry, duality, critical indices, classifier"):
+    with criterion(6, "scale: norms, isometry, duality, critical indices, classifier"):
         op = seeded_pd(11, n=12)
         rng = np.random.default_rng(12)
         for _ in range(20):
             phi = rng.normal(size=12) + 1j * rng.normal(size=12)
             psi = rng.normal(size=12) + 1j * rng.normal(size=12)
             for s in (-2.0, -1.0, 0.5, 1.0, 2.0):
+                weights = (np.abs(op.eigenvalues) + 1.0) ** s
+                assert hs_norm(op, s, phi) == pytest.approx(np.sqrt(weights @ np.abs(phi) ** 2),
+                                                            rel=1e-12)
                 for t in (-1.0, 0.0, 0.5, 2.0):
                     assert isometry_check(op, s, t, phi) <= 1e-10
                 plain = complex(np.vdot(psi, phi))

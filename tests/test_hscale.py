@@ -448,23 +448,39 @@ class TestEquivalence:
             assert got[key] == pytest.approx(want[key], rel=1e-13)
         assert (got["bound_lo"], got["bound_hi"]) == (want["bound_lo"], want["bound_hi"])
 
-    def test_denominator_powers_past_the_float_range(self):
-        # s = 300: (lambda - gamma)^150 overflows a float from lambda = 114 on. Samples on the
-        # first ten modes, whose s-norms stay finite, get the ratios mpmath gives at 40 digits
+    @pytest.mark.parametrize("s, modes", [(300.0, 10), (300.0, 50), (1000.0, 50)])
+    def test_powers_past_the_float_range(self, s, modes):
+        # from mode 11 (lambda = 121) on, (lambda - gamma)^{s/2} and (|lambda| + 1)^{s/2}
+        # overflow a float at s = 300, and so does the s-norm of a sample on those modes; the
+        # ratios do not, and are those mpmath gives at 40 digits
         op = GrowthModel(2.0, 0.5).operator(50)
         rng = np.random.default_rng(17)
         block = np.zeros((50, 3), dtype=complex)
-        block[:10] = rng.normal(size=(10, 3)) + 1j * rng.normal(size=(10, 3))
-        stats = equivalence_check(op, 300.0, block)
+        block[:modes] = rng.normal(size=(modes, 3)) + 1j * rng.normal(size=(modes, 3))
+        stats = equivalence_check(op, s, block)
         with mpmath.workdps(40):
             lam, gamma = [mpmath.mpf(float(x)) for x in op.eigenvalues], mpmath.mpf(op.shift)
             want = [float(mpmath.sqrt(
-                mpmath.fsum((abs(x) + 1) ** 300 * abs(mpmath.mpc(c)) ** 2 for x, c in zip(lam, col))
-                / mpmath.fsum((x - gamma) ** 300 * abs(mpmath.mpc(c)) ** 2
+                mpmath.fsum((abs(x) + 1) ** s * abs(mpmath.mpc(c)) ** 2 for x, c in zip(lam, col))
+                / mpmath.fsum((x - gamma) ** s * abs(mpmath.mpc(c)) ** 2
                               for x, c in zip(lam, col)))) for col in block.T]
         assert stats["min_ratio"] == pytest.approx(min(want), rel=1e-12)
         assert stats["max_ratio"] == pytest.approx(max(want), rel=1e-12)
         assert stats["bound_lo"] <= stats["min_ratio"] <= stats["max_ratio"] <= stats["bound_hi"]
+
+    @pytest.mark.parametrize("s", [-1000.0, 1000.0])
+    def test_bound_past_the_float_range(self, s):
+        # gamma = -6: the per-mode ratios are (6 / 1)^{s/2} and (4 / 9)^{s/2}, so one bound
+        # is 6^500 = inf at s = 1000 (0 at s = -1000); the ratio of (1, 1) is finite
+        op = SpectralOperator.from_diag([-5.0, 3.0])
+        stats = equivalence_check(op, s, np.array([1.0, 1.0]))
+        with mpmath.workdps(40):
+            want = float(mpmath.sqrt((mpmath.mpf(6) ** s + mpmath.mpf(4) ** s)
+                                     / (1 + mpmath.mpf(9) ** s)))
+        assert stats["min_ratio"] == pytest.approx(want, rel=1e-12) == stats["max_ratio"]
+        bounds = sorted([(4 / 9) ** (s / 2), math.inf if s > 0 else 0.0])
+        assert [stats["bound_lo"], stats["bound_hi"]] == pytest.approx(bounds, rel=1e-12)
+        assert stats["bound_lo"] <= stats["min_ratio"] <= stats["bound_hi"]
 
     @pytest.mark.parametrize("shape", [(39, 2), (41,), (40, 2, 2)])
     def test_wrong_row_count_raises(self, shape):
