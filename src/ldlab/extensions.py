@@ -373,7 +373,7 @@ def limit_crosscheck(a0, spec: PerturbationSpec, t_list):
     target, mul_dim = _finite_spectrum(action, b_mul), b_mul.shape[1]
     rows = []
     for t in t_list:
-        lam = np.linalg.eigvalsh(_stored(action + float(t) * b_mul @ b_mul.conj().T, copy=False))
+        lam = np.linalg.eigvalsh(_action(action, b_mul, float(t) * np.eye(mul_dim)))
         keep = lam.shape[0] - mul_dim
         finite = lam[:keep]
         dev = float(np.max(np.abs(finite - target))) if keep else 0.0
@@ -403,13 +403,19 @@ def theta_sweep(a0, b_map, family):
     return rows
 
 
+def _interlaced(lam: np.ndarray, mu: np.ndarray, t: float) -> bool:
+    """Rank-one interlacing of the sorted spectra lambda of A and mu of A + t phi phi*, t > 0:
+    lambda_i <= mu_i <= lambda_{i+1}, each up to INTERLACE_SLACK * max(|lambda|_max, t, 1)."""
+    slack = INTERLACE_SLACK * max(float(np.max(np.abs(lam))), float(t), 1.0)
+    return bool(np.all(lam - slack <= mu) and np.all(mu[:-1] <= lam[1:] + slack))
+
+
 def interlacing_check(a0, phi, t: float) -> bool:
-    """Rank-one interlacing: lambda_i(A) <= lambda_i(A + t phi phi*) <= lambda_{i+1}(A), each
-    up to INTERLACE_SLACK * max(|lambda|_max, t, 1).
+    """Rank-one interlacing (`_interlaced`) of A and A + t phi phi* for a unit vector phi.
 
     Only eigenvalues are read: for a SpectralOperator, lambda(A) is its stored, validated
-    decomposition's; otherwise lambda(A) and lambda(A + t phi phi*) are `eigvalsh` of the
-    `_stored` matrices, as in `_finite_spectrum`.
+    decomposition's, else `eigvalsh` of the `_stored` matrix; mu is `eigvalsh` of `_action`
+    with B = phi and Theta = [t].
     """
     if not t > 0:
         raise ValueError("interlacing check needs t > 0")
@@ -419,6 +425,4 @@ def interlacing_check(a0, phi, t: float) -> bool:
     a = _operator_entries(a0)
     _check_rows(a, phi)
     lam = a0.eigenvalues if isinstance(a0, SpectralOperator) else np.linalg.eigvalsh(a)
-    mu = np.linalg.eigvalsh(_stored(a + t * np.outer(phi, phi.conj()), copy=False))
-    slack = INTERLACE_SLACK * max(float(np.max(np.abs(lam))), float(t), 1.0)
-    return bool(np.all(lam - slack <= mu) and np.all(mu[:-1] <= lam[1:] + slack))
+    return _interlaced(lam, np.linalg.eigvalsh(_action(a, phi[:, None], np.array([[t]]))), t)

@@ -116,21 +116,26 @@ def duality_pair(operator: SpectralOperator, s: float, phi, psi):
     return complex(pairs[0]) if np.ndim(phi) == 1 else pairs
 
 
-def isometry_check(operator: SpectralOperator, s: float, t: float, phi) -> float:
-    """Relative residual of the isometry H_s -> H_{s-t} induced by (|A|+I)^{t/2}.
+def isometry_check(operator: SpectralOperator, s: float, t, phi) -> float:
+    """Relative residual of the isometries H_s -> H_{s-t} induced by (|A|+I)^{t/2}.
 
-    phi is a vector or an n x k block of them. Returns the worst, over its nonzero
-    columns c, of | ||(|A|+I)^{t/2} c||_{s-t} / ||c||_s - 1 |, read in logs as
+    t is a number or a sequence of them, and phi a vector or an n x k block of them.
+    Returns the worst, over the t values and the nonzero columns c, of
+    | ||(|A|+I)^{t/2} c||_{s-t} / ||c||_s - 1 |, read in logs as
     |expm1(log mapped - log ||c||_s)|: NaN when any is NaN, 0.0 when every column is zero.
-    The mapped norm's log weights are the sum of those of (|A|+I)^{(s-t)/2} and of the map
-    (|A|+I)^{t/2}, so the map is applied as a product of weights.
+    log|c| and log ||c||_s are taken once per call. The mapped norm's log weights are the
+    sum of those of (|A|+I)^{(s-t)/2} and of the map (|A|+I)^{t/2}, so the map is applied
+    as a product of weights.
     """
     log_c = _log_abs(_as_block(operator, phi))
     log_s = _log_norms(_log_weights(operator, s / 2), log_c)
-    mapped = _log_norms(_log_weights(operator, (s - t) / 2) + _log_weights(operator, t / 2),
-                        log_c)
     nonzero = log_s != -np.inf
-    return _worst(np.abs(np.expm1(mapped[nonzero] - log_s[nonzero])))
+    worst = []
+    for t_i in np.ravel(t).tolist():
+        mapped = _log_norms(_log_weights(operator, (s - t_i) / 2) + _log_weights(operator, t_i / 2),
+                            log_c)
+        worst.append(_worst(np.abs(np.expm1(mapped[nonzero] - log_s[nonzero]))))
+    return _worst(worst)
 
 
 def critical_index(model: GrowthModel) -> float:

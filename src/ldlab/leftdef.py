@@ -8,8 +8,8 @@ closed forms, and a verification report for the defining properties and the
 spectral-stability statements. Every H_r inner product is diagonal in A's
 eigenbasis: <x,y>_r = sum_k lambda_k^r c_{x,k} conj(c_{y,k}) with c = U* x, so
 `ld_inner` takes each block into the eigenbasis by one U* product and sums there,
-with no U round trip and no n x n array (`SpectralOperator.in_eigenbasis`, the
-operator diag(lambda) that A is in its eigenbasis, applies lambda^{r/2}).
+with no U round trip and no n x n array, multiplying by lambda^{r/2}
+(`SpectralOperator._power`, kept on the operator once per exponent).
 `apply_power` and `ld_inner` take a vector or an n x k block of columns, a vector
 being a block of one. A block is one product, whose columns agree with the vector
 calls to rounding (within gamma_n = n eps / (1 - n eps) of the product of the
@@ -123,19 +123,6 @@ class SpectralOperator:
         return HermitianMatrix(_Owned(np.diag(self.decomp.eigenvalues)))
 
     @property
-    def in_eigenbasis(self) -> "SpectralOperator":
-        """diag(lambda), the operator A is in its own eigenbasis: U* maps x to its coefficients
-        c, and A^r x = U (lambda^r c). Itself for the identity basis, else built in O(n) on
-        each read (cached, it would hold the operator in a reference cycle past its use),
-        sharing this operator's lambda^r of `apply_power`: one power per exponent for both.
-        The shared dict holds arrays only, so it makes no cycle either."""
-        if self.decomp.columns is None:
-            return self
-        diag = SpectralOperator(None, SpectralDecomposition(self.decomp.eigenvalues))
-        vars(diag)["_powers"] = self._powers
-        return diag
-
-    @property
     def norm_max(self) -> float:
         """max|entries| of the matrix, known without building it: the dense matrix's own, else
         (the identity basis) the larger magnitude at the two ends of its sorted diagonal."""
@@ -164,19 +151,23 @@ class SpectralOperator:
 
     @cached_property
     def _powers(self) -> dict:
-        """lambda^r for each exponent r that `apply_power` has been given, computed once."""
+        """lambda^r for each exponent r that `_power` has been given."""
         return {}
 
-    def apply_power(self, r: float, x) -> np.ndarray:
-        """A^r x through the eigenbasis without forming the matrix: U (lambda^r * U* x),
-        for the identity basis lambda^r * x (`SpectralDecomposition.to_eigenbasis`); x is
-        a vector or an n x k block, which is one product. lambda^r is computed once per
-        exponent and kept on the operator."""
-        x = np.asarray(x, dtype=complex)
+    def _power(self, r: float) -> np.ndarray:
+        """lambda^r, computed once per exponent and kept in `_powers`."""
         r = float(r)
         powers = self._powers.get(r)
         if powers is None:
             powers = self._powers[r] = np.power(self.decomp.eigenvalues, r)
+        return powers
+
+    def apply_power(self, r: float, x) -> np.ndarray:
+        """A^r x through the eigenbasis without forming the matrix: U (lambda^r * U* x),
+        for the identity basis lambda^r * x (`SpectralDecomposition.to_eigenbasis`); x is
+        a vector or an n x k block, which is one product. lambda^r is `_power(r)`."""
+        x = np.asarray(x, dtype=complex)
+        powers = self._power(r)
         if x.ndim == 2:
             powers = powers[:, None]
         return self.decomp.from_eigenbasis(powers * self.decomp.to_eigenbasis(x))
@@ -242,15 +233,14 @@ def ld_inner(space: LeftDefiniteSpace, x, y=None):
 
     Two vectors give a complex. Blocks of columns give the array G[i, j] = <x_i, y_j>_r.
     The sum is taken in the eigenbasis: each block is taken there by one U* product,
-    lambda^{r/2} applied by `in_eigenbasis.apply_power` (no product), then one sum of
+    times lambda^{r/2} (`SpectralOperator._power`, no product), then one sum of
     products, sum_k lambda_k^r c_{x,k} conj(c_{y,k}). y=None stands for y = x, taken
     once. For the identity basis the block is its own coefficients and no product is made.
     """
     op = space.operator
-    diag = op.in_eigenbasis
-    half_x = diag.apply_power(space.r / 2, op.decomp.to_eigenbasis(_as_block(op, x)))
-    half_y = half_x if y is None else diag.apply_power(
-        space.r / 2, op.decomp.to_eigenbasis(_as_block(op, y)))
+    half = op._power(space.r / 2)[:, None]
+    half_x = half * op.decomp.to_eigenbasis(_as_block(op, x))
+    half_y = half_x if y is None else half * op.decomp.to_eigenbasis(_as_block(op, y))
     # einsum, not a complex @: the first zgemm call raises the peak resident memory
     gram = np.einsum("ki,kj->ij", half_x, half_y.conj())
     vectors = np.ndim(x) == 1 and (y is None or np.ndim(y) == 1)
@@ -328,11 +318,12 @@ def verify_ld_properties(
     the eigenvalue multiplicity lists of A and of the r-th left-definite operator
     coincide. Each pair is taken into the eigenbasis once, as one n x 2 block of
     coefficients c = U* [x, y]; <x,x>_r and <x,y>_r are `ld_inner` of c in H_r of
-    `in_eigenbasis` (U* is an isometry onto it), and the duality's other side is
-    A^r x = U (lambda^r c_x), one U product. The multiplicity flag compares the
-    operator's stored eigenvalues with `LeftDefiniteOperator.spectrum`: `eigh` of the
-    matrix the operator was given (cached on it), so it FAILs only when the stored
-    decomposition is not the one `eigh` finds. For a `from_matrix` operator they are one
+    diag(lambda), the operator A is in its eigenbasis, built once (U* is an isometry onto
+    it), and the duality's other side is A^r x = U (lambda^r c_x), one U product. That
+    operator takes each power of lambda once (`SpectralOperator._power`). The multiplicity
+    flag compares the operator's stored eigenvalues with `LeftDefiniteOperator.spectrum`:
+    `eigh` of the matrix the operator was given (cached on it), so it FAILs only when the
+    stored decomposition is not the one `eigh` finds. For a `from_matrix` operator they are one
     decomposition, and for `from_diag` the spectrum is the stored diagonal itself: on
     neither is the flag an independent route, and on `from_diag` it restates the
     construction. For integer r it also checks the closed form's lower bound
@@ -345,8 +336,8 @@ def verify_ld_properties(
     if sample_count < 1:
         raise ValueError(f"the property suite needs at least one sample, got {sample_count}")
     space = ld_space(operator, r)
-    eigen = LeftDefiniteSpace(space.r, operator.in_eigenbasis)
-    diag = eigen.operator
+    diag = SpectralOperator.from_diag(operator.eigenvalues)
+    eigen = LeftDefiniteSpace(space.r, diag)
     rng = np.random.default_rng(seed)
     n = operator.dim
     try:

@@ -118,8 +118,7 @@ def _run_scale(report: Report, built: BuiltOperator, config: ScenarioConfig, rng
     draws = rng.normal(size=(samples, 2, op.dim))
     vectors = draws[:, 0] + 1j * draws[:, 1]
 
-    worst_iso = _worst(hscale.isometry_check(op, s, t, vectors.T)
-                       for s in s_values for t in t_values)
+    worst_iso = _worst(hscale.isometry_check(op, s, t_values, vectors.T) for s in s_values)
     report.add_check("isometry", f"{len(s_values)}x{len(t_values)} grid", worst_iso,
                      config.tolerances["isometry"])
 
@@ -275,6 +274,8 @@ def _run_perturb_sweep(report: Report, built: BuiltOperator, config: ScenarioCon
     op = built.operator
     n = op.dim
     rank, t_max, t_steps = (config.params[key] for key in ("rank", "tMax", "tSteps"))
+    if rank > n:
+        raise ValueError(f"perturbation rank {rank} exceeds the operator dimension {n}")
     cols = []
     if built.discrete is not None:
         # boundary-functional columns exist only at regular endpoints;
@@ -316,9 +317,9 @@ def _run_perturb_sweep(report: Report, built: BuiltOperator, config: ScenarioCon
     report.add_check("t0-matches-base", "t=0",
                      float(np.max(np.abs(spectra[0] - base))), 1e-10 * max(1.0, float(base[-1])))
 
-    if rank == 1:
-        ok = extensions.interlacing_check(op, b[:, 0], max(t_max, 1.0))
-        report.add_flag("rank-one-interlacing", f"t={max(t_max, 1.0):g}", ok)
+    if rank == 1:   # the sweep's last step is A0 + tMax bb*
+        report.add_flag("rank-one-interlacing", f"t={t_max:g}",
+                        extensions._interlaced(base, spectra[-1], t_max))
 
     theta_mul = LinearRelation.multivalued(rank)
     spec_mul = extensions.PerturbationSpec(b, theta_mul)

@@ -4,9 +4,11 @@ Each entry of MUTATIONS names a check, a golden config that runs it (and PASSes 
 `test_golden.py`), and one monkeypatch that breaks what the check verifies. The
 relation mutations act on the stacks that `scenarios._by_shape` runs, so they record
 the batch shape of every call and the test asserts that a stack of more than one
-member was mutated.
+member was mutated. A check name that a golden report emits and MUTATIONS lacks must
+be declared in NOT_YET_MUTATED, which loses the name when its mutation arrives.
 """
 
+import csv
 import dataclasses
 import math
 import pathlib
@@ -104,11 +106,41 @@ def _weight_off(exponent: float, relative: float):
     return mutate
 
 
+def _power_off(exponent: float, relative: float):
+    """The mutation: the top entry of lambda^exponent, as `SpectralOperator._power` returns
+    it, times 1 + relative (on a copy: the kept power stays as computed)."""
+    def mutate(monkeypatch, batches):
+        real = leftdef.SpectralOperator._power
+
+        def power(self, r):
+            powers = real(self, r)
+            if r == exponent:
+                powers = powers.copy()
+                powers[-1] *= 1 + relative
+            return powers
+
+        monkeypatch.setattr(leftdef.SpectralOperator, "_power", power)
+    return mutate
+
+
+def _negated_last_theta(monkeypatch, batches):
+    """The sweep's last step solves A0 - tMax bb*, not A0 + tMax bb*."""
+    real = extensions.theta_sweep
+
+    def theta_sweep(a0, b_map, family):
+        *head, (label, theta) = family
+        return real(a0, b_map, head + [(label, -theta)])
+
+    monkeypatch.setattr(extensions, "theta_sweep", theta_sweep)
+
+
 # check name -> (golden config, mutation, whether the check runs on relation stacks). The
 # isometry and the pairing each FAIL at 1e-8 on one weight: of the map (|A|+I)^{t/2} at
 # t = 0.5, and of (|A|+I)^{-s/2} at s = 2. The equivalence ratios sit 5e-4 inside their
 # bounds on this golden, so one numerator weight of (|A|+I)^{s/2} at s = 2 is off by 1e-2
-# (3e-3 is the least that flips it)
+# (3e-3 is the least that flips it). The duality row reads lambda^{r/2} on both sides of
+# <x,y>_r and lambda^r on the other, so one entry of lambda^{1/2} (r = 1 on this golden)
+# off by 1e-6 moves it to about 1e-7
 MUTATIONS = {
     "eigen-gram-offdiag": ("leftdef-sl-flat", _offdiag_gram, False),
     "multiplicity-invariance": ("leftdef-sl-flat", _moved_spectrum, False),
@@ -119,6 +151,15 @@ MUTATIONS = {
     "isometry": ("scale-diag-growth", _weight_off(0.25, 1e-8), False),
     "duality-reduction": ("scale-diag-growth", _weight_off(-1.0, 1e-8), False),
     "equivalence-bounds": ("scale-diag-growth", _weight_off(1.0, -1e-2), False),
+    "duality(5)": ("leftdef-sl-flat", _power_off(0.5, 1e-6), False),
+    "rank-one-interlacing": ("perturb-flat-dirichlet-r1", _negated_last_theta, False),
+}
+
+# check names the goldens emit that no entry of MUTATIONS flips yet (ROADMAP item 15)
+NOT_YET_MUTATED = {
+    "closed-form-lower-bound", "eigen-gram-diag", "eigenvalue-monotone-in-t",
+    "friedrichs-domain", "friedrichs-selfadjoint", "laguerre-identity", "limit-crosscheck",
+    "lower-bound(4)", "t0-matches-base", "trivial-case-equal",
 }
 
 
@@ -136,3 +177,14 @@ def test_mutation_fails_the_check(check, monkeypatch):
     assert _statuses(golden)[check] == "FAIL"
     if stacked:
         assert any(batch and np.prod(batch) > 1 for batch in batches), batches
+
+
+def test_every_golden_check_name_is_mutated_or_declared():
+    emitted = set()
+    for path in GOLDEN.glob("*/report.csv"):
+        with open(path, newline="") as handle:
+            emitted |= {row["check-name"] for row in csv.DictReader(handle)}
+    assert emitted - MUTATIONS.keys() - NOT_YET_MUTATED == set()
+    # a mutation added for a declared name drops it from the set
+    assert NOT_YET_MUTATED & MUTATIONS.keys() == set()
+    assert NOT_YET_MUTATED <= emitted

@@ -497,6 +497,24 @@ class TestRunScenario:
         monkeypatch.setattr(SpectralOperator, "eigenvalues", shifted)
         assert self.sweep_status("rank-one-interlacing") == "FAIL"
 
+    def test_interlacing_reads_the_sweep_at_t_max_below_one(self):
+        sweep = {**self.RANK_ONE_SWEEP, "params": {"rank": 1, "tMax": 0.5, "tSteps": 3}}
+        report = run_scenario(parse_config(json.dumps(make_config(**sweep))))
+        row = next(r for r in report.rows if r.name == "rank-one-interlacing")
+        assert (row.inputs, row.status) == ("t=0.5", "PASS")
+
+    @pytest.mark.parametrize("rank, status", [(4, "FAIL"), (3, "PASS")])
+    def test_perturb_sweep_rank_above_the_dimension(self, rank, status):
+        raw = make_config(operatorSpec={"kind": "diag-growth", "p": 1.0, "q": 0.0, "N": 3},
+                          experiment="perturb-sweep", params={"rank": rank})
+        report = run_scenario(parse_config(json.dumps(raw)))
+        assert report.overall == status
+        errors = [r.inputs for r in report.rows if r.name == "scenario-error"]
+        if rank > 3:
+            assert errors == ["ValueError: perturbation rank 4 exceeds the operator dimension 3"]
+        else:
+            assert errors == []
+
     def test_decreasing_sweep_row_fails_monotone(self, monkeypatch):
         assert self.sweep_status("eigenvalue-monotone-in-t") == "PASS"
         real = extensions.theta_sweep
@@ -690,7 +708,7 @@ class TestNanResidualFails:
         assert {status for status, _ in self.statuses(SCALE).values()} == {"PASS"}
 
     @pytest.mark.parametrize("name, index, row", [
-        ("isometry_check", 1, "isometry"),          # 3 calls: one per (s, t)
+        ("isometry_check", 1, "isometry"),          # 3 calls: one per s
         ("duality_pair", 1, "duality-reduction"),   # 3 calls: one per s
     ])
     def test_scale_check_rows(self, monkeypatch, name, index, row):
@@ -780,19 +798,21 @@ class TestScaleDraws:
             [("equivalence_check", 2.0)]
 
     def test_one_isometry_call_per_grid_point_on_the_old_draws(self, monkeypatch):
+        # one call per s, which takes the whole t grid and the sample block
         real = hscale.isometry_check
-        blocks = []
+        calls = []
 
         def recording(operator, s, t, phi):
-            blocks.append(phi)
+            calls.append((s, list(t), phi))
             return real(operator, s, t, phi)
         monkeypatch.setattr(hscale, "isometry_check", recording)
-        run_scenario(parse_config(json.dumps(SCALE)))
+        raw = {**SCALE, "params": {**SCALE["params"], "t": [0.5, 1.0]}}
+        run_scenario(parse_config(json.dumps(raw)))
         # the per-sample list the runner drew before it drew one array
         rng, n = np.random.default_rng(SCALE["seed"]), 20
         vectors = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(4)]
-        assert len(blocks) == 3
-        for block in blocks:
+        assert [(s, t) for s, t, _ in calls] == [(s, [0.5, 1.0]) for s in SCALE["params"]["s"]]
+        for _, _, block in calls:
             assert block.shape == (n, 4)
             assert np.array_equal(block, np.column_stack(vectors))
 

@@ -493,10 +493,10 @@ class TestPerturbationBudget:
         assert report.overall == "PASS"
         assert [args[0].dtype for _, args in log] == [np.float64] * len(log)
         names = [name for name, _ in log]
-        # eigh: the operator's decomposition; eigvalsh: one per sweep step, the rank-one
-        # update of the interlacing check, the crosscheck's target and its penalty solve
+        # eigh: the operator's decomposition; eigvalsh: one per sweep step, whose last the
+        # interlacing row reads, the crosscheck's target and its penalty solve
         assert names.count("eigh") == 1
-        assert names.count("eigvalsh") == t_steps + 3
+        assert names.count("eigvalsh") == t_steps + 2
 
     def test_limit_crosscheck_compresses_once_without_full_svd(self, monkeypatch):
         n = 30

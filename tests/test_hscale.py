@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ldlab import hscale
 from ldlab.hscale import (
     GrowthModel,
     _log_abs,
@@ -228,6 +229,31 @@ class TestIsometryBlock:
         block = np.column_stack([self.block[:50, :2], size * v])
         assert isometry_check(op, s, 0.5, block) == max(
             isometry_check(op, s, 0.5, self.block[:50, :2]), residual)
+
+    @pytest.mark.parametrize("s", [1.5, -2.0, 20.0])
+    def test_list_of_t_is_the_worst_scalar_call(self, s):
+        ts = [0.5, -1.3, 3.0, 0.0]
+        worst = max(isometry_check(self.op, s, t, self.block) for t in ts)
+        assert worst > 0.0
+        assert isometry_check(self.op, s, ts, self.block) == worst
+        assert isometry_check(self.op, s, np.array(ts), self.block) == worst
+        assert isometry_check(self.op, s, [ts[1]], self.block) == \
+            isometry_check(self.op, s, ts[1], self.block)
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_nan_at_one_t_is_nan_for_the_list(self, monkeypatch, bad):
+        # the map weights (|A|+I)^{t/2} of one t read NaN: a max that kept a NaN only in first
+        # place would drop it at positions 1 and 2
+        ts = [0.5, 3.0, 2.0]   # at s = 1.5 no other weight has the exponent t / 2
+        real = hscale._log_weights
+
+        def nan_map(operator, e):
+            log_w = real(operator, e)
+            return log_w * np.nan if e == ts[bad] / 2 else log_w
+        monkeypatch.setattr(hscale, "_log_weights", nan_map)
+        scalar = [isometry_check(self.op, 1.5, t, self.block) for t in ts]
+        assert [np.isnan(r) for r in scalar] == [i == bad for i in range(3)]
+        assert np.isnan(isometry_check(self.op, 1.5, ts, self.block))
 
     def test_nan_column_mid_block_is_nan(self):
         block = self.block.copy()

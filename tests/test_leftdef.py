@@ -277,7 +277,7 @@ class TestEigensolveBudget:
 
 class TestPowerBudget:
     """Each eigenvalue power the suite uses is computed once over the n eigenvalues:
-    lambda^{r/2} and lambda^r by `apply_power` (kept on the operator per exponent),
+    lambda^{r/2} and lambda^r by `SpectralOperator._power` (kept on the operator per exponent),
     (lambda - gamma)^{r/2} by each closed form (kept on the form), and lambda^r once more
     for the eigen-Gram's dense A^r."""
 
@@ -301,7 +301,7 @@ class TestPowerBudget:
         assert sorted(calls) == exponents
 
     def test_ld_inner_takes_each_power_once_across_calls(self, monkeypatch):
-        # each ld_inner reads a new in_eigenbasis operator, which shares the operator's powers
+        # each ld_inner reads the operator's own lambda^{r/2} (`_power`), kept across calls
         op = SpectralOperator.from_matrix(discretize(SLCoefficients.flat(), 40).matrix)
         space = ld_space(op, 1.5)
         x = np.random.default_rng(3).normal(size=op.dim)
@@ -317,17 +317,16 @@ class TestPowerBudget:
         assert len(set(grams)) == 1
 
     def test_operators_are_freed_with_gc_disabled(self):
-        # the shared dict of powers holds arrays only: reference counting frees both operators
+        # the dict of powers holds arrays only: reference counting frees the operator
         op = SpectralOperator.from_matrix(discretize(SLCoefficients.flat(), 40).matrix)
         gc.disable()
         try:
-            diag = op.in_eigenbasis
             ld_inner(ld_space(op, 1.5), np.ones(op.dim))
-            diag.apply_power(2.0, np.ones(op.dim))
-            assert 0.75 in diag._powers and 2.0 in op._powers
-            freed = weakref.ref(op), weakref.ref(diag)
-            del op, diag
-            assert [ref() for ref in freed] == [None, None]
+            op.apply_power(2.0, np.ones(op.dim))
+            assert 0.75 in op._powers and 2.0 in op._powers
+            freed = weakref.ref(op)
+            del op
+            assert freed() is None
         finally:
             gc.enable()
 
@@ -684,18 +683,24 @@ class TestOneSampleStream:
 
     @pytest.mark.parametrize("r", [0.5, 2.0, 3])
     def test_two_apply_power_calls_per_sample(self, monkeypatch, r):
-        # lambda^{r/2} on the coefficients of the sample pair (x, y), one n x 2 block
-        # (`ld_inner`), then lambda^r on those of x: both on the operator in its eigenbasis,
-        # the identity basis, so neither makes a product
-        calls = []
-        apply_power = SpectralOperator.apply_power
+        # lambda^{r/2} read by `ld_inner` for the coefficients of the sample pair (x, y), one
+        # n x 2 block, then lambda^r applied to those of x: both on the operator in its
+        # eigenbasis, the identity basis, so neither makes a product
+        powers, calls = [], []
+        power, apply_power = SpectralOperator._power, SpectralOperator.apply_power
 
-        def counting(self, power, x):
-            calls.append((power, np.shape(x), self.decomp.columns is None))
-            return apply_power(self, power, x)
+        def counting_power(self, exponent):
+            powers.append((exponent, self.decomp.columns is None))
+            return power(self, exponent)
+
+        def counting(self, exponent, x):
+            calls.append((exponent, np.shape(x), self.decomp.columns is None))
+            return apply_power(self, exponent, x)
+        monkeypatch.setattr(SpectralOperator, "_power", counting_power)
         monkeypatch.setattr(SpectralOperator, "apply_power", counting)
         verify_ld_properties(seeded_positive_operator(4, n=10), r, 7, seed=3)
-        assert calls == [(r / 2, (10, 2), True), (r, (10,), True)] * 7
+        assert calls == [(r, (10,), True)] * 7
+        assert powers == [(r / 2, True), (r, True)] * 7
 
     @staticmethod
     def nan_on_call(real, index):
@@ -712,18 +717,18 @@ class TestOneSampleStream:
         return {row.name: (row.status, row.residual) for row in report.rows}
 
     def test_nan_sample_fails_lower_bound_and_duality(self, monkeypatch):
-        # apply_power call 2 is sample 1's A^{r/2} (x, y) (2 calls per sample)
-        monkeypatch.setattr(SpectralOperator, "apply_power",
-                            self.nan_on_call(SpectralOperator.apply_power, 2))
+        # _power call 2 is sample 1's lambda^{r/2} for (x, y) (2 calls per sample)
+        monkeypatch.setattr(SpectralOperator, "_power",
+                            self.nan_on_call(SpectralOperator._power, 2))
         rows = self.suite_rows()
         for name in ("lower-bound(4)", "duality(5)"):
             assert rows[name][0] == "FAIL" and np.isnan(rows[name][1])
         assert rows["closed-form-lower-bound"][0] == "PASS"
 
     def test_nan_power_r_fails_duality_only(self, monkeypatch):
-        # apply_power call 3 is sample 1's A^r x, read by the duality row alone
-        monkeypatch.setattr(SpectralOperator, "apply_power",
-                            self.nan_on_call(SpectralOperator.apply_power, 3))
+        # _power call 3 is sample 1's lambda^r for A^r x, read by the duality row alone
+        monkeypatch.setattr(SpectralOperator, "_power",
+                            self.nan_on_call(SpectralOperator._power, 3))
         rows = self.suite_rows()
         assert rows["duality(5)"][0] == "FAIL" and np.isnan(rows["duality(5)"][1])
         assert rows["lower-bound(4)"][0] == "PASS"
